@@ -79,7 +79,11 @@ fn main() {
     let cow_ns = cow_fault_ns(&PageStore::new(4096));
     let base_fork_ns = fork_latency_ns(&GlobalLockStore::new(2048), 160);
     let base_cow_ns = cow_fault_ns(&GlobalLockStore::new(4096));
-    eprintln!("fork_world(160 pages): {fork_ns:.0} ns (global_lock {base_fork_ns:.0} ns)");
+    let fork_ratio = fork_ns / base_fork_ns;
+    eprintln!(
+        "fork_world(160 pages): {fork_ns:.0} ns (global_lock {base_fork_ns:.0} ns, \
+         {fork_ratio:.2}x, ROADMAP target <= 1.2)"
+    );
     eprintln!("cow_fault(4 KiB):      {cow_ns:.0} ns (global_lock {base_cow_ns:.0} ns)");
 
     // Content dedupe: savings on converging siblings, cost on misses.
@@ -126,6 +130,7 @@ fn main() {
             "\"cow_fault_4k_ns\": {cow_ns:.0}}},\n",
             "  \"global_lock\": {{\"fork_world_160_pages_ns\": {base_fork_ns:.0}, ",
             "\"cow_fault_4k_ns\": {base_cow_ns:.0}}},\n",
+            "  \"fork_ratio\": {fork_ratio:.3},\n",
             "  \"dedupe_ratio\": {dedupe_ratio:.3},\n",
             "  \"dedupe\": {{\"siblings\": {dsiblings}, \"pages\": {dpages}, ",
             "\"re_shares\": {dedupe_hits}, \"seal_ns_plain\": {seal_ns_plain:.0}, ",
@@ -152,6 +157,7 @@ fn main() {
         cow_ns = cow_ns,
         base_fork_ns = base_fork_ns,
         base_cow_ns = base_cow_ns,
+        fork_ratio = fork_ratio,
         dedupe_ratio = dedupe_ratio,
         dsiblings = dcfg.siblings,
         dpages = dcfg.pages,

@@ -39,7 +39,9 @@
 //! itself. The receiver maps refs through
 //! [`PageStore::map_content`], which re-hashes the local candidate before
 //! sharing — a stale or colliding index entry fails the restore (the
-//! caller falls back to v2) rather than aliasing wrong bytes.
+//! caller falls back to v2) rather than aliasing wrong bytes. Refs are
+//! resolved before any inline page is written, so an image cannot evict
+//! its own ref targets from the receiver's index.
 
 use crate::content::page_hash;
 use crate::error::{PageStoreError, Result};
@@ -284,6 +286,13 @@ pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
 /// The v3 arm of [`restore`]: records are variable-length, so the walk is
 /// cursor-driven with explicit bounds checks, and a failure after the
 /// base fork tears the half-built world back down.
+///
+/// Every ref is applied before any inline page. A full inline page seals
+/// into the receiver's direct-mapped content index as it is written, and
+/// may land in — and so evict — the very slot a later ref of the same
+/// image resolves through; the sender probed all its refs against the
+/// index as it stood *before* this image, so that is the index they must
+/// meet.
 fn restore_content(
     store: &PageStore,
     image: &[u8],
@@ -301,6 +310,7 @@ fn restore_content(
     let apply = || -> Result<()> {
         let mut off = HEADER_DELTA;
         let mut done = 0usize;
+        let mut inline: Vec<(Vpn, &[u8])> = Vec::new();
         while off < image.len() {
             if done == count {
                 return Err(err("more records than the header counts"));
@@ -316,7 +326,7 @@ fn restore_content(
                     if image.len() - off < page_size {
                         return Err(err("truncated image"));
                     }
-                    store.write(world, vpn, 0, &image[off..off + page_size])?;
+                    inline.push((vpn, &image[off..off + page_size]));
                     off += page_size;
                 }
                 REC_REF => {
@@ -335,6 +345,9 @@ fn restore_content(
         }
         if done != count {
             return Err(err("fewer records than the header counts"));
+        }
+        for (vpn, page) in inline {
+            store.write(world, vpn, 0, page)?;
         }
         Ok(())
     };
@@ -610,6 +623,54 @@ mod tests {
         let err = restore(&there, &image).unwrap_err();
         assert!(format!("{err}").contains("not present"), "{err}");
         assert_eq!(there.world_count(), before, "half-built world torn down");
+    }
+
+    #[test]
+    fn inline_page_cannot_evict_a_ref_of_its_own_image() {
+        use crate::content::ContentIndex;
+        let here = PageStore::new(64);
+        let there = PageStore::new(64);
+        there.set_dedupe(true);
+        let base = here.create_world();
+        here.write(base, 0, 0, b"base").unwrap();
+        let rbase = restore(&there, &checkpoint(&here, base).unwrap()).unwrap();
+        // The receiver already holds the page the image will ref...
+        let held = [0xDDu8; 64];
+        let warm = there.create_world();
+        there.write(warm, 0, 0, &held).unwrap();
+        // ...and the page the image carries inline, at a lower vpn, is
+        // picked to seal into the very index slot that ref resolves through.
+        let slot = ContentIndex::slot_of(page_hash(&held));
+        let mut evictor = [0xEEu8; 64];
+        for n in 0u64.. {
+            evictor[..8].copy_from_slice(&n.to_le_bytes());
+            if ContentIndex::slot_of(page_hash(&evictor)) == slot {
+                break;
+            }
+        }
+        let child = here.fork_world(base).unwrap();
+        here.write(child, 2, 0, &evictor).unwrap();
+        here.write(child, 9, 0, &held).unwrap();
+
+        let manifest = delta_manifest(&here, child, base).unwrap();
+        let present: Vec<bool> = manifest
+            .iter()
+            .map(|&(_, h)| there.content_probe(h))
+            .collect();
+        assert_eq!(
+            present,
+            vec![false, true],
+            "inline record first, then the ref"
+        );
+        let image = checkpoint_content(&here, child, rbase.raw(), &manifest, &present).unwrap();
+        let r = restore(&there, &image).expect("refs resolve before inline pages seal");
+        assert_eq!(there.read_vec(r, 2, 0, 64).unwrap(), evictor);
+        assert_eq!(there.read_vec(r, 9, 0, 64).unwrap(), held);
+        assert!(
+            !there.content_probe(page_hash(&held)),
+            "the inline page did take the ref's index slot"
+        );
+        there.verify_refcounts().unwrap();
     }
 
     #[test]

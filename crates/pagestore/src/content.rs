@@ -100,7 +100,7 @@ impl ContentIndex {
     }
 
     #[inline]
-    fn slot_of(hash: u64) -> usize {
+    pub(crate) fn slot_of(hash: u64) -> usize {
         hash as usize & (INDEX_SLOTS - 1)
     }
 

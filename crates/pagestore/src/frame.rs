@@ -1,8 +1,12 @@
 //! The frame table: reference-counted physical pages.
 //!
-//! Worlds share frames until someone writes; the reference count is what
-//! tells a write whether it may mutate in place (count == 1) or must copy
-//! (count > 1) — the core of copy-on-write.
+//! Worlds share frames until someone writes. A frame's reference count is
+//! the number of page-map *leaf slots* naming it (see the `map` module): a
+//! leaf that several worlds hold counts once, however many they are. So
+//! the count alone no longer says "private" — a write may mutate in place
+//! only when the path to the slot is exclusively the writer's *and* the
+//! count is 1; the store checks the path, [`FrameTable::write_if_private`]
+//! the count. Either one failing means copy — the core of copy-on-write.
 //!
 //! The table is concurrent and its slot-access path is lock-free: slots
 //! live in fixed-size chunks that are allocated once and never move, so
@@ -62,7 +66,7 @@ const MAX_CHUNKS: usize = 4096;
 /// `refs == 0` means the slot is on the free list and `data` is `None`.
 #[derive(Debug)]
 struct FrameSlot {
-    /// Number of page-map entries referencing this frame across all worlds.
+    /// Number of page-map leaf slots naming this frame, across all leaves.
     refs: AtomicU32,
     /// The page contents. An `Arc` so readers can snapshot a page (clone the
     /// `Arc` under this mutex, copy bytes after releasing it) while writers
@@ -181,63 +185,27 @@ impl FrameTable {
         FrameId(idx)
     }
 
-    /// Bump the reference count (a new page-map entry now points here).
-    /// `Relaxed` suffices: the caller already holds a reference (it read the
-    /// frame id out of a live page map under a shard lock), so this can
-    /// never race with the final decref — the same argument `Arc::clone`
-    /// uses for its relaxed increment.
-    #[allow(dead_code)] // single-frame form of incref_sweep; exercised in tests
+    /// Bump the reference count (one more leaf slot now names this frame:
+    /// a path-copy duplicated the slot). `Relaxed` suffices: the caller
+    /// already holds a reference (it read the frame id out of a leaf it
+    /// holds, under a shard lock), so this can never race with the final
+    /// decref — the same argument `Arc::clone` uses for its relaxed
+    /// increment.
     pub(crate) fn incref(&self, id: FrameId) {
         let prev = self.slot(id).refs.fetch_add(1, Ordering::Relaxed);
         debug_assert!(prev > 0, "incref of a freed frame {}", id.0);
-    }
-
-    /// Bulk incref for a fork's map sweep: one pass over the ids with the
-    /// chunk pointer cached, so consecutive frames (the common case — a
-    /// parent's pages allocate sequentially) skip the per-call chunk lookup.
-    pub(crate) fn incref_sweep(&self, ids: impl Iterator<Item = FrameId>) {
-        let mut cached: Option<(usize, &[FrameSlot; CHUNK_SIZE])> = None;
-        for id in ids {
-            let idx = id.0 as usize;
-            let (chunk_no, within) = (idx / CHUNK_SIZE, idx % CHUNK_SIZE);
-            let chunk = match cached {
-                Some((no, c)) if no == chunk_no => c,
-                _ => {
-                    let c = self.chunks[chunk_no]
-                        .get()
-                        .expect("frame beyond initialised chunks");
-                    cached = Some((chunk_no, c));
-                    c
-                }
-            };
-            let prev = chunk[within].refs.fetch_add(1, Ordering::Relaxed);
-            debug_assert!(prev > 0, "incref of a freed frame {}", id.0);
-        }
     }
 
     /// Drop one reference; frees the frame when the count reaches zero (the
     /// buffer goes to the recycle pool if no reader still holds it).
     /// Returns `true` if the frame was freed.
     pub(crate) fn decref(&self, id: FrameId) -> bool {
-        let slot = self.slot(id);
-        let prev = slot.refs.fetch_sub(1, Ordering::AcqRel);
-        assert!(prev > 0, "decref of a freed frame {}", id.0);
-        if prev != 1 {
-            return false;
-        }
-        let data = slot.data.lock().take().expect("live frame without data");
-        self.deindex(slot, id);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        let mut freed = Vec::new();
+        let hit_zero = self.decref_deferred(id, &mut freed);
         // One acquisition frees both halves: the slot index always goes
         // back, the buffer only if no reader still holds its `Arc`.
-        let mut rec = self.lock_recycler();
-        if let Ok(page) = Arc::try_unwrap(data) {
-            if rec.pool.len() < POOL_MAX {
-                rec.pool.push(page);
-            }
-        }
-        rec.free.push(id.0);
-        true
+        self.recycle_freed(freed);
+        hit_zero
     }
 
     /// Like [`FrameTable::decref`], but a frame that reaches zero is only
@@ -282,7 +250,6 @@ impl FrameTable {
     }
 
     /// Current reference count of a frame (0 for a freed one).
-    #[allow(dead_code)] // diagnostics; exercised in tests
     pub(crate) fn refs(&self, id: FrameId) -> u32 {
         self.slot(id).refs.load(Ordering::Acquire)
     }
@@ -303,11 +270,14 @@ impl FrameTable {
     /// place and return `Some(invalidated)` — `invalidated` is whether the
     /// frame had a content-index entry that this mutation just cleared.
     /// Otherwise touch nothing and return `None`. The caller must hold the
-    /// owning world's shard lock (read suffices): a fork of the owning
-    /// world needs that shard's write lock, so the count cannot rise to a
-    /// *lasting* 2 mid-write. A content-index probe, however, can raise it
-    /// from another shard — which is why the count is re-checked under the
-    /// data mutex: the probe increfs before locking this mutex to verify
+    /// writing world's shard lock (read suffices) and must have seen that
+    /// the world's path to this slot is exclusive: the one reference is
+    /// then the writer's own slot, and it cannot gain a *lasting* second
+    /// one mid-write — a path-copy needs another holder of the leaf, and
+    /// one can only appear by forking the writer, under that shard's write
+    /// lock. A content-index probe, however, can raise the count from
+    /// another shard — which is why it is re-checked under the data
+    /// mutex: the probe increfs before locking this mutex to verify
     /// bytes, so whoever takes the mutex second sees the other's claim and
     /// backs off. A reader concurrently holding the page's `Arc` forces
     /// `make_mut` to copy, which keeps that reader's snapshot consistent.

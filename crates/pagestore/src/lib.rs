@@ -12,11 +12,13 @@
 //! This crate is a faithful user-level implementation of that contract:
 //!
 //! * [`PageStore`] owns a reference-counted **frame table** (physical pages).
-//! * Each **world** ([`WorldId`]) owns a **page map** from virtual page
-//!   numbers to frames.
-//! * [`PageStore::fork_world`] duplicates only the map (page-map
-//!   inheritance); the first write to a shared page triggers a COW fault that
-//!   copies exactly one page.
+//! * Each **world** ([`WorldId`]) owns a **page map** ([`PageMap`]) from
+//!   virtual page numbers to frames: a small directory over structurally
+//!   shared leaves.
+//! * [`PageStore::fork_world`] duplicates only the map's directory (page-map
+//!   inheritance) — its cost does not follow the number of mapped pages; the
+//!   first write to a shared page triggers a COW fault that copies exactly
+//!   one page (and, at most, one leaf of the map).
 //! * [`PageStore::adopt`] atomically replaces a parent world's page map with
 //!   a child's — the commit operation `alt_wait` performs when an alternative
 //!   wins (§2.2: "the parent process absorbs the state changes made by its

@@ -8,26 +8,75 @@
 //!   shards, each behind its own `RwLock`. Two worlds in different shards
 //!   never block each other; ids are assigned round-robin so sibling
 //!   alternatives land in different shards.
+//! * **Structurally shared page maps** ([`PageMap`]): a per-world
+//!   directory over `Arc`-shared leaves. `fork_world` clones the directory
+//!   and bumps one count per leaf; `adopt` swaps the map; `drop_world`
+//!   lets go of each leaf. None of them visits a page the world inherited
+//!   and never wrote.
 //! * **A concurrent frame table** ([`FrameTable`]) with atomic refcounts,
 //!   `Arc`-shared page contents, and a bounded recycle pool. Frame
 //!   operations are individually atomic; shard locks decide when they are
-//!   *allowed* (see the invariant below).
+//!   *allowed*.
+//!
+//! # The reference contract
+//!
+//! A leaf's `Arc` count is the number of page maps holding it. A frame's
+//! `refs` is the number of *leaf slots* naming it — so a page four worlds
+//! inherited through one leaf has `refs == 1`. A page is **private** to a
+//! world, and writable in place, only when *both* links of its path are
+//! exclusive: the world is its leaf's only holder *and* `refs == 1`.
+//! Anything else is **shared** and a write must copy. Writing to a page
+//! under a shared leaf path-copies the leaf: the copy takes one reference
+//! on every other frame it duplicates, then lets go of the old leaf.
+//! Whoever lets go of a leaf *last* (`Arc::into_inner`: exactly one
+//! releaser, even when holders in different shards let go at once) drops
+//! the leaf's slot references; frames that reach zero are detached on the
+//! spot and returned to the recycler in one batch per call.
+//!
+//! **Invariant:** whenever all shard locks are quiescent, every leaf's
+//! count equals the number of live maps holding it, every live frame's
+//! `refs` equals the number of distinct live leaf slots naming it, and
+//! every content-index entry names a mapped frame;
+//! [`PageStore::verify_refcounts`] checks exactly this. All count traffic
+//! therefore happens under the shard write lock of the world whose map
+//! gains or loses the leaf or slot. Five rules keep it so:
+//!
+//! 1. **In-place writes under the shard *read* lock are sound.** Shared
+//!    can turn private behind a reader's back (other holders let go), but
+//!    private cannot turn shared: a second holder of an exclusive leaf, or
+//!    a second slot for a frame only that leaf names, can only come from
+//!    forking *this* world, which needs this shard's write lock.
+//! 2. **Path-copy is a map mutation.** It happens at commit, under the
+//!    shard write lock, and bumps [`World::generation`] like any insert.
+//!    So does a fork, which re-shares every path without touching the map.
+//!    That is the whole lost-update proof for staged commits: *generation
+//!    unchanged and the page still shared (path or frame) ⇒ it was shared
+//!    all along ⇒ no in-place write landed since the stage.*
+//! 3. **A leaf shared across shards may be released concurrently.**
+//!    Releases are not ordered by any lock; `Arc::into_inner` picks the one
+//!    releaser that drops the slot references, and a path-copier takes its
+//!    duplicate references while still holding the old leaf, so no frame a
+//!    live leaf names ever reads zero.
+//! 4. **Accounting is per world, not per leaf.** A frame is freed exactly
+//!    when the last world mapping it lets go, so `FrameFree`, `CowCopy`,
+//!    `ZeroFill` and `FrameDedup` events and every counter read as they
+//!    would with one flat map per world; `pages_inherited` is the map's
+//!    slot count at fork.
+//! 5. **Dedupe takes one frame reference per slot it fills**, handed to
+//!    the map with the slot like a freshly allocated frame's.
+//!
+//! # Writes
 //!
 //! Writes follow a **probe → stage → commit** protocol:
 //!
-//! 1. **Probe** under the shard *read* lock. A private page (refs == 1) is
-//!    written in place right there — refs cannot rise while the read guard
-//!    is held, because the only way refs rise is forking this world, which
-//!    needs the shard write lock. This is the contention-free fast path.
+//! 1. **Probe** under the shard *read* lock. A private page is written in
+//!    place right there (rule 1). This is the contention-free fast path.
 //! 2. **Stage** with *no locks held*: the CoW deep copy (or zero fill)
-//!    builds the new page in a pooled buffer. This is the work the old
-//!    design did under a store-wide write lock.
+//!    builds the new page in a pooled buffer.
 //! 3. **Commit** under the shard *write* lock, re-validating the world's
-//!    map generation. The generation moves on every map mutation *and* on
-//!    every fork of the world (a fork re-shares frames without touching
-//!    the map, which would otherwise let a stale staged copy bury an
-//!    in-place write — see [`World::generation`]). If it moved since the
-//!    probe, the staged buffer is kept and the write retries from step 1.
+//!    map generation (rule 2). If it moved since the probe, the staged
+//!    buffer is kept and the write retries from step 1; if the page turned
+//!    private meanwhile, it is written in place after all.
 //!
 //! Two fast paths shortcut the protocol:
 //!
@@ -59,19 +108,13 @@
 //! pool together). The frame-table locks are leaves: none is ever held
 //! while acquiring a shard lock or another frame-table lock.
 //!
-//! **Invariant:** whenever all shard locks are quiescent, every live
-//! frame's refcount equals the number of page-map entries referencing it
-//! across all worlds; [`PageStore::verify_refcounts`] checks exactly this.
-//! All refcount traffic therefore happens under the shard write lock of
-//! the world whose map gains or loses the entry.
-//!
 //! # Content addressing (opt-in)
 //!
 //! With [`PageStore::set_dedupe`] enabled, frames are *sealed* into a
 //! content index at commit points — a staged or solo CoW/zero-fill
 //! commit, a full-page in-place write, and checkpoint encoding
 //! ([`PageStore::seal_world_contents`]). A later commit whose resulting
-//! bytes match an indexed frame re-shares that frame (incref) instead of
+//! bytes match an indexed frame re-shares that frame (rule 5) instead of
 //! installing the copy. Three rules keep this sound:
 //!
 //! * **Hashes are hints.** A probe byte-compares the candidate's full
@@ -80,17 +123,14 @@
 //!   share wrong bytes.
 //! * **Probes run under the writer's exclusive shard lock**, so the
 //!   cross-world incref is invisible to [`PageStore::verify_refcounts`]
-//!   (which holds every shard lock) and the refcount invariant extends:
-//!   every occupied index entry references a frame with at least one map
-//!   entry.
+//!   (which holds every shard lock).
 //! * **Dedupe ref traffic widens the generation contract.** A probe can
 //!   raise a frame's refcount without forking its owner, which would
-//!   silently break the staged-commit proof ("generation unchanged +
-//!   still shared ⇒ no in-place write landed since the stage"). So when
-//!   dedupe is on, every successful in-place write *also* bumps the
-//!   world's generation ([`World::generation`] is atomic for exactly
-//!   this), and `write_if_private` re-checks `refs == 1` under the data
-//!   mutex so a write racing a verified probe backs off into a CoW.
+//!   silently break rule 2's proof. So when dedupe is on, every
+//!   successful in-place write *also* bumps the world's generation
+//!   ([`World::generation`] is atomic for exactly this), and
+//!   `write_if_private` re-checks `refs == 1` under the data mutex so a
+//!   write racing a verified probe backs off into a CoW.
 //!
 //! Index entries are retracted eagerly: an in-place write or a frame
 //! free clears the frame's entry (via its `content_hash` back-pointer)
@@ -101,7 +141,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{
     AtomicBool, AtomicU64, AtomicUsize,
-    Ordering::{AcqRel, Acquire, Relaxed},
+    Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
 
@@ -110,8 +150,8 @@ use worlds_obs::{Event, EventKind, Registry};
 
 use crate::content::page_hash;
 use crate::error::{PageStoreError, Result};
-use crate::frame::FrameTable;
-use crate::map::PageMap;
+use crate::frame::{FrameId, FrameTable};
+use crate::map::{Displaced, Leaf, PageMap};
 use crate::page::{PageData, Vpn};
 use crate::stats::{ResidentFrames, StatsInner, StoreStats, WorldStats};
 
@@ -164,17 +204,52 @@ impl WorldId {
     }
 }
 
+/// A world's place in the fork tree: its id and its parent's node. Every
+/// descendant's chain runs through it, so it outlives the world for
+/// exactly as long as something below it is alive — which is what lets
+/// `adopt` verify descent through eliminated intermediates without the
+/// store remembering every world it ever forked.
+#[derive(Debug)]
+struct Lineage {
+    id: u64,
+    parent: Option<Arc<Lineage>>,
+}
+
+impl Lineage {
+    fn descends_from(&self, ancestor: u64) -> bool {
+        let mut cur = self.parent.as_deref();
+        while let Some(node) = cur {
+            if node.id == ancestor {
+                return true;
+            }
+            cur = node.parent.as_deref();
+        }
+        false
+    }
+}
+
+impl Drop for Lineage {
+    /// Unlink the chain iteratively: the default recursive drop would use
+    /// one stack frame per dead ancestor this node was the last to hold.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(mut node) = next.and_then(Arc::into_inner) {
+            next = node.parent.take();
+        }
+    }
+}
+
 #[derive(Debug)]
 struct World {
     map: PageMap,
-    parent: Option<WorldId>,
+    lineage: Arc<Lineage>,
     stats: WorldStats,
     /// Bumped on every event that can invalidate a staged CoW commit: any
-    /// map mutation (insert or wholesale swap) *and* any fork of this
-    /// world. A fork raises refcounts without touching the map, so a
-    /// commit staged from a pre-fork snapshot could otherwise overwrite an
-    /// in-place write that landed while the frame was briefly private
-    /// (lost update). Validating at commit time also covers the
+    /// map mutation (insert, path-copy or wholesale swap) *and* any fork
+    /// of this world. A fork re-shares every path without touching the
+    /// map, so a commit staged from a pre-fork snapshot could otherwise
+    /// overwrite an in-place write that landed while the page was briefly
+    /// private (lost update). Validating at commit time also covers the
     /// frame-index reuse (ABA) case, which a map-entry recheck alone
     /// would miss.
     ///
@@ -185,15 +260,32 @@ struct World {
     generation: AtomicU64,
 }
 
-/// One shard of the world table: the worlds whose ids hash here, plus
-/// their lineage records (parent at creation time, kept after a world
-/// dies so `adopt` can verify descent through eliminated intermediates;
-/// entries are append-only, which lets the descent walk read one shard
-/// at a time without holding locks across steps).
+impl World {
+    fn new(id: u64, parent: Option<&World>, map: PageMap) -> World {
+        World {
+            stats: WorldStats {
+                pages_inherited: map.mapped_pages() as u64,
+                ..WorldStats::default()
+            },
+            map,
+            lineage: Arc::new(Lineage {
+                id,
+                parent: parent.map(|p| Arc::clone(&p.lineage)),
+            }),
+            generation: AtomicU64::new(0),
+        }
+    }
+
+    /// Raw id of the world this one was forked from, if any.
+    fn parent(&self) -> Option<u64> {
+        self.lineage.parent.as_ref().map(|p| p.id)
+    }
+}
+
+/// One shard of the world table: the worlds whose ids hash here.
 #[derive(Debug, Default)]
 struct Shard {
     worlds: WorldTable<World>,
-    lineage: WorldTable<Option<u64>>,
 }
 
 /// How a write committed (drives counters and event emission, which
@@ -222,15 +314,9 @@ enum Committed {
     },
 }
 
-/// What the probe decided must happen (when not already done in place).
-enum Plan {
-    ZeroFill,
-    Cow {
-        old: crate::frame::FrameId,
-        snapshot: Arc<PageData>,
-        generation: u64,
-    },
-}
+/// Frames detached by releasing leaves, on their way to one
+/// [`FrameTable::recycle_freed`] call.
+type Detached = Vec<(u32, Arc<PageData>)>;
 
 /// A thread-safe single-level store of fixed-size pages with copy-on-write
 /// world forking.
@@ -441,16 +527,9 @@ impl PageStore {
     pub fn create_world(&self) -> WorldId {
         let id = self.next_world.fetch_add(1, Relaxed);
         let mut shard = self.shard(id).write();
-        shard.lineage.insert(id, None);
-        shard.worlds.insert(
-            id,
-            World {
-                map: PageMap::new(),
-                parent: None,
-                stats: WorldStats::default(),
-                generation: AtomicU64::new(0),
-            },
-        );
+        shard
+            .worlds
+            .insert(id, World::new(id, None, PageMap::new()));
         self.shard_pop[shard_index(id)].fetch_add(1, Relaxed);
         WorldId(id)
     }
@@ -463,45 +542,32 @@ impl PageStore {
     }
 
     /// Fork `parent` into a new child world that shares every page
-    /// copy-on-write. Only the page map is copied (page-map inheritance,
-    /// §2.3) and every inherited frame's refcount is bumped; no page bytes
-    /// move. Holds the parent's and child's shard locks together so the
-    /// clone + refcount sweep + insert is atomic with respect to the
-    /// refcount invariant (and so the parent cannot be dropped mid-sweep).
+    /// copy-on-write. Only the page map's directory is copied (page-map
+    /// inheritance, §2.3) and each leaf gains a holder; no frame count and
+    /// no page byte moves. Holds the parent's and child's shard locks
+    /// together so the clone + insert is atomic with respect to the
+    /// reference invariant (and so the parent cannot be dropped mid-clone).
     pub fn fork_world(&self, parent: WorldId) -> Result<WorldId> {
         let id = self.next_world.fetch_add(1, Relaxed);
         let (mut pg, mut cg) = self.lock_pair_write(parent.0, id);
-        let (map, inherited) = {
+        let child = {
             let p = pg
                 .worlds
                 .get_mut(&parent.0)
                 .ok_or(PageStoreError::NoSuchWorld(parent.0))?;
-            // The refcount sweep below can turn a page a concurrent writer
-            // saw as private back into a shared one. That writer's staged
-            // copy (built before an in-place write that landed while refs
-            // were 1) must not be installable afterwards, so invalidate
-            // every in-flight commit against this world.
+            // The clone below turns every page a concurrent writer saw as
+            // private back into a shared one. That writer's staged copy
+            // (built before an in-place write that landed while the page
+            // was private) must not be installable afterwards, so
+            // invalidate every in-flight commit against this world.
             *p.generation.get_mut() += 1;
-            (p.map.clone(), p.map.mapped_pages() as u64)
+            World::new(id, Some(p), p.map.clone())
         };
-        self.frames.incref_sweep(map.iter().map(|(_, frame)| frame));
         let child_shard: &mut Shard = match cg.as_mut() {
             Some(g) => g,
             None => &mut pg,
         };
-        child_shard.lineage.insert(id, Some(parent.0));
-        child_shard.worlds.insert(
-            id,
-            World {
-                map,
-                parent: Some(parent),
-                stats: WorldStats {
-                    pages_inherited: inherited,
-                    ..WorldStats::default()
-                },
-                generation: AtomicU64::new(0),
-            },
-        );
+        child_shard.worlds.insert(id, child);
         self.shard_pop[shard_index(id)].fetch_add(1, Relaxed);
         drop(cg);
         drop(pg);
@@ -569,14 +635,171 @@ impl PageStore {
         Ok(())
     }
 
+    /// Let go of one handle on `leaf`. The releaser that held the last one
+    /// drops the leaf's slot references, detaching frames that reach zero
+    /// onto `detached` (rule 3 of the module docs).
+    fn release_leaf(&self, leaf: Arc<Leaf>, detached: &mut Detached) {
+        if let Some(leaf) = Arc::into_inner(leaf) {
+            for frame in leaf.frames() {
+                self.frames.decref_deferred(frame, detached);
+            }
+        }
+    }
+
+    /// Release every leaf of a map that has just left the world table
+    /// (the caller still holds that shard's write lock). Returns how many
+    /// frames that freed.
+    fn release_map(&self, map: PageMap, detached: &mut Detached) -> u64 {
+        let before = detached.len();
+        for leaf in map.into_leaves() {
+            self.release_leaf(leaf, detached);
+        }
+        (detached.len() - before) as u64
+    }
+
+    /// Point `vpn` of `w` at `frame`, whose reference the caller hands
+    /// over with it, and settle what that displaced. The caller holds
+    /// `w`'s shard write lock. Returns whether a frame was freed: the
+    /// displaced frame, if the last reference to it went with the slot or
+    /// with the old leaf (a sharer in another shard may let go of either
+    /// concurrently, so this can happen to a page that was shared a
+    /// moment ago).
+    fn install(&self, w: &mut World, vpn: Vpn, frame: FrameId) -> bool {
+        *w.generation.get_mut() += 1;
+        match w.map.insert(vpn, frame) {
+            Displaced::Nothing => false,
+            Displaced::Frame(old) => self.frames.decref(old),
+            Displaced::Leaf(old) => {
+                for beside in old.frames_beside(vpn) {
+                    self.frames.incref(beside);
+                }
+                let mut detached = Vec::new();
+                self.release_leaf(old, &mut detached);
+                let freed = !detached.is_empty();
+                self.frames.recycle_freed(detached);
+                freed
+            }
+        }
+    }
+
+    /// Write in place if `vpn` is private to `w` (exclusive path and
+    /// `refs == 1`; see the module docs). The caller holds `w`'s shard
+    /// lock: the write lock if `write_locked`, else the read lock.
+    fn write_in_place(
+        &self,
+        w: &World,
+        write_locked: bool,
+        vpn: Vpn,
+        offset: usize,
+        data: &[u8],
+        seal: Option<u64>,
+    ) -> Option<Committed> {
+        let (frame, exclusive) = w.map.probe(vpn)?;
+        if !exclusive {
+            return None;
+        }
+        let invalidated = self.frames.write_if_private(frame, offset, data, seal)?;
+        if self.dedupe_enabled() {
+            // With dedupe on, a probe can raise refcounts without forking
+            // this world, so "still shared" alone no longer proves no
+            // in-place write landed — the generation must say so too.
+            // Under the write lock nobody else can touch the counter, and
+            // a plain store keeps the locked add off the solo fast path.
+            if write_locked {
+                let next = w.generation.load(Relaxed) + 1;
+                w.generation.store(next, Release);
+            } else {
+                w.generation.fetch_add(1, AcqRel);
+            }
+        }
+        Some(Committed::InPlace {
+            parent: w.parent(),
+            invalidated,
+        })
+    }
+
+    /// Build the page a copying write will install: `base`'s bytes (zeroes
+    /// for a fresh page) with `data` laid over them, in `buffer` when one
+    /// is at hand — plus its content hash when dedupe is on. The `base`
+    /// snapshot is let go here, before any commit, so a racing in-place
+    /// writer is not forced into a spurious copy by our hold on it.
+    fn stage(
+        &self,
+        buffer: Option<PageData>,
+        base: Option<Arc<PageData>>,
+        offset: usize,
+        data: &[u8],
+        seal: Option<u64>,
+    ) -> (PageData, Option<u64>) {
+        let mut page = match (buffer, base.as_deref()) {
+            (Some(mut page), Some(base)) => {
+                page.bytes_mut().copy_from_slice(base.bytes());
+                page
+            }
+            (Some(mut page), None) => {
+                page.bytes_mut().fill(0);
+                page
+            }
+            (None, Some(base)) => PageData::copy_of(base.bytes()),
+            (None, None) => PageData::zeroed(self.page_size),
+        };
+        page.bytes_mut()[offset..offset + data.len()].copy_from_slice(data);
+        let hash = self
+            .dedupe_enabled()
+            .then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
+        (page, hash)
+    }
+
+    /// Install a staged page at `vpn` under `w`'s shard write lock: the
+    /// page itself, or — on a verified content-index hit — the identical
+    /// frame some world already holds. `cow` says whether `vpn` was
+    /// mapped (a copy) or fresh (a zero fill).
+    fn commit_page(
+        &self,
+        w: &mut World,
+        vpn: Vpn,
+        cow: bool,
+        page: PageData,
+        hash: Option<u64>,
+    ) -> Committed {
+        // The dedupe probe runs under the exclusive lock only (see the
+        // module docs' verify argument).
+        let (frame, deduped) = match hash.and_then(|h| self.frames.dedupe_lookup(h, page.bytes())) {
+            Some(shared) => {
+                self.frames.recycle(page);
+                (shared, true)
+            }
+            None => {
+                let frame = self.frames.alloc(page);
+                if let Some(hash) = hash {
+                    self.frames.index_insert(frame, hash);
+                }
+                (frame, false)
+            }
+        };
+        let parent = w.parent();
+        let freed = self.install(w, vpn, frame);
+        if cow {
+            w.stats.pages_cowed += 1;
+            Committed::Cow {
+                parent,
+                freed,
+                deduped,
+            }
+        } else {
+            w.stats.pages_zero_filled += 1;
+            Committed::ZeroFill { parent, deduped }
+        }
+    }
+
     /// Single-pass write for a world that is (per the population hint)
     /// alone in its shard: probe, stage, and commit under one shard write
     /// lock. Holding the write guard throughout makes revalidation
-    /// unnecessary — refcounts on this world's frames cannot rise (that
-    /// takes a fork of a mapping world, and any world mapping them while
-    /// we hold our entry keeps refs above one), so a shared frame's bytes
-    /// are stable and a private one is ours to overwrite. Correct even
-    /// when the hint was stale; staleness only costs lock hold time.
+    /// unnecessary — a private page stays private (rule 1) and is ours to
+    /// overwrite, and a shared page's bytes are stable because none of
+    /// its sharers can see it as private while we hold our path to it.
+    /// Correct even when the hint was stale; staleness only costs lock
+    /// hold time.
     fn write_solo(
         &self,
         world: WorldId,
@@ -585,104 +808,18 @@ impl PageStore {
         data: &[u8],
         seal: Option<u64>,
     ) -> Result<Committed> {
-        let dedupe = self.dedupe_enabled();
-        let end = offset + data.len();
         let mut shard = self.shard(world.0).write();
         let w = shard
             .worlds
             .get_mut(&world.0)
             .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-        match w.map.get(vpn) {
-            Some(frame) => {
-                if let Some(invalidated) = self.frames.write_if_private(frame, offset, data, seal) {
-                    if dedupe {
-                        // With dedupe on, a probe can raise refcounts
-                        // without forking this world, so "still shared"
-                        // alone no longer proves no in-place write landed
-                        // — the generation must say so too.
-                        *w.generation.get_mut() += 1;
-                    }
-                    return Ok(Committed::InPlace {
-                        parent: w.parent.map(WorldId::raw),
-                        invalidated,
-                    });
-                }
-                let snapshot = self.frames.data_arc(frame);
-                let mut page = match self.take_recycled() {
-                    Some(mut p) => {
-                        p.bytes_mut().copy_from_slice(snapshot.bytes());
-                        p
-                    }
-                    None => PageData::copy_of(snapshot.bytes()),
-                };
-                drop(snapshot);
-                page.bytes_mut()[offset..end].copy_from_slice(data);
-                let parent = w.parent.map(WorldId::raw);
-                let hash = dedupe.then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
-                if let Some(hash) = hash {
-                    if let Some(shared) = self.frames.dedupe_lookup(hash, page.bytes()) {
-                        self.frames.recycle(page);
-                        w.map.insert(vpn, shared);
-                        *w.generation.get_mut() += 1;
-                        w.stats.pages_cowed += 1;
-                        let freed = self.frames.decref(frame);
-                        return Ok(Committed::Cow {
-                            parent,
-                            freed,
-                            deduped: true,
-                        });
-                    }
-                }
-                let new = self.frames.alloc(page);
-                if let Some(hash) = hash {
-                    self.frames.index_insert(new, hash);
-                }
-                w.map.insert(vpn, new);
-                *w.generation.get_mut() += 1;
-                w.stats.pages_cowed += 1;
-                let freed = self.frames.decref(frame);
-                Ok(Committed::Cow {
-                    parent,
-                    freed,
-                    deduped: false,
-                })
-            }
-            None => {
-                let mut page = match self.take_recycled() {
-                    Some(mut p) => {
-                        p.bytes_mut().fill(0);
-                        p
-                    }
-                    None => PageData::zeroed(self.page_size),
-                };
-                page.bytes_mut()[offset..end].copy_from_slice(data);
-                let parent = w.parent.map(WorldId::raw);
-                let hash = dedupe.then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
-                if let Some(hash) = hash {
-                    if let Some(shared) = self.frames.dedupe_lookup(hash, page.bytes()) {
-                        self.frames.recycle(page);
-                        w.map.insert(vpn, shared);
-                        *w.generation.get_mut() += 1;
-                        w.stats.pages_zero_filled += 1;
-                        return Ok(Committed::ZeroFill {
-                            parent,
-                            deduped: true,
-                        });
-                    }
-                }
-                let frame = self.frames.alloc(page);
-                if let Some(hash) = hash {
-                    self.frames.index_insert(frame, hash);
-                }
-                w.map.insert(vpn, frame);
-                *w.generation.get_mut() += 1;
-                w.stats.pages_zero_filled += 1;
-                Ok(Committed::ZeroFill {
-                    parent,
-                    deduped: false,
-                })
-            }
+        if let Some(done) = self.write_in_place(w, true, vpn, offset, data, seal) {
+            return Ok(done);
         }
+        let base = w.map.get(vpn).map(|frame| self.frames.data_arc(frame));
+        let cow = base.is_some();
+        let (page, hash) = self.stage(self.take_recycled(), base, offset, data, seal);
+        Ok(self.commit_page(w, vpn, cow, page, hash))
     }
 
     /// The general probe → stage → commit write (see the module docs).
@@ -698,218 +835,73 @@ impl PageStore {
         data: &[u8],
         seal: Option<u64>,
     ) -> Result<Committed> {
-        let dedupe = self.dedupe_enabled();
-        let end = offset + data.len();
+        let gone = |page| {
+            self.frames.recycle(page);
+            PageStoreError::NoSuchWorld(world.0)
+        };
         // Staged buffer carried across retries, and recycled on exit.
         let mut staged: Option<PageData> = None;
         let committed = loop {
-            // Phase 1 — probe under the shard read lock. Private pages are
-            // written in place here: refs can only rise via a fork of this
-            // world, which needs this shard's write lock (or via a dedupe
-            // probe, which `write_if_private` detects under the data mutex
-            // and the generation bump below announces).
-            let plan = {
+            // Phase 1 — probe under the shard read lock; a private page
+            // is written in place here.
+            let (base, generation) = {
                 let shard = self.shard(world.0).read();
                 let w = shard
                     .worlds
                     .get(&world.0)
                     .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-                match w.map.get(vpn) {
-                    Some(frame) => {
-                        if let Some(invalidated) =
-                            self.frames.write_if_private(frame, offset, data, seal)
-                        {
-                            if dedupe {
-                                w.generation.fetch_add(1, AcqRel);
-                            }
-                            break Committed::InPlace {
-                                parent: w.parent.map(WorldId::raw),
-                                invalidated,
-                            };
-                        }
-                        Plan::Cow {
-                            old: frame,
-                            snapshot: self.frames.data_arc(frame),
-                            generation: w.generation.load(Acquire),
-                        }
-                    }
-                    None => Plan::ZeroFill,
+                if let Some(done) = self.write_in_place(w, false, vpn, offset, data, seal) {
+                    break done;
                 }
+                (
+                    w.map.get(vpn).map(|frame| self.frames.data_arc(frame)),
+                    w.generation.load(Acquire),
+                )
             };
-            // Phase 2 — stage outside all locks; Phase 3 — commit under the
-            // shard write lock, revalidating what the probe saw.
-            match plan {
-                Plan::ZeroFill => {
-                    let mut page = match staged.take().or_else(|| self.take_recycled()) {
-                        Some(mut p) => {
-                            p.bytes_mut().fill(0);
-                            p
-                        }
-                        None => PageData::zeroed(self.page_size),
-                    };
-                    page.bytes_mut()[offset..end].copy_from_slice(data);
-                    // Hash at stage time, outside every lock.
-                    let hash = dedupe.then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
-                    let shard = self.shard(world.0).upgradable_read();
-                    let Some(w) = shard.worlds.get(&world.0) else {
-                        self.frames.recycle(page);
-                        return Err(PageStoreError::NoSuchWorld(world.0));
-                    };
-                    if w.map.get(vpn).is_some() {
-                        // Someone materialised this page first; retry so
-                        // their bytes are not buried under ours.
-                        staged = Some(page);
-                        continue;
-                    }
-                    let mut shard = RwLockUpgradableReadGuard::upgrade(shard);
-                    let Some(w) = shard.worlds.get_mut(&world.0) else {
-                        self.frames.recycle(page);
-                        return Err(PageStoreError::NoSuchWorld(world.0));
-                    };
-                    if w.map.get(vpn).is_some() {
-                        // Materialised inside the shim's upgrade window.
-                        staged = Some(page);
-                        continue;
-                    }
-                    let parent = w.parent.map(WorldId::raw);
-                    if let Some(hash) = hash {
-                        // Dedupe probe under the exclusive lock only (see
-                        // the module docs' verify argument).
-                        if let Some(shared) = self.frames.dedupe_lookup(hash, page.bytes()) {
-                            self.frames.recycle(page);
-                            w.map.insert(vpn, shared);
-                            *w.generation.get_mut() += 1;
-                            w.stats.pages_zero_filled += 1;
-                            break Committed::ZeroFill {
-                                parent,
-                                deduped: true,
-                            };
-                        }
-                    }
-                    let frame = self.frames.alloc(page);
-                    if let Some(hash) = hash {
-                        self.frames.index_insert(frame, hash);
-                    }
-                    w.map.insert(vpn, frame);
-                    *w.generation.get_mut() += 1;
-                    w.stats.pages_zero_filled += 1;
-                    break Committed::ZeroFill {
-                        parent,
-                        deduped: false,
-                    };
-                }
-                Plan::Cow {
-                    old,
-                    snapshot,
-                    generation,
-                } => {
-                    let mut page = match staged.take().or_else(|| self.take_recycled()) {
-                        Some(mut p) => {
-                            p.bytes_mut().copy_from_slice(snapshot.bytes());
-                            p
-                        }
-                        None => PageData::copy_of(snapshot.bytes()),
-                    };
-                    page.bytes_mut()[offset..end].copy_from_slice(data);
-                    // Release our snapshot before committing so a racing
-                    // in-place writer is not forced into a spurious copy.
-                    drop(snapshot);
-                    // Hash at stage time, outside every lock.
-                    let hash = dedupe.then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
-                    let shard = self.shard(world.0).upgradable_read();
-                    let Some(w) = shard.worlds.get(&world.0) else {
-                        self.frames.recycle(page);
-                        return Err(PageStoreError::NoSuchWorld(world.0));
-                    };
-                    if w.generation.load(Acquire) != generation {
-                        staged = Some(page);
-                        continue;
-                    }
-                    // Map untouched since the probe: `old` is still mapped
-                    // at `vpn` and our staged copy is current.
-                    if let Some(invalidated) = self.frames.write_if_private(old, offset, data, seal)
-                    {
-                        // The other sharers vanished while we staged; the
-                        // page is now private (and stays so while we hold
-                        // this shard in shared mode — forking this world
-                        // needs it exclusively). No fault after all.
-                        if dedupe {
-                            w.generation.fetch_add(1, AcqRel);
-                        }
-                        self.frames.recycle(page);
-                        break Committed::InPlace {
-                            parent: w.parent.map(WorldId::raw),
-                            invalidated,
-                        };
-                    }
-                    let mut shard = RwLockUpgradableReadGuard::upgrade(shard);
-                    let Some(w) = shard.worlds.get_mut(&world.0) else {
-                        self.frames.recycle(page);
-                        return Err(PageStoreError::NoSuchWorld(world.0));
-                    };
-                    // Repeat both checks after the upgrade. With the shim,
-                    // a plain writer may have slipped into the non-atomic
-                    // upgrade window; even with real parking_lot, an
-                    // in-place write to this world runs under the shard
-                    // *read* lock and can complete between the checks
-                    // above and the upgrade (readers drain only at the
-                    // upgrade itself). An unmoved generation plus a
-                    // still-shared frame proves no in-place write landed
-                    // since the stage — going private first would have
-                    // required forking this world, and with dedupe on the
-                    // in-place write itself bumps the generation — so
-                    // installing the staged copy is safe.
-                    if w.generation.load(Acquire) != generation {
-                        staged = Some(page);
-                        continue;
-                    }
-                    if let Some(invalidated) = self.frames.write_if_private(old, offset, data, seal)
-                    {
-                        if dedupe {
-                            *w.generation.get_mut() += 1;
-                        }
-                        self.frames.recycle(page);
-                        break Committed::InPlace {
-                            parent: w.parent.map(WorldId::raw),
-                            invalidated,
-                        };
-                    }
-                    let parent = w.parent.map(WorldId::raw);
-                    if let Some(hash) = hash {
-                        // Dedupe probe under the exclusive lock only (see
-                        // the module docs' verify argument).
-                        if let Some(shared) = self.frames.dedupe_lookup(hash, page.bytes()) {
-                            self.frames.recycle(page);
-                            w.map.insert(vpn, shared);
-                            *w.generation.get_mut() += 1;
-                            w.stats.pages_cowed += 1;
-                            let freed = self.frames.decref(old);
-                            break Committed::Cow {
-                                parent,
-                                freed,
-                                deduped: true,
-                            };
-                        }
-                    }
-                    let frame = self.frames.alloc(page);
-                    if let Some(hash) = hash {
-                        self.frames.index_insert(frame, hash);
-                    }
-                    w.map.insert(vpn, frame);
-                    *w.generation.get_mut() += 1;
-                    w.stats.pages_cowed += 1;
-                    // A sharer in another shard may drop its last reference
-                    // concurrently, so this decref can free.
-                    let freed = self.frames.decref(old);
-                    break Committed::Cow {
-                        parent,
-                        freed,
-                        deduped: false,
-                    };
-                }
+            // Phase 2 — stage (and hash) outside all locks.
+            let buffer = staged.take().or_else(|| self.take_recycled());
+            let cow = base.is_some();
+            let (page, hash) = self.stage(buffer, base, offset, data, seal);
+            // Phase 3 — commit, revalidating what the probe saw. An
+            // unmoved generation means the map is untouched since the
+            // probe (the same frame, or still none, at `vpn`) and the
+            // world was not forked. If the page is private now, its other
+            // sharers vanished while we staged: write in place after all.
+            let shard = self.shard(world.0).upgradable_read();
+            let Some(w) = shard.worlds.get(&world.0) else {
+                return Err(gone(page));
+            };
+            if w.generation.load(Acquire) != generation {
+                staged = Some(page);
+                continue;
             }
+            if let Some(done) = self.write_in_place(w, false, vpn, offset, data, seal) {
+                staged = Some(page);
+                break done;
+            }
+            let mut shard = RwLockUpgradableReadGuard::upgrade(shard);
+            let Some(w) = shard.worlds.get_mut(&world.0) else {
+                return Err(gone(page));
+            };
+            // Repeat both checks after the upgrade. With the shim, a plain
+            // writer may have slipped into the non-atomic upgrade window;
+            // even with real parking_lot, an in-place write to this world
+            // runs under the shard *read* lock and can complete between
+            // the checks above and the upgrade (readers drain only at the
+            // upgrade itself). An unmoved generation plus a still-shared
+            // page proves no in-place write landed since the stage (rule
+            // 2), so installing the staged copy is safe.
+            if w.generation.load(Acquire) != generation {
+                staged = Some(page);
+                continue;
+            }
+            if let Some(done) = self.write_in_place(w, true, vpn, offset, data, seal) {
+                staged = Some(page);
+                break done;
+            }
+            break self.commit_page(w, vpn, cow, page, hash);
         };
-        if let Some(page) = staged.take() {
+        if let Some(page) = staged {
             self.frames.recycle(page);
         }
         Ok(committed)
@@ -1004,56 +996,30 @@ impl PageStore {
     /// descendant of `parent` (transitively), mirroring the paper's
     /// parent/child rendezvous.
     pub fn adopt(&self, parent: WorldId, child: WorldId) -> Result<()> {
-        if !self.world_exists(parent) {
+        let (mut pg, mut cg) = self.lock_pair_write(parent.0, child.0);
+        if !pg.worlds.contains_key(&parent.0) {
             return Err(PageStoreError::NoSuchWorld(parent.0));
         }
-        if !self.world_exists(child) {
-            return Err(PageStoreError::NoSuchWorld(child.0));
-        }
-        // Verify lineage: walk the child's parent chain up to `parent`,
-        // through intermediates even if they were already eliminated.
-        // Lineage records are append-only, so the walk can take one shard
-        // read lock per step with nothing held in between.
-        let mut cur = child.0;
-        let mut is_descendant = false;
-        loop {
-            let next = self.shard(cur).read().lineage.get(&cur).copied();
-            match next {
-                Some(Some(p)) => {
-                    if p == parent.0 {
-                        is_descendant = true;
-                        break;
-                    }
-                    cur = p;
-                }
-                _ => break,
-            }
-        }
-        if !is_descendant {
+        let cs: &mut Shard = match cg.as_mut() {
+            Some(g) => g,
+            None => &mut pg,
+        };
+        // Verify lineage: the child's chain must pass through `parent`,
+        // possibly by way of intermediates that were already eliminated.
+        let c = cs
+            .worlds
+            .get(&child.0)
+            .ok_or(PageStoreError::NoSuchWorld(child.0))?;
+        if !c.lineage.descends_from(parent.0) {
             return Err(PageStoreError::NotAChild {
                 parent: parent.0,
                 child: child.0,
             });
         }
-
-        let (mut pg, mut cg) = self.lock_pair_write(parent.0, child.0);
-        if !pg.worlds.contains_key(&parent.0) {
-            return Err(PageStoreError::NoSuchWorld(parent.0));
-        }
-        // Remove the child world; its map (with its refcounts) transfers to
-        // the parent wholesale, so no refcount traffic is needed for it.
-        let child_world = {
-            let cs: &mut Shard = match cg.as_mut() {
-                Some(g) => g,
-                None => &mut pg,
-            };
-            let w = cs
-                .worlds
-                .remove(&child.0)
-                .ok_or(PageStoreError::NoSuchWorld(child.0))?;
-            self.shard_pop[shard_index(child.0)].fetch_sub(1, Relaxed);
-            w
-        };
+        // Remove the child world; its map (leaf handles and all) transfers
+        // to the parent wholesale, so no count moves for it.
+        let child_world = cs.worlds.remove(&child.0).expect("looked up above");
+        self.shard_pop[shard_index(child.0)].fetch_sub(1, Relaxed);
         let p = pg.worlds.get_mut(&parent.0).expect("checked above");
         let old_map = std::mem::replace(&mut p.map, child_world.map);
         *p.generation.get_mut() += 1;
@@ -1061,15 +1027,15 @@ impl PageStore {
         // measurements survive the commit.
         p.stats.pages_cowed += child_world.stats.pages_cowed;
         p.stats.pages_zero_filled += child_world.stats.pages_zero_filled;
-        let grandparent = p.parent.map(WorldId::raw);
-        let mut freed = 0u64;
-        for (_, frame) in old_map.iter() {
-            if self.frames.decref(frame) {
-                freed += 1;
-            }
-        }
+        let grandparent = p.parent();
+        // Only leaves the parent held alone (the child path-copied them)
+        // or last give up frames; the ones the child inherited just lose
+        // a holder.
+        let mut detached = Vec::new();
+        let freed = self.release_map(old_map, &mut detached);
         drop(cg);
         drop(pg);
+        self.frames.recycle_freed(detached);
         self.stats.adopts.incr();
         if freed > 0 {
             self.stats.frames_freed.add(freed);
@@ -1085,27 +1051,24 @@ impl PageStore {
         Ok(())
     }
 
-    /// Destroy a world (sibling elimination). All of its map's references
-    /// are dropped; frames shared with survivors live on, and frames that
-    /// hit zero are freed into the recycle pool (and announced with a
+    /// Destroy a world (sibling elimination). Its map lets go of every
+    /// leaf; only leaves no survivor holds give up their frames, and frames
+    /// that hit zero are freed into the recycle pool (and announced with a
     /// `FrameFree` event so `frames_resident` replays exactly from JSONL).
     pub fn drop_world(&self, world: WorldId) -> Result<()> {
-        let (detached, parent) = {
+        let mut detached = Vec::new();
+        let (freed, parent) = {
             let mut shard = self.shard(world.0).write();
             let w = shard
                 .worlds
                 .remove(&world.0)
                 .ok_or(PageStoreError::NoSuchWorld(world.0))?;
             self.shard_pop[shard_index(world.0)].fetch_sub(1, Relaxed);
-            let mut detached = Vec::new();
-            for (_, frame) in w.map.iter() {
-                self.frames.decref_deferred(frame, &mut detached);
-            }
-            (detached, w.parent.map(WorldId::raw))
+            let parent = w.parent();
+            (self.release_map(w.map, &mut detached), parent)
         };
         // One recycler acquisition for the whole world, outside the
         // shard lock.
-        let freed = detached.len() as u64;
         self.frames.recycle_freed(detached);
         self.stats.worlds_dropped.incr();
         if freed > 0 {
@@ -1140,16 +1103,10 @@ impl PageStore {
                 continue;
             };
             self.shard_pop[shard_index(world.0)].fetch_sub(1, Relaxed);
-            let before = detached.len();
-            for (_, frame) in w.map.iter() {
-                self.frames.decref_deferred(frame, &mut detached);
-            }
+            let parent = w.parent();
+            let freed = self.release_map(w.map, &mut detached);
             drop(shard);
-            dropped.push((
-                world.0,
-                w.parent.map(WorldId::raw),
-                (detached.len() - before) as u64,
-            ));
+            dropped.push((world.0, parent, freed));
         }
         self.frames.recycle_freed(detached);
         for &(world, parent, freed) in &dropped {
@@ -1196,13 +1153,13 @@ impl PageStore {
     }
 
     /// Per-world residency split for tenant accounting: walk `world`'s
-    /// map and classify each frame by refcount — 1 means this world is
-    /// the sole owner (the marginal memory the tenant pays for; dropping
-    /// the world returns exactly this many frames), more means the frame
-    /// is shared and costs nothing extra. Taken under the world's shard
-    /// read lock; forks and drops elsewhere can move a frame between
-    /// classes concurrently, so this is a point-in-time account, not an
-    /// invariant.
+    /// map and classify each page — private means this world is its sole
+    /// owner (it alone holds the leaf, and the frame's one reference is
+    /// that leaf's slot: the marginal memory the tenant pays for; dropping
+    /// the world returns exactly this many frames), anything else is
+    /// shared and costs nothing extra. Taken under the world's shard read
+    /// lock; forks and drops elsewhere can move a frame between classes
+    /// concurrently, so this is a point-in-time account, not an invariant.
     pub fn resident_frames_of(&self, world: WorldId) -> Result<ResidentFrames> {
         let shard = self.shard(world.0).read();
         let w = shard
@@ -1210,11 +1167,14 @@ impl PageStore {
             .get(&world.0)
             .ok_or(PageStoreError::NoSuchWorld(world.0))?;
         let mut out = ResidentFrames::default();
-        for (_, frame) in w.map.iter() {
-            if self.frames.refs(frame) == 1 {
-                out.private += 1;
-            } else {
-                out.shared += 1;
+        for leaf in w.map.leaves() {
+            let exclusive = Arc::strong_count(leaf) == 1;
+            for frame in leaf.frames() {
+                if exclusive && self.frames.refs(frame) == 1 {
+                    out.private += 1;
+                } else {
+                    out.shared += 1;
+                }
             }
         }
         Ok(out)
@@ -1253,8 +1213,8 @@ impl PageStore {
     /// on — the checkpoint-encode seal point. Runs under the world's
     /// shard *write* lock: that is what keeps every frame's bytes stable
     /// (an in-place write to this world needs this shard; a foreign owner
-    /// of a shared frame cannot reach refs == 1 while our map entry
-    /// pins the count above one). Frames still carrying a valid seal
+    /// of a shared page cannot see it as private while our map holds the
+    /// leaf, or a slot, that names it). Frames still carrying a valid seal
     /// (`content_hash != 0`) skip the re-hash, so repeated checkpoints of
     /// a quiet world cost one atomic load per page.
     pub fn seal_world_contents(&self, world: WorldId) -> Result<Vec<(Vpn, u64)>> {
@@ -1299,14 +1259,8 @@ impl PageStore {
             let Some(frame) = self.frames.share_by_hash(hash) else {
                 return Ok(false);
             };
-            let old = w.map.get(vpn);
-            w.map.insert(vpn, frame);
-            *w.generation.get_mut() += 1;
-            parent = w.parent.map(WorldId::raw);
-            freed = match old {
-                Some(o) => self.frames.decref(o),
-                None => false,
-            };
+            parent = w.parent();
+            freed = self.install(w, vpn, frame);
         }
         self.note_dedupe(world.0, parent, vpn, freed);
         Ok(true)
@@ -1357,21 +1311,36 @@ impl PageStore {
         refs as f64 / frames as f64
     }
 
-    /// Check the refcount/frame-table invariant: every live frame's
-    /// refcount equals the number of page-map entries referencing it, and
-    /// the live-frame counter matches. Takes every shard read lock
-    /// (ascending) to quiesce map mutation, so it can run concurrently
-    /// with in-place writes and reads but excludes structural changes.
-    /// Returns the number of live frames verified, or a description of the
-    /// first violation found.
+    /// Check the reference invariant: every leaf's count equals the
+    /// number of live maps holding it, every live frame's refcount equals
+    /// the number of distinct live leaf slots naming it (a leaf several
+    /// worlds hold is walked once, by pointer), the live-frame counter
+    /// matches, and content-index entries name mapped frames. Takes every
+    /// shard read lock (ascending) to quiesce map mutation, so it can run
+    /// concurrently with in-place writes and reads but excludes
+    /// structural changes. Returns the number of live frames verified, or
+    /// a description of the first violation found.
     pub fn verify_refcounts(&self) -> std::result::Result<usize, String> {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut expected: HashMap<u32, u32> = HashMap::new();
+        let mut leaves: HashMap<*const Leaf, (&Arc<Leaf>, usize)> = HashMap::new();
         for g in &guards {
             for w in g.worlds.values() {
-                for (_, frame) in w.map.iter() {
-                    *expected.entry(frame.index()).or_insert(0) += 1;
+                for leaf in w.map.leaves() {
+                    leaves.entry(Arc::as_ptr(leaf)).or_insert((leaf, 0)).1 += 1;
                 }
+            }
+        }
+        let mut expected: HashMap<u32, u32> = HashMap::new();
+        for &(leaf, holders) in leaves.values() {
+            let count = Arc::strong_count(leaf);
+            if count != holders {
+                return Err(format!(
+                    "leaf {:p}: count {count} but held by {holders} maps",
+                    Arc::as_ptr(leaf)
+                ));
+            }
+            for frame in leaf.frames() {
+                *expected.entry(frame.index()).or_insert(0) += 1;
             }
         }
         let actual = self.frames.snapshot_refs();
@@ -1380,7 +1349,7 @@ impl PageStore {
                 Some(&want) if want == refs => {}
                 Some(&want) => {
                     return Err(format!(
-                        "frame {idx}: {refs} refs in table but {want} map entries"
+                        "frame {idx}: {refs} refs in table but {want} leaf slots"
                     ))
                 }
                 None => {
@@ -1448,7 +1417,7 @@ impl PageStore {
         shard
             .worlds
             .get(&world.0)
-            .map(|w| w.parent)
+            .map(|w| w.parent().map(WorldId))
             .ok_or(PageStoreError::NoSuchWorld(world.0))
     }
 
@@ -1475,6 +1444,21 @@ mod tests {
 
     fn store() -> PageStore {
         PageStore::new(64)
+    }
+
+    /// Run `f` on `world`'s table entry, under its shard read lock.
+    fn with_world<R>(s: &PageStore, world: WorldId, f: impl FnOnce(&World) -> R) -> R {
+        let shard = s.shards[shard_index(world.raw())].read();
+        f(shard.worlds.get(&world.raw()).expect("live world"))
+    }
+
+    /// How many leaves `a` and `b` hold in common (by pointer).
+    fn shared_leaves(s: &PageStore, a: WorldId, b: WorldId) -> usize {
+        let of = |w| -> Vec<*const Leaf> {
+            with_world(s, w, |w| w.map.leaves().map(Arc::as_ptr).collect())
+        };
+        let theirs = of(b);
+        of(a).into_iter().filter(|l| theirs.contains(l)).count()
     }
 
     #[test]
@@ -1625,6 +1609,33 @@ mod tests {
         s.drop_world(b).unwrap();
         s.adopt(a, c).unwrap();
         assert_eq!(s.read_vec(a, 0, 0, 1).unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn lineage_lives_exactly_as_long_as_a_descendant_does() {
+        let s = store();
+        let root = s.create_world();
+        let holders = |w| with_world(&s, w, |w| Arc::strong_count(&w.lineage));
+        assert_eq!(holders(root), 1);
+        let kids: Vec<_> = (0..3).map(|_| s.fork_world(root).unwrap()).collect();
+        let grand = s.fork_world(kids[0]).unwrap();
+        assert_eq!(holders(root), 4, "one per child, plus the world's own");
+        s.drop_world(kids[0]).unwrap();
+        assert_eq!(holders(root), 4, "the grandchild keeps the dead link");
+        s.drop_worlds(&[grand, kids[1]]);
+        s.adopt(root, kids[2]).unwrap();
+        assert_eq!(holders(root), 1, "nothing is remembered past its use");
+
+        // A chain whose every ancestor is dead unlinks without recursing:
+        // 200 000 frames deep would overflow a test thread's stack.
+        let mut tip = root;
+        for _ in 0..200_000 {
+            let next = s.fork_world(tip).unwrap();
+            s.drop_world(tip).unwrap();
+            tip = next;
+        }
+        s.drop_world(tip).unwrap();
+        assert_eq!(s.world_count(), 0);
     }
 
     #[test]
@@ -2135,10 +2146,7 @@ mod tests {
         s.set_dedupe(true);
         let a = s.create_world();
         s.write(a, 0, 0, &[0xAAu8; 64]).unwrap();
-        let frame_a = {
-            let shard = s.shards[shard_index(a.raw())].read();
-            shard.worlds.get(&a.raw()).unwrap().map.get(0).unwrap()
-        };
+        let frame_a = with_world(&s, a, |w| w.map.get(0).unwrap());
         let evil = vec![0xBBu8; 64];
         s.frames.index_insert(frame_a, page_hash(&evil));
 
@@ -2219,5 +2227,175 @@ mod tests {
             "unknown hash maps nothing"
         );
         s.verify_refcounts().unwrap();
+    }
+
+    #[test]
+    fn fork_moves_no_frame_count_and_a_write_copies_one_leaf() {
+        use crate::map::LEAF_WIDTH;
+        const PAGES: u64 = 2048;
+        let s = store();
+        let root = s.create_world();
+        for vpn in 0..PAGES {
+            s.write(root, vpn, 0, &[vpn as u8]).unwrap();
+        }
+        let leaves = PAGES as usize / LEAF_WIDTH;
+        let refs = |w| -> Vec<u32> {
+            with_world(&s, w, |w| {
+                w.map.iter().map(|(_, f)| s.frames.refs(f)).collect()
+            })
+        };
+        assert_eq!(refs(root), vec![1; PAGES as usize]);
+
+        let child = s.fork_world(root).unwrap();
+        assert_eq!(refs(root), vec![1; PAGES as usize], "fork touches no frame");
+        assert_eq!(shared_leaves(&s, root, child), leaves);
+        assert_eq!(s.world_stats(child).unwrap().pages_inherited, PAGES);
+
+        // Eight writes, two of them into one leaf: seven leaves copied.
+        let w = LEAF_WIDTH as u64;
+        for vpn in [
+            0,
+            w + 1,
+            5 * w,
+            9 * w + 3,
+            9 * w + 4,
+            20 * w,
+            40 * w,
+            PAGES - 1,
+        ] {
+            s.write(child, vpn, 0, &[0xEE]).unwrap();
+        }
+        assert_eq!(shared_leaves(&s, root, child), leaves - 7);
+        // A copied leaf re-references its untouched neighbours; the page
+        // written is the child's alone, and the parent's original too.
+        let after = refs(child);
+        assert_eq!(
+            after.iter().filter(|&&r| r == 2).count(),
+            7 * LEAF_WIDTH - 8
+        );
+        assert_eq!(
+            after.iter().filter(|&&r| r == 1).count(),
+            PAGES as usize - 7 * LEAF_WIDTH + 8
+        );
+        assert_eq!(s.live_frames(), PAGES as usize + 8);
+        s.verify_refcounts().unwrap();
+
+        s.drop_world(child).unwrap();
+        assert_eq!(refs(root), vec![1; PAGES as usize]);
+        assert_eq!(s.live_frames(), PAGES as usize);
+        s.verify_refcounts().unwrap();
+    }
+
+    #[test]
+    fn verify_catches_a_leaked_frame_reference_and_a_leaked_leaf_reference() {
+        let s = store();
+        let root = s.create_world();
+        for vpn in 0..40 {
+            s.write(root, vpn, 0, &[1]).unwrap();
+        }
+        let child = s.fork_world(root).unwrap();
+        s.write(child, 3, 0, &[2]).unwrap();
+        s.verify_refcounts().unwrap();
+
+        // A reference no leaf slot accounts for.
+        let frame = with_world(&s, root, |w| w.map.get(7).unwrap());
+        s.frames.incref(frame);
+        let err = s.verify_refcounts().unwrap_err();
+        assert!(err.contains("leaf slots"), "{err}");
+        s.frames.decref(frame);
+        s.verify_refcounts().unwrap();
+
+        // A handle no map accounts for — on a shared leaf, then on one
+        // the child copied for itself.
+        for (world, vpn) in [(root, 39), (child, 3)] {
+            let leaked = with_world(&s, world, |w| {
+                let key_order = (vpn as usize) / crate::map::LEAF_WIDTH;
+                Arc::clone(w.map.leaves().nth(key_order).unwrap())
+            });
+            let err = s.verify_refcounts().unwrap_err();
+            assert!(err.contains("held by"), "{err}");
+            drop(leaked);
+            s.verify_refcounts().unwrap();
+        }
+    }
+
+    #[test]
+    fn residency_and_histogram_agree_with_a_per_world_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        // The oracle is the flat model: each world maps vpn → page token,
+        // a write mints a token unless the world is the page's only
+        // mapper. Private/shared and the histogram follow from counting
+        // mappers per token — no leaves, no refcounts.
+        type Flat = BTreeMap<Vpn, u64>;
+        let mappers = |worlds: &[(WorldId, Flat)]| -> BTreeMap<u64, usize> {
+            let mut n = BTreeMap::new();
+            for token in worlds.iter().flat_map(|(_, m)| m.values()) {
+                *n.entry(*token).or_insert(0) += 1;
+            }
+            n
+        };
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(0x0c1e_0000 + seed);
+            let s = store();
+            let mut worlds: Vec<(WorldId, Flat)> = vec![(s.create_world(), Flat::new())];
+            let mut next_token = 0u64;
+            for step in 0..300 {
+                let at = rng.gen_range(0..worlds.len());
+                match rng.gen_range(0..10u32) {
+                    0 | 1 if worlds.len() < 6 => {
+                        let child = s.fork_world(worlds[at].0).unwrap();
+                        let flat = worlds[at].1.clone();
+                        worlds.push((child, flat));
+                    }
+                    2 if at != 0 => {
+                        let (w, _) = worlds.remove(at);
+                        s.drop_world(w).unwrap();
+                    }
+                    3 if at != 0 => {
+                        // Adopt into the parent, if it is still around.
+                        let parent = s.parent_of(worlds[at].0).unwrap().unwrap();
+                        if let Some(p) = worlds.iter().position(|(w, _)| *w == parent) {
+                            let (child, flat) = worlds.remove(at);
+                            s.adopt(parent, child).unwrap();
+                            worlds[p - (p > at) as usize].1 = flat;
+                        }
+                    }
+                    _ => {
+                        // Three leaves' worth of vpns, so leaf sharing matters.
+                        let vpn = rng.gen_range(0..3 * crate::map::LEAF_WIDTH as u64);
+                        s.write(worlds[at].0, vpn, 0, &[step as u8]).unwrap();
+                        let count = mappers(&worlds);
+                        let flat = &mut worlds[at].1;
+                        if flat.get(&vpn).is_none_or(|t| count[t] > 1) {
+                            flat.insert(vpn, next_token);
+                            next_token += 1;
+                        }
+                    }
+                }
+                let count = mappers(&worlds);
+                for (w, flat) in &worlds {
+                    let private = flat.values().filter(|t| count[t] == 1).count() as u64;
+                    let r = s.resident_frames_of(*w).unwrap();
+                    assert_eq!(
+                        (r.private, r.shared),
+                        (private, flat.len() as u64 - private),
+                        "seed {seed} step {step} world {}",
+                        w.raw()
+                    );
+                }
+                let mut hist = Vec::new();
+                for &n in count.values() {
+                    if hist.len() < n {
+                        hist.resize(n, 0);
+                    }
+                    hist[n - 1] += 1;
+                }
+                assert_eq!(s.sharing_histogram(), hist, "seed {seed} step {step}");
+                assert_eq!(s.live_frames(), count.len());
+            }
+            s.verify_refcounts().unwrap();
+        }
     }
 }

@@ -194,3 +194,128 @@ fn lost_update_stress(dedupe: bool) {
         .verify_refcounts()
         .expect("refcount invariant violated");
 }
+
+/// A parent forked in a loop while its children — round-robin ids put them
+/// in other shards — path-copy and release the very leaves each fork
+/// re-shares. Leaf handles are let go concurrently from different shard
+/// locks, so this is the test of "exactly one releaser drops the slot
+/// references": a double release underflows a frame count (the table
+/// asserts), a missed one leaves frames live at the end. The parent writes
+/// too, so its own leaves are copied out from under the children.
+#[test]
+fn forks_race_path_copies_and_drops_of_shared_leaves() {
+    use std::sync::Barrier;
+
+    const PAGES: u64 = 96; // a few leaves, all of them contended
+    const WORKERS: usize = 5;
+    const ROUNDS: usize = 400;
+
+    let store = PageStore::new(PAGE);
+    let root = store.create_world();
+    for vpn in 0..PAGES {
+        store.write(root, vpn, 0, &[0xC3, vpn as u8]).unwrap();
+    }
+    let baseline = store.live_frames();
+    let running = Arc::new(AtomicBool::new(true));
+    // Everyone starts together, so forks, copies and drops overlap from
+    // the first round.
+    let start = Arc::new(Barrier::new(WORKERS + 2));
+
+    // Fork the parent as fast as possible; each fork makes every leaf
+    // shared again, each drop lets all of them go.
+    let forker = {
+        let (store, running, start) = (store.clone(), running.clone(), start.clone());
+        thread::spawn(move || {
+            start.wait();
+            let mut forks = 0u32;
+            while running.load(Ordering::Relaxed) {
+                let child = store.fork_world(root).unwrap();
+                assert_eq!(store.read_vec(child, 5, 0, 1).unwrap(), vec![0xC3]);
+                store.drop_world(child).unwrap();
+                forks += 1;
+            }
+            forks
+        })
+    };
+
+    // The parent's own writer: bytes 8.. of every page belong to it.
+    let parent_writer = {
+        let (store, start) = (store.clone(), start.clone());
+        thread::spawn(move || {
+            start.wait();
+            for i in 0..ROUNDS {
+                let vpn = (i as u64 * 7) % PAGES;
+                store.write(root, vpn, 8, &[i as u8; 4]).unwrap();
+                assert_eq!(store.read_vec(root, vpn, 8, 4).unwrap(), vec![i as u8; 4]);
+            }
+        })
+    };
+
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|t| {
+            let (store, start) = (store.clone(), start.clone());
+            thread::spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    let child = store.fork_world(root).unwrap();
+                    // Six writes striding across every leaf: each copies a
+                    // leaf other children and the forker hold right now.
+                    let vpns: Vec<u64> = (0..6)
+                        .map(|k| (t as u64 + k * 17 + i as u64) % PAGES)
+                        .collect();
+                    for &vpn in &vpns {
+                        store.write(child, vpn, 2, &[t as u8, i as u8]).unwrap();
+                    }
+                    let grand = (i % 2 == 0).then(|| {
+                        let g = store.fork_world(child).unwrap();
+                        store.write(g, vpns[0], 4, &[0xAA]).unwrap();
+                        g
+                    });
+                    // Every committed write stays readable, whoever else
+                    // copied or released the leaf it sits in meanwhile.
+                    for &vpn in &vpns {
+                        let got = store.read_vec(child, vpn, 0, 4).unwrap();
+                        assert_eq!(got, vec![0xC3, vpn as u8, t as u8, i as u8]);
+                    }
+                    match grand {
+                        Some(g) if i % 4 == 0 => {
+                            store.drop_world(child).unwrap();
+                            assert_eq!(
+                                store.read_vec(g, vpns[0], 2, 3).unwrap(),
+                                vec![t as u8, i as u8, 0xAA]
+                            );
+                            store.drop_world(g).unwrap();
+                        }
+                        Some(g) => assert_eq!(store.drop_worlds(&[g, child]), 2),
+                        None => store.drop_world(child).unwrap(),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    for w in workers {
+        w.join().expect("worker thread panicked");
+    }
+    parent_writer.join().expect("parent writer panicked");
+    running.store(false, Ordering::Relaxed);
+    assert!(forker.join().expect("forker thread panicked") > 0);
+
+    assert_eq!(store.world_count(), 1);
+    assert_eq!(store.verify_refcounts().unwrap(), baseline);
+    assert_eq!(store.live_frames(), baseline, "every copy was released");
+    for vpn in 0..PAGES {
+        assert_eq!(
+            store.read_vec(root, vpn, 0, 2).unwrap(),
+            vec![0xC3, vpn as u8],
+            "children's writes never reach the parent"
+        );
+    }
+    // 7 is coprime to PAGES, so the last PAGES rounds of the parent's
+    // writer each wrote a different page, and wrote it last.
+    for i in ROUNDS - PAGES as usize..ROUNDS {
+        let vpn = (i as u64 * 7) % PAGES;
+        let got = store.read_vec(root, vpn, 8, 4).unwrap();
+        assert_eq!(got, vec![i as u8; 4], "the parent's own writes survive");
+    }
+}

@@ -4,7 +4,8 @@ use worlds_kernel::VirtualTime;
 use worlds_net::FaultSchedule;
 use worlds_obs::{Event as ObsEvent, EventKind, Registry};
 use worlds_pagestore::{
-    checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, PageStore, WorldId,
+    checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, image_version, PageStore,
+    WorldId,
 };
 
 use crate::net::NetModel;
@@ -210,7 +211,8 @@ impl Cluster {
     /// world to that node first probes the receiver's content index and
     /// ships 8-byte refs for changed pages the receiver already holds, a
     /// v3 content-delta checkpoint; pages it lacks travel inline, and
-    /// any probe or encode hiccup falls back to the v2 byte delta.
+    /// any probe or encode hiccup — or a receiver that no longer holds a
+    /// page it was probed for — falls back to the v2 byte delta.
     /// Turning it off releases all pinned bases.
     pub fn set_delta_rfork(&mut self, on: bool) {
         self.delta_rfork = on;
@@ -375,7 +377,7 @@ impl Cluster {
             return Ok((RemoteWorld { node: dst, world }, VirtualTime::ZERO));
         }
         let mut total = VirtualTime::ZERO;
-        let image = if self.delta_rfork {
+        let (image, base) = if self.delta_rfork {
             let base = match self.delta_cache.get(dst.0, src.world) {
                 Some(base) => base,
                 None => {
@@ -384,10 +386,7 @@ impl Cluster {
                     // Neither is ever handed out, so future rforks can
                     // diff against them no matter what the block commits.
                     let full = checkpoint(&self.nodes[src.node.0].store, src.world)?;
-                    total += self.transfer(src.world.raw(), dst, full.len());
-                    self.nodes[src.node.0].bytes_sent += full.len() as u64;
-                    self.nodes[dst.0].bytes_received += full.len() as u64;
-                    let replica = self.transport.ship_image(dst.0, &full)?;
+                    let replica = self.ship(src, dst, &full, &mut total)?;
                     let snapshot = self.nodes[src.node.0].store.fork_world(src.world)?;
                     let base = DeltaBase {
                         src_node: src.node.0,
@@ -400,15 +399,26 @@ impl Cluster {
                     base
                 }
             };
-            self.content_delta_image(src, dst, base, &mut total)?
+            let image = self.content_delta_image(src, dst, base, &mut total)?;
+            (image, Some(base))
         } else {
-            checkpoint(&self.nodes[src.node.0].store, src.world)?
+            let image = checkpoint(&self.nodes[src.node.0].store, src.world)?;
+            (image, None)
         };
-        let cost = self.transfer(src.world.raw(), dst, image.len());
-        total += cost;
-        self.nodes[src.node.0].bytes_sent += image.len() as u64;
-        self.nodes[dst.0].bytes_received += image.len() as u64;
-        let world = WorldId::from_raw(self.transport.ship_image(dst.0, &image)?);
+        let mut shipped = self.ship(src, dst, &image, &mut total);
+        if let (Err(_), Some(base), Some(3)) = (&shipped, base, image_version(&image)) {
+            // The receiver could not resolve a ref it said it held: the
+            // frame went away between the probe and the image. Its restore
+            // left nothing behind, so send the same delta as bytes, once.
+            let bytes = checkpoint_delta(
+                &self.nodes[src.node.0].store,
+                src.world,
+                base.snapshot,
+                base.replica,
+            )?;
+            shipped = self.ship(src, dst, &bytes, &mut total);
+        }
+        let world = WorldId::from_raw(shipped?);
         // The restored world is a *child* of the origin world in the
         // speculation tree: node stores share one id allocator, so the
         // parent reference is unambiguous and the span layer links the
@@ -422,6 +432,22 @@ impl Cluster {
             )
         });
         Ok((RemoteWorld { node: dst, world }, total))
+    }
+
+    /// Move one checkpoint image from `src`'s node to `dst`: charge the
+    /// transfer to `total` and both nodes' byte counters, then restore it
+    /// there. Returns the restored world's raw id.
+    fn ship(
+        &mut self,
+        src: RemoteWorld,
+        dst: NodeId,
+        image: &[u8],
+        total: &mut VirtualTime,
+    ) -> Result<u64, worlds_pagestore::PageStoreError> {
+        *total += self.transfer(src.world.raw(), dst, image.len());
+        self.nodes[src.node.0].bytes_sent += image.len() as u64;
+        self.nodes[dst.0].bytes_received += image.len() as u64;
+        self.transport.ship_image(dst.0, image)
     }
 
     /// Encode the delta shipment for `src → dst` against a pinned base:
@@ -601,6 +627,81 @@ mod tests {
         assert!(
             (0.8..1.3).contains(&cost.as_secs()),
             "paper: ~1 s for a 70 KB rfork; got {cost}"
+        );
+    }
+
+    /// An in-process transport whose content probe answers "present" for
+    /// everything: what a receiver looks like when the frames it was
+    /// probed for are gone by the time the image arrives.
+    struct StaleProbe(InProcess);
+
+    impl Transport for StaleProbe {
+        fn ship_image(
+            &mut self,
+            dst: usize,
+            image: &[u8],
+        ) -> Result<u64, worlds_pagestore::PageStoreError> {
+            self.0.ship_image(dst, image)
+        }
+        fn ship_pages(
+            &mut self,
+            dst: usize,
+            base: u64,
+            pages: &[(u64, Vec<u8>)],
+        ) -> Result<(), worlds_pagestore::PageStoreError> {
+            self.0.ship_pages(dst, base, pages)
+        }
+        fn probe_hashes(
+            &mut self,
+            _dst: usize,
+            hashes: &[u64],
+        ) -> Result<Vec<bool>, worlds_pagestore::PageStoreError> {
+            Ok(vec![true; hashes.len()])
+        }
+        fn discard(
+            &mut self,
+            dst: usize,
+            world: u64,
+        ) -> Result<(), worlds_pagestore::PageStoreError> {
+            self.0.discard(dst, world)
+        }
+        fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
+        fn name(&self) -> &'static str {
+            "stale-probe"
+        }
+    }
+
+    #[test]
+    fn rfork_resends_bytes_when_the_receiver_nacks_a_ref() {
+        let obs = Registry::disabled();
+        let stores = Cluster::stores(2, 4096, &obs);
+        let transport = Box::new(StaleProbe(InProcess::new(stores.clone())));
+        let mut c = Cluster::assemble(stores, 4096, NetModel::lan_1989(), obs, transport);
+        c.set_delta_rfork(true);
+        let origin = c.create_world(NodeId(0));
+        c.write(origin, 0, b"base").unwrap();
+        // Full image, pinned base, empty delta.
+        c.rfork(origin, NodeId(1)).unwrap();
+        let worlds_there = c.node(NodeId(1)).store().world_count();
+
+        c.write(origin, 3, b"bytes the receiver has never seen")
+            .unwrap();
+        let sent = c.origin().bytes_sent();
+        let (replica, _) = c
+            .rfork(origin, NodeId(1))
+            .expect("a nacked ref falls back to the byte delta");
+        assert_eq!(c.read(replica, 0, 4).unwrap(), b"base");
+        assert_eq!(
+            c.read(replica, 3, 33).unwrap(),
+            b"bytes the receiver has never seen"
+        );
+        // The nacked content image and the byte delta both crossed the
+        // wire, and the failed restore left no world behind.
+        assert!(c.origin().bytes_sent() - sent > 4096 + 17);
+        assert_eq!(
+            c.node(NodeId(1)).store().world_count(),
+            worlds_there + 1,
+            "only the replica is new"
         );
     }
 

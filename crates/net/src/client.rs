@@ -17,9 +17,10 @@
 
 use crate::error::{NetError, Result};
 use crate::fault::splitmix64;
-use crate::frame::{read_frame, write_frame, Frame};
-use crate::rpc::{Reply, Request};
+use crate::frame::read_frame;
+use crate::rpc::{commit_back_frame, rfork_frame, Reply, Request};
 use std::collections::HashMap;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -108,7 +109,9 @@ pub struct Conn {
     addr: SocketAddr,
     policy: RetryPolicy,
     obs: Registry,
-    stream: Option<TcpStream>,
+    /// The live stream behind the connection's one read buffer, so a
+    /// reply that fits it costs a single `read` system call.
+    stream: Option<BufReader<TcpStream>>,
 }
 
 impl Conn {
@@ -134,19 +137,26 @@ impl Conn {
     /// is never retried (asking again with the same corr-id would just
     /// replay the same answer).
     pub fn call(&mut self, req: &Request) -> Result<Reply> {
-        let frame = Frame::new(req.kind(), next_corr(), req.encode_payload());
-        self.deliver(&frame)
+        let corr = next_corr();
+        self.deliver(corr, &req.encode_frame(corr))
     }
 
     /// Issue `req` and unwrap the `Ack`, mapping `Nack` to an error.
     pub fn call_ack(&mut self, req: &Request) -> Result<u64> {
-        match self.call(req)? {
-            Reply::Ack { world } => Ok(world),
-            Reply::Nack { code, detail } => Err(NetError::Nack { code, detail }),
-            Reply::Telemetry { .. } | Reply::Present { .. } => Err(NetError::Protocol(
-                "unexpected typed reply to an ack-style request".into(),
-            )),
-        }
+        ack(self.call(req)?)
+    }
+
+    /// [`Request::Rfork`] from an image the caller keeps: the bytes are
+    /// framed straight from the borrowed slice.
+    pub fn call_rfork(&mut self, image: &[u8]) -> Result<u64> {
+        let corr = next_corr();
+        ack(self.deliver(corr, &rfork_frame(corr, image))?)
+    }
+
+    /// [`Request::CommitBack`] from pages the caller keeps.
+    pub fn call_commit_back(&mut self, base: u64, pages: &[(u64, Vec<u8>)]) -> Result<u64> {
+        let corr = next_corr();
+        ack(self.deliver(corr, &commit_back_frame(corr, base, pages))?)
     }
 
     /// Issue a [`Request::HashProbe`] and unwrap the presence bitmap.
@@ -168,11 +178,11 @@ impl Conn {
     }
 
     /// Deliver one already-framed request, retrying with its corr-id.
-    fn deliver(&mut self, frame: &Frame) -> Result<Reply> {
+    fn deliver(&mut self, corr: u64, wire: &[u8]) -> Result<Reply> {
         let mut last = None;
         for attempt in 1..=self.policy.max_attempts.max(1) {
             if attempt > 1 {
-                let backoff = self.policy.backoff(frame.corr, attempt - 1);
+                let backoff = self.policy.backoff(corr, attempt - 1);
                 self.obs.emit(|| {
                     Event::new(
                         EventKind::NetRetry {
@@ -187,7 +197,7 @@ impl Conn {
                 });
                 std::thread::sleep(backoff);
             }
-            match self.attempt(frame) {
+            match self.attempt(corr, wire) {
                 Ok(reply) => {
                     if let Reply::Nack { code, .. } = &reply {
                         // A refusal is a transport success, so no retry
@@ -227,25 +237,26 @@ impl Conn {
 
     /// One attempt under one deadline: connect if needed, send, await
     /// the matching reply.
-    fn attempt(&mut self, frame: &Frame) -> Result<Reply> {
+    fn attempt(&mut self, corr: u64, wire: &[u8]) -> Result<Reply> {
         let started = Instant::now();
         let (obs, node) = (self.obs.clone(), self.node);
         if self.stream.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.policy.deadline)?;
             stream.set_nodelay(true)?;
-            self.stream = Some(stream);
+            // The deadline never changes for the life of the stream.
+            stream.set_read_timeout(Some(self.policy.deadline))?;
+            stream.set_write_timeout(Some(self.policy.deadline))?;
+            self.stream = Some(BufReader::new(stream));
         }
         let stream = self.stream.as_mut().expect("just connected");
-        stream.set_read_timeout(Some(self.policy.deadline))?;
-        stream.set_write_timeout(Some(self.policy.deadline))?;
 
         let result = (|| {
-            let sent = write_frame(stream, frame)?;
+            stream.get_mut().write_all(wire)?;
             obs.emit(|| {
                 Event::new(
                     EventKind::NetSend {
                         node,
-                        bytes: sent as u64,
+                        bytes: wire.len() as u64,
                     },
                     0,
                     None,
@@ -254,7 +265,7 @@ impl Conn {
             });
             loop {
                 let (reply, size) = read_frame(stream)?;
-                if reply.corr != frame.corr {
+                if reply.corr != corr {
                     // A reply to a request this Conn already gave up on;
                     // the ledger replayed it harmlessly. Keep waiting.
                     continue;
@@ -271,7 +282,7 @@ impl Conn {
                         0,
                     )
                 });
-                return Reply::decode(reply.kind, &reply.payload);
+                return Reply::decode_owned(reply.kind, reply.payload);
             }
         })();
         if let Err(e) = &result {
@@ -290,6 +301,17 @@ impl Conn {
             }
         }
         result
+    }
+}
+
+/// Unwrap an ack-style reply, mapping `Nack` to an error.
+fn ack(reply: Reply) -> Result<u64> {
+    match reply {
+        Reply::Ack { world } => Ok(world),
+        Reply::Nack { code, detail } => Err(NetError::Nack { code, detail }),
+        Reply::Telemetry { .. } | Reply::Present { .. } => Err(NetError::Protocol(
+            "unexpected typed reply to an ack-style request".into(),
+        )),
     }
 }
 

@@ -11,9 +11,9 @@
 //! single-retry faults, never accidental livelock.
 
 use crate::fault::{FaultKind, FaultSchedule};
-use crate::frame::{read_frame_idle, Frame, FRAME_HEADER};
+use crate::frame::{read_frame, read_frame_idle, Frame, FRAME_HEADER};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -155,10 +155,11 @@ impl Drop for FaultProxy {
 /// Relay one client connection. The protocol is strict request/reply per
 /// connection, so the relay alternates: read request from client, decide
 /// fate, forward upstream, pump the reply back.
-fn relay(mut client: TcpStream, shared: Arc<Shared>) {
+fn relay(client: TcpStream, shared: Arc<Shared>) {
     let _ = client.set_read_timeout(Some(Duration::from_millis(25)));
     let _ = client.set_nodelay(true);
-    let mut upstream: Option<TcpStream> = None;
+    let mut client = BufReader::new(client);
+    let mut upstream: Option<BufReader<TcpStream>> = None;
     loop {
         let frame = match read_frame_idle(&mut client, &shared.stop) {
             Ok(Some((frame, _))) => frame,
@@ -181,7 +182,7 @@ fn relay(mut client: TcpStream, shared: Arc<Shared>) {
                     // in which case the forward fails and we exit.
                 }
                 FaultKind::Reset => {
-                    let _ = client.shutdown(Shutdown::Both);
+                    let _ = client.get_ref().shutdown(Shutdown::Both);
                     return;
                 }
                 FaultKind::Truncate => {
@@ -192,8 +193,8 @@ fn relay(mut client: TcpStream, shared: Arc<Shared>) {
                     };
                     let bytes = reply.encode();
                     let cut = FRAME_HEADER.min(bytes.len() - 1);
-                    let _ = client.write_all(&bytes[..cut]);
-                    let _ = client.shutdown(Shutdown::Both);
+                    let _ = client.get_mut().write_all(&bytes[..cut]);
+                    let _ = client.get_ref().shutdown(Shutdown::Both);
                     return;
                 }
                 FaultKind::DropReply => {
@@ -212,27 +213,31 @@ fn relay(mut client: TcpStream, shared: Arc<Shared>) {
             Ok(r) => r,
             Err(()) => return,
         };
-        if client.write_all(&reply.encode()).is_err() {
+        if client.get_mut().write_all(&reply.encode()).is_err() {
             return;
         }
     }
 }
 
 /// Forward `frame` upstream (connecting lazily) and read the reply.
-fn pump(upstream: &mut Option<TcpStream>, shared: &Shared, frame: &Frame) -> Result<Frame, ()> {
+fn pump(
+    upstream: &mut Option<BufReader<TcpStream>>,
+    shared: &Shared,
+    frame: &Frame,
+) -> Result<Frame, ()> {
     for fresh in [false, true] {
         if upstream.is_none() || fresh {
             let s = TcpStream::connect(shared.upstream).map_err(|_| ())?;
             let _ = s.set_nodelay(true);
             let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-            *upstream = Some(s);
+            *upstream = Some(BufReader::new(s));
         }
         let s = upstream.as_mut().expect("connected above");
-        if s.write_all(&frame.encode()).is_err() {
+        if s.get_mut().write_all(&frame.encode()).is_err() {
             *upstream = None;
             continue;
         }
-        match crate::frame::read_frame(s) {
+        match read_frame(s) {
             Ok((reply, _)) => return Ok(reply),
             Err(_) => {
                 *upstream = None;

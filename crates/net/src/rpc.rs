@@ -30,6 +30,7 @@
 //! never a panic.
 
 use crate::error::{NetError, Result};
+use crate::frame::encode_with;
 use worlds_ipc::{Message, MsgId};
 use worlds_obs::TraceCtx;
 use worlds_predicate::{Pid, PredicateSet};
@@ -194,33 +195,54 @@ impl Request {
         }
     }
 
+    /// Serialise as one complete wire frame under correlation id `corr`:
+    /// header, payload and CRC written once, straight from the borrowed
+    /// request, into the buffer the socket will read.
+    pub fn encode_frame(&self, corr: u64) -> Vec<u8> {
+        encode_with(self.kind(), corr, self.payload_len(), |out| {
+            self.encode_into(out)
+        })
+    }
+
     /// Serialise the payload (the frame codec adds header and CRC).
     pub fn encode_payload(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.payload_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Exactly how many bytes [`Request::encode_into`] appends, so the
+    /// frame buffer is reserved once and a 1 MiB image never regrows it.
+    fn payload_len(&self) -> usize {
         match self {
-            Request::Ping => Vec::new(),
-            Request::Rfork { image } => image.clone(),
-            Request::CommitBack { base, pages } => {
-                let per_page: usize = pages.iter().map(|(_, p)| 12 + p.len()).sum();
-                let mut out = Vec::with_capacity(12 + per_page);
-                out.extend_from_slice(&base.to_le_bytes());
-                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-                for (vpn, bytes) in pages {
-                    out.extend_from_slice(&vpn.to_le_bytes());
-                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    out.extend_from_slice(bytes);
-                }
-                out
-            }
-            Request::Discard { world } => world.to_le_bytes().to_vec(),
-            Request::PredicatedSend { msg } => encode_message(msg),
-            Request::Telemetry { payload } => payload.clone(),
+            Request::Ping => 0,
+            Request::Rfork { image } => image.len(),
+            Request::CommitBack { pages, .. } => 8 + pages_len(pages),
+            Request::Discard { .. } => 8,
+            Request::PredicatedSend { msg } => message_len(msg),
+            Request::Telemetry { payload } => payload.len(),
+            Request::HashProbe { hashes } => 4 + 8 * hashes.len(),
+            Request::SessionOpen { name, .. } => 28 + name.len(),
+            Request::SessionSpawn { writes, .. } => 16 + pages_len(writes),
+            Request::SessionCommit { .. } => 16,
+            Request::SessionFork { name, .. } => 12 + name.len(),
+            Request::SessionClose { .. } => 9,
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Request::Ping => {}
+            Request::Rfork { image } => out.extend_from_slice(image),
+            Request::CommitBack { base, pages } => put_commit_back(out, *base, pages),
+            Request::Discard { world } => out.extend_from_slice(&world.to_le_bytes()),
+            Request::PredicatedSend { msg } => put_message(out, msg),
+            Request::Telemetry { payload } => out.extend_from_slice(payload),
             Request::HashProbe { hashes } => {
-                let mut out = Vec::with_capacity(4 + 8 * hashes.len());
                 out.extend_from_slice(&(hashes.len() as u32).to_le_bytes());
                 for h in hashes {
                     out.extend_from_slice(&h.to_le_bytes());
                 }
-                out
             }
             Request::SessionOpen {
                 name,
@@ -228,61 +250,50 @@ impl Request {
                 max_resident_frames,
                 vt_budget_ns,
             } => {
-                let mut out = Vec::with_capacity(28 + name.len());
                 out.extend_from_slice(&(name.len() as u32).to_le_bytes());
                 out.extend_from_slice(name.as_bytes());
                 out.extend_from_slice(&max_live_worlds.to_le_bytes());
                 out.extend_from_slice(&max_resident_frames.to_le_bytes());
                 out.extend_from_slice(&vt_budget_ns.to_le_bytes());
-                out
             }
             Request::SessionSpawn {
                 session,
                 spin_ns,
                 writes,
             } => {
-                let per_write: usize = writes.iter().map(|(_, p)| 12 + p.len()).sum();
-                let mut out = Vec::with_capacity(20 + per_write);
                 out.extend_from_slice(&session.to_le_bytes());
                 out.extend_from_slice(&spin_ns.to_le_bytes());
-                out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-                for (vpn, bytes) in writes {
-                    out.extend_from_slice(&vpn.to_le_bytes());
-                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    out.extend_from_slice(bytes);
-                }
-                out
+                put_pages(out, writes);
             }
             Request::SessionCommit { session, world } => {
-                let mut out = Vec::with_capacity(16);
                 out.extend_from_slice(&session.to_le_bytes());
                 out.extend_from_slice(&world.to_le_bytes());
-                out
             }
             Request::SessionFork { session, name } => {
-                let mut out = Vec::with_capacity(12 + name.len());
                 out.extend_from_slice(&session.to_le_bytes());
                 out.extend_from_slice(&(name.len() as u32).to_le_bytes());
                 out.extend_from_slice(name.as_bytes());
-                out
             }
             Request::SessionClose { session, adopt } => {
-                let mut out = Vec::with_capacity(9);
                 out.extend_from_slice(&session.to_le_bytes());
                 out.push(u8::from(*adopt));
-                out
             }
         }
     }
 
     /// Parse a request from its frame-kind byte and payload.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Request> {
-        let mut r = Reader::new(payload);
+        Request::decode_owned(kind_byte, payload.to_vec())
+    }
+
+    /// [`Request::decode`] for a payload the caller is done with: the
+    /// kinds that *are* their payload (`Rfork`, `Telemetry`) keep the
+    /// buffer instead of copying it.
+    pub fn decode_owned(kind_byte: u8, payload: Vec<u8>) -> Result<Request> {
+        let mut r = Reader::new(&payload);
         let req = match kind_byte {
             kind::PING => Request::Ping,
-            kind::RFORK => Request::Rfork {
-                image: payload.to_vec(),
-            },
+            kind::RFORK => Request::Rfork { image: payload },
             kind::COMMIT_BACK => {
                 let base = r.u64("base")?;
                 let count = r.u32("page count")? as usize;
@@ -301,11 +312,9 @@ impl Request {
                 Request::Discard { world }
             }
             kind::PREDICATED_SEND => Request::PredicatedSend {
-                msg: decode_message(payload)?,
+                msg: decode_message(&payload)?,
             },
-            kind::TELEMETRY => Request::Telemetry {
-                payload: payload.to_vec(),
-            },
+            kind::TELEMETRY => Request::Telemetry { payload },
             kind::HASH_PROBE => {
                 let count = r.u32("hash count")? as usize;
                 let mut hashes = Vec::with_capacity(count.min(4096));
@@ -388,20 +397,40 @@ impl Reply {
         }
     }
 
+    /// Serialise as one complete wire frame echoing the request's
+    /// correlation id; see [`Request::encode_frame`].
+    pub fn encode_frame(&self, corr: u64) -> Vec<u8> {
+        encode_with(self.kind(), corr, self.payload_len(), |out| {
+            self.encode_into(out)
+        })
+    }
+
     /// Serialise the payload (the frame codec adds header and CRC).
     pub fn encode_payload(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.payload_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    fn payload_len(&self) -> usize {
         match self {
-            Reply::Ack { world } => world.to_le_bytes().to_vec(),
+            Reply::Ack { .. } => 8,
+            Reply::Nack { detail, .. } => 8 + detail.len(),
+            Reply::Telemetry { payload } => payload.len(),
+            Reply::Present { present } => 4 + present.len().div_ceil(8),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Ack { world } => out.extend_from_slice(&world.to_le_bytes()),
             Reply::Nack { code, detail } => {
-                let mut out = Vec::with_capacity(8 + detail.len());
                 out.extend_from_slice(&code.to_le_bytes());
                 out.extend_from_slice(&(detail.len() as u32).to_le_bytes());
                 out.extend_from_slice(detail.as_bytes());
-                out
             }
-            Reply::Telemetry { payload } => payload.clone(),
+            Reply::Telemetry { payload } => out.extend_from_slice(payload),
             Reply::Present { present } => {
-                let mut out = Vec::with_capacity(4 + present.len().div_ceil(8));
                 out.extend_from_slice(&(present.len() as u32).to_le_bytes());
                 let mut byte = 0u8;
                 for (i, &p) in present.iter().enumerate() {
@@ -416,14 +445,19 @@ impl Reply {
                 if present.len() % 8 != 0 {
                     out.push(byte);
                 }
-                out
             }
         }
     }
 
     /// Parse a reply from its frame-kind byte and payload.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Reply> {
-        let mut r = Reader::new(payload);
+        Reply::decode_owned(kind_byte, payload.to_vec())
+    }
+
+    /// [`Reply::decode`] for a payload the caller is done with; a
+    /// `Telemetry` reply keeps the buffer instead of copying it.
+    pub fn decode_owned(kind_byte: u8, payload: Vec<u8>) -> Result<Reply> {
+        let mut r = Reader::new(&payload);
         let reply = match kind_byte {
             kind::ACK => {
                 let world = r.u64("world")?;
@@ -437,9 +471,7 @@ impl Reply {
                 r.done("nack")?;
                 Reply::Nack { code, detail }
             }
-            kind::TELEMETRY_REPLY => Reply::Telemetry {
-                payload: payload.to_vec(),
-            },
+            kind::TELEMETRY_REPLY => Reply::Telemetry { payload },
             kind::PRESENT => {
                 let count = r.u32("present count")? as usize;
                 let bitmap = r.bytes(count.div_ceil(8), "present bitmap")?;
@@ -455,23 +487,68 @@ impl Reply {
     }
 }
 
+/// The `(vpn, bytes)` list `CommitBack` and `SessionSpawn` share: a count,
+/// then each page as vpn, length, bytes.
+fn pages_len(pages: &[(u64, Vec<u8>)]) -> usize {
+    4 + pages.iter().map(|(_, p)| 12 + p.len()).sum::<usize>()
+}
+
+fn put_pages(out: &mut Vec<u8>, pages: &[(u64, Vec<u8>)]) {
+    out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+    for (vpn, bytes) in pages {
+        out.extend_from_slice(&vpn.to_le_bytes());
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(bytes);
+    }
+}
+
+fn put_commit_back(out: &mut Vec<u8>, base: u64, pages: &[(u64, Vec<u8>)]) {
+    out.extend_from_slice(&base.to_le_bytes());
+    put_pages(out, pages);
+}
+
+/// One complete `Rfork` frame from an image the caller keeps — what
+/// [`crate::Conn::call_rfork`] sends.
+pub(crate) fn rfork_frame(corr: u64, image: &[u8]) -> Vec<u8> {
+    encode_with(kind::RFORK, corr, image.len(), |out| {
+        out.extend_from_slice(image)
+    })
+}
+
+/// One complete `CommitBack` frame from pages the caller keeps — what
+/// [`crate::Conn::call_commit_back`] sends.
+pub(crate) fn commit_back_frame(corr: u64, base: u64, pages: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    encode_with(kind::COMMIT_BACK, corr, 8 + pages_len(pages), |out| {
+        put_commit_back(out, base, pages)
+    })
+}
+
 /// Serialise an [`worlds_ipc::Message`] — id, endpoints, the full
 /// predicate set (must-complete and can't-complete pid lists), payload,
 /// and the optional trace context.
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let must: Vec<Pid> = msg.predicate.must_complete().collect();
-    let cant: Vec<Pid> = msg.predicate.cant_complete().collect();
-    let mut out = Vec::with_capacity(45 + 8 * (must.len() + cant.len()) + msg.payload.len());
+    let mut out = Vec::with_capacity(message_len(msg));
+    put_message(&mut out, msg);
+    out
+}
+
+fn message_len(msg: &Message) -> usize {
+    let pids = msg.predicate.must_complete().count() + msg.predicate.cant_complete().count();
+    37 + 8 * pids + msg.payload.len() + if msg.trace.is_some() { 16 } else { 0 }
+}
+
+fn put_message(out: &mut Vec<u8>, msg: &Message) {
     out.extend_from_slice(&msg.id.0.to_le_bytes());
     out.extend_from_slice(&msg.src.raw().to_le_bytes());
     out.extend_from_slice(&msg.dst.raw().to_le_bytes());
-    out.extend_from_slice(&(must.len() as u32).to_le_bytes());
-    for pid in &must {
-        out.extend_from_slice(&pid.raw().to_le_bytes());
-    }
-    out.extend_from_slice(&(cant.len() as u32).to_le_bytes());
-    for pid in &cant {
-        out.extend_from_slice(&pid.raw().to_le_bytes());
+    for pids in [
+        msg.predicate.must_complete().collect::<Vec<Pid>>(),
+        msg.predicate.cant_complete().collect(),
+    ] {
+        out.extend_from_slice(&(pids.len() as u32).to_le_bytes());
+        for pid in &pids {
+            out.extend_from_slice(&pid.raw().to_le_bytes());
+        }
     }
     out.extend_from_slice(&(msg.payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&msg.payload);
@@ -483,7 +560,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             out.extend_from_slice(&t.world.to_le_bytes());
         }
     }
-    out
 }
 
 /// Parse a message serialised by [`encode_message`].

@@ -16,9 +16,10 @@
 //! land exactly once no matter how many times the frame is delivered
 //! (the double-delivery test in `tests/loopback.rs` proves it).
 
-use crate::frame::{read_frame_idle, write_frame, Frame};
+use crate::frame::{read_frame_idle, Frame};
 use crate::rpc::{nack, Reply, Request};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -191,12 +192,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
+fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     // Short poll timeout so the handler notices shutdown between frames;
     // read_frame_idle treats first-byte timeouts as "still idle" so
-    // pooled connections survive quiet spells.
+    // pooled connections survive quiet spells, and waits out the tick
+    // once a frame has started arriving.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let _ = stream.set_nodelay(true);
+    // One read buffer for the life of the connection: a request that
+    // fits it costs one `read` system call.
+    let mut stream = BufReader::new(stream);
     loop {
         let frame = match read_frame_idle(&mut stream, &shared.stop) {
             Ok(Some((frame, _))) => frame,
@@ -207,9 +212,13 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             // idempotent.
             Err(_) => return,
         };
-        let reply = reply_for(&shared, &frame);
-        let out = Frame::new(reply.kind(), frame.corr, reply.encode_payload());
-        if write_frame(&mut stream, &out).is_err() {
+        let corr = frame.corr;
+        let reply = reply_for(&shared, frame);
+        if stream
+            .get_mut()
+            .write_all(&reply.encode_frame(corr))
+            .is_err()
+        {
             return;
         }
     }
@@ -223,7 +232,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 /// replays the recorded reply. Different corr-ids therefore apply
 /// concurrently — essential once session spawns (which block on fair
 /// scheduling) share the node with everything else.
-fn reply_for(shared: &Shared, frame: &Frame) -> Reply {
+fn reply_for(shared: &Shared, frame: Frame) -> Reply {
     {
         let mut ledger = shared.ledger.lock().expect("ledger lock");
         loop {
@@ -236,16 +245,17 @@ fn reply_for(shared: &Shared, frame: &Frame) -> Reply {
             ledger = shared.ledger_cv.wait(ledger).expect("ledger lock");
         }
     }
+    let corr = frame.corr;
     let reply = apply(shared, frame);
     let mut ledger = shared.ledger.lock().expect("ledger lock");
-    ledger.inflight.remove(&frame.corr);
-    ledger.put(frame.corr, reply.clone());
+    ledger.inflight.remove(&corr);
+    ledger.put(corr, reply.clone());
     shared.ledger_cv.notify_all();
     reply
 }
 
-fn apply(shared: &Shared, frame: &Frame) -> Reply {
-    let request = match Request::decode(frame.kind, &frame.payload) {
+fn apply(shared: &Shared, frame: Frame) -> Reply {
+    let request = match Request::decode_owned(frame.kind, frame.payload) {
         Ok(r) => r,
         Err(e) => {
             return Reply::Nack {

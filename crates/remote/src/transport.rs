@@ -195,11 +195,8 @@ fn net_err(dst: usize, e: &NetError) -> PageStoreError {
 
 impl Transport for Tcp {
     fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError> {
-        let req = Request::Rfork {
-            image: image.to_vec(),
-        };
         self.accounted(dst)?
-            .call_ack(&req)
+            .call_rfork(image)
             .map_err(|e| net_err(dst, &e))
     }
 
@@ -209,12 +206,8 @@ impl Transport for Tcp {
         base: u64,
         pages: &[(u64, Vec<u8>)],
     ) -> Result<(), PageStoreError> {
-        let req = Request::CommitBack {
-            base,
-            pages: pages.to_vec(),
-        };
         self.accounted(dst)?
-            .call_ack(&req)
+            .call_commit_back(base, pages)
             .map(|_| ())
             .map_err(|e| net_err(dst, &e))
     }

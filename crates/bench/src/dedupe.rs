@@ -14,8 +14,8 @@
 //! 2. **What does the index cost when it never helps?** Two prices,
 //!    kept separate because they differ by an order of magnitude:
 //!    [`rewrite_ns`] times the in-place write fast path, where dedupe-on
-//!    adds one generation bump (and a single hash invalidation per
-//!    sealed page) but never hashes — the ratio of on/off is the
+//!    adds a single hash invalidation per sealed page but never
+//!    hashes — the ratio of on/off is the
 //!    regression gate CI holds at ≤ 1.10. [`unique_write_ns`] times the
 //!    seal path on never-repeating content, where every commit pays the
 //!    full-page hash and a failed probe — the budgeted miss cost,
@@ -124,9 +124,9 @@ pub fn unique_write_ns(dedupe: bool, samples: usize, pages: u64, page_size: usiz
 
 /// Median ns per in-place *partial* rewrite — the write fast path the
 /// contention workload lives on — with the content index on or off.
-/// Partial writes are not seal points: dedupe-on pays one generation
-/// bump per write and a single hash invalidation per sealed page, never
-/// a hash. This is the number the ≤ 10% regression gate holds. (A
+/// Partial writes are not seal points: dedupe-on pays a single hash
+/// invalidation per sealed page, never a hash. This is the number the
+/// ≤ 10% regression gate holds. (A
 /// *full-page* rewrite is a seal point by design and pays the hash —
 /// that cost is [`unique_write_ns`]'s.)
 pub fn rewrite_ns(dedupe: bool, samples: usize, pages: u64, page_size: usize) -> f64 {

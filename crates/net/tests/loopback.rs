@@ -2,8 +2,8 @@
 
 use std::time::Duration;
 use worlds_net::{
-    read_frame, write_frame, Conn, FaultKind, FaultProxy, FaultSchedule, Frame, NetNode, Pool,
-    Reply, Request, RetryPolicy,
+    nack, read_frame, write_frame, Conn, FaultKind, FaultProxy, FaultSchedule, Frame, NetNode,
+    Pool, Reply, Request, RetryPolicy,
 };
 use worlds_obs::Registry;
 use worlds_pagestore::{checkpoint, checkpoint_delta, PageStore, WorldId};
@@ -189,6 +189,25 @@ fn nacks_surface_without_retries() {
     assert!(matches!(err, worlds_net::NetError::Nack { .. }), "{err}");
     let stats = obs.stats().unwrap();
     assert_eq!(stats.net.retries.get(), 0, "nack must not be retried");
+    node.shutdown();
+}
+
+/// A page count no image could back must be refused before `restore`
+/// builds anything: 2^61 records of 8 + 64 bytes wrap to a length of 0,
+/// which once let a bare header through to an out-of-range slice on the
+/// serving thread.
+#[test]
+fn hostile_rfork_image_is_nacked_and_the_connection_survives() {
+    let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
+    let mut conn = Conn::new(1, node.addr(), fast(), Registry::disabled());
+    let mut image = b"MWCK".to_vec();
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&(PAGE as u64).to_le_bytes());
+    image.extend_from_slice(&(1u64 << 61).to_le_bytes());
+    let err = conn.call_ack(&Request::Rfork { image }).unwrap_err();
+    assert_eq!(err.nack_code(), Some(nack::BAD_IMAGE), "{err}");
+    assert_eq!(node.store().world_count(), 0, "no half-built world");
+    assert_eq!(conn.call_ack(&Request::Ping).unwrap(), 0);
     node.shutdown();
 }
 

@@ -43,6 +43,8 @@
 //! resolved before any inline page is written, so an image cannot evict
 //! its own ref targets from the receiver's index.
 
+use std::time::Instant;
+
 use crate::content::page_hash;
 use crate::error::{PageStoreError, Result};
 use crate::page::Vpn;
@@ -61,9 +63,51 @@ const HEADER_DELTA: usize = HEADER + 8;
 const REC_INLINE: u8 = 0;
 const REC_REF: u8 = 1;
 
+/// Announce a finished image of `world`: `pages` records in `bytes` bytes.
+/// Serialisation is real work (not simulated), so the duration is measured
+/// wall time since `started`.
+fn emit_checkpoint(store: &PageStore, world: WorldId, pages: u64, bytes: usize, started: Instant) {
+    store.obs().emit(|| {
+        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
+        worlds_obs::Event::new(
+            worlds_obs::EventKind::Checkpoint {
+                pages,
+                bytes: bytes as u64,
+                duration_ns: started.elapsed().as_nanos() as u64,
+            },
+            world.raw(),
+            parent,
+            0,
+        )
+    });
+}
+
+/// Hand `each` every page of `world` whose **bytes** differ from `base`,
+/// ascending, with the `world`-side bytes. The candidate set is the COW
+/// map diff (pages written since the fork), narrowed by content
+/// comparison, so a write that restored the original bytes is skipped.
+fn dirty_pages(
+    store: &PageStore,
+    world: WorldId,
+    base: WorldId,
+    mut each: impl FnMut(Vpn, &[u8]),
+) -> Result<()> {
+    let page_size = store.page_size();
+    let mut wbuf = vec![0u8; page_size];
+    let mut bbuf = vec![0u8; page_size];
+    for vpn in store.diff_worlds(world, base)? {
+        store.read(world, vpn, 0, &mut wbuf)?;
+        store.read(base, vpn, 0, &mut bbuf)?;
+        if wbuf != bbuf {
+            each(vpn, &wbuf);
+        }
+    }
+    Ok(())
+}
+
 /// Serialise every mapped page of `world` into a checkpoint image.
 pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let pages = store.mapped_vpns(world)?;
     let page_size = store.page_size();
     let mut out = Vec::with_capacity(24 + pages.len() * (8 + page_size));
@@ -78,21 +122,7 @@ pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
         store.read(world, vpn, 0, &mut buf)?;
         out.extend_from_slice(&buf);
     }
-    store.obs().emit(|| {
-        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
-        worlds_obs::Event::new(
-            worlds_obs::EventKind::Checkpoint {
-                pages: page_count,
-                bytes: out.len() as u64,
-                // Serialisation is real work (not simulated), so the
-                // duration is measured wall time.
-                duration_ns: started.elapsed().as_nanos() as u64,
-            },
-            world.raw(),
-            parent,
-            0,
-        )
-    });
+    emit_checkpoint(store, world, page_count, out.len(), started);
     Ok(out)
 }
 
@@ -103,52 +133,29 @@ pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
 /// previous image restored on the remote store (cluster stores share one
 /// id allocator, so the id is unambiguous either way).
 ///
-/// The candidate set is the COW map diff (pages written since the fork),
-/// narrowed by content comparison, so a write that restored the original
-/// bytes ships nothing.
+/// Only [`dirty_pages`] ship: a write that restored the original bytes
+/// ships nothing.
 pub fn checkpoint_delta(
     store: &PageStore,
     world: WorldId,
     base: WorldId,
     base_on_target: u64,
 ) -> Result<Vec<u8>> {
-    let started = std::time::Instant::now();
-    let page_size = store.page_size();
-    let mut wbuf = vec![0u8; page_size];
-    let mut bbuf = vec![0u8; page_size];
-    let mut dirty: Vec<Vpn> = Vec::new();
-    for vpn in store.diff_worlds(world, base)? {
-        store.read(world, vpn, 0, &mut wbuf)?;
-        store.read(base, vpn, 0, &mut bbuf)?;
-        if wbuf != bbuf {
-            dirty.push(vpn);
-        }
-    }
-    let mut out = Vec::with_capacity(HEADER_DELTA + dirty.len() * (8 + page_size));
+    let started = Instant::now();
+    let mut out = Vec::with_capacity(HEADER_DELTA);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION_DELTA.to_le_bytes());
-    out.extend_from_slice(&(page_size as u64).to_le_bytes());
-    out.extend_from_slice(&(dirty.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(store.page_size() as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes()); // page count, known after the walk
     out.extend_from_slice(&base_on_target.to_le_bytes());
-    let page_count = dirty.len() as u64;
-    for vpn in dirty {
+    let mut page_count = 0u64;
+    dirty_pages(store, world, base, |vpn, bytes| {
         out.extend_from_slice(&vpn.to_le_bytes());
-        store.read(world, vpn, 0, &mut wbuf)?;
-        out.extend_from_slice(&wbuf);
-    }
-    store.obs().emit(|| {
-        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
-        worlds_obs::Event::new(
-            worlds_obs::EventKind::Checkpoint {
-                pages: page_count,
-                bytes: out.len() as u64,
-                duration_ns: started.elapsed().as_nanos() as u64,
-            },
-            world.raw(),
-            parent,
-            0,
-        )
-    });
+        out.extend_from_slice(bytes);
+        page_count += 1;
+    })?;
+    out[16..24].copy_from_slice(&page_count.to_le_bytes());
+    emit_checkpoint(store, world, page_count, out.len(), started);
     Ok(out)
 }
 
@@ -158,17 +165,10 @@ pub fn checkpoint_delta(
 /// narrowing as [`checkpoint_delta`] — a write that restored the original
 /// bytes produces no entry.
 pub fn delta_manifest(store: &PageStore, world: WorldId, base: WorldId) -> Result<Vec<(Vpn, u64)>> {
-    let page_size = store.page_size();
-    let mut wbuf = vec![0u8; page_size];
-    let mut bbuf = vec![0u8; page_size];
     let mut manifest = Vec::new();
-    for vpn in store.diff_worlds(world, base)? {
-        store.read(world, vpn, 0, &mut wbuf)?;
-        store.read(base, vpn, 0, &mut bbuf)?;
-        if wbuf != bbuf {
-            manifest.push((vpn, page_hash(&wbuf)));
-        }
-    }
+    dirty_pages(store, world, base, |vpn, bytes| {
+        manifest.push((vpn, page_hash(bytes)));
+    })?;
     Ok(manifest)
 }
 
@@ -190,7 +190,7 @@ pub fn checkpoint_content(
         present.len(),
         "one presence flag per manifest entry"
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let page_size = store.page_size();
     let mut wbuf = vec![0u8; page_size];
     let mut out = Vec::with_capacity(HEADER_DELTA + manifest.len() * 17);
@@ -210,19 +210,7 @@ pub fn checkpoint_content(
             out.extend_from_slice(&wbuf);
         }
     }
-    store.obs().emit(|| {
-        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
-        worlds_obs::Event::new(
-            worlds_obs::EventKind::Checkpoint {
-                pages: manifest.len() as u64,
-                bytes: out.len() as u64,
-                duration_ns: started.elapsed().as_nanos() as u64,
-            },
-            world.raw(),
-            parent,
-            0,
-        )
-    });
+    emit_checkpoint(store, world, manifest.len() as u64, out.len(), started);
     Ok(out)
 }
 
@@ -254,7 +242,10 @@ pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
     if page_size != store.page_size() {
         return Err(err("page size mismatch"));
     }
-    let count = u64::from_le_bytes(image[16..24].try_into().expect("8 bytes")) as usize;
+    // `count` is the sender's claim: no arithmetic on it may wrap, and no
+    // world may exist before the image's length has vouched for it.
+    let count = u64::from_le_bytes(image[16..24].try_into().expect("8 bytes"));
+    let count = usize::try_from(count).map_err(|_| err("truncated image"))?;
     if version == VERSION_CONTENT {
         return restore_content(store, image, count, page_size);
     }
@@ -264,7 +255,10 @@ pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
         HEADER_DELTA
     };
     let record = 8 + page_size;
-    if image.len() != header + count * record {
+    let expected = count
+        .checked_mul(record)
+        .and_then(|body| body.checked_add(header));
+    if expected != Some(image.len()) {
         return Err(err("truncated image"));
     }
     let world = if version == VERSION {
@@ -275,10 +269,12 @@ pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
             .fork_world(WorldId(base))
             .map_err(|_| err(&format!("delta base world {base} not in target store")))?
     };
-    for i in 0..count {
-        let off = header + i * record;
-        let vpn = u64::from_le_bytes(image[off..off + 8].try_into().expect("8 bytes"));
-        store.write(world, vpn, 0, &image[off + 8..off + record])?;
+    for rec in image[header..].chunks_exact(record) {
+        let vpn = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
+        if let Err(e) = store.write(world, vpn, 0, &rec[8..]) {
+            let _ = store.drop_world(world);
+            return Err(e);
+        }
     }
     Ok(world)
 }
@@ -443,6 +439,26 @@ mod tests {
         let mut image = checkpoint(&store, w2).unwrap();
         image.truncate(image.len() - 1);
         assert!(restore(&store, &image).is_err());
+    }
+
+    #[test]
+    fn hostile_page_count_is_rejected_before_any_world_exists() {
+        // 2^61 records of 8 + 64 bytes is 9 * 2^64 bytes: wrapping
+        // arithmetic calls that 0, and the bare header passes for whole.
+        let store = PageStore::new(64);
+        let base = store.create_world();
+        for version in [VERSION, VERSION_DELTA] {
+            let mut image = Vec::new();
+            image.extend_from_slice(MAGIC);
+            image.extend_from_slice(&version.to_le_bytes());
+            image.extend_from_slice(&64u64.to_le_bytes());
+            image.extend_from_slice(&(1u64 << 61).to_le_bytes());
+            if version == VERSION_DELTA {
+                image.extend_from_slice(&base.raw().to_le_bytes());
+            }
+            assert!(restore(&store, &image).is_err(), "v{version}");
+            assert_eq!(store.world_count(), 1, "v{version} left a world behind");
+        }
     }
 
     #[test]

@@ -348,7 +348,7 @@ impl FrameTable {
         ix.insert(hash, id.0);
     }
 
-    /// Dedupe probe for a staged commit: if the index hints at a frame for
+    /// Dedupe probe for a copying write: if the index hints at a frame for
     /// `hash` whose full bytes equal `bytes`, take a reference on it and
     /// return it. Byte verification and the incref happen under the
     /// frame's data mutex, so a racing in-place write either completes
@@ -468,7 +468,7 @@ impl FrameTable {
         self.lock_recycler().pool.pop()
     }
 
-    /// Return a staged-but-unused page buffer to the recycle pool.
+    /// Return a built-but-unused page buffer to the recycle pool.
     pub(crate) fn recycle(&self, page: PageData) {
         let mut rec = self.lock_recycler();
         if rec.pool.len() < POOL_MAX {

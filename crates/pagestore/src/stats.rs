@@ -24,7 +24,6 @@ pub(crate) struct StatsInner {
     pub zero_fills: Counter,
     pub reads: Counter,
     pub writes: Counter,
-    pub writes_solo: Counter,
     pub worlds_dropped: Counter,
     pub frames_freed: Counter,
     pub frames_recycled: Counter,
@@ -35,6 +34,7 @@ pub(crate) struct StatsInner {
 
 impl StatsInner {
     pub(crate) fn snapshot(&self) -> StoreStats {
+        let writes = self.writes.get();
         StoreStats {
             forks: self.forks.get(),
             adopts: self.adopts.get(),
@@ -42,8 +42,8 @@ impl StatsInner {
             bytes_copied: self.bytes_copied.get(),
             zero_fills: self.zero_fills.get(),
             reads: self.reads.get(),
-            writes: self.writes.get(),
-            writes_solo: self.writes_solo.get(),
+            writes,
+            writes_solo: writes,
             worlds_dropped: self.worlds_dropped.get(),
             frames_freed: self.frames_freed.get(),
             frames_recycled: self.frames_recycled.get(),
@@ -74,8 +74,9 @@ pub struct StoreStats {
     pub reads: u64,
     /// Page write operations.
     pub writes: u64,
-    /// Writes that took the solo-shard single-pass path (the writing
-    /// world was alone in its shard per the population hint).
+    /// Always equal to `writes`: every write is one critical section
+    /// under its world's shard write lock. Kept because the `benchmark/`
+    /// package reads it.
     pub writes_solo: u64,
     /// Worlds dropped (eliminated siblings or adopted-away children).
     pub worlds_dropped: u64,

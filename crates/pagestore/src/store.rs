@@ -39,61 +39,32 @@
 //! every content-index entry names a mapped frame;
 //! [`PageStore::verify_refcounts`] checks exactly this. All count traffic
 //! therefore happens under the shard write lock of the world whose map
-//! gains or loses the leaf or slot. Five rules keep it so:
+//! gains or loses the leaf or slot. Three rules keep it so:
 //!
-//! 1. **In-place writes under the shard *read* lock are sound.** Shared
-//!    can turn private behind a reader's back (other holders let go), but
-//!    private cannot turn shared: a second holder of an exclusive leaf, or
-//!    a second slot for a frame only that leaf names, can only come from
-//!    forking *this* world, which needs this shard's write lock.
-//! 2. **Path-copy is a map mutation.** It happens at commit, under the
-//!    shard write lock, and bumps [`World::generation`] like any insert.
-//!    So does a fork, which re-shares every path without touching the map.
-//!    That is the whole lost-update proof for staged commits: *generation
-//!    unchanged and the page still shared (path or frame) ⇒ it was shared
-//!    all along ⇒ no in-place write landed since the stage.*
-//! 3. **A leaf shared across shards may be released concurrently.**
+//! 1. **A leaf shared across shards may be released concurrently.**
 //!    Releases are not ordered by any lock; `Arc::into_inner` picks the one
 //!    releaser that drops the slot references, and a path-copier takes its
 //!    duplicate references while still holding the old leaf, so no frame a
 //!    live leaf names ever reads zero.
-//! 4. **Accounting is per world, not per leaf.** A frame is freed exactly
+//! 2. **Accounting is per world, not per leaf.** A frame is freed exactly
 //!    when the last world mapping it lets go, so `FrameFree`, `CowCopy`,
 //!    `ZeroFill` and `FrameDedup` events and every counter read as they
 //!    would with one flat map per world; `pages_inherited` is the map's
 //!    slot count at fork.
-//! 5. **Dedupe takes one frame reference per slot it fills**, handed to
+//! 3. **Dedupe takes one frame reference per slot it fills**, handed to
 //!    the map with the slot like a freshly allocated frame's.
 //!
 //! # Writes
 //!
-//! Writes follow a **probe → stage → commit** protocol:
-//!
-//! 1. **Probe** under the shard *read* lock. A private page is written in
-//!    place right there (rule 1). This is the contention-free fast path.
-//! 2. **Stage** with *no locks held*: the CoW deep copy (or zero fill)
-//!    builds the new page in a pooled buffer.
-//! 3. **Commit** under the shard *write* lock, re-validating the world's
-//!    map generation (rule 2). If it moved since the probe, the staged
-//!    buffer is kept and the write retries from step 1; if the page turned
-//!    private meanwhile, it is written in place after all.
-//!
-//! Two fast paths shortcut the protocol:
-//!
-//! * **Solo-shard single pass.** A lock-free per-shard population hint
-//!   tracks how many worlds live in each shard. When the writing world is
-//!   alone in its shard, `write` takes the shard write lock once and runs
-//!   probe → stage → commit in one critical section: no generation dance,
-//!   no staged-copy retry, and — nothing else hashes here — no one to
-//!   contend with. The hint is advisory; a stale reading only changes
-//!   which (equally correct) path runs.
-//! * **Upgradable commit.** The staged path commits under an *upgradable*
-//!   read: generation validation and the turned-private-while-staging
-//!   retry run in shared mode, and the lock is upgraded only around the
-//!   map insert itself. The vendored `parking_lot` shim's upgrade is not
-//!   atomic (a plain writer can slip into the window), so everything
-//!   observed in shared mode is re-validated after the upgrade; with real
-//!   `parking_lot` those re-checks are trivially true.
+//! A write is one critical section under the world's shard *write* lock:
+//! a private page is written in place; anything else is copied (or zero
+//! filled) into a pooled buffer and installed, and what that displaced is
+//! settled. Nothing is revalidated because nothing can move underneath: a
+//! second holder of an exclusive leaf, or a second slot for a frame only
+//! that leaf names, can only come from forking *this* world, which needs
+//! this lock; and a shared page's bytes are stable because no sharer can
+//! see it as private while this world holds its path to it. Counters and
+//! events follow after the unlock.
 //!
 //! Elimination also has a batched form, [`PageStore::drop_worlds`]:
 //! frames freed anywhere in the batch are detached under their shard
@@ -111,10 +82,10 @@
 //! # Content addressing (opt-in)
 //!
 //! With [`PageStore::set_dedupe`] enabled, frames are *sealed* into a
-//! content index at commit points — a staged or solo CoW/zero-fill
-//! commit, a full-page in-place write, and checkpoint encoding
+//! content index at commit points — a CoW or zero-fill install, a
+//! full-page in-place write, and checkpoint encoding
 //! ([`PageStore::seal_world_contents`]). A later commit whose resulting
-//! bytes match an indexed frame re-shares that frame (rule 5) instead of
+//! bytes match an indexed frame re-shares that frame (rule 3) instead of
 //! installing the copy. Three rules keep this sound:
 //!
 //! * **Hashes are hints.** A probe byte-compares the candidate's full
@@ -124,12 +95,8 @@
 //! * **Probes run under the writer's exclusive shard lock**, so the
 //!   cross-world incref is invisible to [`PageStore::verify_refcounts`]
 //!   (which holds every shard lock).
-//! * **Dedupe ref traffic widens the generation contract.** A probe can
-//!   raise a frame's refcount without forking its owner, which would
-//!   silently break rule 2's proof. So when dedupe is on, every
-//!   successful in-place write *also* bumps the world's generation
-//!   ([`World::generation`] is atomic for exactly this), and
-//!   `write_if_private` re-checks `refs == 1` under the data mutex so a
+//! * **A probe can raise a frame's count without forking its owner**,
+//!   so `write_if_private` re-checks `refs == 1` under the data mutex: a
 //!   write racing a verified probe backs off into a CoW.
 //!
 //! Index entries are retracted eagerly: an in-place write or a frame
@@ -139,13 +106,10 @@
 //! hash plus one failed index probe (budgeted in `bench-baseline`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicUsize,
-    Ordering::{AcqRel, Acquire, Relaxed, Release},
-};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockUpgradableReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use worlds_obs::{Event, EventKind, Registry};
 
 use crate::content::page_hash;
@@ -244,20 +208,6 @@ struct World {
     map: PageMap,
     lineage: Arc<Lineage>,
     stats: WorldStats,
-    /// Bumped on every event that can invalidate a staged CoW commit: any
-    /// map mutation (insert, path-copy or wholesale swap) *and* any fork
-    /// of this world. A fork re-shares every path without touching the
-    /// map, so a commit staged from a pre-fork snapshot could otherwise
-    /// overwrite an in-place write that landed while the page was briefly
-    /// private (lost update). Validating at commit time also covers the
-    /// frame-index reuse (ABA) case, which a map-entry recheck alone
-    /// would miss.
-    ///
-    /// Atomic because with dedupe on, successful in-place writes must
-    /// bump it too (see the module docs), and those run under the shard
-    /// *read* lock where only `&World` is available. Mutations under the
-    /// write lock use `get_mut`; commit-time checks `load(Acquire)`.
-    generation: AtomicU64,
 }
 
 impl World {
@@ -272,7 +222,6 @@ impl World {
                 id,
                 parent: parent.map(|p| Arc::clone(&p.lineage)),
             }),
-            generation: AtomicU64::new(0),
         }
     }
 
@@ -302,11 +251,10 @@ enum Committed {
     /// would-be zero-fill re-shared an existing identical frame.
     ZeroFill { parent: Option<u64>, deduped: bool },
     /// A shared page was copied. `freed` is set in the rare race where the
-    /// last other reference vanished between probe and commit *and* a
-    /// concurrent sharer dropped during the decref — the frame count then
-    /// nets zero and the gauge needs the matching free. With `deduped`,
-    /// the staged copy was discarded in favour of an existing identical
-    /// frame (no new frame entered the table).
+    /// last other reference vanished while the copy was built — the frame
+    /// count then nets zero and the gauge needs the matching free. With
+    /// `deduped`, the copy was discarded in favour of an existing
+    /// identical frame (no new frame entered the table).
     Cow {
         parent: Option<u64>,
         freed: bool,
@@ -327,10 +275,6 @@ type Detached = Vec<(u32, Arc<PageData>)>;
 #[derive(Clone)]
 pub struct PageStore {
     shards: Arc<Vec<RwLock<Shard>>>,
-    /// Lock-free population hint: how many worlds live in each shard.
-    /// Read (relaxed) by `write` to choose the solo-shard single-pass
-    /// path; advisory only — stale readings never affect correctness.
-    shard_pop: Arc<Vec<AtomicUsize>>,
     frames: Arc<FrameTable>,
     next_world: Arc<AtomicU64>,
     stats: Arc<StatsInner>,
@@ -341,8 +285,7 @@ pub struct PageStore {
     clock: Arc<AtomicU64>,
     /// Content-addressed dedupe switch (see the module docs). Shared by
     /// clones; off by default because workloads that rewrite private
-    /// pages in place gain nothing from sealing and would pay the
-    /// generation churn.
+    /// pages in place gain nothing from sealing.
     dedupe: Arc<AtomicBool>,
 }
 
@@ -375,7 +318,6 @@ impl PageStore {
                     .map(|_| RwLock::new(Shard::default()))
                     .collect(),
             ),
-            shard_pop: Arc::new((0..NUM_SHARDS).map(|_| AtomicUsize::new(0)).collect()),
             frames: Arc::new(FrameTable::new()),
             next_world: Arc::new(AtomicU64::new(1)),
             stats: Arc::new(StatsInner::default()),
@@ -400,7 +342,6 @@ impl PageStore {
                     .map(|_| RwLock::new(Shard::default()))
                     .collect(),
             ),
-            shard_pop: Arc::new((0..NUM_SHARDS).map(|_| AtomicUsize::new(0)).collect()),
             frames: Arc::new(FrameTable::new()),
             next_world: Arc::clone(&self.next_world),
             stats: Arc::new(StatsInner::default()),
@@ -514,15 +455,6 @@ impl PageStore {
         }
     }
 
-    /// Take a pooled page buffer, counting the recycle hit.
-    fn take_recycled(&self) -> Option<PageData> {
-        let page = self.frames.take_pooled();
-        if page.is_some() {
-            self.stats.frames_recycled.incr();
-        }
-        page
-    }
-
     /// Create a fresh root world with an empty (all demand-zero) map.
     pub fn create_world(&self) -> WorldId {
         let id = self.next_world.fetch_add(1, Relaxed);
@@ -530,7 +462,6 @@ impl PageStore {
         shard
             .worlds
             .insert(id, World::new(id, None, PageMap::new()));
-        self.shard_pop[shard_index(id)].fetch_add(1, Relaxed);
         WorldId(id)
     }
 
@@ -553,14 +484,8 @@ impl PageStore {
         let child = {
             let p = pg
                 .worlds
-                .get_mut(&parent.0)
+                .get(&parent.0)
                 .ok_or(PageStoreError::NoSuchWorld(parent.0))?;
-            // The clone below turns every page a concurrent writer saw as
-            // private back into a shared one. That writer's staged copy
-            // (built before an in-place write that landed while the page
-            // was private) must not be installable afterwards, so
-            // invalidate every in-flight commit against this world.
-            *p.generation.get_mut() += 1;
             World::new(id, Some(p), p.map.clone())
         };
         let child_shard: &mut Shard = match cg.as_mut() {
@@ -568,7 +493,6 @@ impl PageStore {
             None => &mut pg,
         };
         child_shard.worlds.insert(id, child);
-        self.shard_pop[shard_index(id)].fetch_add(1, Relaxed);
         drop(cg);
         drop(pg);
         self.stats.forks.incr();
@@ -614,21 +538,29 @@ impl PageStore {
     }
 
     /// Write `data` at `offset` within page `vpn` of `world`, taking a COW
-    /// fault if the page is shared with any other world. See the module
-    /// docs: on the staged path the deep copy is built with no locks held;
-    /// a world alone in its shard takes the single-pass path instead.
+    /// fault if the page is shared with any other world. One critical
+    /// section under the world's shard write lock (see the module docs).
     pub fn write(&self, world: WorldId, vpn: Vpn, offset: usize, data: &[u8]) -> Result<()> {
         self.check_bounds(offset, data.len())?;
         // Full-page writes are seal points when dedupe is on: the result's
         // bytes are exactly `data`, so the hash is known before any lock.
         let seal = (self.dedupe_enabled() && offset == 0 && data.len() == self.page_size)
             .then(|| page_hash(data));
-        let committed = if self.shard_pop[shard_index(world.0)].load(Relaxed) == 1 {
-            let c = self.write_solo(world, vpn, offset, data, seal)?;
-            self.stats.writes_solo.incr();
-            c
-        } else {
-            self.write_staged(world, vpn, offset, data, seal)?
+        let committed = {
+            let mut shard = self.shard(world.0).write();
+            let w = shard
+                .worlds
+                .get_mut(&world.0)
+                .ok_or(PageStoreError::NoSuchWorld(world.0))?;
+            match self.write_in_place(w, vpn, offset, data, seal) {
+                Some(done) => done,
+                None => {
+                    let base = w.map.get(vpn).map(|frame| self.frames.data_arc(frame));
+                    let cow = base.is_some();
+                    let (page, hash) = self.stage(base, offset, data, seal);
+                    self.commit_page(w, vpn, cow, page, hash)
+                }
+            }
         };
         self.stats.writes.incr();
         self.note_write(world, vpn, committed);
@@ -637,7 +569,7 @@ impl PageStore {
 
     /// Let go of one handle on `leaf`. The releaser that held the last one
     /// drops the leaf's slot references, detaching frames that reach zero
-    /// onto `detached` (rule 3 of the module docs).
+    /// onto `detached` (rule 1 of the module docs).
     fn release_leaf(&self, leaf: Arc<Leaf>, detached: &mut Detached) {
         if let Some(leaf) = Arc::into_inner(leaf) {
             for frame in leaf.frames() {
@@ -665,7 +597,6 @@ impl PageStore {
     /// concurrently, so this can happen to a page that was shared a
     /// moment ago).
     fn install(&self, w: &mut World, vpn: Vpn, frame: FrameId) -> bool {
-        *w.generation.get_mut() += 1;
         match w.map.insert(vpn, frame) {
             Displaced::Nothing => false,
             Displaced::Frame(old) => self.frames.decref(old),
@@ -684,11 +615,10 @@ impl PageStore {
 
     /// Write in place if `vpn` is private to `w` (exclusive path and
     /// `refs == 1`; see the module docs). The caller holds `w`'s shard
-    /// lock: the write lock if `write_locked`, else the read lock.
+    /// write lock.
     fn write_in_place(
         &self,
         w: &World,
-        write_locked: bool,
         vpn: Vpn,
         offset: usize,
         data: &[u8],
@@ -699,19 +629,6 @@ impl PageStore {
             return None;
         }
         let invalidated = self.frames.write_if_private(frame, offset, data, seal)?;
-        if self.dedupe_enabled() {
-            // With dedupe on, a probe can raise refcounts without forking
-            // this world, so "still shared" alone no longer proves no
-            // in-place write landed — the generation must say so too.
-            // Under the write lock nobody else can touch the counter, and
-            // a plain store keeps the locked add off the solo fast path.
-            if write_locked {
-                let next = w.generation.load(Relaxed) + 1;
-                w.generation.store(next, Release);
-            } else {
-                w.generation.fetch_add(1, AcqRel);
-            }
-        }
         Some(Committed::InPlace {
             parent: w.parent(),
             invalidated,
@@ -719,18 +636,22 @@ impl PageStore {
     }
 
     /// Build the page a copying write will install: `base`'s bytes (zeroes
-    /// for a fresh page) with `data` laid over them, in `buffer` when one
-    /// is at hand — plus its content hash when dedupe is on. The `base`
-    /// snapshot is let go here, before any commit, so a racing in-place
-    /// writer is not forced into a spurious copy by our hold on it.
+    /// for a fresh page) with `data` laid over them, in a pooled buffer
+    /// when one is at hand — plus its content hash when dedupe is on. The
+    /// `base` snapshot is let go here, before the install, so a sharer's
+    /// next in-place write is not forced into a spurious copy by our hold
+    /// on it.
     fn stage(
         &self,
-        buffer: Option<PageData>,
         base: Option<Arc<PageData>>,
         offset: usize,
         data: &[u8],
         seal: Option<u64>,
     ) -> (PageData, Option<u64>) {
+        let buffer = self.frames.take_pooled();
+        if buffer.is_some() {
+            self.stats.frames_recycled.incr();
+        }
         let mut page = match (buffer, base.as_deref()) {
             (Some(mut page), Some(base)) => {
                 page.bytes_mut().copy_from_slice(base.bytes());
@@ -750,7 +671,7 @@ impl PageStore {
         (page, hash)
     }
 
-    /// Install a staged page at `vpn` under `w`'s shard write lock: the
+    /// Install a built page at `vpn` under `w`'s shard write lock: the
     /// page itself, or — on a verified content-index hit — the identical
     /// frame some world already holds. `cow` says whether `vpn` was
     /// mapped (a copy) or fresh (a zero fill).
@@ -792,122 +713,7 @@ impl PageStore {
         }
     }
 
-    /// Single-pass write for a world that is (per the population hint)
-    /// alone in its shard: probe, stage, and commit under one shard write
-    /// lock. Holding the write guard throughout makes revalidation
-    /// unnecessary — a private page stays private (rule 1) and is ours to
-    /// overwrite, and a shared page's bytes are stable because none of
-    /// its sharers can see it as private while we hold our path to it.
-    /// Correct even when the hint was stale; staleness only costs lock
-    /// hold time.
-    fn write_solo(
-        &self,
-        world: WorldId,
-        vpn: Vpn,
-        offset: usize,
-        data: &[u8],
-        seal: Option<u64>,
-    ) -> Result<Committed> {
-        let mut shard = self.shard(world.0).write();
-        let w = shard
-            .worlds
-            .get_mut(&world.0)
-            .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-        if let Some(done) = self.write_in_place(w, true, vpn, offset, data, seal) {
-            return Ok(done);
-        }
-        let base = w.map.get(vpn).map(|frame| self.frames.data_arc(frame));
-        let cow = base.is_some();
-        let (page, hash) = self.stage(self.take_recycled(), base, offset, data, seal);
-        Ok(self.commit_page(w, vpn, cow, page, hash))
-    }
-
-    /// The general probe → stage → commit write (see the module docs).
-    /// Commits run under an upgradable read and enter exclusive mode only
-    /// around the map insert; every observation made in shared mode is
-    /// re-validated after the upgrade because the vendored shim's upgrade
-    /// is not atomic.
-    fn write_staged(
-        &self,
-        world: WorldId,
-        vpn: Vpn,
-        offset: usize,
-        data: &[u8],
-        seal: Option<u64>,
-    ) -> Result<Committed> {
-        let gone = |page| {
-            self.frames.recycle(page);
-            PageStoreError::NoSuchWorld(world.0)
-        };
-        // Staged buffer carried across retries, and recycled on exit.
-        let mut staged: Option<PageData> = None;
-        let committed = loop {
-            // Phase 1 — probe under the shard read lock; a private page
-            // is written in place here.
-            let (base, generation) = {
-                let shard = self.shard(world.0).read();
-                let w = shard
-                    .worlds
-                    .get(&world.0)
-                    .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-                if let Some(done) = self.write_in_place(w, false, vpn, offset, data, seal) {
-                    break done;
-                }
-                (
-                    w.map.get(vpn).map(|frame| self.frames.data_arc(frame)),
-                    w.generation.load(Acquire),
-                )
-            };
-            // Phase 2 — stage (and hash) outside all locks.
-            let buffer = staged.take().or_else(|| self.take_recycled());
-            let cow = base.is_some();
-            let (page, hash) = self.stage(buffer, base, offset, data, seal);
-            // Phase 3 — commit, revalidating what the probe saw. An
-            // unmoved generation means the map is untouched since the
-            // probe (the same frame, or still none, at `vpn`) and the
-            // world was not forked. If the page is private now, its other
-            // sharers vanished while we staged: write in place after all.
-            let shard = self.shard(world.0).upgradable_read();
-            let Some(w) = shard.worlds.get(&world.0) else {
-                return Err(gone(page));
-            };
-            if w.generation.load(Acquire) != generation {
-                staged = Some(page);
-                continue;
-            }
-            if let Some(done) = self.write_in_place(w, false, vpn, offset, data, seal) {
-                staged = Some(page);
-                break done;
-            }
-            let mut shard = RwLockUpgradableReadGuard::upgrade(shard);
-            let Some(w) = shard.worlds.get_mut(&world.0) else {
-                return Err(gone(page));
-            };
-            // Repeat both checks after the upgrade. With the shim, a plain
-            // writer may have slipped into the non-atomic upgrade window;
-            // even with real parking_lot, an in-place write to this world
-            // runs under the shard *read* lock and can complete between
-            // the checks above and the upgrade (readers drain only at the
-            // upgrade itself). An unmoved generation plus a still-shared
-            // page proves no in-place write landed since the stage (rule
-            // 2), so installing the staged copy is safe.
-            if w.generation.load(Acquire) != generation {
-                staged = Some(page);
-                continue;
-            }
-            if let Some(done) = self.write_in_place(w, true, vpn, offset, data, seal) {
-                staged = Some(page);
-                break done;
-            }
-            break self.commit_page(w, vpn, cow, page, hash);
-        };
-        if let Some(page) = staged {
-            self.frames.recycle(page);
-        }
-        Ok(committed)
-    }
-
-    /// Post-commit accounting shared by both write paths: bump counters
+    /// Post-commit accounting for a write: bump counters
     /// and emit events, with every lock already released.
     fn note_write(&self, world: WorldId, vpn: Vpn, committed: Committed) {
         match committed {
@@ -1019,10 +825,8 @@ impl PageStore {
         // Remove the child world; its map (leaf handles and all) transfers
         // to the parent wholesale, so no count moves for it.
         let child_world = cs.worlds.remove(&child.0).expect("looked up above");
-        self.shard_pop[shard_index(child.0)].fetch_sub(1, Relaxed);
         let p = pg.worlds.get_mut(&parent.0).expect("checked above");
         let old_map = std::mem::replace(&mut p.map, child_world.map);
-        *p.generation.get_mut() += 1;
         // Fold the child's copy accounting into the parent so write-fraction
         // measurements survive the commit.
         p.stats.pages_cowed += child_world.stats.pages_cowed;
@@ -1055,44 +859,24 @@ impl PageStore {
     /// leaf; only leaves no survivor holds give up their frames, and frames
     /// that hit zero are freed into the recycle pool (and announced with a
     /// `FrameFree` event so `frames_resident` replays exactly from JSONL).
+    /// The one-element case of [`PageStore::drop_worlds`], except that a
+    /// missing world is an error here.
     pub fn drop_world(&self, world: WorldId) -> Result<()> {
-        let mut detached = Vec::new();
-        let (freed, parent) = {
-            let mut shard = self.shard(world.0).write();
-            let w = shard
-                .worlds
-                .remove(&world.0)
-                .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-            self.shard_pop[shard_index(world.0)].fetch_sub(1, Relaxed);
-            let parent = w.parent();
-            (self.release_map(w.map, &mut detached), parent)
-        };
-        // One recycler acquisition for the whole world, outside the
-        // shard lock.
-        self.frames.recycle_freed(detached);
-        self.stats.worlds_dropped.incr();
-        if freed > 0 {
-            self.stats.frames_freed.add(freed);
-            self.obs.emit(|| {
-                Event::new(
-                    EventKind::FrameFree { frames: freed },
-                    world.0,
-                    parent,
-                    self.vt(),
-                )
-            });
+        match self.drop_worlds(&[world]) {
+            0 => Err(PageStoreError::NoSuchWorld(world.0)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Batched sibling elimination: drop every world in `worlds`, sending
     /// the whole batch's freed frames to the recycler under a *single*
-    /// lock acquisition. Worlds that no longer exist are skipped (a loser
-    /// may tear itself down while the parent queues the batch). Counters
-    /// and per-world `FrameFree` events are identical — content and order
-    /// — to a loop of [`PageStore::drop_world`] calls, so a JSONL replay
-    /// cannot tell batched from sequential elimination. Returns how many
-    /// worlds were actually dropped.
+    /// lock acquisition, outside every shard lock. Worlds that no longer
+    /// exist are skipped (a loser may tear itself down while the parent
+    /// queues the batch). Counters and per-world `FrameFree` events are
+    /// identical — content and order — to a loop of
+    /// [`PageStore::drop_world`] calls, so a JSONL replay cannot tell
+    /// batched from sequential elimination. Returns how many worlds were
+    /// actually dropped.
     pub fn drop_worlds(&self, worlds: &[WorldId]) -> usize {
         let mut detached = Vec::new();
         // (world, parent, frames freed) for each world actually dropped.
@@ -1102,7 +886,6 @@ impl PageStore {
             let Some(w) = shard.worlds.remove(&world.0) else {
                 continue;
             };
-            self.shard_pop[shard_index(world.0)].fetch_sub(1, Relaxed);
             let parent = w.parent();
             let freed = self.release_map(w.map, &mut detached);
             drop(shard);
@@ -1316,9 +1099,8 @@ impl PageStore {
     /// the number of distinct live leaf slots naming it (a leaf several
     /// worlds hold is walked once, by pointer), the live-frame counter
     /// matches, and content-index entries name mapped frames. Takes every
-    /// shard read lock (ascending) to quiesce map mutation, so it can run
-    /// concurrently with in-place writes and reads but excludes
-    /// structural changes. Returns the number of live frames verified, or
+    /// shard read lock (ascending), so it can run concurrently with reads
+    /// but excludes writes and structural changes. Returns the number of live frames verified, or
     /// a description of the first violation found.
     pub fn verify_refcounts(&self) -> std::result::Result<usize, String> {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
@@ -1930,61 +1712,40 @@ mod tests {
     }
 
     #[test]
-    fn solo_worlds_take_the_single_pass_write() {
+    fn writes_behave_alike_alone_in_a_shard_and_sharing_one() {
         let s = store();
-        let w = s.create_world(); // alone in its shard
-        s.write(w, 0, 0, &[1]).unwrap();
-        s.write(w, 0, 1, &[2]).unwrap();
-        let st = s.stats();
-        assert_eq!(st.writes, 2);
-        assert_eq!(st.writes_solo, 2, "a lone world writes single-pass");
-        assert_eq!(s.read_vec(w, 0, 0, 2).unwrap(), vec![1, 2]);
-        // CoW through the solo path: parent and child land in different
-        // shards, so both stay solo.
-        let child = s.fork_world(w).unwrap();
-        let before = s.stats();
-        s.write(child, 0, 0, &[9]).unwrap();
-        let d = s.stats().delta_since(&before);
-        assert_eq!(d.cow_faults, 1);
-        assert_eq!(d.writes_solo, 1);
-        assert_eq!(s.read_vec(w, 0, 0, 1).unwrap(), vec![1]);
-        assert_eq!(s.read_vec(child, 0, 0, 1).unwrap(), vec![9]);
-        s.verify_refcounts().unwrap();
-    }
-
-    #[test]
-    fn crowded_shards_take_the_staged_path() {
-        let s = store();
-        // NUM_SHARDS + 1 worlds: the first and last hash to one shard.
+        // NUM_SHARDS + 1 worlds: the first and last hash to one shard,
+        // the second has its shard to itself.
         let worlds: Vec<_> = (0..=NUM_SHARDS).map(|_| s.create_world()).collect();
-        let (a, b) = (worlds[0], worlds[NUM_SHARDS]);
+        let (a, b, alone) = (worlds[0], worlds[NUM_SHARDS], worlds[1]);
         assert_eq!(shard_index(a.raw()), shard_index(b.raw()));
-        let before = s.stats();
-        s.write(a, 0, 0, &[1]).unwrap();
-        s.write(b, 0, 0, &[2]).unwrap();
-        let d = s.stats().delta_since(&before);
-        assert_eq!(d.writes, 2);
-        assert_eq!(d.writes_solo, 0, "a shared shard forces the staged path");
-        assert_eq!(d.zero_fills, 2);
-        // A CoW fault through the upgradable commit: the child shares its
-        // shard with another world, so it stages.
-        let child = s.fork_world(a).unwrap();
-        let before = s.stats();
-        s.write(child, 0, 0, &[7]).unwrap();
-        let d = s.stats().delta_since(&before);
-        assert_eq!(d.cow_faults, 1);
-        assert_eq!(d.writes_solo, 0);
-        assert_eq!(s.read_vec(a, 0, 0, 1).unwrap(), vec![1]);
-        assert_eq!(s.read_vec(child, 0, 0, 1).unwrap(), vec![7]);
-        s.verify_refcounts().unwrap();
+        assert_ne!(shard_index(a.raw()), shard_index(alone.raw()));
+        for w in [alone, a, b] {
+            let before = s.stats();
+            s.write(w, 0, 0, &[1]).unwrap();
+            s.write(w, 0, 1, &[2]).unwrap();
+            let d = s.stats().delta_since(&before);
+            assert_eq!((d.writes, d.zero_fills, d.cow_faults), (2, 1, 0));
+            assert_eq!(d.writes_solo, d.writes);
+            assert_eq!(s.read_vec(w, 0, 0, 2).unwrap(), vec![1, 2]);
+            // A CoW fault, then an in-place rewrite of the private copy.
+            let child = s.fork_world(w).unwrap();
+            let before = s.stats();
+            s.write(child, 0, 0, &[9]).unwrap();
+            s.write(child, 0, 0, &[7]).unwrap();
+            let d = s.stats().delta_since(&before);
+            assert_eq!((d.writes, d.zero_fills, d.cow_faults), (2, 0, 1));
+            assert_eq!(s.read_vec(w, 0, 0, 2).unwrap(), vec![1, 2]);
+            assert_eq!(s.read_vec(child, 0, 0, 2).unwrap(), vec![7, 2]);
+            s.verify_refcounts().unwrap();
+        }
     }
 
     #[test]
     fn crowded_concurrent_writers_stay_isolated() {
         use std::thread;
         let s = PageStore::new(256);
-        // Fill every shard so all writes exercise the staged path (and
-        // its upgradable commit) under real contention.
+        // Fill every shard so every writer shares its shard lock.
         let _ballast: Vec<_> = (0..NUM_SHARDS as u64).map(|_| s.create_world()).collect();
         let parent = s.create_world();
         for vpn in 0..16 {
@@ -2010,7 +1771,6 @@ mod tests {
             assert_eq!(s.read_vec(parent, vpn, 0, 1).unwrap(), vec![0xAB]);
         }
         s.verify_refcounts().unwrap();
-        assert_eq!(s.stats().writes_solo, 0, "every shard is crowded");
     }
 
     #[test]

@@ -319,3 +319,89 @@ fn forks_race_path_copies_and_drops_of_shared_leaves() {
         assert_eq!(got, vec![i as u8; 4], "the parent's own writes survive");
     }
 }
+
+/// Two writers whose worlds hash to one shard, so every write of either
+/// waits on the other's lock: each CoW-faults, then rewrites in place,
+/// every page of its own child while a reader walks the parent and a
+/// verifier takes every shard lock. Neither child may see the other's
+/// bytes, the parent none of theirs, and every copy must come back.
+#[test]
+fn same_shard_writers_stay_isolated() {
+    const PAGES: u64 = 64;
+    const ROUNDS: usize = 20;
+
+    let store = PageStore::new(PAGE);
+    let root = store.create_world();
+    for vpn in 0..PAGES {
+        store.write(root, vpn, 0, &[0x5A, vpn as u8]).unwrap();
+    }
+    let baseline = store.live_frames();
+    let running = Arc::new(AtomicBool::new(true));
+
+    let reader = {
+        let (store, running) = (store.clone(), running.clone());
+        thread::spawn(move || {
+            while running.load(Ordering::Relaxed) {
+                for vpn in 0..PAGES {
+                    let got = store.read_vec(root, vpn, 0, 3).unwrap();
+                    assert_eq!(got, vec![0x5A, vpn as u8, 0], "a child's write leaked");
+                }
+            }
+        })
+    };
+    let verifier = {
+        let (store, running) = (store.clone(), running.clone());
+        thread::spawn(move || {
+            while running.load(Ordering::Relaxed) {
+                store
+                    .verify_refcounts()
+                    .expect("refcount invariant violated mid-run");
+                thread::sleep(Duration::from_micros(200));
+            }
+        })
+    };
+
+    for round in 0..ROUNDS {
+        // Ids are handed out in order, so the first and last of
+        // shard_count + 1 consecutive forks share a shard.
+        let forks: Vec<_> = (0..=store.shard_count())
+            .map(|_| store.fork_world(root).unwrap())
+            .collect();
+        let pair = [forks[0], forks[store.shard_count()]];
+        assert_eq!(pair[1].raw() - pair[0].raw(), store.shard_count() as u64);
+        store.drop_worlds(&forks[1..store.shard_count()]);
+
+        let writers: Vec<_> = pair
+            .into_iter()
+            .enumerate()
+            .map(|(t, child)| {
+                let store = store.clone();
+                thread::spawn(move || {
+                    let tag = [t as u8 + 1, round as u8];
+                    for vpn in 0..PAGES {
+                        store.write(child, vpn, 2, &[tag[0]]).unwrap();
+                    }
+                    for vpn in 0..PAGES {
+                        store.write(child, vpn, 3, &[tag[1]]).unwrap();
+                    }
+                    for vpn in 0..PAGES {
+                        let got = store.read_vec(child, vpn, 0, 4).unwrap();
+                        assert_eq!(got, vec![0x5A, vpn as u8, tag[0], tag[1]]);
+                    }
+                    assert_eq!(store.world_stats(child).unwrap().pages_cowed, PAGES);
+                    store.drop_world(child).unwrap();
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer thread panicked");
+        }
+    }
+    running.store(false, Ordering::Relaxed);
+    reader.join().expect("reader thread panicked");
+    verifier.join().expect("verifier thread panicked");
+
+    assert_eq!(store.world_count(), 1);
+    assert_eq!(store.verify_refcounts().unwrap(), baseline);
+    assert_eq!(store.live_frames(), baseline, "every copy was released");
+}

@@ -31,8 +31,8 @@ use worlds_pagestore::{restore, PageStore, PageStoreError, WorldId};
 /// cluster's node list; world ids are raw (cluster stores share one id
 /// allocator, so they are unambiguous).
 pub trait Transport {
-    /// Restore a checkpoint image (v1 full or v2 delta) into node
-    /// `dst`'s store; returns the new world's id.
+    /// Restore a checkpoint image (v1 full, v2 delta or v3 content
+    /// delta) into node `dst`'s store; returns the new world's id.
     fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError>;
 
     /// Apply dirty pages to world `base` in node `dst`'s store.

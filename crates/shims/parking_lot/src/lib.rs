@@ -3,9 +3,8 @@
 //! This container has no network access and no crates.io mirror, so the
 //! workspace vendors the tiny slice of `parking_lot`'s API it actually
 //! uses: [`Mutex`] and [`RwLock`] with panic-free (poison-recovering)
-//! guards, plus upgradable reads. Lock poisoning is deliberately erased
-//! — like real `parking_lot`, a panicked holder does not poison the
-//! lock.
+//! guards. Lock poisoning is deliberately erased — like real
+//! `parking_lot`, a panicked holder does not poison the lock.
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -38,115 +37,37 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s `read()`/`write()`/
-/// `upgradable_read()` signatures (no `Result`, no poisoning).
-///
-/// The upgradable mode is emulated over `std`: an upgradable guard is a
-/// shared read guard plus ownership of a side mutex that serialises
-/// upgradable holders against each other, so at most one thread can be
-/// between "observed under read" and "acting under write" at a time.
+/// A reader-writer lock with `parking_lot`'s `read()`/`write()`
+/// signatures (no `Result`, no poisoning).
 #[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    /// Serialises upgradable readers (and nothing else); always acquired
-    /// before `rw` by upgradable holders, so lock order is consistent.
-    upgrade: std::sync::Mutex<()>,
-    rw: std::sync::RwLock<T>,
-}
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
 impl<T> RwLock<T> {
     /// Create a new lock holding `value`.
     pub const fn new(value: T) -> Self {
-        RwLock {
-            upgrade: std::sync::Mutex::new(()),
-            rw: std::sync::RwLock::new(value),
-        }
+        RwLock(std::sync::RwLock::new(value))
     }
 
     /// Consume the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.rw.into_inner().unwrap_or_else(|e| e.into_inner())
+        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read guard.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.rw.read().unwrap_or_else(|e| e.into_inner())
+        self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Acquire an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.rw.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquire an upgradable read guard: shared with plain readers,
-    /// exclusive against writers and other upgradable readers, and
-    /// convertible to a write guard via
-    /// [`RwLockUpgradableReadGuard::upgrade`].
-    ///
-    /// **Shim caveat:** real `parking_lot` upgrades atomically. Over
-    /// `std` the upgrade must release the read guard before taking the
-    /// write guard, so a plain `write()` caller can slip in between.
-    /// Other *upgradable* holders cannot (the side mutex excludes them).
-    /// Callers that compute under the upgradable guard and apply under
-    /// the upgraded guard must therefore revalidate after upgrading —
-    /// with real `parking_lot` the revalidation trivially passes.
-    pub fn upgradable_read(&self) -> RwLockUpgradableReadGuard<'_, T> {
-        let token = self.upgrade.lock().unwrap_or_else(|e| e.into_inner());
-        let read = self.rw.read().unwrap_or_else(|e| e.into_inner());
-        RwLockUpgradableReadGuard {
-            lock: self,
-            token: Some(token),
-            read: Some(read),
-        }
+        self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
-        self.rw.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// RAII guard for [`RwLock::upgradable_read`]. Dereferences to the data
-/// like a read guard; upgrade with the associated function
-/// [`RwLockUpgradableReadGuard::upgrade`], mirroring `parking_lot`.
-pub struct RwLockUpgradableReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    /// Held for the guard's whole life (and across the upgrade window),
-    /// excluding other upgradable readers. Never read — it exists for
-    /// its drop timing.
-    #[allow(dead_code)]
-    token: Option<MutexGuard<'a, ()>>,
-    /// `Some` until upgraded or dropped.
-    read: Option<RwLockReadGuard<'a, T>>,
-}
-
-impl<'a, T: ?Sized> RwLockUpgradableReadGuard<'a, T> {
-    /// Trade shared access for exclusive access. An associated function
-    /// (not a method) exactly like `parking_lot`'s, so guard derefs can
-    /// never shadow it. See the shim caveat on
-    /// [`RwLock::upgradable_read`]: a plain writer may run between the
-    /// read release and the write acquisition.
-    pub fn upgrade(mut this: Self) -> RwLockWriteGuard<'a, T> {
-        this.read = None; // release shared mode first: writers need it clear
-        let write = this.lock.rw.write().unwrap_or_else(|e| e.into_inner());
-        // The upgrade token drops with `this`, after the write guard is
-        // held — no other upgradable reader saw the intermediate state.
-        write
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockUpgradableReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        self.read.as_ref().expect("guard not upgraded")
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLockUpgradableReadGuard<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -183,62 +104,12 @@ mod tests {
             panic!("boom");
         }));
         assert_eq!(*m.lock(), 0, "lock usable after a panicked holder");
-    }
-
-    #[test]
-    fn upgradable_read_coexists_with_readers_and_upgrades() {
-        let l = RwLock::new(7);
-        {
-            let up = l.upgradable_read();
-            let r = l.read();
-            assert_eq!(*up + *r, 14, "shared with plain readers");
-            drop(r);
-            let mut w = RwLockUpgradableReadGuard::upgrade(up);
-            *w += 1;
-        }
-        assert_eq!(*l.read(), 8);
-    }
-
-    #[test]
-    fn upgradable_readers_exclude_each_other() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let l = Arc::new(RwLock::new(0u32));
-        let in_critical = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let l = l.clone();
-            let flag = in_critical.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..50 {
-                    let up = l.upgradable_read();
-                    assert!(
-                        !flag.swap(true, Ordering::SeqCst),
-                        "two upgradable holders at once"
-                    );
-                    let cur = *up;
-                    let mut w = RwLockUpgradableReadGuard::upgrade(up);
-                    *w = cur + 1;
-                    flag.store(false, Ordering::SeqCst);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*l.read(), 200, "every increment applied exactly once");
-    }
-
-    #[test]
-    fn panicked_upgradable_holder_does_not_poison() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let l = RwLock::new(0);
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _g = l.upgradable_read();
+            let _g = l.write();
             panic!("boom");
         }));
-        assert_eq!(*l.upgradable_read(), 0, "usable after a panicked holder");
         *l.write() = 5;
-        assert_eq!(*l.read(), 5);
+        assert_eq!(*l.read(), 5, "rwlock usable after a panicked writer");
     }
 }

@@ -15,7 +15,7 @@
 //!   syscalls and framing for the paper's §3.4 operation.
 //! * **Delta vs full checkpoint** — bytes shipped when rforking a
 //!   sibling world that differs from an already-shipped base by a few
-//!   pages. The v2 delta image must stay under 25% of the full image
+//!   pages. The delta image must stay under 25% of the full image
 //!   (the acceptance line; in practice it is a few percent).
 //!
 //! Results land in `BENCH_net.json` (or the path given as the first

@@ -6,7 +6,7 @@
 //! | kind | request          | carries                                   |
 //! |------|------------------|-------------------------------------------|
 //! | 1    | `Ping`           | nothing — liveness + RTT probe            |
-//! | 2    | `Rfork`          | a checkpoint image (v1 full or v2 delta)  |
+//! | 2    | `Rfork`          | a checkpoint image (full or delta)        |
 //! | 3    | `CommitBack`     | the winner's dirty pages, applied to base |
 //! | 4    | `Discard`        | a losing world to drop                    |
 //! | 5    | `PredicatedSend` | an `ipc::Message` incl. its predicate set |
@@ -25,14 +25,15 @@
 //!
 //! Serialisation is hand-rolled little-endian — the same std-only
 //! discipline as the checkpoint image and the obs JSONL codec. Every
-//! variable-length field is length-prefixed, and decoders bound-check
-//! before every slice so a hostile payload yields `NetError::Protocol`,
-//! never a panic.
+//! variable-length field is length-prefixed, and decoders read through
+//! the bounds-checked [`worlds_pagestore::Cursor`] the image decoder
+//! uses, so a hostile payload yields `NetError::Protocol`, never a panic.
 
 use crate::error::{NetError, Result};
 use crate::frame::encode_with;
 use worlds_ipc::{Message, MsgId};
 use worlds_obs::TraceCtx;
+use worlds_pagestore::Cursor;
 use worlds_predicate::{Pid, PredicateSet};
 
 /// Frame-kind bytes for requests.
@@ -121,9 +122,9 @@ pub enum Request {
     Telemetry { payload: Vec<u8> },
     /// Ask which page-content hashes the receiving node's store can
     /// satisfy from its content index — the manifest round-trip that
-    /// lets a v3 content-delta checkpoint ship refs instead of bytes.
+    /// lets a content-delta checkpoint ship refs instead of bytes.
     /// Presence is a *hint*: the receiver re-verifies by re-hashing at
-    /// apply time, so a stale answer costs a fallback, never corruption.
+    /// apply time, so a stale answer costs a resend, never corruption.
     HashProbe { hashes: Vec<u64> },
     /// Admit a named tenant session with its resource limits (0 means
     /// "unlimited" for each axis). Ack carries the new session id.
@@ -290,47 +291,45 @@ impl Request {
     /// kinds that *are* their payload (`Rfork`, `Telemetry`) keep the
     /// buffer instead of copying it.
     pub fn decode_owned(kind_byte: u8, payload: Vec<u8>) -> Result<Request> {
-        let mut r = Reader::new(&payload);
+        Request::parse(kind_byte, payload).map_err(NetError::Protocol)
+    }
+
+    fn parse(kind_byte: u8, payload: Vec<u8>) -> std::result::Result<Request, String> {
+        let mut r = Cursor::new(&payload);
         let req = match kind_byte {
             kind::PING => Request::Ping,
             kind::RFORK => Request::Rfork { image: payload },
             kind::COMMIT_BACK => {
-                let base = r.u64("base")?;
-                let count = r.u32("page count")? as usize;
-                let mut pages = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let vpn = r.u64("vpn")?;
-                    let len = r.u32("page len")? as usize;
-                    pages.push((vpn, r.bytes(len, "page bytes")?.to_vec()));
-                }
-                r.done("commit_back")?;
+                let base = r.u64()?;
+                let pages = get_pages(&mut r)?;
+                r.finish()?;
                 Request::CommitBack { base, pages }
             }
             kind::DISCARD => {
-                let world = r.u64("world")?;
-                r.done("discard")?;
+                let world = r.u64()?;
+                r.finish()?;
                 Request::Discard { world }
             }
             kind::PREDICATED_SEND => Request::PredicatedSend {
-                msg: decode_message(&payload)?,
+                msg: parse_message(&payload)?,
             },
             kind::TELEMETRY => Request::Telemetry { payload },
             kind::HASH_PROBE => {
-                let count = r.u32("hash count")? as usize;
+                let count = r.u32()? as usize;
                 let mut hashes = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    hashes.push(r.u64("hash")?);
+                    hashes.push(r.u64()?);
                 }
-                r.done("hash_probe")?;
+                r.finish()?;
                 Request::HashProbe { hashes }
             }
             kind::SESSION_OPEN => {
-                let nlen = r.u32("name len")? as usize;
-                let name = String::from_utf8_lossy(r.bytes(nlen, "name")?).into_owned();
-                let max_live_worlds = r.u64("max live worlds")?;
-                let max_resident_frames = r.u64("max resident frames")?;
-                let vt_budget_ns = r.u64("vt budget")?;
-                r.done("session_open")?;
+                let nlen = r.u32()? as usize;
+                let name = String::from_utf8_lossy(r.take(nlen)?).into_owned();
+                let max_live_worlds = r.u64()?;
+                let max_resident_frames = r.u64()?;
+                let vt_budget_ns = r.u64()?;
+                r.finish()?;
                 Request::SessionOpen {
                     name,
                     max_live_worlds,
@@ -339,16 +338,10 @@ impl Request {
                 }
             }
             kind::SESSION_SPAWN => {
-                let session = r.u64("session")?;
-                let spin_ns = r.u64("spin")?;
-                let count = r.u32("write count")? as usize;
-                let mut writes = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let vpn = r.u64("vpn")?;
-                    let len = r.u32("write len")? as usize;
-                    writes.push((vpn, r.bytes(len, "write bytes")?.to_vec()));
-                }
-                r.done("session_spawn")?;
+                let session = r.u64()?;
+                let spin_ns = r.u64()?;
+                let writes = get_pages(&mut r)?;
+                r.finish()?;
                 Request::SessionSpawn {
                     session,
                     spin_ns,
@@ -356,31 +349,31 @@ impl Request {
                 }
             }
             kind::SESSION_COMMIT => {
-                let session = r.u64("session")?;
-                let world = r.u64("world")?;
-                r.done("session_commit")?;
+                let session = r.u64()?;
+                let world = r.u64()?;
+                r.finish()?;
                 Request::SessionCommit { session, world }
             }
             kind::SESSION_FORK => {
-                let session = r.u64("session")?;
-                let nlen = r.u32("name len")? as usize;
-                let name = String::from_utf8_lossy(r.bytes(nlen, "name")?).into_owned();
-                r.done("session_fork")?;
+                let session = r.u64()?;
+                let nlen = r.u32()? as usize;
+                let name = String::from_utf8_lossy(r.take(nlen)?).into_owned();
+                r.finish()?;
                 Request::SessionFork { session, name }
             }
             kind::SESSION_CLOSE => {
-                let session = r.u64("session")?;
-                let adopt = match r.u8("adopt flag")? {
+                let session = r.u64()?;
+                let adopt = match r.u8()? {
                     0 => false,
                     1 => true,
                     other => {
-                        return Err(NetError::Protocol(format!("bad adopt flag {other}")));
+                        return Err(format!("bad adopt flag {other}"));
                     }
                 };
-                r.done("session_close")?;
+                r.finish()?;
                 Request::SessionClose { session, adopt }
             }
-            other => return Err(NetError::Protocol(format!("unknown request kind {other}"))),
+            other => return Err(format!("unknown request kind {other}")),
         };
         Ok(req)
     }
@@ -457,31 +450,35 @@ impl Reply {
     /// [`Reply::decode`] for a payload the caller is done with; a
     /// `Telemetry` reply keeps the buffer instead of copying it.
     pub fn decode_owned(kind_byte: u8, payload: Vec<u8>) -> Result<Reply> {
-        let mut r = Reader::new(&payload);
+        Reply::parse(kind_byte, payload).map_err(NetError::Protocol)
+    }
+
+    fn parse(kind_byte: u8, payload: Vec<u8>) -> std::result::Result<Reply, String> {
+        let mut r = Cursor::new(&payload);
         let reply = match kind_byte {
             kind::ACK => {
-                let world = r.u64("world")?;
-                r.done("ack")?;
+                let world = r.u64()?;
+                r.finish()?;
                 Reply::Ack { world }
             }
             kind::NACK => {
-                let code = r.u32("code")?;
-                let len = r.u32("detail len")? as usize;
-                let detail = String::from_utf8_lossy(r.bytes(len, "detail")?).into_owned();
-                r.done("nack")?;
+                let code = r.u32()?;
+                let len = r.u32()? as usize;
+                let detail = String::from_utf8_lossy(r.take(len)?).into_owned();
+                r.finish()?;
                 Reply::Nack { code, detail }
             }
             kind::TELEMETRY_REPLY => Reply::Telemetry { payload },
             kind::PRESENT => {
-                let count = r.u32("present count")? as usize;
-                let bitmap = r.bytes(count.div_ceil(8), "present bitmap")?;
+                let count = r.u32()? as usize;
+                let bitmap = r.take(count.div_ceil(8))?;
                 let present = (0..count)
                     .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
                     .collect();
-                r.done("present")?;
+                r.finish()?;
                 Reply::Present { present }
             }
-            other => return Err(NetError::Protocol(format!("unknown reply kind {other}"))),
+            other => return Err(format!("unknown reply kind {other}")),
         };
         Ok(reply)
     }
@@ -500,6 +497,19 @@ fn put_pages(out: &mut Vec<u8>, pages: &[(u64, Vec<u8>)]) {
         out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(bytes);
     }
+}
+
+/// Parse what [`put_pages`] wrote. The count is the sender's claim, so it
+/// bounds the reservation only up to a point.
+fn get_pages(r: &mut Cursor<'_>) -> std::result::Result<Vec<(u64, Vec<u8>)>, String> {
+    let count = r.u32()? as usize;
+    let mut pages = Vec::with_capacity(count.min(4096));
+    for _ in 0..count {
+        let vpn = r.u64()?;
+        let len = r.u32()? as usize;
+        pages.push((vpn, r.take(len)?.to_vec()));
+    }
+    Ok(pages)
 }
 
 fn put_commit_back(out: &mut Vec<u8>, base: u64, pages: &[(u64, Vec<u8>)]) {
@@ -564,87 +574,41 @@ fn put_message(out: &mut Vec<u8>, msg: &Message) {
 
 /// Parse a message serialised by [`encode_message`].
 pub fn decode_message(payload: &[u8]) -> Result<Message> {
-    let mut r = Reader::new(payload);
-    let id = r.u64("msg id")?;
-    let src = Pid(r.u64("src")?);
-    let dst = Pid(r.u64("dst")?);
-    let n_must = r.u32("must count")? as usize;
+    parse_message(payload).map_err(NetError::Protocol)
+}
+
+fn parse_message(payload: &[u8]) -> std::result::Result<Message, String> {
+    let mut r = Cursor::new(payload);
+    let id = r.u64()?;
+    let src = Pid(r.u64()?);
+    let dst = Pid(r.u64()?);
+    let n_must = r.u32()? as usize;
     let mut must = Vec::with_capacity(n_must.min(4096));
     for _ in 0..n_must {
-        must.push(Pid(r.u64("must pid")?));
+        must.push(Pid(r.u64()?));
     }
-    let n_cant = r.u32("cant count")? as usize;
+    let n_cant = r.u32()? as usize;
     let mut cant = Vec::with_capacity(n_cant.min(4096));
     for _ in 0..n_cant {
-        cant.push(Pid(r.u64("cant pid")?));
+        cant.push(Pid(r.u64()?));
     }
-    let plen = r.u32("payload len")? as usize;
-    let body = r.bytes(plen, "payload")?.to_vec();
-    let trace = match r.u8("trace flag")? {
+    let plen = r.u32()? as usize;
+    let body = r.take(plen)?.to_vec();
+    let trace = match r.u8()? {
         0 => None,
         1 => Some(TraceCtx {
-            root: r.u64("trace root")?,
-            world: r.u64("trace world")?,
+            root: r.u64()?,
+            world: r.u64()?,
         }),
         other => {
-            return Err(NetError::Protocol(format!("bad trace flag {other}")));
+            return Err(format!("bad trace flag {other}"));
         }
     };
-    r.done("message")?;
+    r.finish()?;
     let mut msg = Message::new(src, dst, PredicateSet::new(must, cant), body);
     msg.id = MsgId(id);
     msg.trace = trace;
     Ok(msg)
-}
-
-/// Bounds-checked little-endian cursor: every decoder in this module
-/// reads through it so malformed payloads surface as `Protocol` errors.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| NetError::Protocol(format!("short payload reading {what}")))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.bytes(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.bytes(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn done(&self, what: &str) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(NetError::Protocol(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -274,16 +274,13 @@ fn apply(shared: &Shared, frame: Frame) -> Reply {
             },
         },
         Request::CommitBack { base, pages } => {
-            let base = WorldId::from_raw(base);
-            for (vpn, bytes) in &pages {
-                if let Err(e) = shared.store.write(base, *vpn, 0, bytes) {
-                    return Reply::Nack {
-                        code: nack::STORE,
-                        detail: format!("node {}: commit page {vpn}: {e}", shared.node),
-                    };
-                }
+            match shared.store.commit_pages(WorldId::from_raw(base), &pages) {
+                Ok(()) => Reply::Ack { world: base },
+                Err(e) => Reply::Nack {
+                    code: nack::STORE,
+                    detail: format!("node {}: commit back: {e}", shared.node),
+                },
             }
-            Reply::Ack { world: base.raw() }
         }
         Request::Discard { world } => match shared.store.drop_world(WorldId::from_raw(world)) {
             Ok(()) => Reply::Ack { world },

@@ -110,17 +110,17 @@ fn content_rfork_ships_refs_for_pages_the_receiver_holds() {
         "the receiver's index must recognise the duplicated page"
     );
 
-    let v2 = checkpoint_delta(&local, child, base, base_there).unwrap();
-    let v3 = worlds_pagestore::checkpoint_content(&local, child, base_there, &manifest, &present)
+    let inline = checkpoint_delta(&local, child, base, base_there).unwrap();
+    let refs = worlds_pagestore::checkpoint_content(&local, child, base_there, &manifest, &present)
         .unwrap();
     assert!(
-        v3.len() < v2.len(),
+        refs.len() < inline.len(),
         "content delta ({}) must undercut the plain delta ({})",
-        v3.len(),
-        v2.len()
+        refs.len(),
+        inline.len()
     );
 
-    let child_there = WorldId::from_raw(conn.call_ack(&Request::Rfork { image: v3 }).unwrap());
+    let child_there = WorldId::from_raw(conn.call_ack(&Request::Rfork { image: refs }).unwrap());
     assert_eq!(
         node.store().read_vec(child_there, 3, 0, PAGE).unwrap(),
         vec![99; PAGE]
@@ -158,6 +158,50 @@ fn commit_back_and_discard_apply_to_the_right_worlds() {
     node.shutdown();
 }
 
+/// `CommitBack` is all or nothing: a frame whose second page the store
+/// refuses must not leave its first page behind in the live base world.
+#[test]
+fn nacked_commit_back_leaves_the_base_untouched() {
+    let store = PageStore::new(PAGE);
+    let base = store.create_world();
+    store.write(base, 0, 0, &[1; PAGE]).unwrap();
+    store.write(base, 1, 0, &[2; PAGE]).unwrap();
+    let node = NetNode::serve(0, store.clone(), Registry::disabled()).unwrap();
+    let mut conn = Conn::new(0, node.addr(), fast(), Registry::disabled());
+    let (worlds, frames) = (store.world_count(), store.live_frames());
+
+    let err = conn
+        .call_ack(&Request::CommitBack {
+            base: base.raw(),
+            pages: vec![
+                (0, vec![9; PAGE]),
+                (1, vec![9; PAGE + 1]),
+                (2, vec![9; PAGE]),
+            ],
+        })
+        .unwrap_err();
+    assert_eq!(err.nack_code(), Some(nack::STORE), "{err}");
+    assert_eq!(store.read_vec(base, 0, 0, PAGE).unwrap(), vec![1; PAGE]);
+    assert_eq!(store.read_vec(base, 1, 0, PAGE).unwrap(), vec![2; PAGE]);
+    assert_eq!(store.read_vec(base, 2, 0, PAGE).unwrap(), vec![0; PAGE]);
+    assert_eq!(store.world_count(), worlds, "the staging fork is gone");
+    assert_eq!(store.live_frames(), frames, "and so are its frames");
+    store.verify_refcounts().unwrap();
+    // The refusal is an answer, not a broken stream.
+    assert_eq!(conn.call_ack(&Request::Ping).unwrap(), 0);
+
+    // The same pages, all acceptable, commit as one.
+    conn.call_ack(&Request::CommitBack {
+        base: base.raw(),
+        pages: vec![(0, vec![9; PAGE]), (2, vec![9; PAGE])],
+    })
+    .unwrap();
+    assert_eq!(store.read_vec(base, 0, 0, PAGE).unwrap(), vec![9; PAGE]);
+    assert_eq!(store.read_vec(base, 2, 0, PAGE).unwrap(), vec![9; PAGE]);
+    assert_eq!(store.world_count(), worlds);
+    node.shutdown();
+}
+
 #[test]
 fn predicated_send_delivers_message_intact() {
     let node = NetNode::serve(2, PageStore::new(PAGE), Registry::disabled()).unwrap();
@@ -192,7 +236,7 @@ fn nacks_surface_without_retries() {
     node.shutdown();
 }
 
-/// A page count no image could back must be refused before `restore`
+/// A record count no image could back must be refused before `restore`
 /// builds anything: 2^61 records of 8 + 64 bytes wrap to a length of 0,
 /// which once let a bare header through to an out-of-range slice on the
 /// serving thread.
@@ -200,10 +244,10 @@ fn nacks_surface_without_retries() {
 fn hostile_rfork_image_is_nacked_and_the_connection_survives() {
     let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
     let mut conn = Conn::new(1, node.addr(), fast(), Registry::disabled());
-    let mut image = b"MWCK".to_vec();
-    image.extend_from_slice(&1u32.to_le_bytes());
-    image.extend_from_slice(&(PAGE as u64).to_le_bytes());
-    image.extend_from_slice(&(1u64 << 61).to_le_bytes());
+    // A well-formed header (taken from a real image) with a hostile count.
+    let empty = PageStore::new(PAGE);
+    let mut image = checkpoint(&empty, empty.create_world()).unwrap();
+    image[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
     let err = conn.call_ack(&Request::Rfork { image }).unwrap_err();
     assert_eq!(err.nack_code(), Some(nack::BAD_IMAGE), "{err}");
     assert_eq!(node.store().world_count(), 0, "no half-built world");

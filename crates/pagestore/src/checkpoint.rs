@@ -10,77 +10,57 @@
 //! image size × link bandwidth is exactly the ~1 s rfork cost the
 //! `CostModel::rfork_lan` preset encodes.
 //!
-//! Image format (little-endian):
+//! There is one image format (little-endian), written by one encoder and
+//! read by one walk in [`restore`]:
 //!
 //! ```text
-//! v1 (full):    magic "MWCK" | version=1 u32 | page_size u64 | page_count u64
-//!               then per page: vpn u64 | page_size bytes
-//! v2 (delta):   magic "MWCK" | version=2 u32 | page_size u64 | page_count u64
-//!               | base_world u64
-//!               then per page: vpn u64 | page_size bytes
-//! v3 (content): magic "MWCK" | version=3 u32 | page_size u64 | record_count u64
-//!               | base_world u64
-//!               then per record: vpn u64 | kind u8
-//!               | kind 0: page_size inline bytes | kind 1: content hash u64
+//! magic "MWCK" | version u32 | page_size u64 | record_count u64 | base_world u64
+//! then per record: vpn u64 | kind u8
+//!                  | kind 0: page_size inline bytes | kind 1: content hash u64
 //! ```
 //!
-//! A **delta** image ([`checkpoint_delta`]) carries only the pages whose
-//! bytes differ from a stated *base* world; [`restore`] rebuilds the world
-//! by COW-forking the base (which must already live in the target store —
-//! for `rfork` that is the replica a previous full image restored) and
-//! overwriting the differing pages. Repeated rfork of sibling worlds then
-//! ships KBs instead of the full image. Version-1 images remain readable
-//! forever; writers choose per image.
+//! [`restore`] builds a **new world**: a COW fork of `base_world` (which
+//! must already live in the target store — for `rfork` that is the replica
+//! an earlier image restored), or a fresh empty world when `base_world` is
+//! 0 (world ids start at 1), with every record applied on top. The three
+//! public encoders differ only in which records they emit:
 //!
-//! A **content delta** ([`checkpoint_content`]) goes further: the sender
-//! first derives a `(vpn, hash)` manifest ([`delta_manifest`]), asks the
-//! receiver which hashes its content index already holds, and then ships
-//! a *ref* record (17 bytes) for each present page instead of the page
-//! itself. The receiver maps refs through
-//! [`PageStore::map_content`], which re-hashes the local candidate before
-//! sharing — a stale or colliding index entry fails the restore (the
-//! caller falls back to v2) rather than aliasing wrong bytes. Refs are
-//! resolved before any inline page is written, so an image cannot evict
-//! its own ref targets from the receiver's index.
+//! * [`checkpoint`] — a **full** image: every mapped page inline against
+//!   base 0.
+//! * [`checkpoint_delta`] — only the pages whose bytes differ from a
+//!   stated base world, inline. Repeated rfork of sibling worlds then
+//!   ships KBs instead of the full image.
+//! * [`checkpoint_content`] — the same pages, but the sender first derives
+//!   a `(vpn, hash)` manifest ([`delta_manifest`]), asks the receiver
+//!   which hashes its content index already holds, and ships a *ref*
+//!   record (17 bytes) for each present page instead of the page itself.
+//!
+//! The receiver maps refs through [`PageStore::map_content`], which
+//! re-hashes the local candidate before sharing — a stale or colliding
+//! index entry fails the restore (the sender re-encodes the same manifest
+//! with no refs) rather than aliasing wrong bytes.
+//!
+//! Images are ephemeral wire payloads between nodes of one build; nothing
+//! stores one, so there is no older version to stay readable.
 
 use std::time::Instant;
 
 use crate::content::page_hash;
+use crate::cursor::Cursor;
 use crate::error::{PageStoreError, Result};
 use crate::page::Vpn;
 use crate::store::{PageStore, WorldId};
 
-const MAGIC: &[u8; 4] = b"MWCK";
-const VERSION: u32 = 1;
-const VERSION_DELTA: u32 = 2;
-const VERSION_CONTENT: u32 = 3;
-/// v1 header bytes: magic + version + page_size + page_count.
-const HEADER: usize = 24;
-/// v2/v3 header bytes: v1 header + base world id.
-const HEADER_DELTA: usize = HEADER + 8;
-/// v3 record kinds: a full inline page, or a hash ref to content the
+const MAGIC: &[u8] = b"MWCK";
+/// The record-stream format above (1 and 2 numbered fixed-record layouts
+/// no build writes any more).
+const VERSION: u32 = 3;
+/// Header bytes: magic + version + page_size + record_count + base_world.
+const HEADER: usize = 32;
+/// Record kinds: a full inline page, or a hash ref to content the
 /// receiver already holds.
 const REC_INLINE: u8 = 0;
 const REC_REF: u8 = 1;
-
-/// Announce a finished image of `world`: `pages` records in `bytes` bytes.
-/// Serialisation is real work (not simulated), so the duration is measured
-/// wall time since `started`.
-fn emit_checkpoint(store: &PageStore, world: WorldId, pages: u64, bytes: usize, started: Instant) {
-    store.obs().emit(|| {
-        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
-        worlds_obs::Event::new(
-            worlds_obs::EventKind::Checkpoint {
-                pages,
-                bytes: bytes as u64,
-                duration_ns: started.elapsed().as_nanos() as u64,
-            },
-            world.raw(),
-            parent,
-            0,
-        )
-    });
-}
 
 /// Hand `each` every page of `world` whose **bytes** differ from `base`,
 /// ascending, with the `world`-side bytes. The candidate set is the COW
@@ -105,33 +85,75 @@ fn dirty_pages(
     Ok(())
 }
 
-/// Serialise every mapped page of `world` into a checkpoint image.
-pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
+/// The one image writer: the header, then one record per entry of
+/// `records` — `(vpn, Some(hash))` ships a ref, `(vpn, None)` ships
+/// `world`'s page inline. The buffer is sized exactly, once. Serialisation
+/// is real work (not simulated), so the announced duration is measured
+/// wall time.
+fn write_image(
+    store: &PageStore,
+    world: WorldId,
+    base_on_target: u64,
+    records: &[(Vpn, Option<u64>)],
+) -> Result<Vec<u8>> {
     let started = Instant::now();
-    let pages = store.mapped_vpns(world)?;
     let page_size = store.page_size();
-    let mut out = Vec::with_capacity(24 + pages.len() * (8 + page_size));
+    let refs = records.iter().filter(|(_, hash)| hash.is_some()).count();
+    let body = records.len() * 9 + refs * 8 + (records.len() - refs) * page_size;
+    let mut out = Vec::with_capacity(HEADER + body);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(page_size as u64).to_le_bytes());
-    out.extend_from_slice(&(pages.len() as u64).to_le_bytes());
-    let mut buf = vec![0u8; page_size];
-    let page_count = pages.len() as u64;
-    for vpn in pages {
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    out.extend_from_slice(&base_on_target.to_le_bytes());
+    for &(vpn, hash) in records {
         out.extend_from_slice(&vpn.to_le_bytes());
-        store.read(world, vpn, 0, &mut buf)?;
-        out.extend_from_slice(&buf);
+        match hash {
+            Some(hash) => {
+                out.push(REC_REF);
+                out.extend_from_slice(&hash.to_le_bytes());
+            }
+            None => {
+                out.push(REC_INLINE);
+                let at = out.len();
+                out.resize(at + page_size, 0);
+                store.read(world, vpn, 0, &mut out[at..])?;
+            }
+        }
     }
-    emit_checkpoint(store, world, page_count, out.len(), started);
+    store.obs().emit(|| {
+        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
+        worlds_obs::Event::new(
+            worlds_obs::EventKind::Checkpoint {
+                pages: records.len() as u64,
+                bytes: out.len() as u64,
+                duration_ns: started.elapsed().as_nanos() as u64,
+            },
+            world.raw(),
+            parent,
+            0,
+        )
+    });
     Ok(out)
 }
 
+/// Serialise every mapped page of `world` into a full image (base 0:
+/// the receiver starts from an empty world).
+pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
+    let records: Vec<_> = store
+        .mapped_vpns(world)?
+        .into_iter()
+        .map(|vpn| (vpn, None))
+        .collect();
+    write_image(store, world, 0, &records)
+}
+
 /// Serialise only the pages of `world` whose **bytes** differ from
-/// `base` into a version-2 delta image. `base_on_target` is the world id
-/// the image's receiver should fork as the base — for a same-store round
-/// trip that is `base.raw()`; for `rfork` it is the id of the replica a
-/// previous image restored on the remote store (cluster stores share one
-/// id allocator, so the id is unambiguous either way).
+/// `base`, all inline. `base_on_target` is the world id the image's
+/// receiver should fork as the base — for a same-store round trip that is
+/// `base.raw()`; for `rfork` it is the id of the replica a previous image
+/// restored on the remote store (cluster stores share one id allocator,
+/// so the id is unambiguous either way).
 ///
 /// Only [`dirty_pages`] ship: a write that restored the original bytes
 /// ships nothing.
@@ -141,22 +163,9 @@ pub fn checkpoint_delta(
     base: WorldId,
     base_on_target: u64,
 ) -> Result<Vec<u8>> {
-    let started = Instant::now();
-    let mut out = Vec::with_capacity(HEADER_DELTA);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_DELTA.to_le_bytes());
-    out.extend_from_slice(&(store.page_size() as u64).to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes()); // page count, known after the walk
-    out.extend_from_slice(&base_on_target.to_le_bytes());
-    let mut page_count = 0u64;
-    dirty_pages(store, world, base, |vpn, bytes| {
-        out.extend_from_slice(&vpn.to_le_bytes());
-        out.extend_from_slice(bytes);
-        page_count += 1;
-    })?;
-    out[16..24].copy_from_slice(&page_count.to_le_bytes());
-    emit_checkpoint(store, world, page_count, out.len(), started);
-    Ok(out)
+    let mut records = Vec::new();
+    dirty_pages(store, world, base, |vpn, _| records.push((vpn, None)))?;
+    write_image(store, world, base_on_target, &records)
 }
 
 /// The `(vpn, hash)` manifest a content delta ([`checkpoint_content`])
@@ -172,10 +181,10 @@ pub fn delta_manifest(store: &PageStore, world: WorldId, base: WorldId) -> Resul
     Ok(manifest)
 }
 
-/// Serialise a version-3 content delta: one record per `manifest` entry,
-/// shipped as a 17-byte hash *ref* when the matching `present` flag says
-/// the receiver's content index already holds those bytes, and as the
-/// full inline page otherwise. `manifest` comes from [`delta_manifest`];
+/// Serialise a content delta: one record per `manifest` entry, shipped as
+/// a 17-byte hash *ref* when the matching `present` flag says the
+/// receiver's content index already holds those bytes, and as the full
+/// inline page otherwise. `manifest` comes from [`delta_manifest`];
 /// `present` from probing the receiver (one flag per entry, in order).
 /// `base_on_target` is as in [`checkpoint_delta`].
 pub fn checkpoint_content(
@@ -190,98 +199,62 @@ pub fn checkpoint_content(
         present.len(),
         "one presence flag per manifest entry"
     );
-    let started = Instant::now();
-    let page_size = store.page_size();
-    let mut wbuf = vec![0u8; page_size];
-    let mut out = Vec::with_capacity(HEADER_DELTA + manifest.len() * 17);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_CONTENT.to_le_bytes());
-    out.extend_from_slice(&(page_size as u64).to_le_bytes());
-    out.extend_from_slice(&(manifest.len() as u64).to_le_bytes());
-    out.extend_from_slice(&base_on_target.to_le_bytes());
-    for (&(vpn, hash), &have) in manifest.iter().zip(present) {
-        out.extend_from_slice(&vpn.to_le_bytes());
-        if have {
-            out.push(REC_REF);
-            out.extend_from_slice(&hash.to_le_bytes());
-        } else {
-            out.push(REC_INLINE);
-            store.read(world, vpn, 0, &mut wbuf)?;
-            out.extend_from_slice(&wbuf);
-        }
-    }
-    emit_checkpoint(store, world, manifest.len() as u64, out.len(), started);
-    Ok(out)
+    let records: Vec<_> = manifest
+        .iter()
+        .zip(present)
+        .map(|(&(vpn, hash), &have)| (vpn, have.then_some(hash)))
+        .collect();
+    write_image(store, world, base_on_target, &records)
 }
 
-/// The version field of a checkpoint image, if it has a plausible header.
-pub fn image_version(image: &[u8]) -> Option<u32> {
-    if image.len() < 8 || &image[0..4] != MAGIC {
-        return None;
+/// What an image says, before any of it touches a store.
+struct Parsed<'a> {
+    base: u64,
+    refs: Vec<(Vpn, u64)>,
+    inline: Vec<(Vpn, &'a [u8])>,
+}
+
+/// The one record walk. Every field is the sender's claim and is read
+/// through the bounds-checked [`Cursor`]; `count` only bounds the loop, so
+/// no arithmetic on it can wrap and a count the bytes do not back runs
+/// into the end of the buffer.
+fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, String> {
+    let mut cur = Cursor::new(image);
+    if cur.take(4).ok() != Some(MAGIC) {
+        return Err("bad magic".into());
     }
-    Some(u32::from_le_bytes(image[4..8].try_into().expect("4 bytes")))
+    if cur.u32()? != VERSION {
+        return Err("unsupported version".into());
+    }
+    if cur.u64()? != page_size as u64 {
+        return Err("page size mismatch".into());
+    }
+    let count = cur.u64()?;
+    let mut parsed = Parsed {
+        base: cur.u64()?,
+        refs: Vec::new(),
+        inline: Vec::new(),
+    };
+    for _ in 0..count {
+        let vpn = cur.u64()?;
+        match cur.u8()? {
+            REC_INLINE => parsed.inline.push((vpn, cur.take(page_size)?)),
+            REC_REF => parsed.refs.push((vpn, cur.u64()?)),
+            kind => return Err(format!("unknown record kind {kind}")),
+        }
+    }
+    cur.finish()?;
+    Ok(parsed)
 }
 
 /// Restore a checkpoint image into a **new world** of `store`. The target
-/// store must have the same page size as the image. A version-2 (delta)
-/// or version-3 (content delta) image additionally requires its base
-/// world to be alive in `store`: the new world is a COW fork of the base
-/// with the delta pages applied. A v3 *ref* record that no verified local
-/// frame satisfies fails the whole restore (the forked world is dropped,
-/// nothing leaks) — the sender then falls back to shipping bytes.
-pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
-    let err = |msg: &str| PageStoreError::NoSuchFile(format!("checkpoint: {msg}"));
-    if image.len() < HEADER || &image[0..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    let version = u32::from_le_bytes(image[4..8].try_into().expect("4 bytes"));
-    if version != VERSION && version != VERSION_DELTA && version != VERSION_CONTENT {
-        return Err(err("unsupported version"));
-    }
-    let page_size = u64::from_le_bytes(image[8..16].try_into().expect("8 bytes")) as usize;
-    if page_size != store.page_size() {
-        return Err(err("page size mismatch"));
-    }
-    // `count` is the sender's claim: no arithmetic on it may wrap, and no
-    // world may exist before the image's length has vouched for it.
-    let count = u64::from_le_bytes(image[16..24].try_into().expect("8 bytes"));
-    let count = usize::try_from(count).map_err(|_| err("truncated image"))?;
-    if version == VERSION_CONTENT {
-        return restore_content(store, image, count, page_size);
-    }
-    let header = if version == VERSION {
-        HEADER
-    } else {
-        HEADER_DELTA
-    };
-    let record = 8 + page_size;
-    let expected = count
-        .checked_mul(record)
-        .and_then(|body| body.checked_add(header));
-    if expected != Some(image.len()) {
-        return Err(err("truncated image"));
-    }
-    let world = if version == VERSION {
-        store.create_world()
-    } else {
-        let base = u64::from_le_bytes(image[24..32].try_into().expect("8 bytes"));
-        store
-            .fork_world(WorldId(base))
-            .map_err(|_| err(&format!("delta base world {base} not in target store")))?
-    };
-    for rec in image[header..].chunks_exact(record) {
-        let vpn = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        if let Err(e) = store.write(world, vpn, 0, &rec[8..]) {
-            let _ = store.drop_world(world);
-            return Err(e);
-        }
-    }
-    Ok(world)
-}
-
-/// The v3 arm of [`restore`]: records are variable-length, so the walk is
-/// cursor-driven with explicit bounds checks, and a failure after the
-/// base fork tears the half-built world back down.
+/// store must have the same page size as the image, and a non-zero base
+/// world must be alive in `store`: the new world is a COW fork of it (an
+/// empty world for base 0) with the records applied. No world exists
+/// until the whole image has parsed, and a failure after that — a *ref*
+/// record that no verified local frame satisfies, a store error — drops
+/// the half-built world, so nothing leaks and the sender can re-encode
+/// without refs.
 ///
 /// Every ref is applied before any inline page. A full inline page seals
 /// into the receiver's direct-mapped content index as it is written, and
@@ -289,58 +262,21 @@ pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
 /// image resolves through; the sender probed all its refs against the
 /// index as it stood *before* this image, so that is the index they must
 /// meet.
-fn restore_content(
-    store: &PageStore,
-    image: &[u8],
-    count: usize,
-    page_size: usize,
-) -> Result<WorldId> {
-    let err = |msg: &str| PageStoreError::NoSuchFile(format!("checkpoint: {msg}"));
-    if image.len() < HEADER_DELTA {
-        return Err(err("truncated image"));
-    }
-    let base = u64::from_le_bytes(image[24..32].try_into().expect("8 bytes"));
-    let world = store
-        .fork_world(WorldId(base))
-        .map_err(|_| err(&format!("delta base world {base} not in target store")))?;
+pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
+    let err = |msg: String| PageStoreError::NoSuchFile(format!("checkpoint: {msg}"));
+    let Parsed { base, refs, inline } = parse(image, store.page_size()).map_err(err)?;
+    let world = if base == 0 {
+        store.create_world()
+    } else {
+        store
+            .fork_world(WorldId(base))
+            .map_err(|_| err(format!("delta base world {base} not in target store")))?
+    };
     let apply = || -> Result<()> {
-        let mut off = HEADER_DELTA;
-        let mut done = 0usize;
-        let mut inline: Vec<(Vpn, &[u8])> = Vec::new();
-        while off < image.len() {
-            if done == count {
-                return Err(err("more records than the header counts"));
+        for (vpn, hash) in refs {
+            if !store.map_content(world, vpn, hash)? {
+                return Err(err("content ref not present on receiver".into()));
             }
-            if image.len() - off < 9 {
-                return Err(err("truncated image"));
-            }
-            let vpn = u64::from_le_bytes(image[off..off + 8].try_into().expect("8 bytes"));
-            let kind = image[off + 8];
-            off += 9;
-            match kind {
-                REC_INLINE => {
-                    if image.len() - off < page_size {
-                        return Err(err("truncated image"));
-                    }
-                    inline.push((vpn, &image[off..off + page_size]));
-                    off += page_size;
-                }
-                REC_REF => {
-                    if image.len() - off < 8 {
-                        return Err(err("truncated image"));
-                    }
-                    let hash = u64::from_le_bytes(image[off..off + 8].try_into().expect("8 bytes"));
-                    off += 8;
-                    if !store.map_content(world, vpn, hash)? {
-                        return Err(err("content ref not present on receiver"));
-                    }
-                }
-                _ => return Err(err("unknown record kind")),
-            }
-            done += 1;
-        }
-        if done != count {
-            return Err(err("fewer records than the header counts"));
         }
         for (vpn, page) in inline {
             store.write(world, vpn, 0, page)?;
@@ -356,14 +292,6 @@ fn restore_content(
     }
 }
 
-/// Size in bytes a checkpoint of `world` would occupy — the quantity the
-/// remote-fork cost is proportional to (the paper shipped a 70 KB
-/// process in ≈ 1 s).
-pub fn checkpoint_size(store: &PageStore, world: WorldId) -> Result<usize> {
-    let pages = store.mapped_pages(world)?;
-    Ok(24 + pages * (8 + store.page_size()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +303,8 @@ mod tests {
         store.write(w, 3, 10, b"alpha").unwrap();
         store.write(w, 9, 0, b"beta").unwrap();
         let image = checkpoint(&store, w).unwrap();
-        assert_eq!(image.len(), checkpoint_size(&store, w).unwrap());
+        assert_eq!(image.len(), 32 + 2 * (9 + 64), "sized exactly");
+        assert_eq!(image.capacity(), image.len(), "and reserved once");
 
         let r = restore(&store, &image).unwrap();
         assert_eq!(store.read_vec(r, 3, 10, 5).unwrap(), b"alpha");
@@ -414,7 +343,7 @@ mod tests {
         let store = PageStore::new(64);
         let w = store.create_world();
         let image = checkpoint(&store, w).unwrap();
-        assert_eq!(image.len(), 24);
+        assert_eq!(image.len(), 32);
         let r = restore(&store, &image).unwrap();
         assert_eq!(store.mapped_pages(r).unwrap(), 0);
     }
@@ -444,20 +373,27 @@ mod tests {
     #[test]
     fn hostile_page_count_is_rejected_before_any_world_exists() {
         // 2^61 records of 8 + 64 bytes is 9 * 2^64 bytes: wrapping
-        // arithmetic calls that 0, and the bare header passes for whole.
+        // arithmetic would call that 0 and pass the bare header for whole.
+        // The count only bounds the walk, so it is never multiplied; and
+        // the claim fails before the base is forked, not after.
         let store = PageStore::new(64);
         let base = store.create_world();
-        for version in [VERSION, VERSION_DELTA] {
+        for (count, base_field) in [
+            (1u64 << 61, 0),
+            (1u64 << 61, base.raw()),
+            (u64::MAX, base.raw()),
+            (1, base.raw()),
+        ] {
             let mut image = Vec::new();
             image.extend_from_slice(MAGIC);
-            image.extend_from_slice(&version.to_le_bytes());
+            image.extend_from_slice(&VERSION.to_le_bytes());
             image.extend_from_slice(&64u64.to_le_bytes());
-            image.extend_from_slice(&(1u64 << 61).to_le_bytes());
-            if version == VERSION_DELTA {
-                image.extend_from_slice(&base.raw().to_le_bytes());
-            }
-            assert!(restore(&store, &image).is_err(), "v{version}");
-            assert_eq!(store.world_count(), 1, "v{version} left a world behind");
+            image.extend_from_slice(&count.to_le_bytes());
+            image.extend_from_slice(&base_field.to_le_bytes());
+            let forks = store.stats().forks;
+            assert!(restore(&store, &image).is_err(), "count {count}");
+            assert_eq!(store.world_count(), 1, "count {count} left a world");
+            assert_eq!(store.stats().forks, forks, "count {count} forked the base");
         }
     }
 
@@ -472,9 +408,8 @@ mod tests {
         store.write(child, 3, 0, b"edit").unwrap();
         store.write(child, 42, 0, b"new page").unwrap();
         let delta = checkpoint_delta(&store, child, base, base.raw()).unwrap();
-        assert_eq!(image_version(&delta), Some(2));
         // 2 records, not 11: the untouched base pages stay home.
-        assert_eq!(delta.len(), 32 + 2 * (8 + 64));
+        assert_eq!(delta.len(), 32 + 2 * (9 + 64));
 
         let r = restore(&store, &delta).unwrap();
         for vpn in 0..10 {
@@ -535,29 +470,29 @@ mod tests {
         let mut delta = checkpoint_delta(&store, child, base, base.raw()).unwrap();
         delta.truncate(delta.len() - 1);
         assert!(restore(&store, &delta).is_err());
-        // A v2 image cut down to a bare v1-size header is also rejected
-        // (its length can no longer match the v2 record arithmetic).
-        let full = checkpoint_delta(&store, child, base, base.raw()).unwrap();
-        assert!(restore(&store, &full[..24]).is_err());
+        // So is one cut inside the header, before the base field.
+        assert!(restore(&store, &delta[..24]).is_err());
     }
 
     #[test]
     fn unknown_version_is_rejected() {
+        // Including the numbers the retired fixed-record layouts used.
         let store = PageStore::new(64);
-        let mut img = Vec::new();
-        img.extend_from_slice(b"MWCK");
-        img.extend_from_slice(&4u32.to_le_bytes());
-        img.extend_from_slice(&64u64.to_le_bytes());
-        img.extend_from_slice(&0u64.to_le_bytes());
-        assert!(restore(&store, &img).is_err());
-        assert_eq!(image_version(&img), Some(4));
-        assert_eq!(image_version(b"BOGUS"), None);
+        let w = store.create_world();
+        let good = checkpoint(&store, w).unwrap();
+        for version in [0u32, 1, 2, 4] {
+            let mut img = good.clone();
+            img[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = restore(&store, &img).unwrap_err();
+            assert!(format!("{err}").contains("unsupported version"), "{err}");
+        }
+        assert_eq!(store.world_count(), 1);
     }
 
     #[test]
     fn content_delta_round_trip_with_warm_index() {
         // Receiver already holds the child's new page contents (under a
-        // different world); the v3 image ships a hash ref, not bytes.
+        // different world); the image ships a hash ref, not bytes.
         let here = PageStore::new(64);
         let there = PageStore::new(64);
         there.set_dedupe(true);
@@ -583,7 +518,6 @@ mod tests {
             .collect();
         assert_eq!(present.iter().filter(|&&p| p).count(), 1);
         let image = checkpoint_content(&here, child, rbase.raw(), &manifest, &present).unwrap();
-        assert_eq!(image_version(&image), Some(3));
         // One ref record (17 B) + one inline record (8 + 1 + 64 B).
         assert_eq!(image.len(), 32 + 17 + 73);
 
@@ -720,7 +654,7 @@ mod tests {
         for vpn in 0..18 {
             store.write(w, vpn, 0, &[0xAB]).unwrap();
         }
-        let size = checkpoint_size(&store, w).unwrap();
+        let size = checkpoint(&store, w).unwrap().len();
         assert!(size > 70 * 1024 && size < 80 * 1024, "size {size}");
     }
 }

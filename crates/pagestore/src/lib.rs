@@ -53,6 +53,7 @@
 
 pub mod checkpoint;
 mod content;
+mod cursor;
 mod error;
 mod file;
 mod frame;
@@ -61,11 +62,9 @@ mod page;
 mod stats;
 mod store;
 
-pub use checkpoint::{
-    checkpoint, checkpoint_content, checkpoint_delta, checkpoint_size, delta_manifest,
-    image_version, restore,
-};
+pub use checkpoint::{checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, restore};
 pub use content::page_hash;
+pub use cursor::Cursor;
 pub use error::{PageStoreError, Result};
 pub use file::{FileHandle, FileSystem};
 pub use frame::FrameId;

@@ -855,6 +855,23 @@ impl PageStore {
         Ok(())
     }
 
+    /// Commit a remote winner's pages into `base`, all or nothing: each
+    /// `(vpn, bytes)` is written at offset 0 of a fork of `base`, which
+    /// `base` then adopts in one step. A page the store refuses (too long,
+    /// say) drops the fork, so `base` is untouched and nothing leaks; a
+    /// concurrent reader of `base` sees every page of the commit or none.
+    pub fn commit_pages(&self, base: WorldId, pages: &[(Vpn, Vec<u8>)]) -> Result<()> {
+        let staged = self.fork_world(base)?;
+        let applied = pages
+            .iter()
+            .try_for_each(|(vpn, bytes)| self.write(staged, *vpn, 0, bytes))
+            .and_then(|()| self.adopt(base, staged));
+        if applied.is_err() {
+            let _ = self.drop_world(staged);
+        }
+        applied
+    }
+
     /// Destroy a world (sibling elimination). Its map lets go of every
     /// leaf; only leaves no survivor holds give up their frames, and frames
     /// that hit zero are freed into the recycle pool (and announced with a
@@ -1435,6 +1452,34 @@ mod tests {
             s.adopt(c1, c2),
             Err(PageStoreError::NotAChild { .. })
         ));
+    }
+
+    #[test]
+    fn commit_pages_is_all_or_nothing() {
+        let s = store();
+        let base = s.create_world();
+        s.write(base, 0, 0, b"old").unwrap();
+        let sibling = s.fork_world(base).unwrap();
+        let (worlds, frames) = (s.world_count(), s.live_frames());
+        // The second page is one byte too long: nothing may land.
+        let too_long = vec![7u8; s.page_size() + 1];
+        let err = s
+            .commit_pages(base, &[(0, b"new".to_vec()), (1, too_long)])
+            .unwrap_err();
+        assert!(matches!(err, PageStoreError::OutOfPageBounds { .. }));
+        assert_eq!(s.read_vec(base, 0, 0, 3).unwrap(), b"old");
+        assert_eq!((s.world_count(), s.live_frames()), (worlds, frames));
+        // A missing base is an error, not a stray fork.
+        assert!(s.commit_pages(WorldId(999), &[]).is_err());
+        assert_eq!(s.world_count(), worlds);
+        // Accepted pages all land, and only in `base`.
+        s.commit_pages(base, &[(0, b"new".to_vec()), (5, b"five".to_vec())])
+            .unwrap();
+        assert_eq!(s.read_vec(base, 0, 0, 3).unwrap(), b"new");
+        assert_eq!(s.read_vec(base, 5, 0, 4).unwrap(), b"five");
+        assert_eq!(s.read_vec(sibling, 0, 0, 3).unwrap(), b"old");
+        assert_eq!(s.world_count(), worlds);
+        s.verify_refcounts().unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! balance (frames never leak across arbitrary fork/write/drop interleavings).
 
 use proptest::prelude::*;
-use worlds_pagestore::{checkpoint, checkpoint_delta, image_version, restore, PageStore, WorldId};
+use worlds_pagestore::{checkpoint, checkpoint_delta, restore, PageStore, WorldId};
 
 const PAGE: usize = 32;
 
@@ -261,11 +261,11 @@ proptest! {
         prop_assert_eq!(s.pagestore.faults.get(), copies + zero_fills);
     }
 
-    /// Checkpoint → restore is an exact round trip for both image formats:
-    /// a random world shipped as a v1 full image, and a random child shipped
-    /// as a v2 delta against its base, both restore byte-identical pages.
+    /// Checkpoint → restore is an exact round trip for both image shapes:
+    /// a random world shipped as a full image, and a random child shipped
+    /// as a delta against its base, both restore byte-identical pages.
     #[test]
-    fn checkpoint_round_trip_both_versions(
+    fn checkpoint_round_trip_full_and_delta(
         base_pages in proptest::collection::btree_map(0u64..24, any::<u8>(), 0..12),
         child_pages in proptest::collection::btree_map(0u64..24, any::<u8>(), 0..12),
     ) {
@@ -279,31 +279,29 @@ proptest! {
             src.write(child, vpn, 0, &[b]).unwrap();
         }
 
-        // v1 full image into a fresh store.
+        // Full image into a fresh store.
         let full = checkpoint(&src, child).unwrap();
-        prop_assert_eq!(image_version(&full), Some(1));
         let dst = PageStore::new(PAGE);
         let r1 = restore(&dst, &full).unwrap();
 
-        // v2 delta into a store that already holds the base (itself shipped
+        // Delta into a store that already holds the base (itself shipped
         // as a full image — the rfork-then-rfork-a-sibling shape).
         let base_img = checkpoint(&src, base).unwrap();
         let base_there = restore(&dst, &base_img).unwrap();
         let delta = checkpoint_delta(&src, child, base, base_there.raw()).unwrap();
-        prop_assert_eq!(image_version(&delta), Some(2));
         let r2 = restore(&dst, &delta).unwrap();
 
         for vpn in 0..24u64 {
             let want = src.read_vec(child, vpn, 0, PAGE).unwrap();
-            prop_assert_eq!(&dst.read_vec(r1, vpn, 0, PAGE).unwrap(), &want, "v1 vpn {}", vpn);
-            prop_assert_eq!(&dst.read_vec(r2, vpn, 0, PAGE).unwrap(), &want, "v2 vpn {}", vpn);
+            prop_assert_eq!(&dst.read_vec(r1, vpn, 0, PAGE).unwrap(), &want, "full vpn {}", vpn);
+            prop_assert_eq!(&dst.read_vec(r2, vpn, 0, PAGE).unwrap(), &want, "delta vpn {}", vpn);
         }
 
         // The delta never ships more page records than the full image.
         prop_assert!(delta.len() <= full.len() + 8);
     }
 
-    /// Truncating or corrupting an image of either version makes restore
+    /// Truncating or corrupting an image of either shape makes restore
     /// fail cleanly — never a panic, never a world created from garbage.
     #[test]
     fn corrupt_images_are_rejected(
@@ -321,7 +319,7 @@ proptest! {
             checkpoint_delta(&src, child, base, base.raw()).unwrap(),
         ] {
             let dst = PageStore::new(PAGE);
-            // Any strict prefix fails (record arithmetic can't line up).
+            // Any strict prefix fails (the record walk runs out of bytes).
             let n = cut as usize % image.len();
             prop_assert!(restore(&dst, &image[..n]).is_err());
             // A trashed magic fails outright.

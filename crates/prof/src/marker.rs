@@ -408,7 +408,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    if i % 2 == 0 {
+                    if i.is_multiple_of(2) {
                         slot.publish(1, 1, 1, Phase::Guard);
                     } else {
                         slot.publish(2, 2, 2, Phase::Commit);

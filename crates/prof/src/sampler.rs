@@ -536,7 +536,7 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         marker::mark(Some(i), Some(i % 2), Some(0), Phase::Guard);
                         n = n.wrapping_add(1);
-                        if n % 64 == 0 {
+                        if n.is_multiple_of(64) {
                             std::thread::yield_now();
                         }
                     }

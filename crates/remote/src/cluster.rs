@@ -3,10 +3,7 @@
 use worlds_kernel::VirtualTime;
 use worlds_net::FaultSchedule;
 use worlds_obs::{Event as ObsEvent, EventKind, Registry};
-use worlds_pagestore::{
-    checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, image_version, PageStore,
-    WorldId,
-};
+use worlds_pagestore::{checkpoint, checkpoint_content, delta_manifest, PageStore, WorldId};
 
 use crate::net::NetModel;
 use crate::transport::{DeltaBase, DeltaCache, InProcess, Tcp, Transport};
@@ -26,15 +23,6 @@ pub struct Node {
 }
 
 impl Node {
-    fn with_store(id: NodeId, store: PageStore) -> Node {
-        Node {
-            id,
-            store,
-            bytes_received: 0,
-            bytes_sent: 0,
-        }
-    }
-
     /// The node's local page store.
     pub fn store(&self) -> &PageStore {
         &self.store
@@ -153,7 +141,12 @@ impl Cluster {
         let nodes = stores
             .into_iter()
             .enumerate()
-            .map(|(i, store)| Node::with_store(NodeId(i), store))
+            .map(|(i, store)| Node {
+                id: NodeId(i),
+                store,
+                bytes_received: 0,
+                bytes_sent: 0,
+            })
             .collect();
         Cluster {
             nodes,
@@ -209,10 +202,10 @@ impl Cluster {
     /// to a node ships the full image **plus** pins a base (a snapshot
     /// here, a replica there; two transfers); every later rfork of that
     /// world to that node first probes the receiver's content index and
-    /// ships 8-byte refs for changed pages the receiver already holds, a
-    /// v3 content-delta checkpoint; pages it lacks travel inline, and
-    /// any probe or encode hiccup — or a receiver that no longer holds a
-    /// page it was probed for — falls back to the v2 byte delta.
+    /// ships 8-byte refs for changed pages the receiver already holds;
+    /// pages it lacks — all of them when the probe fails — travel inline
+    /// in the same image, and a receiver that no longer holds a page it
+    /// was probed for costs one resend with every page inline.
     /// Turning it off releases all pinned bases.
     pub fn set_delta_rfork(&mut self, on: bool) {
         self.delta_rfork = on;
@@ -279,10 +272,13 @@ impl Cluster {
         }
     }
 
-    /// Account one cross-node transfer of `bytes` toward `dst`: applies
-    /// fault injection, emits the RPC events, and returns the total
-    /// virtual cost including any retry.
-    fn transfer(&mut self, world: u64, dst: NodeId, bytes: usize) -> VirtualTime {
+    /// Account one cross-node transfer of `bytes` from node `src` to node
+    /// `dst` on behalf of `world`: charges both nodes' byte counters,
+    /// applies fault injection, emits the RPC events, and returns the
+    /// total virtual cost including any retry.
+    fn transfer(&mut self, world: u64, src: NodeId, dst: NodeId, bytes: usize) -> VirtualTime {
+        self.nodes[src.0].bytes_sent += bytes as u64;
+        self.nodes[dst.0].bytes_received += bytes as u64;
         let mut cost = self.net.transfer_time(bytes);
         let op = self.transfers;
         self.transfers += 1;
@@ -377,48 +373,13 @@ impl Cluster {
             return Ok((RemoteWorld { node: dst, world }, VirtualTime::ZERO));
         }
         let mut total = VirtualTime::ZERO;
-        let (image, base) = if self.delta_rfork {
-            let base = match self.delta_cache.get(dst.0, src.world) {
-                Some(base) => base,
-                None => {
-                    // First shipment of this world to this node: the full
-                    // image pins a base replica there and a snapshot here.
-                    // Neither is ever handed out, so future rforks can
-                    // diff against them no matter what the block commits.
-                    let full = checkpoint(&self.nodes[src.node.0].store, src.world)?;
-                    let replica = self.ship(src, dst, &full, &mut total)?;
-                    let snapshot = self.nodes[src.node.0].store.fork_world(src.world)?;
-                    let base = DeltaBase {
-                        src_node: src.node.0,
-                        snapshot,
-                        replica,
-                        bytes: full.len() as u64,
-                    };
-                    let evicted = self.delta_cache.insert(dst.0, src.world, base);
-                    self.release_evicted(evicted);
-                    base
-                }
-            };
-            let image = self.content_delta_image(src, dst, base, &mut total)?;
-            (image, Some(base))
+        let shipped = if self.delta_rfork {
+            self.ship_delta(src, dst, &mut total)?
         } else {
             let image = checkpoint(&self.nodes[src.node.0].store, src.world)?;
-            (image, None)
+            self.ship(src, dst, &image, &mut total)?
         };
-        let mut shipped = self.ship(src, dst, &image, &mut total);
-        if let (Err(_), Some(base), Some(3)) = (&shipped, base, image_version(&image)) {
-            // The receiver could not resolve a ref it said it held: the
-            // frame went away between the probe and the image. Its restore
-            // left nothing behind, so send the same delta as bytes, once.
-            let bytes = checkpoint_delta(
-                &self.nodes[src.node.0].store,
-                src.world,
-                base.snapshot,
-                base.replica,
-            )?;
-            shipped = self.ship(src, dst, &bytes, &mut total);
-        }
-        let world = WorldId::from_raw(shipped?);
+        let world = WorldId::from_raw(shipped);
         // The restored world is a *child* of the origin world in the
         // speculation tree: node stores share one id allocator, so the
         // parent reference is unambiguous and the span layer links the
@@ -435,8 +396,8 @@ impl Cluster {
     }
 
     /// Move one checkpoint image from `src`'s node to `dst`: charge the
-    /// transfer to `total` and both nodes' byte counters, then restore it
-    /// there. Returns the restored world's raw id.
+    /// transfer to `total`, then restore it there. Returns the restored
+    /// world's raw id.
     fn ship(
         &mut self,
         src: RemoteWorld,
@@ -444,55 +405,70 @@ impl Cluster {
         image: &[u8],
         total: &mut VirtualTime,
     ) -> Result<u64, worlds_pagestore::PageStoreError> {
-        *total += self.transfer(src.world.raw(), dst, image.len());
-        self.nodes[src.node.0].bytes_sent += image.len() as u64;
-        self.nodes[dst.0].bytes_received += image.len() as u64;
+        *total += self.transfer(src.world.raw(), src.node, dst, image.len());
         self.transport.ship_image(dst.0, image)
     }
 
-    /// Encode the delta shipment for `src → dst` against a pinned base:
-    /// a v3 content-delta when the receiver's index can be probed (refs
-    /// for pages it holds, bytes for the rest), a v2 byte delta when the
-    /// manifest is empty (header-only either way) or anything about the
-    /// probe/encode goes sideways. The probe round-trip is real wire
-    /// traffic and is charged to `total` like any other transfer.
-    fn content_delta_image(
+    /// The delta shipment of `src → dst`, one straight line: pinned base
+    /// → manifest of what changed since → probe the receiver for the
+    /// content it already holds → encode (refs for those pages, bytes for
+    /// the rest) → ship. An empty manifest or a failed probe is simply "no
+    /// refs"; a receiver that cannot resolve a ref it said it held (the
+    /// frame went away between the probe and the image; its restore left
+    /// nothing behind) gets the same manifest again with every page
+    /// inline, once.
+    fn ship_delta(
         &mut self,
         src: RemoteWorld,
         dst: NodeId,
-        base: DeltaBase,
         total: &mut VirtualTime,
-    ) -> Result<Vec<u8>, worlds_pagestore::PageStoreError> {
-        let manifest = delta_manifest(&self.nodes[src.node.0].store, src.world, base.snapshot)?;
+    ) -> Result<u64, worlds_pagestore::PageStoreError> {
+        let store = self.nodes[src.node.0].store.clone();
+        let base = match self.delta_cache.get(dst.0, src.world) {
+            Some(base) => base,
+            None => {
+                // First shipment of this world to this node: the full
+                // image pins a base replica there and a snapshot here.
+                // Neither is ever handed out, so future rforks can
+                // diff against them no matter what the block commits.
+                let full = checkpoint(&store, src.world)?;
+                let replica = self.ship(src, dst, &full, total)?;
+                let base = DeltaBase {
+                    src_node: src.node.0,
+                    snapshot: store.fork_world(src.world)?,
+                    replica,
+                    bytes: full.len() as u64,
+                };
+                let evicted = self.delta_cache.insert(dst.0, src.world, base);
+                self.release_evicted(evicted);
+                base
+            }
+        };
+        let manifest = delta_manifest(&store, src.world, base.snapshot)?;
+        let mut present = vec![false; manifest.len()];
         if !manifest.is_empty() {
             let hashes: Vec<u64> = manifest.iter().map(|&(_, h)| h).collect();
-            if let Ok(present) = self.transport.probe_hashes(dst.0, &hashes) {
-                if present.len() == hashes.len() {
+            if let Ok(answer) = self.transport.probe_hashes(dst.0, &hashes) {
+                if answer.len() == hashes.len() {
                     // Request: count u32 + hashes. Reply: count u32 +
                     // presence bitmap. Small, but it is wire traffic and
                     // the virtual cost model must see it.
                     let probe_bytes = 4 + 8 * hashes.len() + 4 + hashes.len().div_ceil(8);
-                    *total += self.transfer(src.world.raw(), dst, probe_bytes);
-                    self.nodes[src.node.0].bytes_sent += probe_bytes as u64;
-                    self.nodes[dst.0].bytes_received += probe_bytes as u64;
-                    if let Ok(image) = checkpoint_content(
-                        &self.nodes[src.node.0].store,
-                        src.world,
-                        base.replica,
-                        &manifest,
-                        &present,
-                    ) {
-                        return Ok(image);
-                    }
+                    *total += self.transfer(src.world.raw(), src.node, dst, probe_bytes);
+                    present = answer;
                 }
             }
         }
-        checkpoint_delta(
-            &self.nodes[src.node.0].store,
-            src.world,
-            base.snapshot,
-            base.replica,
-        )
+        let image = checkpoint_content(&store, src.world, base.replica, &manifest, &present)?;
+        match self.ship(src, dst, &image, total) {
+            Err(_) if present.contains(&true) => {
+                present.fill(false);
+                let bytes =
+                    checkpoint_content(&store, src.world, base.replica, &manifest, &present)?;
+                self.ship(src, dst, &bytes, total)
+            }
+            shipped => shipped,
+        }
     }
 
     /// Ship only the pages of `child` that differ from `base` back to the
@@ -528,9 +504,7 @@ impl Cluster {
             }
         }
         let bytes: usize = moved.len() * (8 + self.page_size);
-        let cost = self.transfer(child.world.raw(), base.node, bytes);
-        self.nodes[child.node.0].bytes_sent += bytes as u64;
-        self.nodes[base.node.0].bytes_received += bytes as u64;
+        let cost = self.transfer(child.world.raw(), child.node, base.node, bytes);
         let n = moved.len();
         self.transport
             .ship_pages(base.node.0, base.world.raw(), &moved)?;
@@ -689,13 +663,13 @@ mod tests {
         let sent = c.origin().bytes_sent();
         let (replica, _) = c
             .rfork(origin, NodeId(1))
-            .expect("a nacked ref falls back to the byte delta");
+            .expect("a nacked ref costs one resend, not the rfork");
         assert_eq!(c.read(replica, 0, 4).unwrap(), b"base");
         assert_eq!(
             c.read(replica, 3, 33).unwrap(),
             b"bytes the receiver has never seen"
         );
-        // The nacked content image and the byte delta both crossed the
+        // The nacked image and its all-inline resend both crossed the
         // wire, and the failed restore left no world behind.
         assert!(c.origin().bytes_sent() - sent > 4096 + 17);
         assert_eq!(
@@ -881,7 +855,7 @@ mod tests {
     fn warm_index_rfork_ships_refs_not_bytes() {
         // A changed page whose content the receiver already holds (any
         // sealed frame, any world) travels as an 8-byte ref instead of a
-        // page of bytes — strictly under the v2 byte-delta cost.
+        // page of bytes — strictly under the all-inline cost.
         let mut c = Cluster::with_obs(2, 4096, NetModel::lan_1989(), Registry::enabled());
         c.set_delta_rfork(true);
         let origin = c.create_world(NodeId(0));
@@ -899,8 +873,8 @@ mod tests {
         c.write(origin, 3, &page).unwrap();
         let (r2, _) = c.rfork(origin, NodeId(1)).unwrap();
         let delta = c.node(NodeId(1)).bytes_received() - first;
-        // v2 would ship 32 + 8 + 4096; v3 ships 32 + 9 + 8 plus the
-        // 17-byte probe round-trip. Assert the order of magnitude.
+        // Inline would ship 32 + 9 + 4096; the ref ships 32 + 9 + 8 plus
+        // the 17-byte probe round-trip. Assert the order of magnitude.
         assert!(
             delta < 128,
             "warm-index delta must ship a ref, not a page: {delta} B"

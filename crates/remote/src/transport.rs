@@ -31,11 +31,12 @@ use worlds_pagestore::{restore, PageStore, PageStoreError, WorldId};
 /// cluster's node list; world ids are raw (cluster stores share one id
 /// allocator, so they are unambiguous).
 pub trait Transport {
-    /// Restore a checkpoint image (v1 full, v2 delta or v3 content
-    /// delta) into node `dst`'s store; returns the new world's id.
+    /// Restore a checkpoint image into node `dst`'s store; returns the
+    /// new world's id.
     fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError>;
 
-    /// Apply dirty pages to world `base` in node `dst`'s store.
+    /// Commit dirty pages into world `base` in node `dst`'s store, all
+    /// or nothing ([`PageStore::commit_pages`]).
     fn ship_pages(
         &mut self,
         dst: usize,
@@ -44,9 +45,9 @@ pub trait Transport {
     ) -> Result<(), PageStoreError>;
 
     /// Ask node `dst` which page-content hashes its store already holds
-    /// (the v3 content-delta manifest round-trip). Answers are hints:
-    /// the receiver re-verifies by re-hashing at apply time, so a stale
-    /// `true` costs a fallback to shipping bytes, never corruption.
+    /// (the content-delta manifest round-trip). Answers are hints: the
+    /// receiver re-verifies by re-hashing at apply time, so a stale
+    /// `true` costs a resend without refs, never corruption.
     fn probe_hashes(&mut self, dst: usize, hashes: &[u64]) -> Result<Vec<bool>, PageStoreError>;
 
     /// Drop `world` on node `dst`.
@@ -94,11 +95,7 @@ impl Transport for InProcess {
         base: u64,
         pages: &[(u64, Vec<u8>)],
     ) -> Result<(), PageStoreError> {
-        let base = WorldId::from_raw(base);
-        for (vpn, data) in pages {
-            self.stores[dst].write(base, *vpn, 0, data)?;
-        }
-        Ok(())
+        self.stores[dst].commit_pages(WorldId::from_raw(base), pages)
     }
 
     fn probe_hashes(&mut self, dst: usize, hashes: &[u64]) -> Result<Vec<bool>, PageStoreError> {

@@ -25,6 +25,55 @@ proptest! {
         }
     }
 
+    /// One image format, three ways to fill it: whatever the origin holds
+    /// and however it changes between rforks, a replica built from a full
+    /// image (delta off), from a delta against a cold index (delta on, the
+    /// receiver has seen only the base) and from refs (delta on, every
+    /// changed page's contents already in the receiver's index) reads
+    /// identically.
+    #[test]
+    fn full_cold_and_warm_rforks_build_identical_replicas(
+        base in proptest::collection::btree_map(0u64..24, any::<u8>(), 1..12),
+        edits in proptest::collection::btree_map(0u64..24, any::<u8>(), 0..12),
+    ) {
+        const PAGE: usize = 256;
+        let page = |b: u8| vec![b; PAGE];
+        // The warm receiver's index holds every byte value an edit can
+        // write; the cold one has seen only the base image.
+        let mut replicas = Vec::new();
+        for (delta, warm) in [(false, false), (true, false), (true, true)] {
+            let mut c = Cluster::new(2, PAGE, NetModel::datacenter());
+            c.set_delta_rfork(delta);
+            let origin = c.create_world(NodeId(0));
+            for (&vpn, &b) in &base {
+                c.write(origin, vpn, &page(b)).unwrap();
+            }
+            c.rfork(origin, NodeId(1)).unwrap();
+            if warm {
+                let held = c.create_world(NodeId(1));
+                for (i, &b) in edits.values().enumerate() {
+                    c.write(held, i as u64, &page(b)).unwrap();
+                }
+            }
+            for (&vpn, &b) in &edits {
+                c.write(origin, vpn, &page(b)).unwrap();
+            }
+            let received = c.node(NodeId(1)).bytes_received();
+            let (replica, _) = c.rfork(origin, NodeId(1)).unwrap();
+            let shipped = c.node(NodeId(1)).bytes_received() - received;
+            let view: Vec<Vec<u8>> = (0..24).map(|vpn| c.read(replica, vpn, PAGE).unwrap()).collect();
+            replicas.push((view, shipped));
+            c.node(NodeId(1)).store().verify_refcounts().unwrap();
+        }
+        prop_assert_eq!(&replicas[0].0, &replicas[1].0, "full vs cold delta");
+        prop_assert_eq!(&replicas[0].0, &replicas[2].0, "full vs warm delta");
+        // They differ only in what they cost on the wire.
+        prop_assert!(
+            replicas[2].1 <= replicas[1].1,
+            "refs never cost more than bytes"
+        );
+    }
+
     /// After arbitrary remote edits, commit_back makes the origin's view
     /// byte-identical to the replica's — and ships only changed pages.
     #[test]

@@ -141,11 +141,13 @@ fn close_races_with_queued_spawns_without_hanging() {
     // blocked spawn calls must return (an error), not hang, and the
     // store must come back to baseline.
     let store = PageStore::new(4096);
-    let mut policy = ServerPolicy::default();
-    policy.fair = FairPolicy {
-        quantum: 1_000,
-        queue_cap: 64,
-        max_inflight: 1,
+    let policy = ServerPolicy {
+        fair: FairPolicy {
+            quantum: 1_000,
+            queue_cap: 64,
+            max_inflight: 1,
+        },
+        ..ServerPolicy::default()
     };
     let mgr = SessionManager::with_defaults(store.clone(), Registry::disabled(), policy);
     let world_baseline = store.world_count();
@@ -223,12 +225,14 @@ fn lineage_fork_adopts_or_discards_wholesale() {
 
 #[test]
 fn session_cap_and_full_queue_surface_as_overloaded() {
-    let mut policy = ServerPolicy::default();
-    policy.max_sessions = 2;
-    policy.fair = FairPolicy {
-        quantum: 1_000,
-        queue_cap: 1,
-        max_inflight: 1,
+    let policy = ServerPolicy {
+        max_sessions: 2,
+        fair: FairPolicy {
+            quantum: 1_000,
+            queue_cap: 1,
+            max_inflight: 1,
+        },
+        ..ServerPolicy::default()
     };
     let mgr = manager(policy);
     let a = mgr.open("a", ResourceLimits::unlimited()).unwrap();
@@ -264,13 +268,15 @@ fn session_cap_and_full_queue_surface_as_overloaded() {
 
 #[test]
 fn hog_tenant_cannot_starve_a_light_one() {
-    let mut policy = ServerPolicy::default();
-    policy.fair = FairPolicy {
-        quantum: 2_000_000,
-        queue_cap: 256,
-        max_inflight: 2,
+    let policy = ServerPolicy {
+        fair: FairPolicy {
+            quantum: 2_000_000,
+            queue_cap: 256,
+            max_inflight: 2,
+        },
+        spin_cap_ns: 2_000_000,
+        ..ServerPolicy::default()
     };
-    policy.spin_cap_ns = 2_000_000;
     let mgr = manager(policy);
     let hog = mgr.open("hog", ResourceLimits::unlimited()).unwrap();
     let mouse = mgr.open("mouse", ResourceLimits::unlimited()).unwrap();

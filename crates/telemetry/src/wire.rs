@@ -43,6 +43,7 @@
 
 use crate::pi::SiteSnapshot;
 use crate::rollup::{Gauges, Rates};
+use worlds_pagestore::Cursor;
 
 /// Lead byte of a push payload.
 pub const MSG_PUSH: u8 = 0x00;
@@ -298,7 +299,7 @@ pub fn decode_session_table(bytes: &[u8]) -> Result<Vec<SessionReport>, String> 
     for _ in 0..n {
         reports.push(SessionReport {
             session: cur.u64()?,
-            name: cur.str()?,
+            name: get_str(&mut cur)?,
             parent: cur.u64()?,
             live_worlds: cur.u64()?,
             resident_frames: cur.u64()?,
@@ -326,33 +327,15 @@ pub fn encode_table(reports: &[NodeReport]) -> Vec<u8> {
 
 /// Decode a request payload (push or query).
 pub fn decode_msg(bytes: &[u8]) -> Result<TelemetryMsg, String> {
-    let (&lead, rest) = bytes.split_first().ok_or("empty telemetry payload")?;
-    match lead {
-        MSG_PUSH => {
-            let mut cur = Cursor::new(rest);
-            let report = get_report(&mut cur)?;
-            cur.finish()?;
-            Ok(TelemetryMsg::Push(report))
-        }
-        MSG_QUERY => {
-            if rest.is_empty() {
-                Ok(TelemetryMsg::Query)
-            } else {
-                Err(format!("{} trailing bytes after query", rest.len()))
-            }
-        }
-        MSG_SESSIONS => {
-            if rest.is_empty() {
-                Ok(TelemetryMsg::SessionsQuery)
-            } else {
-                Err(format!(
-                    "{} trailing bytes after sessions query",
-                    rest.len()
-                ))
-            }
-        }
-        other => Err(format!("unknown telemetry message 0x{other:02x}")),
-    }
+    let mut cur = Cursor::new(bytes);
+    let msg = match cur.u8()? {
+        MSG_PUSH => TelemetryMsg::Push(get_report(&mut cur)?),
+        MSG_QUERY => TelemetryMsg::Query,
+        MSG_SESSIONS => TelemetryMsg::SessionsQuery,
+        other => return Err(format!("unknown telemetry message 0x{other:02x}")),
+    };
+    cur.finish()?;
+    Ok(msg)
 }
 
 /// Decode a reply table.
@@ -439,7 +422,7 @@ fn get_report(cur: &mut Cursor<'_>) -> Result<NodeReport, String> {
     for _ in 0..n_sites {
         let mut site = SiteReport {
             site: cur.u64()?,
-            label: cur.str()?,
+            label: get_str(cur)?,
             commits: cur.u64()?,
             r_mu: cur.f64()?,
             r_o: cur.f64()?,
@@ -481,57 +464,14 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, at: 0 }
+/// A `str` field: its length is the sender's claim, so bound it before
+/// anything is copied.
+fn get_str(cur: &mut Cursor<'_>) -> Result<String, String> {
+    let len = cur.u32()? as usize;
+    if len > MAX_LABEL * 4 {
+        return Err(format!("implausible label of {len} bytes"));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated at byte {} (want {n} more)", self.at))?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        if len > MAX_LABEL * 4 {
-            return Err(format!("implausible label of {len} bytes"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|e| format!("label not UTF-8: {e}"))
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after telemetry payload",
-                self.bytes.len() - self.at
-            ))
-        }
-    }
+    String::from_utf8(cur.take(len)?.to_vec()).map_err(|e| format!("label not UTF-8: {e}"))
 }
 
 #[cfg(test)]

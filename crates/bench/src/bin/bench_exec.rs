@@ -6,7 +6,7 @@
 //!   blocks, synchronous elimination) driven through the pooled executor
 //!   and through the old thread-per-alternative dispatcher
 //!   ([`ExecMode::ThreadPerAlt`]). The pooled number should win: a block
-//!   costs deque pushes instead of OS thread creation and teardown.
+//!   costs queue pushes instead of OS thread creation and teardown.
 //! * **Batched elimination** — tearing down a cohort of losing worlds
 //!   through the background [`Reaper`] (one `drop_worlds` batch, one
 //!   recycler acquisition) versus a `drop_world` loop (one acquisition
@@ -160,7 +160,7 @@ fn main() {
             "  \"note\": \"single-core container (effective_cores=1): the pooled ",
             "win measures dispatch overhead avoided (thread create/join per ",
             "alternative), not parallel speedup; on real multi-core hosts the ",
-            "work-stealing pool additionally overlaps alternatives\"\n",
+            "pool additionally overlaps alternatives\"\n",
             "}}\n",
         ),
         unix_time = unix_time,

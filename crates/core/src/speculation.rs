@@ -6,9 +6,9 @@
 //! `alt_spawn(n)` + `alt_wait(TIMEOUT)`:
 //!
 //! 1. every alternative gets a fresh pid, sibling-rivalry predicates, and a
-//!    COW fork of the root world, and runs as a task on a persistent
-//!    work-stealing pool ([`worlds_exec::Executor`]) shared by every block
-//!    — see [`ExecMode`] for the thread-per-alternative ablation mode;
+//!    COW fork of the root world, and runs as a task on a persistent pool
+//!    ([`worlds_exec::Executor`]) shared by every block — see [`ExecMode`]
+//!    for the thread-per-alternative ablation mode;
 //! 2. the parent blocks; the **first** alternative to report success wins
 //!    the rendezvous — "`alt_wait()` is an 'at most once' operation for any
 //!    group of child processes" (§2.2.1);
@@ -23,10 +23,10 @@
 //!    their sync point.
 
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use worlds_exec::{Executor, Reaper};
+use worlds_exec::{Executor, Latch, Reaper};
 use worlds_ipc::{SourceDevice, Teletype};
 use worlds_obs::{Event as ObsEvent, EventKind, Registry, TraceCtx};
 use worlds_pagestore::{FileSystem, PageStore, WorldId, PAGE_SIZE_DEFAULT};
@@ -40,9 +40,9 @@ use crate::report::{AltRun, AltRunStatus, RunOutcome, RunReport};
 /// How a [`Speculation`] dispatches its alternatives.
 #[derive(Clone, Debug)]
 pub enum ExecMode {
-    /// Run alternatives as tasks on a persistent work-stealing pool. The
-    /// default is the process-wide [`Executor::global`]; sessions can be
-    /// pinned to a private pool with [`Speculation::with_executor`].
+    /// Run alternatives as tasks on a persistent pool. The default is the
+    /// process-wide [`Executor::global`]; sessions can be pinned to a
+    /// private pool with [`Speculation::with_executor`].
     Pooled(Executor),
     /// Spawn one OS thread per alternative — the pre-pool behaviour,
     /// kept as the ablation baseline for `bench-exec`.
@@ -105,49 +105,6 @@ struct ElimShared {
     /// Worlds of children that reached their sync point before the
     /// parent decided the block.
     finished: Vec<WorldId>,
-}
-
-/// A countdown latch the parent waits on in [`ElimMode::Sync`]: one count
-/// per spawned child, counted down by a drop guard so a panicking
-/// alternative still releases the parent.
-struct Latch {
-    count: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Arc<Latch> {
-        Arc::new(Latch {
-            count: Mutex::new(0),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn add(&self) {
-        *self.count.lock().unwrap() += 1;
-    }
-
-    fn done(&self) {
-        let mut c = self.count.lock().unwrap();
-        *c -= 1;
-        if *c == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let c = self.count.lock().unwrap();
-        let _done = self.cv.wait_while(c, |c| *c > 0).unwrap();
-    }
-}
-
-/// Counts a [`Latch`] down when dropped — normal return or unwind alike.
-struct CountsDown(Arc<Latch>);
-
-impl Drop for CountsDown {
-    fn drop(&mut self) {
-        self.0.done();
-    }
 }
 
 impl Speculation {
@@ -241,7 +198,7 @@ impl Speculation {
         self
     }
 
-    /// Pin this session to a private work-stealing pool instead of the
+    /// Pin this session to a private pool instead of the
     /// process-wide [`Executor::global`].
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = ExecMode::Pooled(exec);
@@ -443,8 +400,7 @@ impl Speculation {
             let elim = block.elim;
             let pid = pids[i];
             let child_start = start;
-            latch.add();
-            let counts_down = CountsDown(latch.clone());
+            let counts_down = latch.guard();
 
             let task = move || {
                 // Declared after the latch guard, so disposal (a local
@@ -1273,7 +1229,7 @@ mod tests {
 
     /// The pool-reuse stress of the executor PR: a session pinned to a
     /// **one-worker** pool runs nested blocks whose outer alternative
-    /// blocks on its inner block. Without the reserve-or-spawn fallback
+    /// blocks on its inner block. Without the pool's reserve-or-grow rule
     /// this deadlocks instantly (the only worker is occupied by the task
     /// that is waiting for the queued ones); with it, every iteration
     /// completes.

@@ -1,9 +1,9 @@
-//! Fair submission: per-tenant deficit round-robin over the injector.
+//! Fair submission: per-tenant deficit round-robin in front of the pool.
 //!
 //! The pool itself is greedy — whoever submits first runs first — which
 //! is exactly wrong once many tenants share one [`Executor`]: a tenant
 //! that dumps ten thousand tasks starves everyone behind it in the
-//! injector. [`FairScheduler`] sits in front of the pool and meters
+//! queue. [`FairScheduler`] sits in front of the pool and meters
 //! admission instead: each tenant gets a bounded FIFO queue, and a
 //! deficit round-robin pass (Shreedhar & Varghese's DRR, the classic
 //! packet-scheduling discipline) releases tasks into the pool. Every
@@ -18,8 +18,8 @@
 //!   immediately with [`Saturated`], which the server layer turns into
 //!   `Nack::Overloaded` (the client backs off; nothing blocks), and
 //! * a **global in-flight cap** — at most `max_inflight` released tasks
-//!   occupy the pool at once, so a burst never floods the injector and
-//!   the DRR pass, not the pool's steal order, decides who runs next.
+//!   occupy the pool at once, so a burst never floods its queue and the
+//!   DRR pass, not the pool's arrival order, decides who runs next.
 //!
 //! Completion is panic-safe: the released wrapper decrements the
 //! in-flight count on drop, so a panicking task cannot wedge the

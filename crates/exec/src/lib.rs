@@ -6,22 +6,24 @@
 //! alternative per block and a per-frame recycler lock per eliminated
 //! world. This crate replaces both:
 //!
-//! * [`Executor`] — a persistent work-stealing pool (per-worker LIFO
-//!   deques, an injector for external submissions, steal-from-the-front)
-//!   shared by every `Speculation` session. Submission reserves a free
-//!   worker or spawns a fallback thread, so arbitrary blocking tasks —
-//!   including nested speculation — can never starve queued work (see
-//!   the `pool` module docs for the invariant).
+//! * [`Executor`] — a persistent pool shared by every `Speculation`
+//!   session: one FIFO queue and one kind of worker behind one mutex.
+//!   Submission reserves a free worker or adds one, so arbitrary blocking
+//!   tasks — including nested speculation — can never starve queued work,
+//!   and an added worker lingers for reuse instead of being created again
+//!   for the next block (see the `pool` module docs for the invariant).
 //! * [`Scope`] — scoped submission: tasks that borrow the caller's
 //!   frame, sound because `Executor::scope` joins them before returning.
+//! * [`Latch`] / [`CountsDown`] — the countdown latch `scope` joins on,
+//!   exported so `Speculation`'s synchronous elimination waits on the
+//!   same one.
 //! * [`Reaper`] — batched asynchronous elimination: losing worlds queue
 //!   up and a background thread tears them down in batches, one
 //!   `Recycler` lock acquisition per batch instead of per frame, while
 //!   emitting exactly the per-world `frame_free` events a sequential
 //!   teardown would.
-
 //! * [`FairScheduler`] — per-tenant deficit round-robin admission in
-//!   front of the injector, with bounded queues (backpressure) and a
+//!   front of the pool's queue, with bounded queues (backpressure) and a
 //!   global in-flight cap, so many tenants can share one pool without
 //!   any of them starving the rest (see the `fair` module docs).
 
@@ -30,5 +32,5 @@ mod pool;
 mod reaper;
 
 pub use fair::{FairPolicy, FairScheduler, Saturated, TenantStats};
-pub use pool::{Executor, Scope, WORKERS_ENV};
+pub use pool::{CountsDown, Executor, Latch, Scope, WORKERS_ENV};
 pub use reaper::Reaper;

@@ -1,46 +1,59 @@
-//! The persistent work-stealing pool.
+//! The persistent pool: one queue, one kind of worker.
 //!
 //! One [`Executor`] outlives every speculation block that runs on it, so
 //! the per-block cost of `alt_spawn` drops from "create an OS thread per
-//! alternative" to "push a closure onto a deque". The layout is the
-//! classic work-stealing shape:
+//! alternative" to "push a closure onto a queue". All of the pool's state
+//! — the FIFO task queue, the worker counts, the join handles — lives in
+//! one `State` behind one mutex; a task costs two holds of it (submit,
+//! then completion-and-next-pickup in one), and idle workers park on one
+//! condvar.
 //!
-//! * each permanent worker owns a **LIFO deque**: it pushes and pops at
-//!   the back, so nested speculation (a task spawning sub-tasks) runs
-//!   depth-first with warm caches;
-//! * other workers **steal from the front** of a victim's deque, taking
-//!   the oldest — and therefore likely largest — piece of work;
-//! * submissions from threads outside the pool land in a shared
-//!   **injector** queue that every worker drains before stealing.
-//!
-//! # Reserve-or-spawn: why blocking tasks cannot starve the pool
+//! # Reserve-or-grow: why blocking tasks cannot starve the pool
 //!
 //! Speculation tasks are arbitrary closures: they sleep, wait on
 //! channels, and run *nested* blocks whose parent waits for its own
 //! children. A fixed pool would deadlock the moment every worker blocks
 //! while the tasks that would unblock them sit queued. This pool makes a
 //! stronger guarantee, enforced at submission time: **after every
-//! `spawn`, the number of queued tasks never exceeds the number of
-//! workers not currently running a task.** If it would, the pool spawns
-//! a temporary *fallback* worker (counted in
-//! `ExecCounters::fallback_threads`) that drains queues and exits once
-//! they are empty. Free workers only become busy by taking a queued
-//! task, only go idle when the queue is empty, and fallback workers only
-//! exit when the queue is empty — so every queued task always has a
-//! runner reserved for it, no matter what the executing tasks do. The
-//! common case (blocks no wider than the pool, submitted from a quiet
-//! pool) runs entirely on persistent workers; the pathological case
-//! degrades to exactly the old thread-per-alternative behaviour.
+//! `spawn`, queued tasks never outnumber workers not inside a task.**
+//! `submit` compares the queue, new task included, with
+//! `live − executing` in the same lock hold as the push; if the task
+//! would break the bound it adds one worker (counted in
+//! `ExecCounters::fallback_threads`), otherwise it wakes a parked one. A
+//! worker becomes busy only by popping a queued task and leaves only when
+//! the queue is empty, both under that lock — so every queued task always
+//! has a runner reserved for it, no matter what the executing tasks do.
+//!
+//! # Linger: the pool keeps what it grew
+//!
+//! An added worker is a worker like any other: when the queue is empty it
+//! parks, and it is the runner the next submission reserves. A worker
+//! that stays parked for `LINGER` without one wake-up exits iff the pool
+//! is above its base count, so the thread count follows recent demand
+//! rather than the high-water mark (wake-ups go round the parked workers,
+//! so "recent" means fewer submissions per `LINGER` than workers) and
+//! never drops below [`Executor::workers`]. A workload that keeps more
+//! tasks in flight than the base count (a block wider than the pool,
+//! connection handlers parked on workers for life) pays for its extra
+//! threads once, not once per block.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use worlds_obs::Registry;
 
 /// Environment variable overriding the global pool's worker count.
 pub const WORKERS_ENV: &str = "WORLDS_EXEC_THREADS";
+
+/// How long a worker above the base count stays parked before it exits.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Tasks run outside the state lock and under `catch_unwind`; the one
+/// panic under it is a worker thread the OS refused to create.
+const POISONED: &str = "pool state poisoned: a worker thread could not be created";
 
 type TaskFn = Box<dyn FnOnce() + Send + 'static>;
 
@@ -50,60 +63,37 @@ struct Task {
     obs: Registry,
 }
 
-/// Where a worker found the task it is about to run.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Provenance {
-    /// Popped from the worker's own deque (LIFO fast path).
-    Own,
-    /// Taken from the shared injector queue.
-    Injector,
-    /// Stolen from another worker's deque.
-    Stolen,
-}
-
-/// Counters the submission/pickup protocol keeps consistent under one
-/// mutex. `queued` is incremented *before* the task is pushed and
-/// decremented *after* it is popped, so it is always an upper bound on
-/// visible tasks and never underflows.
+/// Everything the pool knows, under one mutex, so that pushing a task and
+/// reserving its runner are one step and cannot race.
 struct State {
-    /// Tasks announced but not yet picked up.
-    queued: usize,
+    /// Submitted tasks no worker has taken yet, oldest first.
+    queue: VecDeque<Task>,
     /// Tasks currently inside a worker (running or blocked).
     executing: usize,
-    /// Workers alive: permanent + fallback.
+    /// Workers alive: the base count plus whatever submissions added and
+    /// linger has not yet retired. Always `>= executing`.
     live: usize,
-    /// Permanent workers asleep on the condvar.
-    idle: usize,
+    /// One handle per live worker; a worker that retires takes its own.
+    handles: Vec<JoinHandle<()>>,
     shutdown: bool,
 }
 
 struct Inner {
-    /// One deque per permanent worker; `deques[i]` is owned by slot `i`.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Overflow / external-submission queue, drained by everyone.
-    injector: Mutex<VecDeque<Task>>,
     state: Mutex<State>,
-    /// Wakes idle permanent workers when `queued` becomes nonzero.
+    /// Wakes one parked worker per submission, all of them at shutdown.
     cv: Condvar,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The base count: linger never takes `live` below it.
     workers: usize,
 }
 
-/// Identity of the pool thread the current OS thread belongs to, if any.
-#[derive(Clone, Copy)]
-struct WorkerId {
-    /// `Arc::as_ptr` of the owning pool's `Inner`.
-    pool: usize,
-    /// Deque slot; `None` for fallback workers (they own no deque).
-    slot: Option<usize>,
-}
-
 thread_local! {
-    static CURRENT: std::cell::Cell<Option<WorkerId>> = const { std::cell::Cell::new(None) };
+    /// `Arc::as_ptr` of the pool this thread is a worker of; 0 for every
+    /// other thread. Only tells inside submissions from outside ones.
+    static WORKS_FOR: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// A persistent work-stealing executor. Cloning is a refcount bump; all
-/// clones share the same workers and queues.
+/// A persistent executor. Cloning is a refcount bump; all clones share
+/// the same workers and queue.
 #[derive(Clone)]
 pub struct Executor {
     inner: Arc<Inner>,
@@ -114,30 +104,21 @@ impl Executor {
     pub fn new(workers: usize) -> Executor {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
             state: Mutex::new(State {
-                queued: 0,
+                queue: VecDeque::new(),
                 executing: 0,
-                live: workers,
-                idle: 0,
+                live: 0,
+                handles: Vec::with_capacity(workers),
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
             workers,
         });
-        let mut handles = Vec::with_capacity(workers);
-        for slot in 0..workers {
-            let inner = inner.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worlds-exec-{slot}"))
-                    .spawn(move || worker_loop(inner, slot))
-                    .expect("spawn pool worker"),
-            );
+        let mut st = inner.state.lock().expect(POISONED);
+        for _ in 0..workers {
+            add_worker(&inner, &mut st);
         }
-        *inner.handles.lock().unwrap() = handles;
+        drop(st);
         Executor { inner }
     }
 
@@ -158,12 +139,9 @@ impl Executor {
         self.inner.workers
     }
 
-    /// Submit a task. Attribution: queue-depth / steal / run counters for
-    /// this task land in `obs` (`RunStats::exec`), which is free when the
-    /// registry is disabled.
-    ///
-    /// A submission from a pool worker goes to that worker's own deque
-    /// (LIFO, depth-first); any other thread's goes to the injector.
+    /// Submit a task. Attribution: queue-depth / run / injection counters
+    /// for this task land in `obs` (`RunStats::exec`), which is free when
+    /// the registry is disabled. Tasks start in submission order.
     pub fn spawn(&self, obs: &Registry, f: impl FnOnce() + Send + 'static) {
         self.submit(Task {
             run: Box::new(f),
@@ -193,17 +171,18 @@ impl Executor {
         }
     }
 
-    /// Stop the permanent workers and join them. Intended for tests and
-    /// ordered teardown of private pools **after** the pool is quiescent;
-    /// tasks still queued at shutdown may be dropped unrun. Must not be
-    /// called from one of the pool's own workers.
+    /// Stop every live worker and join it. Intended for tests and ordered
+    /// teardown of private pools **after** the pool is quiescent; workers
+    /// drain the queue before they leave, but a task submitted during or
+    /// after shutdown may be dropped unrun. Must not be called from one
+    /// of the pool's own workers.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
+        let handles = {
+            let mut st = self.inner.state.lock().expect(POISONED);
             st.shutdown = true;
-        }
+            std::mem::take(&mut st.handles)
+        };
         self.inner.cv.notify_all();
-        let handles = std::mem::take(&mut *self.inner.handles.lock().unwrap());
         let me = std::thread::current().id();
         for h in handles {
             if h.thread().id() != me {
@@ -212,49 +191,23 @@ impl Executor {
         }
     }
 
-    fn id(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
-    }
-
-    /// The current thread's deque slot, if it is a permanent worker of
-    /// *this* pool.
-    fn current_slot(&self) -> Option<usize> {
-        CURRENT
-            .get()
-            .and_then(|w| if w.pool == self.id() { w.slot } else { None })
-    }
-
     fn submit(&self, task: Task) {
-        task.obs.with(|i| i.stats.exec_queue_depth.add(1));
-        let own_slot = self.current_slot();
-        let obs = task.obs.clone();
-        // Announce before pushing: `queued` must never under-count a
-        // pushed task, or the reserve-or-spawn check could strand it.
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.queued += 1;
-            // Reserve-or-spawn: every queued task needs a worker that is
-            // not occupied by a task (idle, scanning, or a fallback).
-            while st.queued > st.live - st.executing {
-                st.live += 1;
-                obs.with(|i| i.stats.exec.fallback_threads.incr());
-                let inner = self.inner.clone();
-                std::thread::Builder::new()
-                    .name("worlds-exec-fallback".into())
-                    .spawn(move || fallback_loop(inner))
-                    .expect("spawn fallback worker");
+        task.obs.with(|i| {
+            i.stats.exec_queue_depth.add(1);
+            if WORKS_FOR.get() != Arc::as_ptr(&self.inner) as usize {
+                i.stats.exec.tasks_injected.incr();
             }
-            if st.idle > 0 {
-                self.inner.cv.notify_one();
-            }
+        });
+        let mut st = self.inner.state.lock().expect(POISONED);
+        // Reserve-or-grow, in the same lock hold as the push. The bound
+        // held before this task, so one more worker restores it.
+        if st.queue.len() >= st.live - st.executing {
+            task.obs.with(|i| i.stats.exec.fallback_threads.incr());
+            add_worker(&self.inner, &mut st);
+        } else {
+            self.inner.cv.notify_one();
         }
-        match own_slot {
-            Some(slot) => self.inner.deques[slot].lock().unwrap().push_back(task),
-            None => {
-                task.obs.with(|i| i.stats.exec.tasks_injected.incr());
-                self.inner.injector.lock().unwrap().push_back(task);
-            }
-        }
+        st.queue.push_back(task);
     }
 }
 
@@ -278,129 +231,91 @@ fn default_workers() -> usize {
         })
 }
 
-/// Find one task: own deque back (permanent workers), then injector
-/// front, then steal from other deques front.
-fn find_task(inner: &Inner, slot: Option<usize>) -> Option<(Task, Provenance)> {
-    if let Some(s) = slot {
-        if let Some(task) = inner.deques[s].lock().unwrap().pop_back() {
-            return Some((task, Provenance::Own));
-        }
-    }
-    if let Some(task) = inner.injector.lock().unwrap().pop_front() {
-        return Some((task, Provenance::Injector));
-    }
-    let n = inner.deques.len();
-    let start = slot.map_or(0, |s| s + 1);
-    for k in 0..n {
-        let victim = (start + k) % n;
-        if Some(victim) == slot {
-            continue;
-        }
-        if let Some(task) = inner.deques[victim].lock().unwrap().pop_front() {
-            return Some((task, Provenance::Stolen));
-        }
-    }
-    None
+/// The one place a worker thread is created. The caller holds the state
+/// lock, so the worker is counted in `live` and joinable through `handles`
+/// before it can look at the queue.
+fn add_worker(inner: &Arc<Inner>, st: &mut State) {
+    st.live += 1;
+    let worker = inner.clone();
+    st.handles.push(
+        std::thread::Builder::new()
+            .name("worlds-exec".into())
+            .spawn(move || worker_loop(worker))
+            .expect("spawn pool worker"),
+    );
 }
 
-fn run_task(inner: &Inner, task: Task, how: Provenance) {
-    {
-        let mut st = inner.state.lock().unwrap();
-        st.queued -= 1;
-        st.executing += 1;
-    }
-    task.obs.with(|i| {
-        i.stats.exec_queue_depth.sub(1);
-        i.stats.exec.tasks_run.incr();
-        if how == Provenance::Stolen {
-            i.stats.exec.tasks_stolen.incr();
-        }
-    });
-    // Profiler marker: on-CPU in a task from here; the speculation layer
-    // refines world/site/phase once it knows them. One relaxed load when
-    // no sampler is attached. The matching Idle mark is published by the
-    // caller's out-of-work path, not here: between back-to-back tasks
-    // the next pickup overwrites the slot anyway, and skipping the flip
-    // halves the marker tax on a saturated worker.
-    worlds_prof::mark(None, None, None, worlds_prof::Phase::Task);
-    // A panicking task must not take its worker down with it.
-    let _ = catch_unwind(AssertUnwindSafe(task.run));
-    inner.state.lock().unwrap().executing -= 1;
-}
-
-fn worker_loop(inner: Arc<Inner>, slot: usize) {
-    CURRENT.set(Some(WorkerId {
-        pool: Arc::as_ptr(&inner) as usize,
-        slot: Some(slot),
-    }));
+fn worker_loop(inner: Arc<Inner>) {
+    WORKS_FOR.set(Arc::as_ptr(&inner) as usize);
+    // True when the last park ran its full LINGER without a wake-up.
+    let mut lingered = false;
+    let mut st = inner.state.lock().expect(POISONED);
     loop {
-        if let Some((task, how)) = find_task(&inner, Some(slot)) {
-            run_task(&inner, task, how);
+        if let Some(Task { run, obs }) = st.queue.pop_front() {
+            st.executing += 1;
+            drop(st);
+            obs.with(|i| {
+                i.stats.exec_queue_depth.sub(1);
+                i.stats.exec.tasks_run.incr();
+            });
+            // Profiler marker: on-CPU in a task from here; the speculation
+            // layer refines world/site/phase once it knows them. One
+            // relaxed load when no sampler is attached. The matching Idle
+            // mark is published on the out-of-work path below, not here:
+            // between back-to-back tasks the next pickup overwrites the
+            // slot anyway, and skipping the flip halves the marker tax on
+            // a saturated worker.
+            worlds_prof::mark(None, None, None, worlds_prof::Phase::Task);
+            // A panicking task must not take its worker down with it.
+            let _ = catch_unwind(AssertUnwindSafe(run));
+            // Not under the lock: this may be the registry's last handle.
+            drop(obs);
+            st = inner.state.lock().expect(POISONED);
+            st.executing -= 1;
+            lingered = false;
             continue;
+        }
+        // The queue is empty and we hold the lock, so no submission is
+        // counting on this worker: leaving now cannot strand a task, and
+        // the next submission sees the reduced `live`.
+        if st.shutdown || (lingered && st.live > inner.workers) {
+            st.live -= 1;
+            let me = std::thread::current().id();
+            st.handles.retain(|h| h.thread().id() != me);
+            return;
         }
         // Out of work: retire the last task's marker before blocking so
         // neither the sampler nor the stall watchdog attributes the wait
         // to a task that already finished.
         worlds_prof::mark_idle();
-        let mut st = inner.state.lock().unwrap();
-        if st.shutdown {
-            st.live -= 1;
-            return;
-        }
-        if st.queued > 0 {
-            // Announced but not yet pushed (or sitting in a deque we
-            // raced on): rescan rather than sleep past it.
-            drop(st);
-            std::thread::yield_now();
-            continue;
-        }
-        st.idle += 1;
-        let mut st = inner
-            .cv
-            .wait_while(st, |st| st.queued == 0 && !st.shutdown)
-            .unwrap();
-        st.idle -= 1;
+        let (guard, wait) = inner.cv.wait_timeout(st, LINGER).expect(POISONED);
+        st = guard;
+        lingered = wait.timed_out();
     }
 }
 
-/// A temporary worker spawned when queued tasks outnumber free workers.
-/// It owns no deque and exits as soon as the queues are empty; the exit
-/// decision is taken under the state lock so it serializes against
-/// submissions (a task announced after the check sees the reduced `live`
-/// and reserves its own runner).
-fn fallback_loop(inner: Arc<Inner>) {
-    loop {
-        if let Some((task, how)) = find_task(&inner, None) {
-            run_task(&inner, task, how);
-            continue;
-        }
-        // Same contract as worker_loop: the marker flips to Idle only
-        // when this thread actually runs out of work.
-        worlds_prof::mark_idle();
-        let mut st = inner.state.lock().unwrap();
-        if st.queued > 0 && !st.shutdown {
-            drop(st);
-            std::thread::yield_now();
-            continue;
-        }
-        st.live -= 1;
-        return;
-    }
-}
-
-/// A countdown latch: `add` before submission, `done` from the task (via
-/// a drop guard, so panics still count down), `wait` blocks until zero.
-struct Latch {
+/// A countdown latch: one count per [`Latch::guard`] handed out, counted
+/// down when the guard drops (so panics still count down); [`Latch::wait`]
+/// blocks until zero.
+pub struct Latch {
     count: Mutex<usize>,
     cv: Condvar,
 }
 
 impl Latch {
-    fn new() -> Arc<Latch> {
+    /// A latch at zero.
+    pub fn new() -> Arc<Latch> {
         Arc::new(Latch {
             count: Mutex::new(0),
             cv: Condvar::new(),
         })
+    }
+
+    /// Count one more party in; the returned guard counts it out again.
+    /// Move the guard into the task the waiter must outlast.
+    pub fn guard(self: &Arc<Latch>) -> CountsDown {
+        self.add(1);
+        CountsDown(self.clone())
     }
 
     fn add(&self, n: usize) {
@@ -415,14 +330,15 @@ impl Latch {
         }
     }
 
-    fn wait(&self) {
+    /// Block until every guard handed out so far has dropped.
+    pub fn wait(&self) {
         let c = self.count.lock().unwrap();
         let _unused = self.cv.wait_while(c, |c| *c > 0).unwrap();
     }
 }
 
-/// Decrements the latch when dropped — normal return or unwind alike.
-struct CountsDown(Arc<Latch>);
+/// Decrements its [`Latch`] when dropped — normal return or unwind alike.
+pub struct CountsDown(Arc<Latch>);
 
 impl Drop for CountsDown {
     fn drop(&mut self) {
@@ -441,8 +357,7 @@ pub struct Scope<'scope, 'env> {
 impl<'scope, 'env> Scope<'scope, 'env> {
     /// Submit a task that may borrow anything outliving the `scope` call.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
-        self.latch.add(1);
-        let guard = CountsDown(self.latch.clone());
+        let guard = self.latch.guard();
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
             let _guard = guard;
             f();
@@ -560,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_submissions_prefer_own_deque_lifo() {
+    fn nested_scoped_tasks_all_complete() {
         // A task spawning sub-tasks runs them on the pool; all complete.
         let pool = Executor::new(2);
         let hits = Arc::new(AtomicUsize::new(0));
@@ -612,6 +527,111 @@ mod tests {
             });
         }
         assert!(t0.elapsed() < Duration::from_secs(5));
+        pool.shutdown();
+    }
+
+    /// The blocking pair of `blocking_tasks_never_starve_queued_work`: two
+    /// tasks that only finish if they run concurrently.
+    fn blocking_pair(pool: &Executor, obs: &Registry) {
+        let (tx, rx) = std::sync::mpsc::channel::<u32>();
+        let (tx2, rx2) = std::sync::mpsc::channel::<u32>();
+        pool.spawn(obs, move || {
+            let v = rx2.recv().unwrap();
+            tx.send(v + 1).unwrap();
+        });
+        pool.spawn(obs, move || tx2.send(41).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(42));
+    }
+
+    /// Spin until `pred` holds of the pool's state, or `within` runs out.
+    fn state_reaches(pool: &Executor, within: Duration, pred: impl Fn(&State) -> bool) -> bool {
+        let deadline = Instant::now() + within;
+        while !pred(&pool.inner.state.lock().unwrap()) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn grown_workers_are_reused() {
+        // The second task of every pair needs a second worker. The pool
+        // grows for the first pair and keeps the worker for the other 199.
+        let obs = Registry::enabled();
+        let pool = Executor::new(1);
+        for _ in 0..200 {
+            blocking_pair(&pool, &obs);
+            // The pair has reported but may still be returning; a round
+            // that starts on busy workers would be a wider block.
+            assert!(state_reaches(&pool, Duration::from_secs(5), |st| {
+                st.executing == 0
+            }));
+        }
+        let stats = obs.stats().unwrap();
+        assert_eq!(stats.exec.tasks_run.get(), 400);
+        let grown = stats.exec.fallback_threads.get();
+        assert!(
+            (1..=2).contains(&grown),
+            "200 two-wide rounds on one base worker added {grown} workers"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn surplus_workers_exit_after_linger_and_base_workers_do_not() {
+        let pool = Executor::new(1);
+        blocking_pair(&pool, &Registry::disabled());
+        assert_eq!(pool.inner.state.lock().unwrap().live, 2, "grew by one");
+        assert!(
+            state_reaches(&pool, LINGER + Duration::from_secs(4), |st| st.live == 1),
+            "the surplus worker never retired"
+        );
+        // A base worker lingers forever: another LINGER changes nothing.
+        std::thread::sleep(LINGER + Duration::from_millis(200));
+        {
+            let st = pool.inner.state.lock().unwrap();
+            assert_eq!((st.live, st.executing), (pool.workers(), 0));
+            assert_eq!(st.handles.len(), 1, "the retired worker took its handle");
+        }
+        let (tx, rx) = std::sync::mpsc::channel::<u8>();
+        pool.spawn(&Registry::disabled(), move || tx.send(7).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_chain_of_blocked_tasks_always_finishes() {
+        // Task i waits on a channel only task i + 1 feeds, so every task
+        // but the last blocks until all later-queued ones have started:
+        // the pool must grow to the depth of the chain and strand nothing.
+        const N: usize = 16;
+        let pool = Executor::new(1);
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
+        let mut feeds_previous: Option<std::sync::mpsc::Sender<()>> = None;
+        for i in 0..N {
+            let (feeds_me, wait) = std::sync::mpsc::channel::<()>();
+            let feed = feeds_previous.replace(feeds_me);
+            let done = done_tx.clone();
+            pool.spawn(&Registry::disabled(), move || {
+                if i < N - 1 {
+                    wait.recv().unwrap();
+                }
+                if let Some(feed) = feed {
+                    feed.send(()).unwrap();
+                }
+                done.send(i).unwrap();
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut finished = Vec::new();
+        while finished.len() < N {
+            let left = deadline.saturating_duration_since(Instant::now());
+            finished.push(done_rx.recv_timeout(left).expect("a task was stranded"));
+        }
+        finished.sort_unstable();
+        assert_eq!(finished, (0..N).collect::<Vec<_>>());
         pool.shutdown();
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! One node = one loopback TCP listener + one local [`PageStore`]. The
 //! accept loop and every per-connection handler run on the shared
-//! [`worlds_exec::Executor`], whose reserve-or-spawn guarantee means a
+//! [`worlds_exec::Executor`], whose reserve-or-grow guarantee means a
 //! node blocked in `accept`/`read` can never starve compute tasks out of
 //! the pool.
 //!
@@ -35,6 +35,12 @@ use worlds_pagestore::{restore, PageStore, WorldId};
 /// remembers the last 1024 ops.
 const LEDGER_CAP: usize = 1024;
 
+/// Predicated messages a node holds for [`NetNode::take_messages`]. A
+/// send that would exceed it is refused with [`nack::OVERLOADED`] and not
+/// stored, so a peer cannot grow the node's memory one acked frame at a
+/// time.
+const INBOX_CAP: usize = 1024;
+
 /// How a node answers [`Request::Telemetry`] frames. The payload is
 /// opaque to the wire layer; the handler (installed by the telemetry
 /// crate's collector/exporter plumbing) owns the schema. `Ok(None)`
@@ -59,7 +65,8 @@ struct Shared {
     ledger: Mutex<Ledger>,
     /// Wakes deliveries parked on a corr another delivery is applying.
     ledger_cv: Condvar,
-    /// Predicated messages delivered to this node, in arrival order.
+    /// Predicated messages delivered to this node, in arrival order; at
+    /// most [`INBOX_CAP`].
     inbox: Mutex<Vec<Message>>,
     /// Answers telemetry frames, when something installed one.
     telemetry: Mutex<Option<TelemetryHandler>>,
@@ -290,8 +297,15 @@ fn apply(shared: &Shared, frame: Frame) -> Reply {
             },
         },
         Request::PredicatedSend { msg } => {
+            let mut inbox = shared.inbox.lock().expect("inbox lock");
+            if inbox.len() >= INBOX_CAP {
+                return Reply::Nack {
+                    code: nack::OVERLOADED,
+                    detail: format!("node {}: inbox holds {INBOX_CAP} messages", shared.node),
+                };
+            }
             let id = msg.id.0;
-            shared.inbox.lock().expect("inbox lock").push(msg);
+            inbox.push(msg);
             Reply::Ack { world: id }
         }
         Request::Telemetry { payload } => {
@@ -345,5 +359,40 @@ fn apply(shared: &Shared, frame: Frame) -> Reply {
                 Some(h) => h(&req),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Conn, RetryPolicy};
+    use crate::NetError;
+    use worlds_predicate::{Pid, PredicateSet};
+
+    #[test]
+    fn a_full_inbox_refuses_the_next_predicated_send() {
+        let node = NetNode::serve(3, PageStore::new(64), Registry::disabled()).unwrap();
+        let mut conn = Conn::new(3, node.addr(), RetryPolicy::fast(), Registry::disabled());
+        let send = |conn: &mut Conn, n: u64| {
+            let mut msg = Message::new(Pid(4), Pid(9), PredicateSet::empty(), vec![n as u8]);
+            msg.id = worlds_ipc::MsgId(n);
+            conn.call_ack(&Request::PredicatedSend { msg })
+        };
+        for n in 0..INBOX_CAP as u64 {
+            assert_eq!(send(&mut conn, n).unwrap(), n);
+        }
+        match send(&mut conn, INBOX_CAP as u64) {
+            Err(NetError::Nack { code, .. }) => assert_eq!(code, nack::OVERLOADED),
+            other => panic!("send past the cap must be nacked, got {other:?}"),
+        }
+        // The refusal is an answer, not a broken stream.
+        assert_eq!(conn.call_ack(&Request::Ping).unwrap(), 0);
+        let held = node.take_messages();
+        assert_eq!(held.len(), INBOX_CAP, "the refused message was not stored");
+        assert!(held.iter().map(|m| m.id.0).eq(0..INBOX_CAP as u64));
+        // Drained: the same peer is served again.
+        assert_eq!(send(&mut conn, 7).unwrap(), 7);
+        assert_eq!(node.take_messages().len(), 1);
+        node.shutdown();
     }
 }

@@ -151,14 +151,19 @@ counter_struct! {
     /// replay has no executor events to reconstruct it from, and the
     /// summary omits the section when every counter is zero.
     pub struct ExecCounters {
-        /// Tasks executed by pool workers (incl. fallbacks).
+        /// Tasks executed by pool workers.
         pub tasks_run,
-        /// Tasks taken from another worker's deque.
+        /// Always 0: the pool has one queue and nothing to steal from.
+        /// Kept because `benchmark/` reads it, until ROADMAP item 8's
+        /// single `BENCHMARK.json` revision.
         pub tasks_stolen,
-        /// Tasks submitted from outside the pool (injector queue).
+        /// Tasks submitted by a thread that is not a worker of the pool
+        /// it submitted to.
         pub tasks_injected,
-        /// Temporary workers spawned when queued tasks outnumbered
-        /// free workers (the reserve-or-spawn fallback).
+        /// Workers added beyond the pool's base count because queued
+        /// tasks would have outnumbered free workers (reserve-or-grow).
+        /// An added worker lingers, so this counts thread creations, not
+        /// blocks that needed one.
         pub fallback_threads,
         /// Reaper drain cycles (per store per batch).
         pub reaper_batches,

@@ -16,9 +16,9 @@
 //! decide.
 //!
 //! Slots register lazily: the first `mark` on a thread claims a slot
-//! from the process-global registry (reusing retired indices, so churny
-//! fallback workers don't grow it without bound) and a thread-local
-//! guard retires the slot when the thread exits.
+//! from the process-global registry (reusing retired indices, so pool
+//! workers that come and go don't grow it without bound) and a
+//! thread-local guard retires the slot when the thread exits.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

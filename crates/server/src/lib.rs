@@ -2,7 +2,7 @@
 //!
 //! The paper's kernel speculates for *one* program. This crate makes
 //! the same substrate — one shared COW [`PageStore`], one
-//! work-stealing executor, one reaper — serve many mutually-untrusting
+//! persistent executor, one reaper — serve many mutually-untrusting
 //! tenants over the `worlds-net` framed wire:
 //!
 //! * A tenant `SessionOpen`s a **named session** with a

@@ -233,3 +233,44 @@ fn connection_reset_mid_speculation_then_close_releases_everything() {
     assert_eq!(store.live_frames(), frame_baseline, "no frame residue");
     store.verify_refcounts().unwrap();
 }
+
+#[test]
+fn a_hundred_spawns_reuse_the_workers_the_door_grew() {
+    // The accept loop and the tenant's connection handler each hold a
+    // pool worker for life, so on a two-core host every released spawn
+    // arrives at a pool whose base workers are all taken. The pool grows
+    // for the first one and the worker lingers for the other 99; a
+    // thread per spawn is the overhead the persistent pool exists to
+    // avoid.
+    let obs = Registry::enabled();
+    let door = FrontDoor::serve(
+        1,
+        PageStore::new(4096),
+        obs.clone(),
+        ServerPolicy::default(),
+    )
+    .expect("bind front door");
+    let mut tenant = SessionClient::open(
+        door.addr(),
+        "steady",
+        ResourceLimits::unlimited(),
+        RetryPolicy::default(),
+        Registry::disabled(),
+    )
+    .unwrap();
+    for round in 0..25u8 {
+        let mut last = 0;
+        for alt in 0..4u8 {
+            last = tenant.spawn(0, vec![(0, vec![round, alt])]).unwrap();
+        }
+        tenant.commit(last).unwrap();
+    }
+    tenant.close(false).unwrap();
+
+    let stats = obs.stats().unwrap();
+    let grown = stats.exec.fallback_threads.get();
+    assert!(stats.exec.tasks_run.get() >= 100, "every spawn ran a task");
+    // Sibling tests share the global pool and may take a lingering
+    // worker now and then, hence a handful and not one.
+    assert!(grown <= 8, "100 spawns added {grown} threads to the pool");
+}

@@ -9,9 +9,10 @@
 //! * [`Executor`] — a persistent pool shared by every `Speculation`
 //!   session: one FIFO queue and one kind of worker behind one mutex.
 //!   Submission reserves a free worker or adds one, so arbitrary blocking
-//!   tasks — including nested speculation — can never starve queued work,
-//!   and an added worker lingers for reuse instead of being created again
-//!   for the next block (see the `pool` module docs for the invariant).
+//!   tasks — including nested speculation — can never starve queued work;
+//!   it wakes the most recently parked worker, so an added worker is
+//!   reused while traffic needs it and retires when it does not (see the
+//!   `pool` module docs for the invariant).
 //! * [`Scope`] — scoped submission: tasks that borrow the caller's
 //!   frame, sound because `Executor::scope` joins them before returning.
 //! * [`Latch`] / [`CountsDown`] — the countdown latch `scope` joins on,
@@ -21,7 +22,8 @@
 //!   up and a background thread tears them down in batches, one
 //!   `Recycler` lock acquisition per batch instead of per frame, while
 //!   emitting exactly the per-world `frame_free` events a sequential
-//!   teardown would.
+//!   teardown would. The queue is bounded: past it, an enqueuer tears its
+//!   own losers down.
 //! * [`FairScheduler`] — per-tenant deficit round-robin admission in
 //!   front of the pool's queue, with bounded queues (backpressure) and a
 //!   global in-flight cap, so many tenants can share one pool without

@@ -1,12 +1,12 @@
-//! The persistent pool: one queue, one kind of worker.
+//! The persistent pool: one queue, one kind of worker, one stack of
+//! parked workers.
 //!
 //! One [`Executor`] outlives every speculation block that runs on it, so
 //! the per-block cost of `alt_spawn` drops from "create an OS thread per
 //! alternative" to "push a closure onto a queue". All of the pool's state
-//! — the FIFO task queue, the worker counts, the join handles — lives in
-//! one `State` behind one mutex; a task costs two holds of it (submit,
-//! then completion-and-next-pickup in one), and idle workers park on one
-//! condvar.
+//! — the FIFO task queue, the worker counts, the parked stack, the join
+//! handles — lives in one `State` behind one mutex; a task costs two
+//! holds of it (submit, then completion-and-next-pickup in one).
 //!
 //! # Reserve-or-grow: why blocking tasks cannot starve the pool
 //!
@@ -19,36 +19,38 @@
 //! `submit` compares the queue, new task included, with
 //! `live − executing` in the same lock hold as the push; if the task
 //! would break the bound it adds one worker (counted in
-//! `ExecCounters::fallback_threads`), otherwise it wakes a parked one. A
+//! `ExecCounters::fallback_threads`), otherwise it claims a parked one. A
 //! worker becomes busy only by popping a queued task and leaves only when
 //! the queue is empty, both under that lock — so every queued task always
 //! has a runner reserved for it, no matter what the executing tasks do.
 //!
-//! # Linger: the pool keeps what it grew
+//! # Wake the worker that parked last; retire the rest
 //!
-//! An added worker is a worker like any other: when the queue is empty it
-//! parks, and it is the runner the next submission reserves. A worker
-//! that stays parked for `LINGER` without one wake-up exits iff the pool
-//! is above its base count, so the thread count follows recent demand
-//! rather than the high-water mark (wake-ups go round the parked workers,
-//! so "recent" means fewer submissions per `LINGER` than workers) and
-//! never drops below [`Executor::workers`]. A workload that keeps more
-//! tasks in flight than the base count (a block wider than the pool,
-//! connection handlers parked on workers for life) pays for its extra
-//! threads once, not once per block.
+//! A worker that finds the queue empty pushes itself onto `State::parked`
+//! in that lock hold and parks; `submit` pops the most recently parked one
+//! and unparks it after the unlock (the unpark token covers a worker
+//! preempted between its push and its park). So the workers that traffic
+//! really needs stay hot, and the rest sit at the bottom of the stack. A
+//! worker no submission claims for `LINGER` exits iff the pool is above
+//! its base count and the queue is empty: the thread count follows the
+//! real concurrency of recent traffic, never drops below
+//! [`Executor::workers`], and a workload that keeps more tasks in flight
+//! than the base count (a block wider than the pool, connection handlers
+//! parked on workers for life) pays for its extra threads once, not once
+//! per block.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 use worlds_obs::Registry;
 
 /// Environment variable overriding the global pool's worker count.
 pub const WORKERS_ENV: &str = "WORLDS_EXEC_THREADS";
 
-/// How long a worker above the base count stays parked before it exits.
+/// How long a surplus worker stays parked, unclaimed, before it exits.
 const LINGER: Duration = Duration::from_secs(1);
 
 /// Tasks run outside the state lock and under `catch_unwind`; the one
@@ -73,6 +75,9 @@ struct State {
     /// Workers alive: the base count plus whatever submissions added and
     /// linger has not yet retired. Always `>= executing`.
     live: usize,
+    /// Workers parked (or about to park) on an empty queue, most recently
+    /// parked last; one that wakes still on it was not claimed.
+    parked: Vec<Thread>,
     /// One handle per live worker; a worker that retires takes its own.
     handles: Vec<JoinHandle<()>>,
     shutdown: bool,
@@ -80,8 +85,6 @@ struct State {
 
 struct Inner {
     state: Mutex<State>,
-    /// Wakes one parked worker per submission, all of them at shutdown.
-    cv: Condvar,
     /// The base count: linger never takes `live` below it.
     workers: usize,
 }
@@ -108,10 +111,10 @@ impl Executor {
                 queue: VecDeque::new(),
                 executing: 0,
                 live: 0,
+                parked: Vec::with_capacity(workers),
                 handles: Vec::with_capacity(workers),
                 shutdown: false,
             }),
-            cv: Condvar::new(),
             workers,
         });
         let mut st = inner.state.lock().expect(POISONED);
@@ -180,9 +183,9 @@ impl Executor {
         let handles = {
             let mut st = self.inner.state.lock().expect(POISONED);
             st.shutdown = true;
+            st.parked.drain(..).for_each(|t| t.unpark());
             std::mem::take(&mut st.handles)
         };
-        self.inner.cv.notify_all();
         let me = std::thread::current().id();
         for h in handles {
             if h.thread().id() != me {
@@ -200,14 +203,20 @@ impl Executor {
         });
         let mut st = self.inner.state.lock().expect(POISONED);
         // Reserve-or-grow, in the same lock hold as the push. The bound
-        // held before this task, so one more worker restores it.
-        if st.queue.len() >= st.live - st.executing {
+        // held before this task, so one more worker restores it; an empty
+        // stack means every free worker will see the queue before parking.
+        let claimed = if st.queue.len() >= st.live - st.executing {
             task.obs.with(|i| i.stats.exec.fallback_threads.incr());
             add_worker(&self.inner, &mut st);
+            None
         } else {
-            self.inner.cv.notify_one();
-        }
+            st.parked.pop()
+        };
         st.queue.push_back(task);
+        drop(st);
+        if let Some(worker) = claimed {
+            worker.unpark();
+        }
     }
 }
 
@@ -247,7 +256,8 @@ fn add_worker(inner: &Arc<Inner>, st: &mut State) {
 
 fn worker_loop(inner: Arc<Inner>) {
     WORKS_FOR.set(Arc::as_ptr(&inner) as usize);
-    // True when the last park ran its full LINGER without a wake-up.
+    let me = std::thread::current();
+    // True when the last park ran its full LINGER without being claimed.
     let mut lingered = false;
     let mut st = inner.state.lock().expect(POISONED);
     loop {
@@ -280,17 +290,24 @@ fn worker_loop(inner: Arc<Inner>) {
         // the next submission sees the reduced `live`.
         if st.shutdown || (lingered && st.live > inner.workers) {
             st.live -= 1;
-            let me = std::thread::current().id();
-            st.handles.retain(|h| h.thread().id() != me);
+            st.handles.retain(|h| h.thread().id() != me.id());
             return;
         }
         // Out of work: retire the last task's marker before blocking so
         // neither the sampler nor the stall watchdog attributes the wait
         // to a task that already finished.
         worlds_prof::mark_idle();
-        let (guard, wait) = inner.cv.wait_timeout(st, LINGER).expect(POISONED);
-        st = guard;
-        lingered = wait.timed_out();
+        st.parked.push(me.clone());
+        drop(st);
+        let deadline = Instant::now() + LINGER;
+        std::thread::park_timeout(LINGER);
+        st = inner.state.lock().expect(POISONED);
+        // Still on the stack: nobody claimed this worker while it slept.
+        let unclaimed = st.parked.iter().rposition(|t| t.id() == me.id());
+        if let Some(i) = unclaimed {
+            st.parked.remove(i);
+        }
+        lingered = unclaimed.is_some() && Instant::now() >= deadline;
     }
 }
 
@@ -598,6 +615,33 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel::<u8>();
         pool.spawn(&Registry::disabled(), move || tx.send(7).unwrap());
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn serial_traffic_retires_the_surplus() {
+        // A 4-wide burst grows the pool to 4; one-at-a-time traffic then
+        // needs one worker, and the stack keeps claiming the same one, so
+        // the other three go unclaimed for LINGER and retire. Waking the
+        // parked workers in turn would keep all four in rotation.
+        let pool = Executor::new(1);
+        let barrier = std::sync::Barrier::new(4);
+        pool.scope(&Registry::disabled(), |s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                });
+            }
+        });
+        assert_eq!(pool.inner.state.lock().unwrap().live, 4, "grew to 4");
+        let until = Instant::now() + 3 * LINGER;
+        while Instant::now() < until {
+            pool.scope(&Registry::disabled(), |s| {
+                s.spawn(|| std::hint::black_box(()))
+            });
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(pool.inner.state.lock().unwrap().live, 1);
         pool.shutdown();
     }
 

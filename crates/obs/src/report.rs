@@ -165,9 +165,12 @@ counter_struct! {
         /// An added worker lingers, so this counts thread creations, not
         /// blocks that needed one.
         pub fallback_threads,
-        /// Reaper drain cycles (per store per batch).
+        /// Reaper `drop_worlds` calls: one per store per reaper-thread
+        /// batch, plus one per inline teardown by an enqueuer that found
+        /// the reaper's backlog full.
         pub reaper_batches,
-        /// Worlds torn down by the background reaper.
+        /// Worlds torn down through the reaper, by its thread or inline
+        /// past the backlog cap: every world enqueued that still existed.
         pub reaper_worlds,
     }
 }

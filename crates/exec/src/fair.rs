@@ -25,12 +25,19 @@
 //! in-flight count on drop, so a panicking task cannot wedge the
 //! scheduler.
 //!
+//! [`call`] admits by the same rule with two outcomes: with a slot free,
+//! the task runs on the calling thread at once (no pool hand-off, no
+//! completion wake-up); otherwise it queues as [`submit`] queues and the
+//! caller waits for its result. A free slot means nothing is queued
+//! anywhere, so running inline releases exactly what DRR would.
+//!
 //! [`submit`]: FairScheduler::submit
+//! [`call`]: FairScheduler::call
 
 use crate::pool::Executor;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use worlds_obs::Registry;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -59,7 +66,7 @@ impl Default for FairPolicy {
     }
 }
 
-/// `submit` refused a task because the tenant's queue is full.
+/// `submit` or `call` refused a task because the tenant's queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Saturated {
     /// The tenant whose queue was full.
@@ -79,7 +86,7 @@ impl std::error::Error for Saturated {}
 /// A tenant's scheduler-side counters, snapshotted under the lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
-    /// Tasks accepted into the queue.
+    /// Tasks accepted (queued, or admitted inline by `call`).
     pub submitted: u64,
     /// Tasks whose released wrapper has finished (or unwound).
     pub completed: u64,
@@ -87,7 +94,7 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Tasks queued, not yet released.
     pub queued: usize,
-    /// Tasks released into the pool, not yet finished.
+    /// Tasks released (into the pool or inline), not yet finished.
     pub inflight: usize,
 }
 
@@ -177,6 +184,50 @@ impl FairScheduler {
         task: impl FnOnce() + Send + 'static,
     ) -> Result<(), Saturated> {
         let mut state = self.inner.state.lock().expect("fair lock");
+        self.enqueue(&mut state, key, cost, Box::new(task))
+    }
+
+    /// Run `f` for tenant `key` at DRR cost `cost` and return its
+    /// result: inline with a slot free, else queued and awaited.
+    /// `Ok(None)` means the queued task was purged before it ran (or
+    /// panicked on a pool worker); an inline panic gives the slot back
+    /// and unwinds into the caller.
+    pub fn call<R: Send + 'static>(
+        &self,
+        key: u64,
+        cost: u64,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> Result<Option<R>, Saturated> {
+        let mut state = self.inner.state.lock().expect("fair lock");
+        // DRR-neutral: `pump` runs in the same lock hold as every
+        // `submit` and every completion, and stops only at a full cap or
+        // an empty ring. So a free slot means nothing is queued for any
+        // tenant, and DRR would release this task now; running it here
+        // overtakes nobody, and it counts against the cap like a pooled
+        // task.
+        if state.inflight < self.inner.max_inflight {
+            state.inflight += 1;
+            let tenant = state.tenants.entry(key).or_insert_with(Tenant::new);
+            tenant.submitted += 1;
+            tenant.inflight += 1;
+            drop(state);
+            let _done = DoneGuard {
+                inner: self.inner.clone(),
+                key,
+            };
+            return Ok(Some(f()));
+        }
+        let (tx, rx) = mpsc::channel();
+        let task = Box::new(move || {
+            let _ = tx.send(f());
+        });
+        self.enqueue(&mut state, key, cost, task)?;
+        drop(state);
+        Ok(rx.recv().ok())
+    }
+
+    /// `submit`'s body, under a lock the caller already holds.
+    fn enqueue(&self, state: &mut State, key: u64, cost: u64, task: Task) -> Result<(), Saturated> {
         let tenant = state.tenants.entry(key).or_insert_with(Tenant::new);
         if tenant.queue.len() >= self.inner.queue_cap {
             tenant.rejected += 1;
@@ -186,12 +237,12 @@ impl FairScheduler {
             });
         }
         tenant.submitted += 1;
-        tenant.queue.push_back((cost.max(1), Box::new(task)));
+        tenant.queue.push_back((cost.max(1), task));
         if !tenant.in_ring {
             tenant.in_ring = true;
             state.ring.push_back(key);
         }
-        self.pump(&mut state);
+        self.pump(state);
         Ok(())
     }
 
@@ -487,6 +538,154 @@ mod tests {
         .unwrap();
         fair.drain(1);
         assert_eq!(ran.load(Ordering::Relaxed), 1);
+        exec.shutdown();
+    }
+
+    type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+    fn gated(gate: &Gate) -> impl FnOnce() + Send + 'static {
+        let gate = gate.clone();
+        move || {
+            let (lock, cv) = &*gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }
+    }
+
+    fn open(gate: &Gate) {
+        let (lock, cv) = &**gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// One slot, held by a gated task of tenant 1.
+    fn one_slot_taken() -> (Executor, FairScheduler, Gate) {
+        let exec = Executor::new(1);
+        let fair = FairScheduler::new(
+            exec.clone(),
+            Registry::disabled(),
+            FairPolicy {
+                quantum: 1,
+                queue_cap: 8,
+                max_inflight: 1,
+            },
+        );
+        let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
+        fair.submit(1, 1, gated(&gate)).unwrap();
+        (exec, fair, gate)
+    }
+
+    #[test]
+    fn an_admitted_call_runs_on_the_callers_thread() {
+        let exec = Executor::new(1);
+        let fair = FairScheduler::new(exec.clone(), Registry::disabled(), FairPolicy::default());
+        let me = std::thread::current().id();
+        let ran_on = fair.call(5, 1, || std::thread::current().id()).unwrap();
+        assert_eq!(ran_on, Some(me), "a free slot runs the call inline");
+        let stats = fair.stats(5);
+        assert_eq!(stats.submitted, stats.completed);
+        assert_eq!((stats.submitted, stats.inflight, stats.queued), (1, 0, 0));
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_call_queues_behind_a_full_cap_and_returns_once_it_runs() {
+        let (exec, fair, gate) = one_slot_taken();
+        let caller = {
+            let fair = fair.clone();
+            std::thread::spawn(move || fair.call(9, 1, || 42u32))
+        };
+        wait_until("the call queues", || fair.stats(9).queued == 1);
+        assert_eq!(fair.stats(9).completed, 0);
+        open(&gate);
+        assert_eq!(caller.join().unwrap(), Ok(Some(42)));
+        assert_eq!(fair.stats(9).completed, 1);
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_purged_call_returns_none() {
+        let (exec, fair, gate) = one_slot_taken();
+        let ran = Arc::new(AtomicU64::new(0));
+        let caller = {
+            let (fair, ran) = (fair.clone(), ran.clone());
+            std::thread::spawn(move || {
+                fair.call(9, 1, move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+        };
+        wait_until("the call queues", || fair.stats(9).queued == 1);
+        assert_eq!(fair.purge(9), 1);
+        assert_eq!(caller.join().unwrap(), Ok(None));
+        open(&gate);
+        fair.drain(1);
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "the purged call never ran");
+        exec.shutdown();
+    }
+
+    #[test]
+    fn an_inline_call_never_overtakes_a_queued_task() {
+        let (exec, fair, gate) = one_slot_taken();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // The hog's second task waits in the ring behind the full cap.
+        let hog_log = log.clone();
+        fair.submit(1, 1, move || hog_log.lock().unwrap().push(1u64))
+            .unwrap();
+        let caller = {
+            let (fair, log) = (fair.clone(), log.clone());
+            std::thread::spawn(move || fair.call(2, 1, move || log.lock().unwrap().push(2)))
+        };
+        wait_until("the second tenant queues", || fair.stats(2).queued == 1);
+        assert!(
+            log.lock().unwrap().is_empty(),
+            "nothing ran before a slot freed"
+        );
+        open(&gate);
+        assert_eq!(caller.join().unwrap(), Ok(Some(())));
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![1, 2],
+            "DRR order, not call order"
+        );
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_inline_call_gives_its_slot_back() {
+        let exec = Executor::new(1);
+        let fair = FairScheduler::new(
+            exec.clone(),
+            Registry::disabled(),
+            FairPolicy {
+                quantum: 1,
+                queue_cap: 8,
+                max_inflight: 1,
+            },
+        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fair.call(4, 1, || -> u32 { panic!("alternative blew up") })
+        }));
+        assert!(unwound.is_err(), "the panic reaches the caller");
+        let stats = fair.stats(4);
+        assert_eq!((stats.inflight, stats.completed), (0, 1));
+        let me = std::thread::current().id();
+        let ran_on = fair.call(4, 1, || std::thread::current().id()).unwrap();
+        assert_eq!(
+            ran_on,
+            Some(me),
+            "the slot came back, so the next call is inline"
+        );
         exec.shutdown();
     }
 }

@@ -14,7 +14,8 @@
 //! * **Fairness** — spawns are released through a
 //!   [`FairScheduler`] keyed by session id, so a tenant fanning out
 //!   thousands of worlds cannot starve a light one (deficit
-//!   round-robin; see `worlds-exec::fair`).
+//!   round-robin; see `worlds-exec::fair`). An uncontended spawn runs
+//!   on the connection thread that read it.
 //! * **Exactly-one-commit** — `commit` adopts the chosen world into
 //!   the session root and hands every sibling to the reaper. A second
 //!   commit without new spawns finds no world and is refused.
@@ -32,7 +33,7 @@ use crate::limits::{ResourceLimits, ResourceUsage};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use worlds::Speculation;
 use worlds_exec::{Executor, FairPolicy, FairScheduler, Reaper};
 use worlds_net::nack;
@@ -302,10 +303,12 @@ impl SessionManager {
     }
 
     /// Fork one speculative world off the session root, apply `writes`
-    /// to it, and charge `spin_ns` of declared virtual time. Blocks
-    /// until the fair scheduler has released and run the work (that
-    /// *is* the backpressure a heavy tenant feels), then returns the
-    /// world id for a later `commit`.
+    /// to it, and charge `spin_ns` of declared virtual time, then return
+    /// the world id for a later `commit`. The work is admitted through
+    /// the fair scheduler's `call`: with a slot free it runs right here
+    /// on the caller's (connection) thread; with every slot taken it
+    /// queues behind the DRR pass and this call blocks until it has run
+    /// (that *is* the backpressure a heavy tenant feels).
     pub fn spawn(
         &self,
         id: u64,
@@ -362,69 +365,65 @@ impl SessionManager {
             // Registered before the task is queued so close() can
             // release it even if the task never runs.
             st.worlds.insert(world.raw(), 0);
+            // Burn the declared budget at admission, in the lock hold
+            // that checked it: a concurrent spawn sees the charge even
+            // while this one runs, and a tenant cannot dodge its
+            // contract by keeping work queued. Refunded if refused below.
+            sess.vt_spent.fetch_add(spin_ns, Ordering::Relaxed);
             world
         };
 
-        let (tx, rx) = mpsc::channel::<Result<u64, String>>();
         let store = inner.store.clone();
         let writes = writes.to_vec();
         let spin = spin_ns.min(inner.policy.spin_cap_ns);
-        let task = move || {
-            let mut out = Ok(());
+        let task = move || -> Result<u64, String> {
             for (vpn, bytes) in &writes {
-                if let Err(e) = store.write(world, *vpn, 0, bytes) {
-                    out = Err(e.to_string());
-                    break;
-                }
+                store
+                    .write(world, *vpn, 0, bytes)
+                    .map_err(|e| e.to_string())?;
             }
-            if spin > 0 && out.is_ok() {
+            if spin > 0 {
                 std::thread::sleep(std::time::Duration::from_nanos(spin));
             }
-            let charged = match (&out, store.resident_frames_of(world)) {
-                (Ok(()), Ok(r)) => Ok(r.private),
-                (Err(e), _) => Err(e.clone()),
-                (_, Err(e)) => Err(e.to_string()),
-            };
-            let _ = tx.send(charged);
+            store
+                .resident_frames_of(world)
+                .map(|r| r.private)
+                .map_err(|e| e.to_string())
         };
-        if let Err(sat) = inner.fair.submit(id, spin_ns.max(1), task) {
-            let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.worlds.remove(&world.raw());
-            drop(st);
-            let _ = inner.store.drop_world(world);
-            sess.rejected.fetch_add(1, Ordering::Relaxed);
-            inner.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-            return Err(SessionError::Overloaded(sat.to_string()));
-        }
-        // Burn the declared budget at admission: a tenant cannot dodge
-        // its contract by keeping work queued.
-        sess.vt_spent.fetch_add(spin_ns, Ordering::Relaxed);
+        let ran = match inner.fair.call(id, spin_ns.max(1), task) {
+            Ok(ran) => ran,
+            Err(sat) => {
+                sess.vt_spent.fetch_sub(spin_ns, Ordering::Relaxed);
+                let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
+                st.worlds.remove(&world.raw());
+                drop(st);
+                let _ = inner.store.drop_world(world);
+                sess.rejected.fetch_add(1, Ordering::Relaxed);
+                inner.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
+                return Err(SessionError::Overloaded(sat.to_string()));
+            }
+        };
         sess.spawns.fetch_add(1, Ordering::Relaxed);
 
-        match rx.recv() {
-            Ok(Ok(charge)) => {
-                let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
-                match st.worlds.get_mut(&world.raw()) {
-                    // Session closed underneath us and released the
-                    // world: report the teardown, not success.
-                    None => Err(SessionError::UnknownSession(id)),
-                    Some(slot) => {
-                        *slot = charge;
-                        Ok(world.raw())
-                    }
+        let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
+        match ran {
+            // Purged before it ran, or ran and then lost its world to a
+            // close underneath it: report the teardown, not success.
+            None => Err(SessionError::UnknownSession(id)),
+            Some(Ok(charge)) => match st.worlds.get_mut(&world.raw()) {
+                None => Err(SessionError::UnknownSession(id)),
+                Some(slot) => {
+                    *slot = charge;
+                    Ok(world.raw())
                 }
-            }
-            Ok(Err(store_err)) => {
-                let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
+            },
+            Some(Err(store_err)) => {
                 if st.worlds.remove(&world.raw()).is_some() {
                     drop(st);
                     let _ = inner.store.drop_world(world);
                 }
                 Err(SessionError::Store(store_err))
             }
-            // The task was purged before it ran: the session was
-            // closed while this spawn waited in the fair queue.
-            Err(_) => Err(SessionError::UnknownSession(id)),
         }
     }
 

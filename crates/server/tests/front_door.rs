@@ -237,11 +237,10 @@ fn connection_reset_mid_speculation_then_close_releases_everything() {
 #[test]
 fn a_hundred_spawns_reuse_the_workers_the_door_grew() {
     // The accept loop and the tenant's connection handler each hold a
-    // pool worker for life, so on a two-core host every released spawn
-    // arrives at a pool whose base workers are all taken. The pool grows
-    // for the first one and the worker lingers for the other 99; a
-    // thread per spawn is the overhead the persistent pool exists to
-    // avoid.
+    // pool worker for life, so on a two-core host the pool has to grow
+    // for them. A lone tenant never fills the fair scheduler's in-flight
+    // cap, so each of its spawns runs on its own connection thread: 100
+    // spawns add neither a task nor a thread per spawn.
     let obs = Registry::enabled();
     let door = FrontDoor::serve(
         1,
@@ -258,6 +257,7 @@ fn a_hundred_spawns_reuse_the_workers_the_door_grew() {
         Registry::disabled(),
     )
     .unwrap();
+    let tasks_before = obs.stats().unwrap().exec.tasks_run.get();
     for round in 0..25u8 {
         let mut last = 0;
         for alt in 0..4u8 {
@@ -269,8 +269,56 @@ fn a_hundred_spawns_reuse_the_workers_the_door_grew() {
 
     let stats = obs.stats().unwrap();
     let grown = stats.exec.fallback_threads.get();
-    assert!(stats.exec.tasks_run.get() >= 100, "every spawn ran a task");
+    let tasks = stats.exec.tasks_run.get() - tasks_before;
+    assert_eq!(tasks, 0, "the spawns ran on the connection thread");
     // Sibling tests share the global pool and may take a lingering
     // worker now and then, hence a handful and not one.
     assert!(grown <= 8, "100 spawns added {grown} threads to the pool");
+}
+
+#[test]
+fn the_vt_budget_is_burned_before_the_spawn_runs() {
+    // The first spawn declares the whole budget and spins on for about
+    // 50 ms. A second spawn from another connection during that spin
+    // must already see the charge.
+    const BUDGET: u64 = 50_000_000;
+    let door = FrontDoor::serve(
+        1,
+        PageStore::new(4096),
+        Registry::disabled(),
+        ServerPolicy {
+            spin_cap_ns: 10 * BUDGET,
+            ..ServerPolicy::default()
+        },
+    )
+    .expect("bind front door");
+    let mut tenant = SessionClient::open(
+        door.addr(),
+        "budgeted",
+        ResourceLimits {
+            vt_budget_ns: BUDGET,
+            ..ResourceLimits::unlimited()
+        },
+        RetryPolicy::default(),
+        Registry::disabled(),
+    )
+    .unwrap();
+    let session = tenant.id();
+    let spinning = std::thread::spawn(move || tenant.spawn(BUDGET, vec![]));
+    let mgr = door.manager();
+    while mgr.usage(session).unwrap().live_worlds == 0 {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    let mut other = Conn::new(0, door.addr(), RetryPolicy::default(), Registry::disabled());
+    let err = other
+        .call_ack(&Request::SessionSpawn {
+            session,
+            spin_ns: 1,
+            writes: vec![],
+        })
+        .unwrap_err();
+    assert_eq!(err.nack_code(), Some(nack::LIMIT_EXCEEDED), "{err}");
+    spinning.join().unwrap().expect("the budgeted spawn lands");
+    let usage = mgr.usage(session).unwrap();
+    assert_eq!((usage.vt_spent_ns, usage.spawns), (BUDGET, 1));
 }

@@ -5,8 +5,11 @@
 //! * **Block throughput** — the same speculation workload (3-alternative
 //!   blocks, synchronous elimination) driven through the pooled executor
 //!   and through the old thread-per-alternative dispatcher
-//!   ([`ExecMode::ThreadPerAlt`]). The pooled number should win: a block
-//!   costs queue pushes instead of OS thread creation and teardown.
+//!   ([`ExecMode::ThreadPerAlt`]). In both modes the calling thread runs
+//!   the first alternative itself, so a block dispatches N−1 = 2: pool
+//!   tasks in one, fresh OS threads in the other. The pooled number
+//!   should win: a dispatch costs a queue push instead of OS thread
+//!   creation and teardown.
 //! * **Batched elimination** — tearing down a cohort of losing worlds
 //!   through the background [`Reaper`] (one `drop_worlds` batch, one
 //!   recycler acquisition) versus a `drop_world` loop (one acquisition

@@ -66,6 +66,15 @@ impl<T> AltBlock<T> {
     /// alternative before declaring failure. "TIMEOUT's value should be
     /// chosen so that after TIMEOUT time units have elapsed, it is unlikely
     /// that any of the alternatives have succeeded" (§2.2).
+    ///
+    /// From the deadline on, every alternative's cancellation points
+    /// (`checkpoint`, state writes) fail with [`AltError::Cancelled`], and
+    /// only a report sent before it can win. The first alternative runs
+    /// on the calling thread, so the block returns past the deadline if
+    /// that alternative does not reach a cancellation point or return in
+    /// time; the others run on the pool and cannot delay the return.
+    ///
+    /// [`AltError::Cancelled`]: crate::AltError::Cancelled
     pub fn timeout(mut self, d: Duration) -> Self {
         self.timeout = Some(d);
         self

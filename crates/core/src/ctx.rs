@@ -2,6 +2,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use worlds_obs::TraceCtx;
 use worlds_pagestore::{FileSystem, PageStoreError, WorldId};
@@ -9,10 +10,14 @@ use worlds_predicate::{Pid, PredicateSet};
 
 use crate::error::AltError;
 
-/// Shared cancellation flag: set once a sibling wins (or the block times
-/// out); alternatives poll it at [`WorldCtx::checkpoint`].
+/// Shared cancellation flag: set once a sibling succeeds or the block is
+/// decided, and implied once the block's deadline (if any) has passed;
+/// alternatives poll it at [`WorldCtx::checkpoint`].
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
     /// A fresh, un-cancelled token.
@@ -20,14 +25,23 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Raise the flag.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+    /// A fresh token that also reads cancelled from `deadline` on
+    /// (`None`: never by itself).
+    pub fn with_deadline(deadline: Option<Instant>) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            deadline,
+        }
     }
 
-    /// Has the flag been raised?
+    /// Raise the flag.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::Release);
+    }
+
+    /// Has the flag been raised, or the deadline passed?
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -186,7 +200,7 @@ impl WorldCtx {
 
     // ---- cancellation ----
 
-    /// Has a sibling already won?
+    /// Has a sibling already succeeded, or the block's deadline passed?
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
     }
@@ -308,6 +322,28 @@ mod tests {
         // Writes are cancellation points too: no page of a cancelled
         // world can ever be dirtied again.
         assert_eq!(c.put_u64("post", 2).unwrap_err(), AltError::Cancelled);
+    }
+
+    #[test]
+    fn a_past_deadline_cancels_without_the_flag() {
+        let token = CancelToken::with_deadline(Some(Instant::now()));
+        assert!(token.is_cancelled());
+        let store = PageStore::new(256);
+        let world = store.create_world();
+        let mut c = WorldCtx::new(
+            FileSystem::new(store),
+            world,
+            Pid::fresh(),
+            PredicateSet::empty(),
+            token,
+            TraceCtx {
+                root: world.raw(),
+                world: world.raw(),
+            },
+        );
+        assert_eq!(c.put_bytes("late", b"x").unwrap_err(), AltError::Cancelled);
+        assert_eq!(c.get_bytes("late"), None, "nothing was written");
+        assert!(!CancelToken::with_deadline(None).is_cancelled());
     }
 
     #[test]

@@ -6,12 +6,19 @@
 //! `alt_spawn(n)` + `alt_wait(TIMEOUT)`:
 //!
 //! 1. every alternative gets a fresh pid, sibling-rivalry predicates, and a
-//!    COW fork of the root world, and runs as a task on a persistent pool
-//!    ([`worlds_exec::Executor`]) shared by every block — see [`ExecMode`]
-//!    for the thread-per-alternative ablation mode;
-//! 2. the parent blocks; the **first** alternative to report success wins
-//!    the rendezvous — "`alt_wait()` is an 'at most once' operation for any
-//!    group of child processes" (§2.2.1);
+//!    COW fork of the root world. All but the first spawned one run as
+//!    tasks on a persistent pool ([`worlds_exec::Executor`]) shared by
+//!    every block — see [`ExecMode`] for the thread-per-alternative
+//!    ablation mode — and the first runs on the calling thread, which
+//!    would otherwise only block in `alt_wait`. The block cannot return
+//!    before that alternative returns or reaches a cancellation point,
+//!    so if it never polls it delays a sibling's commit and overruns
+//!    `TIMEOUT`; a pooled alternative that never polls delays nothing;
+//! 2. the parent then waits; the **first** alternative to report success
+//!    wins the rendezvous, whichever thread it ran on — "`alt_wait()` is
+//!    an 'at most once' operation for any group of child processes"
+//!    (§2.2.1). A report sent before the block's `TIMEOUT` counts however
+//!    late the parent reads it; one sent after it times the block out;
 //! 3. the winner's world is adopted into the root world (atomic page-map
 //!    replacement) and its buffered teletype output becomes observable;
 //! 4. the siblings are eliminated: cancelled cooperatively (observed at
@@ -20,7 +27,11 @@
 //!    call ([`ElimMode::Sync`]) or handed to the background
 //!    [`worlds_exec::Reaper`] ([`ElimMode::Async`], the paper's faster
 //!    choice); still-running losers dispose of themselves when they reach
-//!    their sync point.
+//!    their sync point, and queued ones that start cancelled skip their
+//!    body. Cancellation does not wait for the decision: any
+//!    success raises the block's [`CancelToken`], and the token of a
+//!    timed block reads cancelled from its deadline on, so the parent's
+//!    own alternative stops for a sibling's win or the timeout too.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -40,12 +51,14 @@ use crate::report::{AltRun, AltRunStatus, RunOutcome, RunReport};
 /// How a [`Speculation`] dispatches its alternatives.
 #[derive(Clone, Debug)]
 pub enum ExecMode {
-    /// Run alternatives as tasks on a persistent pool. The default is the
-    /// process-wide [`Executor::global`]; sessions can be pinned to a
-    /// private pool with [`Speculation::with_executor`].
+    /// Run all alternatives but the first as tasks on a persistent pool,
+    /// and the first on the calling thread. The default is the process-wide
+    /// [`Executor::global`]; sessions can be pinned to a private pool with
+    /// [`Speculation::with_executor`].
     Pooled(Executor),
-    /// Spawn one OS thread per alternative — the pre-pool behaviour,
-    /// kept as the ablation baseline for `bench-exec`.
+    /// Spawn one OS thread per alternative but the first, which runs on
+    /// the calling thread: N−1 threads plus the caller, the pre-pool
+    /// behaviour kept as the ablation baseline for `bench-exec`.
     ThreadPerAlt,
 }
 
@@ -331,7 +344,8 @@ impl Speculation {
             // behind this interned id rides the stream once.
             obs.announce_site(s);
         }
-        let cancel = CancelToken::new();
+        let deadline = block.timeout.map(|t| start + t);
+        let cancel = CancelToken::with_deadline(deadline);
         let (report_tx, report_rx) = mpsc::channel::<ChildReport<T>>();
         let shared = Arc::new(Mutex::new(ElimShared {
             decided: false,
@@ -347,6 +361,9 @@ impl Speculation {
         let mut labels: Vec<String> = Vec::with_capacity(n);
         let mut skipped: Vec<bool> = Vec::with_capacity(n);
         let mut child_worlds: Vec<Option<WorldId>> = Vec::with_capacity(n);
+        // The first spawned alternative's task, run on this thread once
+        // its siblings are submitted.
+        let mut own_task = None;
         for (i, alt) in block.alts.into_iter().enumerate() {
             labels.push(alt.label.clone());
             // Pre-spawn guards run serially in the parent; failing
@@ -406,17 +423,26 @@ impl Speculation {
                 // Declared after the latch guard, so disposal (a local
                 // drop) happens before the parent is released.
                 let _counts_down = counts_down;
-                // Refine the executor's bare `Task` marker: this worker is
-                // now a specific alternative in a specific world.
-                worlds_prof::mark(
-                    Some(world.raw()),
-                    site,
-                    Some(i as u64),
-                    worlds_prof::Phase::Guard,
-                );
-                let mut ctx = WorldCtx::new(fs, world, pid, preds, cancel, trace);
-                let result = alt.execute(&mut ctx);
-                let output = std::mem::take(&mut ctx.output);
+                // A task that starts after a sibling succeeded, the block
+                // was decided or its deadline passed cannot win: it
+                // reports itself cancelled and disposes of its world below
+                // without running its body.
+                let (result, output) = if cancel.is_cancelled() {
+                    (Err(AltError::Cancelled), Vec::new())
+                } else {
+                    // Refine the executor's bare `Task` marker: this thread
+                    // is now a specific alternative in a specific world.
+                    worlds_prof::mark(
+                        Some(world.raw()),
+                        site,
+                        Some(i as u64),
+                        worlds_prof::Phase::Guard,
+                    );
+                    let mut ctx = WorldCtx::new(fs, world, pid, preds, cancel.clone(), trace);
+                    let result = alt.execute(&mut ctx);
+                    (result, std::mem::take(&mut ctx.output))
+                };
+                let succeeded = result.is_ok();
                 let _ = tx.send(ChildReport {
                     index: i,
                     result,
@@ -424,6 +450,12 @@ impl Speculation {
                     output,
                     elapsed: child_start.elapsed(),
                 });
+                // A success eliminates: the siblings, the parent's own
+                // alternative among them, stop at their next cancellation
+                // point instead of waiting for the parent to decide.
+                if succeeded {
+                    cancel.cancel();
+                }
                 // Elimination handshake: if the parent has already decided
                 // the block, this world's fate is known — a loser tears it
                 // down right here, off the parent's critical path (queued
@@ -445,6 +477,10 @@ impl Speculation {
                     st.finished.push(world);
                 }
             };
+            if own_task.is_none() {
+                own_task = Some(task);
+                continue;
+            }
             match &self.exec {
                 ExecMode::Pooled(exec) => exec.spawn(&obs, task),
                 ExecMode::ThreadPerAlt => {
@@ -454,7 +490,6 @@ impl Speculation {
         }
         drop(report_tx);
 
-        let deadline = block.timeout.map(|t| start + t);
         let mut alt_runs: Vec<AltRun> = labels
             .iter()
             .enumerate()
@@ -489,9 +524,15 @@ impl Speculation {
         let mut committed_output: Vec<String> = Vec::new();
         let mut reported = 0usize;
 
-        // The parent is off-CPU by intent while the children race; a
-        // nested caller's own (Guard) marker is put back at the end.
+        // A nested caller's own (Guard) marker is put back at the end.
         let outer_mark = worlds_prof::current_mark();
+        // Help first: the siblings are queued, so rather than park in
+        // alt_wait this thread runs the first alternative itself, exactly
+        // as a pool worker would — a panic fails the alternative, not the block.
+        if let Some(task) = own_task {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+        }
+        // From here the parent is off-CPU by intent while the rest race.
         worlds_prof::mark(
             Some(parent_world.raw()),
             site,
@@ -500,16 +541,14 @@ impl Speculation {
         );
 
         // alt_wait(TIMEOUT): wait for the first success, a full set of
-        // failures, or the deadline.
+        // failures, or the deadline. The channel is polled before the
+        // deadline is: the parent may look late, having just run an
+        // alternative, and a report's own send time decides whether it
+        // beat the deadline.
         loop {
             let msg = match deadline {
                 Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        outcome = RunOutcome::TimedOut;
-                        break;
-                    }
-                    match report_rx.recv_timeout(d - now) {
+                    match report_rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
                         Ok(m) => m,
                         Err(mpsc::RecvTimeoutError::Timeout) => {
                             outcome = RunOutcome::TimedOut;
@@ -554,8 +593,13 @@ impl Speculation {
                 });
             }
 
+            // A report sent at or past the deadline cannot win: the block
+            // had timed out by then. Keep draining, though — two senders
+            // race between reading the clock and sending, so an on-time
+            // report may be queued behind a late one.
+            let late = block.timeout.is_some_and(|t| msg.elapsed >= t);
             match msg.result {
-                Ok(v) => {
+                Ok(v) if !late => {
                     // First success wins: commit.
                     alt_runs[i].status = AltRunStatus::Won;
                     obs.emit(|| {
@@ -604,10 +648,15 @@ impl Speculation {
                     committed_output = msg.output;
                     break;
                 }
-                Err(e) => {
-                    alt_runs[i].status = AltRunStatus::Failed(e.to_string());
+                result => {
+                    alt_runs[i].status = match result {
+                        Ok(_) => AltRunStatus::Eliminated,
+                        Err(e) => AltRunStatus::Failed(e.to_string()),
+                    };
+                    if late {
+                        outcome = RunOutcome::TimedOut;
+                    }
                     if reported == spawned_count {
-                        outcome = RunOutcome::AllFailed;
                         break;
                     }
                 }
@@ -1302,6 +1351,93 @@ mod tests {
             assert_eq!(spec.read(|c| c.get_u64("poison")), Some(0));
             assert_eq!(spec.store().world_count(), 1);
         }
+    }
+
+    #[test]
+    fn the_first_alternative_runs_on_the_calling_thread() {
+        for spec in [Speculation::new(), Speculation::new().with_thread_per_alt()] {
+            let r = spec.run(
+                AltBlock::new()
+                    .alt("first", |_| Ok(std::thread::current().id()))
+                    .alt("pooled", |_| Err(AltError::GuardFailed("no".into())))
+                    .elim(ElimMode::Sync),
+            );
+            assert_eq!(r.winner_label(), Some("first"));
+            assert_eq!(r.value, Some(std::thread::current().id()));
+        }
+    }
+
+    /// The caller is busy in alternative 0 when alternative 1 succeeds, so
+    /// only the success itself can stop it: the parent cannot decide the
+    /// block before its own alternative returns.
+    #[test]
+    fn a_pooled_success_stops_the_callers_alternative() {
+        let spec = Speculation::new();
+        let t0 = Instant::now();
+        let r = spec.run(
+            AltBlock::new()
+                .alt("spins", move |ctx| {
+                    // Bounded so a regression fails instead of hanging.
+                    while t0.elapsed() < Duration::from_secs(5) {
+                        ctx.checkpoint()?;
+                        std::hint::spin_loop();
+                    }
+                    Ok(0u8)
+                })
+                .alt("instant", |_| Ok(1u8)),
+        );
+        assert_eq!(
+            r.outcome,
+            RunOutcome::Winner {
+                index: 1,
+                label: "instant".into()
+            }
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    }
+
+    /// The caller reaches alt_wait only after the deadline, with the
+    /// pooled success long since in the channel: it must still win.
+    #[test]
+    fn a_report_before_the_deadline_still_wins() {
+        let spec = Speculation::new();
+        let r = spec.run(
+            AltBlock::new()
+                .alt("oversleeps", |_| {
+                    std::thread::sleep(Duration::from_millis(80));
+                    Ok(0u8)
+                })
+                .alt("instant", |_| Ok(1u8))
+                .timeout(Duration::from_millis(30)),
+        );
+        assert_eq!(
+            r.outcome,
+            RunOutcome::Winner {
+                index: 1,
+                label: "instant".into()
+            }
+        );
+        assert_eq!(r.value, Some(1));
+    }
+
+    #[test]
+    fn a_three_way_block_runs_two_pool_tasks() {
+        let spec = Speculation::with_obs(PAGE_SIZE_DEFAULT, Registry::enabled());
+        let tasks_run = || spec.obs().stats().unwrap().exec.tasks_run.get();
+        let before = tasks_run();
+        let r = spec.run(
+            AltBlock::new()
+                .alt("a", |ctx| ctx.put_u64("x", 1))
+                .alt("b", |ctx| ctx.put_u64("x", 2))
+                .alt("c", |ctx| ctx.put_u64("x", 3))
+                .elim(ElimMode::Sync),
+        );
+        assert!(r.succeeded());
+        assert_eq!(
+            tasks_run() - before,
+            2,
+            "N−1 pool tasks, the caller runs one"
+        );
     }
 
     /// Spans from a pooled-executor run must reconstruct exactly like

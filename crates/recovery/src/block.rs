@@ -115,6 +115,14 @@ impl<T: Send + 'static> RecoveryBlock<T> {
     /// sibling world; the first acceptance-test pass commits. Losing
     /// alternates are eliminated asynchronously — the paper's measured
     /// faster choice (§2.2.1); use [`Self::run_parallel_elim`] to pick.
+    ///
+    /// The alternates race last-first: a block's first alternative runs
+    /// on the calling thread (see [`Speculation::run`]), and the call
+    /// returns only once that alternative returns or reaches a
+    /// cancellation point (`checkpoint`, a state write). That is the last
+    /// alternate, by convention the simplest and most trusted; the primary
+    /// under suspicion runs on the pool, so a primary that hangs cannot
+    /// hold up a spare's commit.
     pub fn run_parallel(&self, spec: &Speculation) -> RecoveryReport<T> {
         self.run_parallel_elim(spec, ElimMode::Async)
     }
@@ -123,7 +131,7 @@ impl<T: Send + 'static> RecoveryBlock<T> {
     pub fn run_parallel_elim(&self, spec: &Speculation, elim: ElimMode) -> RecoveryReport<T> {
         let start = Instant::now();
         let mut block: AltBlock<T> = AltBlock::new().elim(elim);
-        for (label, f) in &self.alternates {
+        for (label, f) in self.alternates.iter().rev() {
             let f = f.clone();
             let acc = self.acceptance.clone();
             block = block.alternative(

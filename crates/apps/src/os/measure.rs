@@ -167,13 +167,13 @@ pub fn elimination_cost_best_of(n: usize, rounds: usize) -> io::Result<(Duration
     Ok((best_sync, best_async))
 }
 
-/// Build a simulator [`worlds_kernel::CostModel`] calibrated from *this
+/// Build a simulator [`worlds::sim::CostModel`] calibrated from *this
 /// host's* live measurements — the bridge that lets the virtual-time
 /// experiments answer "what would the paper's tables look like on my
 /// machine?". CPU count comes from the OS; fork and page-copy costs from
 /// the §3.4 measurement kit; elimination costs from a best-of-3 run.
-pub fn calibrated_cost_model() -> io::Result<worlds_kernel::CostModel> {
-    use worlds_kernel::{CostModel, VirtualTime};
+pub fn calibrated_cost_model() -> io::Result<worlds::sim::CostModel> {
+    use worlds::sim::{CostModel, VirtualTime};
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -242,7 +242,7 @@ mod tests {
         assert!(m.fork.as_ns() > 0);
         assert!(m.page_copy.as_ns() > 0);
         // A 2026 kernel beats the paper's 1989 numbers at everything.
-        assert!(m.fork < worlds_kernel::CostModel::hp9000_350().fork);
+        assert!(m.fork < worlds::sim::CostModel::hp9000_350().fork);
         assert!(m.page_copy_rate() > 1034.0);
     }
 

@@ -1,4 +1,4 @@
-//! # worlds-os — real `fork(2)` Multiple Worlds (Unix only)
+//! # `os` — real `fork(2)` Multiple Worlds (Unix only)
 //!
 //! The paper's prototype *is* UNIX `fork()`: each alternative runs in a
 //! forked child whose entire address space is inherited copy-on-write from
@@ -7,7 +7,7 @@
 //! HP 9000/350, 40/20 ms sync/async elimination of 16 children) are of
 //! exactly this path.
 //!
-//! This crate reproduces that prototype on modern Unix:
+//! This module reproduces that prototype on modern Unix:
 //!
 //! * [`ForkRace`] — run alternatives as real forked processes; the first
 //!   child to write a result through the shared pipe wins (`PIPE_BUF`
@@ -28,8 +28,6 @@
 //! `clock_gettime`, `_exit`). User closures run in the child and must
 //! follow the same rule when the embedding process is multithreaded —
 //! write into the provided buffer, do not allocate, do not lock.
-
-#![cfg(unix)]
 
 pub mod measure;
 mod race;

@@ -21,7 +21,7 @@ pub struct ForkAlt {
     /// preallocated scratch buffer and must return `Ok(len)` with its
     /// result occupying `buf[..len]`, or `Err(())` if its guard fails.
     /// In multithreaded embedders this closure must not allocate or lock
-    /// (see crate docs).
+    /// (see module docs).
     pub run: ChildFn,
 }
 
@@ -199,7 +199,7 @@ impl ForkRace {
         // children are gone".
         unsafe { libc::close(write_fd) };
 
-        let outcome = self.parent_wait(read_fd, &labels, &pids)?;
+        let outcome = self.parent_wait(read_fd, &labels)?;
         unsafe { libc::close(read_fd) };
 
         // Eliminate the siblings.
@@ -239,12 +239,7 @@ impl ForkRace {
     }
 
     /// Wait for the first full message, EOF, or timeout.
-    fn parent_wait(
-        &self,
-        read_fd: i32,
-        labels: &[String],
-        _pids: &[i32],
-    ) -> io::Result<ForkOutcome> {
+    fn parent_wait(&self, read_fd: i32, labels: &[String]) -> io::Result<ForkOutcome> {
         let deadline_ms: i32 = match self.timeout {
             Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
             None => -1,

@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use worlds::{AltBlock, AltError, ElimMode, Speculation};
 
-use crate::knowledge::Knowledge;
-use crate::method::{Method, MethodError};
+use super::knowledge::Knowledge;
+use super::method::{Method, MethodError};
 
 /// How a polyalgorithm run ended.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::knowledge::Knowledge;
+use super::knowledge::Knowledge;
 
 /// Why a method declined or failed to solve the problem.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,4 +1,4 @@
-//! # worlds-poly — polyalgorithms through Multiple Worlds (§4.3)
+//! # `poly` — polyalgorithms through Multiple Worlds (§4.3)
 //!
 //! A *polyalgorithm* (Rice, 1968) "encapsulat\[es\] a numerical analyst's
 //! knowledge into a system for solving numerical problems. The basic idea
@@ -14,7 +14,7 @@
 //! scheduling could improve the response time properties of a system such
 //! as NAPSS" — whose perceived problem was exactly performance.
 //!
-//! This crate implements:
+//! This module implements:
 //!
 //! * [`Method`] / [`Knowledge`] — solution methods that either produce a
 //!   result or *fail informatively*, contributing facts later methods can

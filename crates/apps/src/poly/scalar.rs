@@ -13,9 +13,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::knowledge::Knowledge;
-use crate::method::{Method, MethodError};
-use crate::Polyalgorithm;
+use super::knowledge::Knowledge;
+use super::method::{Method, MethodError};
+use super::Polyalgorithm;
 
 /// A scalar root-finding problem: find `x` with `f(x) = 0`.
 #[derive(Clone)]
@@ -219,7 +219,7 @@ pub fn standard_polyalgorithm() -> Polyalgorithm<ScalarProblem, f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolyOutcome;
+    use crate::poly::PolyOutcome;
 
     fn classic() -> ScalarProblem {
         // x³ − 2x − 5: the root Newton was born for (x ≈ 2.0945514).

@@ -11,8 +11,8 @@
 //! | `is(X, E)` | evaluate arithmetic `E`, unify `X` with the result |
 //! | `lt/gt/leq/geq/neq/eqq (A, B)` | arithmetic comparison (both sides evaluated) |
 
-use crate::term::Term;
-use crate::unify::{unify, Subst};
+use super::term::Term;
+use super::unify::{unify, Subst};
 
 /// Result of attempting a builtin.
 #[allow(clippy::enum_variant_names)] // `NotBuiltin` is the clearest name for the passthrough case
@@ -99,7 +99,7 @@ pub(crate) fn try_builtin(s: &mut Subst, goal: &Term) -> Builtin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_query;
+    use crate::prolog::parser::parse_query;
 
     fn goal(src: &str) -> Term {
         parse_query(src).unwrap().remove(0)

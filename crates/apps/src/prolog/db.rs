@@ -1,7 +1,7 @@
 //! The clause database (knowledge base + rules).
 
-use crate::parser::{parse_program, ParseError};
-use crate::term::Term;
+use super::parser::{parse_program, ParseError};
+use super::term::Term;
 
 /// One Horn clause: `head :- body₁, …, bodyₙ.` (facts have empty bodies).
 #[derive(Debug, Clone, PartialEq)]

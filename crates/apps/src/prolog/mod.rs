@@ -1,4 +1,4 @@
-//! # worlds-prolog — OR-parallelism over Multiple Worlds (§4.2)
+//! # `prolog` — OR-parallelism over Multiple Worlds (§4.2)
 //!
 //! "OR-parallelism, where at least one of a list of clauses must be shown
 //! true ... maps closely to our problem of attempting alternatives in
@@ -8,7 +8,7 @@
 //! derivation that succeeds, discard the rest — "since we choose only one
 //! alternative, no merging is necessary".
 //!
-//! This crate is a small but complete Horn-clause engine built for that
+//! This module is a small but complete Horn-clause engine built for that
 //! experiment:
 //!
 //! * [`Term`] / [`parse_program`] / [`parse_query`] — terms, clauses and a

@@ -12,10 +12,10 @@ use std::time::Duration;
 
 use worlds::{AltBlock, AltError, ElimMode, RunOutcome, Speculation};
 
-use crate::db::Database;
-use crate::solve::{solve_first, Bindings, SolveConfig};
-use crate::term::Term;
-use crate::unify::{unify, Subst};
+use super::db::Database;
+use super::solve::{solve_first, Bindings, SolveConfig};
+use super::term::Term;
+use super::unify::{unify, Subst};
 
 /// Result of an OR-parallel query.
 #[derive(Debug)]
@@ -317,8 +317,8 @@ fn substitute(t: &Term, b: &Bindings) -> Term {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_query;
-    use crate::solve::solve;
+    use crate::prolog::parser::parse_query;
+    use crate::prolog::solve::solve;
 
     const FAMILY: &str = "\
         parent(tom, bob).\n\
@@ -387,10 +387,10 @@ mod tests {
             ("grand(ann, Z)", false),
             ("parent(tom, X), parent(X, pat)", true),
         ] {
-            let goals = crate::parser::parse_query(query).unwrap();
+            let goals = crate::prolog::parser::parse_query(query).unwrap();
             let spec = Speculation::new();
             let deep = or_parallel_solve_deep(&spec, &db, &goals, &cfg, 3);
-            let (seq, _) = crate::solve::solve(&db, &goals, &cfg);
+            let (seq, _) = crate::prolog::solve::solve(&db, &goals, &cfg);
             assert_eq!(
                 deep.is_some(),
                 !seq.is_empty(),
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn deep_depth_zero_is_purely_sequential() {
         let db = Database::consult(FAMILY).unwrap();
-        let goals = crate::parser::parse_query("grand(tom, Z)").unwrap();
+        let goals = crate::prolog::parser::parse_query("grand(tom, Z)").unwrap();
         let spec = Speculation::new();
         let b = or_parallel_solve_deep(&spec, &db, &goals, &SolveConfig::default(), 0)
             .expect("solvable");
@@ -433,12 +433,12 @@ mod tests {
              path(U, V) :- edge(U, W), path(W, V).",
         )
         .unwrap();
-        let goals = crate::parser::parse_query("path(a, d)").unwrap();
+        let goals = crate::prolog::parser::parse_query("path(a, d)").unwrap();
         let spec = Speculation::new();
         let b = or_parallel_solve_deep(&spec, &db, &goals, &SolveConfig::default(), 2);
         assert!(b.is_some(), "a->b->c->d must be derivable");
         // Unsolvable goal still fails cleanly through the nested blocks.
-        let goals = crate::parser::parse_query("path(d, a)").unwrap();
+        let goals = crate::prolog::parser::parse_query("path(d, a)").unwrap();
         assert!(or_parallel_solve_deep(&spec, &db, &goals, &SolveConfig::default(), 2).is_none());
     }
 
@@ -460,7 +460,7 @@ mod tests {
         }
         src.push_str("path(U, V) :- edge(U, V).\npath(U, V) :- edge(U, W), path(W, V).\n");
         let db = Database::consult(&src).unwrap();
-        let goals = crate::parser::parse_query("path(a, nowhere)").unwrap();
+        let goals = crate::prolog::parser::parse_query("path(a, nowhere)").unwrap();
         let spec = Speculation::new();
         let t0 = std::time::Instant::now();
         let out = or_parallel_solve(

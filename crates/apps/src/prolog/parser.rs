@@ -13,8 +13,8 @@
 
 use std::fmt;
 
-use crate::db::Clause;
-use crate::term::Term;
+use super::db::Clause;
+use super::term::Term;
 
 /// Parse failure with position information.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,10 +3,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::builtins::{try_builtin, Builtin};
-use crate::db::Database;
-use crate::term::Term;
-use crate::unify::{unify, Subst};
+use super::builtins::{try_builtin, Builtin};
+use super::db::Database;
+use super::term::Term;
+use super::unify::{unify, Subst};
 
 /// One solution: the query's variables resolved to ground (or residual)
 /// terms, ordered by variable name for determinism.
@@ -154,7 +154,7 @@ pub fn solve_first(db: &Database, goals: &[Term], cfg: &SolveConfig) -> (Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_query;
+    use crate::prolog::parser::parse_query;
 
     const FAMILY: &str = "\
         parent(tom, bob).\n\

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::term::Term;
+use super::term::Term;
 
 /// A substitution: variable name → term. Bindings may chain (X → Y,
 /// Y → tom); [`Subst::resolve`] walks chains to the fixpoint.

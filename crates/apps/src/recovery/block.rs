@@ -169,7 +169,7 @@ impl<T> std::fmt::Debug for RecoveryBlock<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::recovery::fault::FaultPlan;
 
     fn compute_ok(v: u64) -> impl Fn(&mut WorldCtx) -> Result<u64, AltError> + Send + Sync {
         move |ctx| {

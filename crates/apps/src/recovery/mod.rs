@@ -1,4 +1,4 @@
-//! # worlds-recovery — recovery blocks over Multiple Worlds (§4.1)
+//! # `recovery` — recovery blocks over Multiple Worlds (§4.1)
 //!
 //! A *recovery block* (Randell's software fault-tolerance construct) is
 //! "composed of several alternative methods of computing a result; the

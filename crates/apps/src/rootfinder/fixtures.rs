@@ -2,8 +2,8 @@
 
 use rand::Rng;
 
-use crate::complex::Complex;
-use crate::poly::Poly;
+use super::complex::Complex;
+use super::poly::Poly;
 
 /// Starting angles used by the experiments, in degrees. The first is
 /// CPOLY's classical 49°; the rest fan out so that each "alternative" of
@@ -55,7 +55,7 @@ pub fn wilkinson_like(n: usize, spacing: f64) -> (Poly, Vec<Complex>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jt::{find_all_roots_robust, JtConfig};
+    use crate::rootfinder::jt::{find_all_roots_robust, JtConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

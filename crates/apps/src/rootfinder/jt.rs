@@ -7,8 +7,8 @@
 //! angle can leave stage 2 circling without convergence: that is the
 //! *failure* the paper's Table I counts in its `fails` column.
 
-use crate::complex::Complex;
-use crate::poly::Poly;
+use super::complex::Complex;
+use super::poly::Poly;
 
 /// Tunables for the iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]

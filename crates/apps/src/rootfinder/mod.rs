@@ -1,4 +1,4 @@
-//! # worlds-rootfinder — the Table I workload
+//! # `rootfinder` — the Table I workload
 //!
 //! §4.3 of the paper evaluates Multiple Worlds on a numerical application:
 //! the complex Jenkins–Traub polynomial zero finder (CACM Algorithm 419,
@@ -12,7 +12,7 @@
 //! That is exactly the paper's Table I: 1–6 processes, each running the
 //! full rootfinder from a different starting angle, first success wins.
 //!
-//! This crate implements, from scratch:
+//! This module implements, from scratch:
 //!
 //! * [`Complex`] — complex arithmetic (no external num crate);
 //! * [`Poly`] — complex polynomials: Horner evaluation, derivative,

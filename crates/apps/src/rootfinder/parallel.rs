@@ -10,9 +10,9 @@ use std::time::Duration;
 
 use worlds::{AltBlock, AltError, ElimMode, RunReport, Speculation};
 
-use crate::complex::Complex;
-use crate::jt::{find_all_roots, JtConfig};
-use crate::poly::Poly;
+use super::complex::Complex;
+use super::jt::{find_all_roots, JtConfig};
+use super::poly::Poly;
 
 /// Result of one parallel race.
 #[derive(Debug)]
@@ -87,7 +87,7 @@ pub fn committed_roots(spec: &Speculation) -> Option<Vec<Complex>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{legendre_like, TEST_ANGLES};
+    use crate::rootfinder::fixtures::{legendre_like, TEST_ANGLES};
 
     #[test]
     fn parallel_race_finds_all_roots() {

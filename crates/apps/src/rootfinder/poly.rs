@@ -1,6 +1,6 @@
 //! Complex polynomials: evaluation, synthetic division, Cauchy bound.
 
-use crate::complex::Complex;
+use super::complex::Complex;
 
 /// A complex polynomial, stored leading-coefficient-first:
 /// `p(z) = c[0]·zⁿ + c[1]·zⁿ⁻¹ + … + c[n]`.

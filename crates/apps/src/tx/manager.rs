@@ -251,7 +251,10 @@ pub fn competing_parallel<R: Send + 'static>(
     manager: &TxManager,
     bodies: Vec<ParallelTxBody<R>>,
 ) -> Option<(usize, R)> {
-    let (tx_result, rx_result) = std::sync::mpsc::channel::<(usize, Result<(R, u64), Conflict>)>();
+    // The block's decision: empty until a rival commits. Each rival holds
+    // it across its own commit, so the first to validate decides and every
+    // later rival — even one that would also validate — aborts instead.
+    let decision: Arc<Mutex<Option<(usize, R)>>> = Arc::new(Mutex::new(None));
     let mut handles = Vec::new();
     // Begin every transaction up front so all rivals share the SAME
     // snapshot — "each alternative is guaranteed the same initial state".
@@ -260,37 +263,21 @@ pub fn competing_parallel<R: Send + 'static>(
     let txs: Vec<Tx> = bodies.iter().map(|_| manager.begin()).collect();
     for ((i, body), mut tx) in bodies.into_iter().enumerate().zip(txs) {
         let mgr = manager.clone();
-        let tx_result = tx_result.clone();
+        let decision = Arc::clone(&decision);
         handles.push(std::thread::spawn(move || {
             let r = body(&mgr, &mut tx);
-            let outcome = mgr.commit(tx).map(|v| (r, v));
-            let _ = tx_result.send((i, outcome));
-        }));
-    }
-    drop(tx_result);
-
-    // First successful commit wins. Later commits may also have validated
-    // (they are serializable against each other); the Multiple-Worlds
-    // contract is "at most one takes effect", so once a winner exists we
-    // undo nothing — instead we only report the first, and the nature of
-    // OCC guarantees conflicting rivals aborted on their own.
-    let mut winner: Option<(usize, R)> = None;
-    let mut commits = 0u32;
-    while let Ok((i, outcome)) = rx_result.recv() {
-        if let Ok((r, _v)) = outcome {
-            commits += 1;
-            if winner.is_none() {
-                winner = Some((i, r));
+            let mut decision = decision.lock();
+            if decision.is_some() {
+                mgr.abort(tx);
+            } else if mgr.commit(tx).is_ok() {
+                *decision = Some((i, r));
             }
-        }
+        }));
     }
     for h in handles {
         let _ = h.join();
     }
-    // Post-condition sanity: overlapping write/read sets allow at most one
-    // commit; disjoint ones may serialize — both are valid histories, and
-    // callers that need strict at-most-once use page-overlapping bodies.
-    let _ = commits;
+    let winner = decision.lock().take();
     winner
 }
 
@@ -485,6 +472,32 @@ mod tests {
         );
         assert!(winner.is_some());
         assert!(m.version() >= 1);
+    }
+
+    #[test]
+    fn competing_parallel_on_disjoint_pages_commits_exactly_one() {
+        let m = mgr();
+        // No body reads, so every one of them would validate: only the
+        // block's decision keeps the losers from taking effect.
+        let winner = competing_parallel(
+            &m,
+            (0..3u8)
+                .map(|i| {
+                    Box::new(move |mgr: &TxManager, tx: &mut Tx| {
+                        mgr.write(tx, i as u64, &[9]);
+                        i
+                    }) as Box<dyn FnOnce(&TxManager, &mut Tx) -> u8 + Send>
+                })
+                .collect(),
+        );
+        let (idx, val) = winner.expect("someone validates first");
+        assert_eq!(idx as u8, val);
+        assert_eq!(m.version(), 1, "exactly one rival took effect");
+        for page in 0..3u8 {
+            let expected = if page == val { 9 } else { 0 };
+            assert_eq!(m.read_committed(page as u64, 1), vec![expected]);
+        }
+        assert_eq!(m.store().world_count(), 1, "all rival worlds dropped");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # worlds-tx — Multiple Worlds as competing transactions (§5)
+//! # `tx` — Multiple Worlds as competing transactions (§5)
 //!
 //! The paper situates its mechanism against optimistic concurrency
 //! control: "the notion of multiple alternatives is orthogonal to the
@@ -7,7 +7,7 @@
 //! effect**", and its predicates are "optimistic in the sense that each
 //! timeline assumes that it will succeed" (citing Kung & Robinson).
 //!
-//! This crate makes that correspondence concrete by building classical
+//! This module makes that correspondence concrete by building classical
 //! Kung–Robinson optimistic transactions **on the same COW substrate**:
 //!
 //! * [`TxManager`] — a versioned database of pages; every transaction

@@ -1,7 +1,7 @@
 //! Property-based tests of the Horn-clause engine.
 
 use proptest::prelude::*;
-use worlds_prolog::{parse_query, solve, unify, Database, SolveConfig, Subst, Term};
+use worlds_apps::prolog::{parse_query, solve, unify, Database, SolveConfig, Subst, Term};
 
 /// Random ground (variable-free) terms.
 fn arb_ground(depth: u32) -> impl Strategy<Value = Term> {

@@ -2,7 +2,7 @@
 //! polynomials built from known roots must have those roots recovered.
 
 use proptest::prelude::*;
-use worlds_rootfinder::{find_all_roots_robust, Complex, JtConfig, Poly};
+use worlds_apps::rootfinder::{find_all_roots_robust, Complex, JtConfig, Poly};
 
 /// Random well-separated roots in an annulus (min pairwise distance
 /// enforced so conditioning stays sane).

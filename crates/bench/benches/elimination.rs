@@ -44,7 +44,7 @@ fn bench_real(c: &mut Criterion) {
         b.iter_custom(|iters| {
             let mut total = std::time::Duration::ZERO;
             for _ in 0..iters {
-                let (sync, _) = worlds_os::measure::elimination_cost(16).expect("forks work");
+                let (sync, _) = worlds_apps::os::measure::elimination_cost(16).expect("forks work");
                 total += sync;
             }
             total
@@ -55,7 +55,7 @@ fn bench_real(c: &mut Criterion) {
             let mut total = std::time::Duration::ZERO;
             for _ in 0..iters {
                 let (_, asynchronous) =
-                    worlds_os::measure::elimination_cost(16).expect("forks work");
+                    worlds_apps::os::measure::elimination_cost(16).expect("forks work");
                 total += asynchronous;
             }
             total

@@ -48,8 +48,8 @@ fn bench_real_fork(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(200));
     g.bench_function("fork_320KB_dirty", |b| {
         b.iter_custom(|iters| {
-            let d =
-                worlds_os::measure::fork_latency(320 * 1024, iters as usize).expect("fork works");
+            let d = worlds_apps::os::measure::fork_latency(320 * 1024, iters as usize)
+                .expect("fork works");
             d * iters as u32
         });
     });

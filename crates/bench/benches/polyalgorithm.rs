@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use worlds::Speculation;
-use worlds_poly::scalar::{standard_polyalgorithm, ScalarProblem};
+use worlds_apps::poly::scalar::{standard_polyalgorithm, ScalarProblem};
 
 /// atan from a far guess: Newton (tried first without a bracket hint)
 /// diverges after scouting a bracket; bisection then finishes.

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use worlds::Speculation;
-use worlds_prolog::{or_parallel_solve, parse_query, solve_first, Database, SolveConfig};
+use worlds_apps::prolog::{or_parallel_solve, parse_query, solve_first, Database, SolveConfig};
 
 /// `path(a, goal)` where clause order sends sequential search into a long
 /// chain first; a short chain also exists.

@@ -3,10 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use worlds::Speculation;
+use worlds_apps::rootfinder::parallel::parallel_find_roots;
+use worlds_apps::rootfinder::{find_all_roots, find_all_roots_robust};
 use worlds_bench::table1::TABLE1_ANGLES;
 use worlds_bench::table1_workload;
-use worlds_rootfinder::parallel::parallel_find_roots;
-use worlds_rootfinder::{find_all_roots, find_all_roots_robust};
 
 fn bench(c: &mut Criterion) {
     let (poly, cfg) = table1_workload();

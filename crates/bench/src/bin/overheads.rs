@@ -19,12 +19,12 @@ fn main() {
     // --- live measurements (real kernel) ---
     #[cfg(unix)]
     let (fork_ms, rate_2k, rate_4k, elim) = {
-        let fork = worlds_os::measure::fork_latency(320 * 1024, 20)
+        let fork = worlds_apps::os::measure::fork_latency(320 * 1024, 20)
             .map(|d| d.as_secs_f64() * 1e3)
             .unwrap_or(f64::NAN);
-        let r2 = worlds_os::measure::page_copy_rate(512, 2048).unwrap_or(f64::NAN);
-        let r4 = worlds_os::measure::page_copy_rate(512, 4096).unwrap_or(f64::NAN);
-        let el = worlds_os::measure::elimination_cost_best_of(16, 5).ok();
+        let r2 = worlds_apps::os::measure::page_copy_rate(512, 2048).unwrap_or(f64::NAN);
+        let r4 = worlds_apps::os::measure::page_copy_rate(512, 4096).unwrap_or(f64::NAN);
+        let el = worlds_apps::os::measure::elimination_cost_best_of(16, 5).ok();
         (fork, r2, r4, el)
     };
     #[cfg(not(unix))]
@@ -128,7 +128,7 @@ fn main() {
     #[cfg(unix)]
     {
         use worlds_kernel::{AltSpec, BlockSpec, Machine};
-        match worlds_os::measure::calibrated_cost_model() {
+        match worlds_apps::os::measure::calibrated_cost_model() {
             Ok(model) => {
                 println!("\nthis host as a calibrated cost model:");
                 println!(

@@ -11,10 +11,10 @@
 use std::time::Instant;
 
 use worlds::Speculation;
+use worlds_apps::rootfinder::find_all_roots;
+use worlds_apps::rootfinder::parallel::parallel_find_roots;
 use worlds_bench::table1::TABLE1_ANGLES;
 use worlds_bench::{render_table, table1_rows, table1_workload};
-use worlds_rootfinder::find_all_roots;
-use worlds_rootfinder::parallel::parallel_find_roots;
 
 fn main() {
     println!("Table I reproduction: parallel Jenkins-Traub rootfinder");

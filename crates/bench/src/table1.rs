@@ -16,8 +16,8 @@
 //! degrades as >2 processes contend for 2 CPUs — exactly the paper's
 //! pattern (4.37, 4.25, 4.74, 5.19, 8.61, 7.03).
 
+use worlds_apps::rootfinder::{find_all_roots, legendre_like, FindError, JtConfig, Poly};
 use worlds_kernel::{AltSpec, BlockSpec, CostModel, GuardPlacement, Machine, Outcome};
-use worlds_rootfinder::{find_all_roots, legendre_like, FindError, JtConfig, Poly};
 
 /// The six starting angles the Table I reproduction races, in join order.
 /// Chosen (by probing the fixed workload) so that the early angles

@@ -10,7 +10,7 @@
 //! and the others abort — then the ordinary retry loop shows the same
 //! machinery handling ordinary (non-competing) concurrency.
 
-use worlds_tx::{competing_parallel, Tx, TxManager};
+use worlds_apps::tx::{competing_parallel, Tx, TxManager};
 
 fn main() {
     let db = TxManager::new(256);
@@ -42,7 +42,7 @@ fn main() {
                 let new = f(p);
                 m.write(tx, 0, &new.to_le_bytes());
                 new
-            }) as worlds_tx::ParallelTxBody<u64>
+            }) as worlds_apps::tx::ParallelTxBody<u64>
         })
         .collect();
 

@@ -12,7 +12,7 @@
 #[cfg(unix)]
 fn main() {
     use std::time::{Duration, Instant};
-    use worlds_os::{measure, ForkAlt, ForkElim, ForkOutcome, ForkRace};
+    use worlds_apps::os::{measure, ForkAlt, ForkElim, ForkOutcome, ForkRace};
 
     // Shared read-only input, inherited COW by every child.
     let input: Vec<u64> = (0..200_000).collect();

@@ -12,8 +12,8 @@
 //! already running.
 
 use worlds::Speculation;
-use worlds_poly::scalar::{standard_polyalgorithm, ScalarProblem};
-use worlds_poly::PolyOutcome;
+use worlds_apps::poly::scalar::{standard_polyalgorithm, ScalarProblem};
+use worlds_apps::poly::PolyOutcome;
 
 fn describe(tag: &str, out: &PolyOutcome<f64>) {
     match out {

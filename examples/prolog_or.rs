@@ -10,7 +10,9 @@
 use std::time::Instant;
 
 use worlds::Speculation;
-use worlds_prolog::{or_parallel_solve, parse_query, solve, solve_first, Database, SolveConfig};
+use worlds_apps::prolog::{
+    or_parallel_solve, parse_query, solve, solve_first, Database, SolveConfig,
+};
 
 fn main() {
     // Knowledge base: a long decoy chain listed first, a short path after.

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use worlds::Speculation;
-use worlds_recovery::{FaultPlan, RecoveryBlock, RecoveryOutcome};
+use worlds_apps::recovery::{FaultPlan, RecoveryBlock, RecoveryOutcome};
 
 fn main() {
     let spec = Speculation::new();

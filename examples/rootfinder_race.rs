@@ -13,8 +13,8 @@
 use std::time::Instant;
 
 use worlds::Speculation;
-use worlds_rootfinder::parallel::{committed_roots, parallel_find_roots};
-use worlds_rootfinder::{find_all_roots, legendre_like, JtConfig, TEST_ANGLES};
+use worlds_apps::rootfinder::parallel::{committed_roots, parallel_find_roots};
+use worlds_apps::rootfinder::{find_all_roots, legendre_like, JtConfig, TEST_ANGLES};
 
 fn main() {
     let (poly, true_roots) = legendre_like(14);

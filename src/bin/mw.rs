@@ -17,9 +17,9 @@ use std::time::Duration;
 
 use multiple_worlds::worlds::{AltBlock, ElimMode, Speculation};
 use multiple_worlds::worlds_analysis::PerfModel;
+use multiple_worlds::worlds_apps::prolog;
+use multiple_worlds::worlds_apps::rootfinder;
 use multiple_worlds::worlds_kernel::{AltSpec, BlockSpec, CostModel, Machine};
-use multiple_worlds::worlds_prolog as prolog;
-use multiple_worlds::worlds_rootfinder as rootfinder;
 
 fn usage() -> ExitCode {
     eprintln!(

@@ -11,26 +11,20 @@
 //! * [`worlds_ipc`] — predicated messages and source devices;
 //! * [`worlds_kernel`] — deterministic virtual-time kernel simulator;
 //! * [`worlds_analysis`] — the paper's performance model (`PI`, `Rμ`, `Ro`);
-//! * [`worlds_rootfinder`] — Jenkins–Traub rootfinder (Table I workload);
-//! * [`worlds_prolog`] — OR-parallel Horn-clause engine (§4.2);
-//! * [`worlds_poly`] — NAPSS-style polyalgorithms, fastest-first (§4.3);
-//! * [`worlds_recovery`] — recovery blocks (§4.1);
 //! * [`worlds_remote`] — distributed (rfork) execution over simulated nodes;
-//! * [`worlds_tx`] — optimistic transactions over COW worlds (§5's framing);
-//! * `worlds_os` (Unix only) — real `fork(2)` COW backend (§3.4).
+//! * [`worlds_apps`] — the paper's applications, one module each:
+//!   - [`worlds_apps::recovery`] — recovery blocks (§4.1);
+//!   - [`worlds_apps::prolog`] — OR-parallel Horn-clause engine (§4.2);
+//!   - [`worlds_apps::poly`] — NAPSS-style polyalgorithms, fastest-first (§4.3);
+//!   - [`worlds_apps::rootfinder`] — Jenkins–Traub rootfinder (Table I workload);
+//!   - [`worlds_apps::tx`] — optimistic transactions over COW worlds (§5's framing);
+//!   - `worlds_apps::os` (Unix only) — real `fork(2)` COW backend (§3.4).
 
 pub use worlds;
 pub use worlds_analysis;
+pub use worlds_apps;
 pub use worlds_ipc;
 pub use worlds_kernel;
 pub use worlds_pagestore;
-pub use worlds_poly;
 pub use worlds_predicate;
-pub use worlds_prolog;
-pub use worlds_recovery;
 pub use worlds_remote;
-pub use worlds_rootfinder;
-pub use worlds_tx;
-
-#[cfg(unix)]
-pub use worlds_os;

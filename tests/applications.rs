@@ -4,12 +4,12 @@
 use std::time::Duration;
 
 use multiple_worlds::worlds::Speculation;
-use multiple_worlds::worlds_prolog::{
+use multiple_worlds::worlds_apps::prolog::{
     or_parallel_solve, parse_query, solve, Database, SolveConfig,
 };
-use multiple_worlds::worlds_recovery::{FaultPlan, RecoveryBlock, RecoveryOutcome};
-use multiple_worlds::worlds_rootfinder::parallel::{committed_roots, parallel_find_roots};
-use multiple_worlds::worlds_rootfinder::{legendre_like, JtConfig, TEST_ANGLES};
+use multiple_worlds::worlds_apps::recovery::{FaultPlan, RecoveryBlock, RecoveryOutcome};
+use multiple_worlds::worlds_apps::rootfinder::parallel::{committed_roots, parallel_find_roots};
+use multiple_worlds::worlds_apps::rootfinder::{legendre_like, JtConfig, TEST_ANGLES};
 
 #[test]
 fn rootfinder_race_commits_verified_roots() {

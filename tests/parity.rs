@@ -75,7 +75,7 @@ fn thread_executor_picks_the_expected_winner() {
 #[cfg(unix)]
 #[test]
 fn fork_backend_picks_the_expected_winner() {
-    use multiple_worlds::worlds_os::{ForkAlt, ForkElim, ForkOutcome, ForkRace};
+    use multiple_worlds::worlds_apps::os::{ForkAlt, ForkElim, ForkOutcome, ForkRace};
     use std::time::Instant;
 
     let spin = |ms: u64| {
@@ -133,7 +133,7 @@ fn all_executors_agree_on_total_failure() {
 
     #[cfg(unix)]
     {
-        use multiple_worlds::worlds_os::{ForkAlt, ForkElim, ForkOutcome, ForkRace};
+        use multiple_worlds::worlds_apps::os::{ForkAlt, ForkElim, ForkOutcome, ForkRace};
         let report = ForkRace::new(vec![
             ForkAlt::new("f0", |_| Err(())),
             ForkAlt::new("f1", |_| Err(())),

@@ -117,7 +117,7 @@ impl Cluster {
         Ok(Self::assemble(stores, page_size, net, obs, transport))
     }
 
-    fn stores(n: usize, page_size: usize, obs: &Registry) -> Vec<PageStore> {
+    pub(crate) fn stores(n: usize, page_size: usize, obs: &Registry) -> Vec<PageStore> {
         assert!(n >= 1, "a cluster needs at least the origin node");
         let origin_store = PageStore::with_obs(page_size, obs.clone());
         (0..n)
@@ -131,7 +131,7 @@ impl Cluster {
             .collect()
     }
 
-    fn assemble(
+    pub(crate) fn assemble(
         stores: Vec<PageStore>,
         page_size: usize,
         net: NetModel,
@@ -476,6 +476,21 @@ impl Cluster {
     /// to be performed during synchronization, as the changed state is
     /// updated in the parent's storage" (§3.1). Returns the virtual time
     /// the diff transfer cost and the number of pages moved.
+    ///
+    /// The dirty set is content-based: every vpn `child` maps whose bytes
+    /// differ from `base`'s. Finding it reads only a *candidate* set of
+    /// pages. With [`Cluster::set_delta_rfork`] on, the cache may hold a
+    /// base pinned for `base.world` on the child's node: a `snapshot`
+    /// here and a `replica` there with identical bytes, the invariant
+    /// every delta rfork already rests on. Two worlds of one store that
+    /// map the same frame at a vpn read the same bytes, so a vpn outside
+    /// both `diff_worlds(child, replica)` and `diff_worlds(base,
+    /// snapshot)` reads the replica's bytes in the child and the
+    /// snapshot's in the base: equal, never dirty. The candidates are
+    /// then the vpns of those two diffs that the child maps. That is
+    /// O(changed) for a child forked from the replica, and exact for any
+    /// child: the argument never asks where the child came from. Without
+    /// a pinned base every mapped vpn is a candidate.
     pub fn commit_back(
         &mut self,
         base: RemoteWorld,
@@ -489,14 +504,26 @@ impl Cluster {
             return Ok((VirtualTime::ZERO, 0));
         }
         // Compute the dirty set on the child's node: pages whose bytes
-        // differ from the base world's view. (The base was replicated from
-        // `base`, so comparing contents is exact.)
+        // differ from the base world's view.
         let child_store = &self.nodes[child.node.0].store;
         let base_store = &self.nodes[base.node.0].store;
+        let mapped = child_store.mapped_vpns(child.world)?;
+        let candidates = match self.delta_cache.peek(child.node.0, base.world) {
+            Some(pinned) if pinned.src_node == base.node.0 => {
+                let replica = WorldId::from_raw(pinned.replica);
+                let mut vpns = child_store.diff_worlds(child.world, replica)?;
+                vpns.extend(base_store.diff_worlds(base.world, pinned.snapshot)?);
+                vpns.sort_unstable();
+                vpns.dedup();
+                vpns.retain(|vpn| mapped.binary_search(vpn).is_ok());
+                vpns
+            }
+            _ => mapped,
+        };
         let mut moved = Vec::new();
         let mut cbuf = vec![0u8; self.page_size];
         let mut bbuf = vec![0u8; self.page_size];
-        for vpn in child_store.mapped_vpns(child.world)? {
+        for vpn in candidates {
             child_store.read(child.world, vpn, 0, &mut cbuf)?;
             base_store.read(base.world, vpn, 0, &mut bbuf)?;
             if cbuf != bbuf {
@@ -849,6 +876,32 @@ mod tests {
         assert_eq!(c.read(r2, 2, 6).unwrap(), b"winner");
         let delta = c.node(NodeId(1)).bytes_received() - first;
         assert!(delta * 4 < first, "{delta} vs {first}");
+    }
+
+    #[test]
+    fn delta_commit_back_reads_only_changed_pages() {
+        // 256 mapped pages, 8 edited in the replica: comparing every
+        // mapped page reads 512; the pinned base narrows the compare to
+        // the 8 edited pages, two reads each.
+        let mut c = cluster(2);
+        c.set_delta_rfork(true);
+        let origin = c.create_world(NodeId(0));
+        for vpn in 0..256u64 {
+            c.write(origin, vpn, &vpn.to_le_bytes()).unwrap();
+        }
+        let (replica, _) = c.rfork(origin, NodeId(1)).unwrap();
+        for vpn in (0..256).step_by(32) {
+            c.write(replica, vpn, b"edit").unwrap();
+        }
+        let reads = |c: &Cluster| {
+            c.origin().store().stats().reads + c.node(NodeId(1)).store().stats().reads
+        };
+        let before = reads(&c);
+        let (_, pages) = c.commit_back(origin, replica).unwrap();
+        assert_eq!(pages, 8);
+        let added = reads(&c) - before;
+        assert!(added <= 32, "commit_back read {added} pages to find 8");
+        assert_eq!(c.read(origin, 64, 4).unwrap(), b"edit");
     }
 
     #[test]

@@ -106,6 +106,10 @@ impl DistReport {
 /// 3. the earliest finisher with a passing guard wins; its content-diff
 ///    against the origin's world ships back and commits;
 /// 4. losers are discarded in place (asynchronously — no wall cost).
+///
+/// A block that fails — an rfork, the commit or a discard returns an
+/// error — still discards every replica it shipped (best effort), then
+/// returns the first error.
 pub fn run_distributed_block(
     cluster: &mut Cluster,
     origin_world: RemoteWorld,
@@ -117,7 +121,30 @@ pub fn run_distributed_block(
         NodeId(0),
         "the parent lives on the origin node"
     );
+    // 4. Whatever is still live once the block ends is discarded here:
+    // the losers, or on error every replica shipped so far.
+    let mut live = Vec::with_capacity(alts.len());
+    let report = run_block(cluster, origin_world, &mut alts, &mut live);
+    let mut discarded = Ok(());
+    for r in live {
+        let d = cluster.discard(r);
+        if discarded.is_ok() {
+            discarded = d;
+        }
+    }
+    let report = report?;
+    discarded?;
+    Ok(report)
+}
 
+/// Steps 1–3 of [`run_distributed_block`]. `replicas` holds every
+/// replica shipped and not yet committed, in alternative order.
+fn run_block(
+    cluster: &mut Cluster,
+    origin_world: RemoteWorld,
+    alts: &mut [DistAlt],
+    replicas: &mut Vec<RemoteWorld>,
+) -> Result<DistReport, PageStoreError> {
     let n_nodes = cluster.len();
     let target = |i: usize| -> NodeId {
         if n_nodes == 1 {
@@ -128,7 +155,6 @@ pub fn run_distributed_block(
     };
 
     // 1. Ship replicas serially.
-    let mut replicas: Vec<RemoteWorld> = Vec::with_capacity(alts.len());
     let mut ready_at: Vec<VirtualTime> = Vec::with_capacity(alts.len());
     let mut clock = VirtualTime::ZERO;
     let mut rfork_total = VirtualTime::ZERO;
@@ -165,12 +191,8 @@ pub fn run_distributed_block(
         Some((t_done, w)) => {
             cluster.set_clock_ns(t_done.as_ns());
             let (cost, pages) = cluster.commit_back(origin_world, replicas[w])?;
-            // 4. Discard the losers asynchronously.
-            for (i, &r) in replicas.iter().enumerate() {
-                if i != w {
-                    cluster.discard(r)?;
-                }
-            }
+            // The commit consumed the winner's replica.
+            replicas.remove(w);
             (
                 DistOutcome::Winner {
                     index: w,
@@ -182,9 +204,6 @@ pub fn run_distributed_block(
             )
         }
         None => {
-            for &r in &replicas {
-                cluster.discard(r)?;
-            }
             // Failure is known once the last (slowest) alternative gives
             // up; approximate with the last finish of compute.
             let last = alts
@@ -211,6 +230,9 @@ pub fn run_distributed_block(
 mod tests {
     use super::*;
     use crate::net::NetModel;
+    use crate::transport::{InProcess, Transport};
+    use worlds_net::FaultSchedule;
+    use worlds_obs::Registry;
 
     fn setup(nodes: usize, pages: u64) -> (Cluster, RemoteWorld) {
         let mut c = Cluster::new(nodes, 4096, NetModel::lan_1989());
@@ -404,5 +426,109 @@ mod tests {
         .unwrap();
         // Wall ≈ best + ε.
         assert!(report.wall.as_ms() < 110.0, "wall {}", report.wall);
+    }
+
+    /// An in-process transport whose link goes down on cue: at the
+    /// `fail_image`-th `ship_image` (counting from 1) or at every
+    /// `ship_pages`.
+    struct Failing {
+        inner: InProcess,
+        images: usize,
+        fail_image: Option<usize>,
+        fail_pages: bool,
+    }
+
+    fn link_down(what: &str) -> PageStoreError {
+        PageStoreError::NoSuchFile(format!("{what}: link down"))
+    }
+
+    impl Transport for Failing {
+        fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError> {
+            self.images += 1;
+            if self.fail_image == Some(self.images) {
+                return Err(link_down("ship_image"));
+            }
+            self.inner.ship_image(dst, image)
+        }
+        fn ship_pages(
+            &mut self,
+            dst: usize,
+            base: u64,
+            pages: &[(u64, Vec<u8>)],
+        ) -> Result<(), PageStoreError> {
+            if self.fail_pages {
+                return Err(link_down("ship_pages"));
+            }
+            self.inner.ship_pages(dst, base, pages)
+        }
+        fn probe_hashes(
+            &mut self,
+            dst: usize,
+            hashes: &[u64],
+        ) -> Result<Vec<bool>, PageStoreError> {
+            self.inner.probe_hashes(dst, hashes)
+        }
+        fn discard(&mut self, dst: usize, world: u64) -> Result<(), PageStoreError> {
+            self.inner.discard(dst, world)
+        }
+        fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+    }
+
+    /// A 2-node cluster on a [`Failing`] transport, its origin set up as
+    /// in [`setup`], and a block of three alternatives that all queue on
+    /// node 1.
+    fn failing_block(
+        fail_image: Option<usize>,
+        fail_pages: bool,
+    ) -> (Cluster, RemoteWorld, Vec<DistAlt>) {
+        let obs = Registry::disabled();
+        let stores = Cluster::stores(2, 4096, &obs);
+        let transport = Box::new(Failing {
+            inner: InProcess::new(stores.clone()),
+            images: 0,
+            fail_image,
+            fail_pages,
+        });
+        let mut c = Cluster::assemble(stores, 4096, NetModel::lan_1989(), obs, transport);
+        let origin = c.create_world(NodeId(0));
+        for vpn in 0..4 {
+            c.write(origin, vpn, &[0xCC]).unwrap();
+        }
+        let alts = (0..3)
+            .map(|i| DistAlt::new(format!("alt{i}"), VirtualTime::from_secs(1.0), writer(4)))
+            .collect();
+        (c, origin, alts)
+    }
+
+    fn assert_block_left_no_trace(c: &Cluster, origin: RemoteWorld, worlds_there: usize) {
+        assert_eq!(
+            c.node(NodeId(1)).store().world_count(),
+            worlds_there,
+            "every shipped replica was discarded"
+        );
+        for vpn in 0..4 {
+            assert_eq!(c.read(origin, vpn, 1).unwrap(), vec![0xCC], "vpn {vpn}");
+        }
+    }
+
+    #[test]
+    fn failed_commit_discards_every_replica() {
+        let (mut c, origin, alts) = failing_block(None, true);
+        let worlds_there = c.node(NodeId(1)).store().world_count();
+        let err = run_distributed_block(&mut c, origin, alts).unwrap_err();
+        assert_eq!(err, link_down("ship_pages"));
+        assert_block_left_no_trace(&c, origin, worlds_there);
+    }
+
+    #[test]
+    fn failed_rfork_discards_the_replicas_already_shipped() {
+        let (mut c, origin, alts) = failing_block(Some(2), false);
+        let worlds_there = c.node(NodeId(1)).store().world_count();
+        let err = run_distributed_block(&mut c, origin, alts).unwrap_err();
+        assert_eq!(err, link_down("ship_image"));
+        assert_block_left_no_trace(&c, origin, worlds_there);
     }
 }

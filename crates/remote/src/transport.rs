@@ -342,7 +342,7 @@ impl DeltaCache {
 
     pub fn get(&mut self, dst: usize, src: WorldId) -> Option<DeltaBase> {
         let key = (dst, src.raw());
-        let hit = self.entries.get(&key).copied();
+        let hit = self.peek(dst, src);
         if hit.is_some() {
             // Refresh recency: this base was just used for a delta.
             if let Some(pos) = self.order.iter().position(|&k| k == key) {
@@ -351,6 +351,12 @@ impl DeltaCache {
             }
         }
         hit
+    }
+
+    /// The base pinned for `src` on `dst`, without refreshing its
+    /// recency: only rforks decide what stays in the cache.
+    pub fn peek(&self, dst: usize, src: WorldId) -> Option<DeltaBase> {
+        self.entries.get(&(dst, src.raw())).copied()
     }
 
     /// Insert a pinned base, evicting least-recently-used entries past

@@ -109,4 +109,77 @@ proptest! {
         // The replica's node is clean.
         prop_assert_eq!(c.node(NodeId(1)).store().world_count(), 0);
     }
+
+    /// With delta rfork on, commit_back compares only the pages in its
+    /// pinned base's two diffs. Whatever the origin and the child do
+    /// after the rfork — overlapping or disjoint edits, rewrites that
+    /// restore the bytes, vpns neither mapped before — and whether that
+    /// base is still cached or was evicted, the dirty set must be the one
+    /// a read-and-compare of every page the child maps finds.
+    #[test]
+    fn narrowed_commit_back_matches_the_full_compare(
+        base in proptest::collection::btree_map(0u64..24, any::<u8>(), 1..12),
+        before in proptest::collection::btree_map(0u64..32, any::<u8>(), 0..6),
+        after in proptest::collection::btree_map(0u64..32, any::<u8>(), 0..8),
+        edits in proptest::collection::btree_map(0u64..32, any::<u8>(), 0..8),
+        rewrites in proptest::collection::btree_set(0u64..32, 0..6),
+        evict in any::<bool>(),
+    ) {
+        const PAGE: usize = 256;
+        const VPNS: u64 = 32;
+        let mut c = Cluster::new(2, PAGE, NetModel::datacenter());
+        c.set_delta_rfork(true);
+        let origin = c.create_world(NodeId(0));
+        for (&vpn, &b) in &base {
+            c.write(origin, vpn, &[b]).unwrap();
+        }
+        // The first rfork pins the base; the second ships a delta on it.
+        let (first, _) = c.rfork(origin, NodeId(1)).unwrap();
+        for (&vpn, &b) in &before {
+            c.write(origin, vpn, &[b]).unwrap();
+        }
+        let (child, _) = c.rfork(origin, NodeId(1)).unwrap();
+        for (&vpn, &b) in &after {
+            c.write(origin, vpn, &[b]).unwrap();
+        }
+        for (&vpn, &b) in &edits {
+            c.write(child, vpn, &[b]).unwrap();
+        }
+        for &vpn in &rewrites {
+            let same = c.read(child, vpn, PAGE).unwrap();
+            c.write(child, vpn, &same).unwrap();
+        }
+        if evict {
+            // A second origin pinned on the same node under a budget
+            // that holds one base pushes the first origin's base out.
+            c.set_net_cache_bytes(1);
+            let other = c.create_world(NodeId(0));
+            c.write(other, 0, b"other").unwrap();
+            c.rfork(other, NodeId(1)).unwrap();
+            prop_assert_eq!(c.net_cache_stats().0, 1, "the first base was evicted");
+        }
+
+        // The oracle: read and compare every page the child maps.
+        let mut expected: Vec<Vec<u8>> =
+            (0..VPNS).map(|vpn| c.read(origin, vpn, PAGE).unwrap()).collect();
+        let mut dirty = 0usize;
+        for vpn in c.node(NodeId(1)).store().mapped_vpns(child.world).unwrap() {
+            let mine = c.read(child, vpn, PAGE).unwrap();
+            if mine != expected[vpn as usize] {
+                dirty += 1;
+                expected[vpn as usize] = mine;
+            }
+        }
+
+        let (_, pages) = c.commit_back(origin, child).unwrap();
+        prop_assert_eq!(pages, dirty, "the narrowed dirty set is the full one");
+        for vpn in 0..VPNS {
+            prop_assert_eq!(
+                &c.read(origin, vpn, PAGE).unwrap(),
+                &expected[vpn as usize],
+                "origin bytes at vpn {}", vpn
+            );
+        }
+        c.discard(first).unwrap();
+    }
 }

@@ -72,7 +72,12 @@ impl<T> AltBlock<T> {
     /// only a report sent before it can win. The first alternative runs
     /// on the calling thread, so the block returns past the deadline if
     /// that alternative does not reach a cancellation point or return in
-    /// time; the others run on the pool and cannot delay the return.
+    /// time; the others run on the pool and cannot delay the return. (A
+    /// block without a timeout lets the caller take back and run its
+    /// still-queued siblings while it is undecided; such a sibling
+    /// behaves like the caller's own alternative. A timed block leaves
+    /// them to the workers, and takes back unrun the ones still queued
+    /// when it is decided.)
     ///
     /// [`AltError::Cancelled`]: crate::AltError::Cancelled
     pub fn timeout(mut self, d: Duration) -> Self {

@@ -62,6 +62,7 @@ mod ctx;
 mod error;
 mod report;
 mod speculation;
+mod word;
 
 pub use alternative::{AltResult, Alternative};
 pub use block::{AltBlock, ElimMode};

@@ -3,41 +3,51 @@
 //! A [`Speculation`] plays the role of the paper's parent process plus
 //! kernel: it owns the single-level store (all sink state), the teletype
 //! (source state), and a root world. [`Speculation::run`] is
-//! `alt_spawn(n)` + `alt_wait(TIMEOUT)`:
+//! `alt_spawn(n)` + `alt_wait(TIMEOUT)`, decided on one block word
+//! (`crate::word`):
 //!
-//! 1. every alternative gets a fresh pid, sibling-rivalry predicates, and a
-//!    COW fork of the root world. All but the first spawned one run as
-//!    tasks on a persistent pool ([`worlds_exec::Executor`]) shared by
-//!    every block — see [`ExecMode`] for the thread-per-alternative
-//!    ablation mode — and the first runs on the calling thread, which
-//!    would otherwise only block in `alt_wait`. The block cannot return
-//!    before that alternative returns or reaches a cancellation point,
-//!    so if it never polls it delays a sibling's commit and overruns
-//!    `TIMEOUT`; a pooled alternative that never polls delays nothing;
-//! 2. the parent then waits; the **first** alternative to report success
-//!    wins the rendezvous, whichever thread it ran on — "`alt_wait()` is
-//!    an 'at most once' operation for any group of child processes"
-//!    (§2.2.1). A report sent before the block's `TIMEOUT` counts however
-//!    late the parent reads it; one sent after it times the block out;
+//! 1. every alternative gets a fresh pid, sibling-rivalry predicates, a
+//!    COW fork of the root world and a report slot. All but the first
+//!    spawned one are submitted, tagged with the block, to a persistent
+//!    pool ([`worlds_exec::Executor`]) shared by every block — see
+//!    [`ExecMode`] for the thread-per-alternative ablation mode — and the
+//!    first runs on the calling thread, which would otherwise only block
+//!    in `alt_wait`. Then, while a block without a `TIMEOUT` is
+//!    undecided, the caller takes back each sibling no worker has started
+//!    yet and runs it too. The block cannot return before an alternative
+//!    the caller runs returns or reaches a cancellation point; a timed
+//!    block leaves its siblings to the workers, so only its first
+//!    alternative can overrun `TIMEOUT`;
+//! 2. every alternative puts its report into its slot and offers it with
+//!    one compare-and-swap on the block word: the **first** on-time
+//!    success decides the block, whichever thread it ran on — "`alt_wait()`
+//!    is an 'at most once' operation for any group of child processes"
+//!    (§2.2.1). A report made before the block's `TIMEOUT` counts however
+//!    late the parent looks; one made after it cannot win, and the parent
+//!    times the block out at its deadline, or when every report is in and
+//!    one of them was late. The parent parks at most once per wait, and
+//!    only the deciding offer or the last report unparks it;
 //! 3. the winner's world is adopted into the root world (atomic page-map
 //!    replacement) and its buffered teletype output becomes observable;
 //! 4. the siblings are eliminated: cancelled cooperatively (observed at
-//!    checkpoint and page-write boundaries) and their worlds torn down —
-//!    already-finished losers in one batched [`PageStore::drop_worlds`]
-//!    call ([`ElimMode::Sync`]) or handed to the background
-//!    [`worlds_exec::Reaper`] ([`ElimMode::Async`], the paper's faster
-//!    choice); still-running losers dispose of themselves when they reach
-//!    their sync point, and queued ones that start cancelled skip their
-//!    body. Cancellation does not wait for the decision: any
-//!    success raises the block's [`CancelToken`], and the token of a
-//!    timed block reads cancelled from its deadline on, so the parent's
-//!    own alternative stops for a sibling's win or the timeout too.
+//!    checkpoint and page-write boundaries) and their worlds torn down.
+//!    The decided block takes back its still-queued siblings unrun, and
+//!    disposes of their worlds in the same batch as the losers that had
+//!    reported — one [`PageStore::drop_worlds`] call ([`ElimMode::Sync`],
+//!    which first waits for every running sibling to report) or one hand-off
+//!    to the background [`worlds_exec::Reaper`] ([`ElimMode::Async`], the
+//!    paper's faster choice, where a loser still running disposes of its
+//!    own world when it reports). Cancellation does not wait for the
+//!    decision: the winning offer raises the block's [`CancelToken`], and
+//!    the token of a timed block reads cancelled from its deadline on, so
+//!    the alternatives the parent runs stop for a sibling's win or the
+//!    timeout too; a task that starts cancelled skips its body.
 
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use worlds_exec::{Executor, Latch, Reaper};
+use worlds_exec::{Executor, Reaper};
 use worlds_ipc::{SourceDevice, Teletype};
 use worlds_obs::{Event as ObsEvent, EventKind, Registry, TraceCtx};
 use worlds_pagestore::{FileSystem, PageStore, WorldId, PAGE_SIZE_DEFAULT};
@@ -47,6 +57,7 @@ use crate::block::{AltBlock, ElimMode};
 use crate::ctx::{CancelToken, WorldCtx};
 use crate::error::AltError;
 use crate::report::{AltRun, AltRunStatus, RunOutcome, RunReport};
+use crate::word::{late_loser_disposes, BlockWord, Phase, Slot, Verdict};
 
 /// How a [`Speculation`] dispatches its alternatives.
 #[derive(Clone, Debug)]
@@ -95,29 +106,13 @@ impl Default for Speculation {
     }
 }
 
-/// What each child task reports back at its synchronization attempt.
+/// What each child task puts into its slot at its synchronization
+/// attempt; whoever takes it owns the world in it.
 struct ChildReport<T> {
-    index: usize,
     result: Result<T, AltError>,
     world: WorldId,
     output: Vec<String>,
     elapsed: Duration,
-}
-
-/// The elimination handshake between the parent and its child tasks,
-/// replacing the per-child verdict channels of the thread-per-alternative
-/// executor. A loser's world is torn down by whichever side learns the
-/// outcome *last*: children finishing before the decision park their
-/// world in `finished` for the parent to dispose **in one batch**;
-/// children finishing after it see `decided` and dispose of their own
-/// world (off the parent's critical path).
-struct ElimShared {
-    decided: bool,
-    /// The winner's (pre-adoption) world id, if any.
-    winner: Option<WorldId>,
-    /// Worlds of children that reached their sync point before the
-    /// parent decided the block.
-    finished: Vec<WorldId>,
 }
 
 impl Speculation {
@@ -326,18 +321,6 @@ impl Speculation {
         if obs_on {
             self.store.set_clock_ns(obs.now_ns());
         }
-
-        if n == 0 {
-            return RunReport {
-                outcome: RunOutcome::AllFailed,
-                value: None,
-                wall: start.elapsed(),
-                alts: Vec::new(),
-                store_delta: self.store.stats().delta_since(&stats_before),
-                committed_output: Vec::new(),
-            };
-        }
-
         let site = block.site.map(|s| s.0);
         if let Some(s) = block.site {
             // Captures must be renderable in other processes: the label
@@ -346,32 +329,34 @@ impl Speculation {
         }
         let deadline = block.timeout.map(|t| start + t);
         let cancel = CancelToken::with_deadline(deadline);
-        let (report_tx, report_rx) = mpsc::channel::<ChildReport<T>>();
-        let shared = Arc::new(Mutex::new(ElimShared {
-            decided: false,
-            winner: None,
-            finished: Vec::new(),
-        }));
-        let latch = Latch::new();
+        let shared = Arc::new(BlockWord::<ChildReport<T>>::new(n));
+        // Unique while any of this block's tasks is queued: each holds
+        // a reference to `shared`.
+        let tag = Arc::as_ptr(&shared) as usize;
         let reaper = Reaper::global();
 
         // Pids first: sibling-rivalry predicates need the whole cohort.
         let pids: Vec<Pid> = (0..n).map(|_| Pid::fresh()).collect();
 
-        let mut labels: Vec<String> = Vec::with_capacity(n);
-        let mut skipped: Vec<bool> = Vec::with_capacity(n);
+        let mut alt_runs: Vec<AltRun> = Vec::with_capacity(n);
         let mut child_worlds: Vec<Option<WorldId>> = Vec::with_capacity(n);
         // The first spawned alternative's task, run on this thread once
         // its siblings are submitted.
         let mut own_task = None;
         for (i, alt) in block.alts.into_iter().enumerate() {
-            labels.push(alt.label.clone());
+            alt_runs.push(AltRun {
+                label: alt.label.clone(),
+                status: AltRunStatus::StillRunning,
+                reported_after: None,
+                pages_dirtied: None,
+            });
             // Pre-spawn guards run serially in the parent; failing
             // alternatives never get a world or a task.
             if let Some(g) = &alt.pre_spawn_guard {
                 let guard_start = Instant::now();
                 if !g() {
-                    skipped.push(true);
+                    alt_runs[i].status =
+                        AltRunStatus::Failed("pre-spawn guard failed; never spawned".into());
                     child_worlds.push(None);
                     obs.emit(|| {
                         ObsEvent::new(
@@ -389,7 +374,6 @@ impl Speculation {
                     continue;
                 }
             }
-            skipped.push(false);
             let world = self
                 .store
                 .fork_world(parent_world)
@@ -411,22 +395,19 @@ impl Speculation {
             let fs = self.fs.clone();
             let store = self.store.clone();
             let cancel = cancel.clone();
-            let tx = report_tx.clone();
             let shared = shared.clone();
             let reaper = reaper.clone();
-            let elim = block.elim;
-            let pid = pids[i];
-            let child_start = start;
-            let counts_down = latch.guard();
+            let (elim, timeout, pid) = (block.elim, block.timeout, pids[i]);
 
             let task = move || {
-                // Declared after the latch guard, so disposal (a local
-                // drop) happens before the parent is released.
-                let _counts_down = counts_down;
+                // Withdrawn by the parent before it started: the world
+                // is the parent's to dispose of.
+                if !shared.slot(i, Slot::claim) {
+                    return;
+                }
                 // A task that starts after a sibling succeeded, the block
                 // was decided or its deadline passed cannot win: it
-                // reports itself cancelled and disposes of its world below
-                // without running its body.
+                // reports itself cancelled without running its body.
                 let (result, output) = if cancel.is_cancelled() {
                     (Err(AltError::Cancelled), Vec::new())
                 } else {
@@ -439,42 +420,30 @@ impl Speculation {
                         worlds_prof::Phase::Guard,
                     );
                     let mut ctx = WorldCtx::new(fs, world, pid, preds, cancel.clone(), trace);
-                    let result = alt.execute(&mut ctx);
+                    // A panic fails the alternative, not the block.
+                    let result = catch_unwind(AssertUnwindSafe(|| alt.execute(&mut ctx)))
+                        .unwrap_or_else(|_| Err(AltError::GuardFailed("panicked".into())));
                     (result, std::mem::take(&mut ctx.output))
                 };
-                let succeeded = result.is_ok();
-                let _ = tx.send(ChildReport {
-                    index: i,
+                let elapsed = start.elapsed();
+                let (ok, late) = (result.is_ok(), timeout.is_some_and(|t| elapsed >= t));
+                let report = ChildReport {
                     result,
                     world,
                     output,
-                    elapsed: child_start.elapsed(),
-                });
-                // A success eliminates: the siblings, the parent's own
-                // alternative among them, stop at their next cancellation
-                // point instead of waiting for the parent to decide.
-                if succeeded {
-                    cancel.cancel();
-                }
-                // Elimination handshake: if the parent has already decided
-                // the block, this world's fate is known — a loser tears it
-                // down right here, off the parent's critical path (queued
-                // to the batching reaper in async mode). Otherwise park it
-                // for the parent's batched disposal at decision time.
-                let mut st = shared.lock().unwrap();
-                if st.decided {
-                    let lost = st.winner != Some(world);
-                    drop(st);
-                    if lost && store.world_exists(world) {
-                        match elim {
-                            ElimMode::Sync => {
-                                let _ = store.drop_world(world);
-                            }
-                            ElimMode::Async => reaper.enqueue(&store, world),
+                    elapsed,
+                };
+                match shared.offer(i, report, ok, late) {
+                    // A success eliminates: the siblings, the parent's own
+                    // alternative among them, stop at their next
+                    // cancellation point.
+                    Verdict::Won => cancel.cancel(),
+                    Verdict::Late if late_loser_disposes(elim, shared.on_parent()) => {
+                        if let Some(r) = shared.slot(i, Slot::take) {
+                            reaper.enqueue(&store, r.world);
                         }
                     }
-                } else {
-                    st.finished.push(world);
+                    Verdict::Late | Verdict::Handed => {}
                 }
             };
             if own_task.is_none() {
@@ -482,33 +451,16 @@ impl Speculation {
                 continue;
             }
             match &self.exec {
-                ExecMode::Pooled(exec) => exec.spawn(&obs, task),
+                ExecMode::Pooled(exec) => exec.spawn_tagged(&obs, tag, task),
                 ExecMode::ThreadPerAlt => {
                     std::thread::spawn(task);
                 }
             }
         }
-        drop(report_tx);
 
-        let mut alt_runs: Vec<AltRun> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| AltRun {
-                label: l.clone(),
-                status: if skipped[i] {
-                    AltRunStatus::Failed("pre-spawn guard failed; never spawned".into())
-                } else {
-                    AltRunStatus::StillRunning
-                },
-                reported_after: None,
-                pages_dirtied: None,
-            })
-            .collect();
-
-        let spawned_count = skipped.iter().filter(|&&s| !s).count();
-        if spawned_count == 0 {
-            // Every alternative was rejected before spawning.
-            cancel.cancel();
+        let Some(own_task) = own_task else {
+            // Every alternative was rejected before spawning (or none
+            // was given).
             return RunReport {
                 outcome: RunOutcome::AllFailed,
                 value: None,
@@ -517,20 +469,25 @@ impl Speculation {
                 store_delta: self.store.stats().delta_since(&stats_before),
                 committed_output: Vec::new(),
             };
+        };
+        let never_spawned = child_worlds.iter().filter(|w| w.is_none()).count();
+        if never_spawned > 0 {
+            shared.update(|w| (w.release(never_spawned), ()));
         }
-
-        let mut outcome = RunOutcome::AllFailed;
-        let mut value: Option<T> = None;
-        let mut committed_output: Vec<String> = Vec::new();
-        let mut reported = 0usize;
 
         // A nested caller's own (Guard) marker is put back at the end.
         let outer_mark = worlds_prof::current_mark();
         // Help first: the siblings are queued, so rather than park in
-        // alt_wait this thread runs the first alternative itself, exactly
-        // as a pool worker would — a panic fails the alternative, not the block.
-        if let Some(task) = own_task {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+        // alt_wait this thread runs the first alternative itself, then,
+        // if the block has no deadline for a sibling to overrun, takes
+        // back and runs each one no worker has started yet, for as long
+        // as the block is undecided.
+        own_task();
+        while block.timeout.is_none() && shared.load().phase() == Phase::Open {
+            match self.take_back(tag) {
+                Some(task) => task(),
+                None => break,
+            }
         }
         // From here the parent is off-CPU by intent while the rest race.
         worlds_prof::mark(
@@ -539,241 +496,150 @@ impl Speculation {
             None,
             worlds_prof::Phase::Wait,
         );
+        // alt_wait(TIMEOUT): the first on-time success decides, every
+        // report failing decides, or the deadline does. Each report is
+        // judged by its own time, however late the parent looks.
+        shared.wait(false, deadline);
+        cancel.cancel();
+        let elim_start = Instant::now();
+        // Take back the siblings no worker has started, unrun, and give
+        // their worlds to this block's batch.
+        while self.take_back(tag).is_some() {}
+        let withdrawn: Vec<usize> = (0..n)
+            .filter(|&i| child_worlds[i].is_some() && shared.slot(i, Slot::withdraw))
+            .collect();
+        if !withdrawn.is_empty() {
+            shared.update(|w| (w.release(withdrawn.len()), ()));
+        }
+        // Synchronous elimination (§2.2.1's slower option) also waits for
+        // every running sibling to reach its sync point and report.
+        let word = match block.elim {
+            ElimMode::Sync => shared.wait(true, None),
+            ElimMode::Async => shared.load(),
+        };
+        let (outcome, winner_index) = match word.phase() {
+            Phase::Won(index) => {
+                let label = alt_runs[index].label.clone();
+                (RunOutcome::Winner { index, label }, Some(index))
+            }
+            Phase::TimedOut => (RunOutcome::TimedOut, None),
+            Phase::Open => (RunOutcome::AllFailed, None),
+        };
+        if obs_on {
+            self.store.set_clock_ns(obs.now_ns());
+        }
 
-        // alt_wait(TIMEOUT): wait for the first success, a full set of
-        // failures, or the deadline. The channel is polled before the
-        // deadline is: the parent may look late, having just run an
-        // alternative, and a report's own send time decides whether it
-        // beat the deadline.
-        loop {
-            let msg = match deadline {
-                Some(d) => {
-                    match report_rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-                        Ok(m) => m,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            outcome = RunOutcome::TimedOut;
-                            break;
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match report_rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                },
+        // Read every report in a slot: the winner's commits; the rest are
+        // losers, disposed of with the withdrawn in one batch. Running
+        // losers' reports come later and dispose of themselves.
+        let mut value: Option<T> = None;
+        let mut committed_output: Vec<String> = Vec::new();
+        let mut losers: Vec<WorldId> = withdrawn.iter().filter_map(|&i| child_worlds[i]).collect();
+        for (i, run) in alt_runs.iter_mut().enumerate() {
+            let Some(ChildReport {
+                result,
+                world,
+                output,
+                elapsed,
+            }) = shared.slot(i, Slot::take)
+            else {
+                continue;
             };
-
-            reported += 1;
-            let i = msg.index;
-            alt_runs[i].reported_after = Some(msg.elapsed);
-            alt_runs[i].pages_dirtied = self
+            run.reported_after = Some(elapsed);
+            run.pages_dirtied = self
                 .store
-                .world_stats(msg.world)
+                .world_stats(world)
                 .ok()
                 .map(|s| s.pages_cowed + s.pages_zero_filled);
-            if obs_on {
-                self.store.set_clock_ns(obs.now_ns());
-                let pass = msg.result.is_ok();
-                // In the thread executor the whole alternative is the
-                // guard: its verdict is the run's success, its duration
-                // the child's measured run time.
-                let duration_ns = msg.elapsed.as_nanos() as u64;
+            let pass = result.is_ok();
+            // In the thread executor the whole alternative is the guard:
+            // its verdict is the run's success, its duration the child's
+            // measured run time.
+            obs.emit(|| {
+                ObsEvent::new(
+                    EventKind::GuardVerdict {
+                        pass,
+                        duration_ns: elapsed.as_nanos() as u64,
+                        alt: Some(i as u64),
+                        site,
+                    },
+                    world.raw(),
+                    Some(parent_world.raw()),
+                    obs.now_ns(),
+                )
+            });
+            // The winner, and in sync mode every loser that reached its
+            // sync point with a passing guard, made a rendezvous.
+            let winner = Some(i) == winner_index;
+            if pass && (winner || block.elim == ElimMode::Sync) {
                 obs.emit(|| {
                     ObsEvent::new(
-                        EventKind::GuardVerdict {
-                            pass,
-                            duration_ns,
-                            alt: Some(i as u64),
-                            site,
-                        },
-                        msg.world.raw(),
+                        EventKind::Rendezvous,
+                        world.raw(),
                         Some(parent_world.raw()),
                         obs.now_ns(),
                     )
                 });
             }
-
-            // A report sent at or past the deadline cannot win: the block
-            // had timed out by then. Keep draining, though — two senders
-            // race between reading the clock and sending, so an on-time
-            // report may be queued behind a late one.
-            let late = block.timeout.is_some_and(|t| msg.elapsed >= t);
-            match msg.result {
-                Ok(v) if !late => {
-                    // First success wins: commit.
-                    alt_runs[i].status = AltRunStatus::Won;
-                    obs.emit(|| {
-                        ObsEvent::new(
-                            EventKind::Rendezvous,
-                            msg.world.raw(),
-                            Some(parent_world.raw()),
-                            obs.now_ns(),
-                        )
-                    });
-                    outcome = RunOutcome::Winner {
-                        index: i,
-                        label: labels[i].clone(),
-                    };
+            match result {
+                Ok(v) if winner => {
+                    run.status = AltRunStatus::Won;
+                    let dirty_pages = run.pages_dirtied.unwrap_or(0);
                     value = Some(v);
-                    worlds_prof::mark(
-                        Some(parent_world.raw()),
-                        site,
-                        None,
-                        worlds_prof::Phase::Commit,
-                    );
-                    let adopt_start = Instant::now();
-                    self.store
-                        .adopt(parent_world, msg.world)
-                        .expect("winner world is a child of the parent");
-                    let dirty_pages = alt_runs[i].pages_dirtied.unwrap_or(0);
-                    obs.emit(|| {
-                        ObsEvent::new(
-                            EventKind::Commit {
-                                dirty_pages,
-                                overhead_ns: adopt_start.elapsed().as_nanos() as u64,
-                                site,
-                            },
-                            msg.world.raw(),
-                            Some(parent_world.raw()),
-                            obs.now_ns(),
-                        )
-                    });
+                    self.commit(parent_world, world, dirty_pages, site);
                     if parent_preds.is_resolved() {
-                        for line in &msg.output {
+                        for line in &output {
                             self.tty
                                 .emit(parent_preds, line.as_bytes())
                                 .expect("committed world is resolved");
                         }
                     }
-                    committed_output = msg.output;
-                    break;
+                    committed_output = output;
                 }
-                result => {
-                    alt_runs[i].status = match result {
-                        Ok(_) => AltRunStatus::Eliminated,
-                        Err(e) => AltRunStatus::Failed(e.to_string()),
-                    };
-                    if late {
-                        outcome = RunOutcome::TimedOut;
-                    }
-                    if reported == spawned_count {
-                        break;
-                    }
+                Ok(_) => {
+                    run.status = AltRunStatus::Eliminated;
+                    losers.push(world);
+                }
+                Err(e) => {
+                    run.status = AltRunStatus::Failed(e.to_string());
+                    losers.push(world);
                 }
             }
         }
-
-        // Eliminate the siblings: cancel cooperatively, publish the
-        // decision, and dispose of every loser that already finished in
-        // one batch.
-        cancel.cancel();
-        let winner_index = match &outcome {
-            RunOutcome::Winner { index, .. } => Some(*index),
-            _ => None,
-        };
-        if obs_on {
-            self.store.set_clock_ns(obs.now_ns());
-            if matches!(outcome, RunOutcome::TimedOut) {
-                obs.emit(|| {
-                    ObsEvent::new(EventKind::Timeout, parent_world.raw(), None, obs.now_ns())
-                });
-            }
-        }
-        let winner_world = winner_index.and_then(|i| child_worlds[i]);
-        let ready: Vec<WorldId> = {
-            let mut st = shared.lock().unwrap();
-            st.decided = true;
-            st.winner = winner_world;
-            std::mem::take(&mut st.finished)
-        };
-        // The winner may have parked itself before we decided; its world
-        // was consumed by `adopt` and must not be disposed of.
-        let losers: Vec<WorldId> = ready
-            .into_iter()
-            .filter(|&w| Some(w) != winner_world)
-            .collect();
-        let elim_start = Instant::now();
-
         if block.elim == ElimMode::Sync {
-            // Synchronous elimination: one batched drop for the finished
-            // losers (a single recycler acquisition), then wait for every
-            // still-running sibling to reach its sync point and dispose
-            // of itself (§2.2.1's slower option).
+            // Every alternative has ended; the withdrawn ended cancelled.
+            for &i in &withdrawn {
+                alt_runs[i].status = AltRunStatus::Failed(AltError::Cancelled.to_string());
+            }
             worlds_prof::mark(
                 Some(parent_world.raw()),
                 site,
                 None,
                 worlds_prof::Phase::Elim,
             );
+            // One batched drop (a single recycler acquisition).
             self.store.drop_worlds(&losers);
-            // The join below is blocking, not teardown work.
-            worlds_prof::mark(
-                Some(parent_world.raw()),
-                site,
-                None,
-                worlds_prof::Phase::Wait,
-            );
-            latch.wait();
-            // Late reports tell us how the losers ended. Each is that
-            // child's only report, so its guard verdict has not been
-            // recorded yet; losers that reached the sync point with a
-            // passing guard still count as a rendezvous.
-            while let Ok(msg) = report_rx.try_recv() {
-                let i = msg.index;
-                if alt_runs[i].reported_after.is_none() {
-                    alt_runs[i].reported_after = Some(msg.elapsed);
-                }
-                if obs_on {
-                    let pass = msg.result.is_ok();
-                    let duration_ns = msg.elapsed.as_nanos() as u64;
-                    obs.emit(|| {
-                        ObsEvent::new(
-                            EventKind::GuardVerdict {
-                                pass,
-                                duration_ns,
-                                alt: Some(i as u64),
-                                site,
-                            },
-                            msg.world.raw(),
-                            Some(parent_world.raw()),
-                            obs.now_ns(),
-                        )
-                    });
-                    if pass {
-                        obs.emit(|| {
-                            ObsEvent::new(
-                                EventKind::Rendezvous,
-                                msg.world.raw(),
-                                Some(parent_world.raw()),
-                                obs.now_ns(),
-                            )
-                        });
-                    }
-                }
-                if matches!(alt_runs[i].status, AltRunStatus::StillRunning) {
-                    alt_runs[i].status = match msg.result {
-                        Ok(_) => AltRunStatus::Eliminated,
-                        Err(e) => AltRunStatus::Failed(e.to_string()),
-                    };
-                }
-            }
         } else {
-            // Asynchronous elimination: hand the finished losers to the
-            // background reaper (batched frame recycling) and return;
-            // still-running losers queue themselves when they finish.
+            // Asynchronous elimination: the background reaper batches
+            // frame recycling; the parent returns now.
             reaper.enqueue_many(&self.store, &losers);
         }
 
         if obs_on {
+            self.store.set_clock_ns(obs.now_ns());
+            if outcome == RunOutcome::TimedOut {
+                obs.emit(|| {
+                    ObsEvent::new(EventKind::Timeout, parent_world.raw(), None, obs.now_ns())
+                });
+            }
             // Every spawned world that did not commit is eliminated —
             // exactly once, whatever state its thread was in. Sync mode
-            // charges the join wait; async elimination is off the
-            // parent's critical path and charges nothing.
+            // charges the wait for the losers; async elimination is off
+            // the parent's critical path and charges nothing.
             let overhead_ns = match block.elim {
                 ElimMode::Sync => elim_start.elapsed().as_nanos() as u64,
                 ElimMode::Async => 0,
             };
-            self.store.set_clock_ns(obs.now_ns());
             for (i, world) in child_worlds.iter().enumerate() {
                 let Some(world) = world else { continue };
                 if Some(i) == winner_index {
@@ -804,6 +670,43 @@ impl Speculation {
             alts: alt_runs,
             store_delta: self.store.stats().delta_since(&stats_before),
             committed_output,
+        }
+    }
+
+    /// Adopt the winner's world into `parent_world`: an atomic page-map
+    /// replacement.
+    fn commit(&self, parent_world: WorldId, world: WorldId, dirty_pages: u64, site: Option<u64>) {
+        let obs = self.store.obs();
+        worlds_prof::mark(
+            Some(parent_world.raw()),
+            site,
+            None,
+            worlds_prof::Phase::Commit,
+        );
+        let adopt_start = Instant::now();
+        self.store
+            .adopt(parent_world, world)
+            .expect("winner world is a child of the parent");
+        obs.emit(|| {
+            ObsEvent::new(
+                EventKind::Commit {
+                    dirty_pages,
+                    overhead_ns: adopt_start.elapsed().as_nanos() as u64,
+                    site,
+                },
+                world.raw(),
+                Some(parent_world.raw()),
+                obs.now_ns(),
+            )
+        });
+    }
+
+    /// Withdraw one of block `tag`'s queued tasks from the pool (none under
+    /// [`ExecMode::ThreadPerAlt`], whose threads start at once).
+    fn take_back(&self, tag: usize) -> Option<Box<dyn FnOnce() + Send>> {
+        match &self.exec {
+            ExecMode::Pooled(exec) => exec.take(tag),
+            ExecMode::ThreadPerAlt => None,
         }
     }
 }
@@ -1420,11 +1323,45 @@ mod tests {
         assert_eq!(r.value, Some(1));
     }
 
+    /// A timed block's caller runs only its own alternative: a sibling it
+    /// ran could hold the block's return past the deadline, so the
+    /// siblings stay with the workers even when the caller is idle.
     #[test]
-    fn a_three_way_block_runs_two_pool_tasks() {
+    fn a_timed_blocks_siblings_never_run_on_the_caller() {
+        let spec = Speculation::new();
+        let caller = std::thread::current().id();
+        for _ in 0..100 {
+            let ran_on = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut block = AltBlock::new()
+                .alt("first", |_| {
+                    Err::<(), _>(AltError::GuardFailed("no".into()))
+                })
+                .timeout(Duration::from_secs(5));
+            for _ in 0..2 {
+                let ran_on = ran_on.clone();
+                block = block.alt("pooled", move |_| {
+                    ran_on.lock().unwrap().push(std::thread::current().id());
+                    Err(AltError::GuardFailed("no".into()))
+                });
+            }
+            assert_eq!(spec.run(block).outcome, RunOutcome::AllFailed);
+            let ran_on = ran_on.lock().unwrap();
+            assert_eq!(ran_on.len(), 2);
+            assert!(ran_on.iter().all(|&t| t != caller));
+        }
+    }
+
+    /// The caller runs one alternative and submits the other two. A
+    /// sibling the caller takes back before a worker starts it, to run or
+    /// to drop, is not a pool task run, so at most two are.
+    #[test]
+    fn a_three_way_block_submits_two_pool_tasks() {
         let spec = Speculation::with_obs(PAGE_SIZE_DEFAULT, Registry::enabled());
-        let tasks_run = || spec.obs().stats().unwrap().exec.tasks_run.get();
-        let before = tasks_run();
+        let exec = || {
+            let s = spec.obs().stats().unwrap();
+            (s.exec.tasks_injected.get(), s.exec.tasks_run.get())
+        };
+        let (injected, ran) = exec();
         let r = spec.run(
             AltBlock::new()
                 .alt("a", |ctx| ctx.put_u64("x", 1))
@@ -1433,11 +1370,76 @@ mod tests {
                 .elim(ElimMode::Sync),
         );
         assert!(r.succeeded());
-        assert_eq!(
-            tasks_run() - before,
-            2,
-            "N−1 pool tasks, the caller runs one"
-        );
+        let (injected_after, ran_after) = exec();
+        assert_eq!(injected_after - injected, 2, "N−1 submissions");
+        assert!(ran_after - ran <= 2, "{} pool tasks ran", ran_after - ran);
+    }
+
+    /// A block decided while its siblings are still queued runs none of
+    /// them and gives every world back before it returns. No sleeps: the
+    /// block has a zero timeout, so it is decided before any alternative
+    /// can start, whoever starts it — the caller, a worker, or nobody
+    /// because the caller took it back.
+    #[test]
+    fn a_decided_block_runs_none_of_its_queued_siblings() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let spec = Speculation::new();
+        spec.setup(|c| c.put_u64("x", 0)).unwrap();
+        let (worlds, frames) = (spec.store().world_count(), spec.store().live_frames());
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..200 {
+            let mut block = AltBlock::new().timeout(Duration::ZERO).elim(ElimMode::Sync);
+            for i in 0..3u64 {
+                let ran = ran.clone();
+                block = block.alt(format!("alt{i}"), move |ctx| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    ctx.put_u64("x", i + 1)?;
+                    Ok(i)
+                });
+            }
+            let r = spec.run(block);
+            assert_eq!(r.outcome, RunOutcome::TimedOut);
+            assert!(r
+                .alts
+                .iter()
+                .all(|a| matches!(a.status, AltRunStatus::Failed(_))));
+            assert_eq!(spec.store().world_count(), worlds);
+            assert_eq!(spec.store().live_frames(), frames);
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "a sibling body ran");
+        assert_eq!(spec.read(|c| c.get_u64("x")), Some(0));
+    }
+
+    /// The winner on the calling thread decides the block while its
+    /// siblings may still be queued; whichever of them no worker started
+    /// is taken back unrun, and in sync mode the block returns with every
+    /// world given back.
+    #[test]
+    fn a_callers_win_takes_back_its_siblings_and_leaks_nothing() {
+        let spec = Speculation::new();
+        spec.setup(|c| c.put_u64("x", 0)).unwrap();
+        let (worlds, frames) = (spec.store().world_count(), spec.store().live_frames());
+        for round in 1..=200u64 {
+            let r = spec.run(
+                AltBlock::new()
+                    .alt("caller", move |ctx| ctx.put_u64("x", round).map(|_| 0u8))
+                    .alt("never-wins", |ctx| {
+                        ctx.put_u64("x", u64::MAX)?;
+                        Err(AltError::GuardFailed("never".into()))
+                    })
+                    .alt("never-wins-2", |_| {
+                        Err(AltError::GuardFailed("never".into()))
+                    })
+                    .elim(ElimMode::Sync),
+            );
+            assert_eq!(r.winner_label(), Some("caller"));
+            assert!(r.alts[1..]
+                .iter()
+                .all(|a| matches!(a.status, AltRunStatus::Failed(_))));
+            assert_eq!(spec.store().world_count(), worlds);
+            assert_eq!(spec.store().live_frames(), frames);
+        }
+        assert_eq!(spec.read(|c| c.get_u64("x")), Some(200));
     }
 
     /// Spans from a pooled-executor run must reconstruct exactly like

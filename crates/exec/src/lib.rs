@@ -9,15 +9,19 @@
 //! * [`Executor`] — a persistent pool shared by every `Speculation`
 //!   session: one FIFO queue and one kind of worker behind one mutex.
 //!   Submission reserves a free worker or adds one, so arbitrary blocking
-//!   tasks — including nested speculation — can never starve queued work;
-//!   it wakes the most recently parked worker, so an added worker is
-//!   reused while traffic needs it and retires when it does not (see the
-//!   `pool` module docs for the invariant).
+//!   tasks — including nested speculation — can never starve queued work.
+//!   A submission into an empty queue wakes the most recently parked
+//!   worker, and a worker that pops a task with more behind it wakes the
+//!   next one, so a submitter pays for one wake-up per burst; no queued
+//!   task is stranded, because some free worker off the parked stack
+//!   always looks at a non-empty queue before it parks. An added worker
+//!   is reused while traffic needs it and retires when it does not. A
+//!   task submitted with a tag can be taken back ([`Executor::take`])
+//!   until a worker starts it: a speculation block runs or drops its own
+//!   queued alternatives instead of waiting for a worker (see the `pool`
+//!   module docs for the invariants).
 //! * [`Scope`] — scoped submission: tasks that borrow the caller's
 //!   frame, sound because `Executor::scope` joins them before returning.
-//! * [`Latch`] / [`CountsDown`] — the countdown latch `scope` joins on,
-//!   exported so `Speculation`'s synchronous elimination waits on the
-//!   same one.
 //! * [`Reaper`] — batched asynchronous elimination: losing worlds queue
 //!   up and a background thread tears them down in batches, one
 //!   `Recycler` lock acquisition per batch instead of per frame, while
@@ -34,5 +38,5 @@ mod pool;
 mod reaper;
 
 pub use fair::{FairPolicy, FairScheduler, Saturated, TenantStats};
-pub use pool::{CountsDown, Executor, Latch, Scope, WORKERS_ENV};
+pub use pool::{Executor, Scope, WORKERS_ENV};
 pub use reaper::Reaper;

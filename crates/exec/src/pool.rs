@@ -6,7 +6,8 @@
 //! alternative" to "push a closure onto a queue". All of the pool's state
 //! — the FIFO task queue, the worker counts, the parked stack, the join
 //! handles — lives in one `State` behind one mutex; a task costs two
-//! holds of it (submit, then completion-and-next-pickup in one).
+//! holds of it (submit, then completion-and-next-pickup in one), and a
+//! task its submitter takes back ([`Executor::take`]) costs one.
 //!
 //! # Reserve-or-grow: why blocking tasks cannot starve the pool
 //!
@@ -19,17 +20,30 @@
 //! `submit` compares the queue, new task included, with
 //! `live − executing` in the same lock hold as the push; if the task
 //! would break the bound it adds one worker (counted in
-//! `ExecCounters::fallback_threads`), otherwise it claims a parked one. A
-//! worker becomes busy only by popping a queued task and leaves only when
-//! the queue is empty, both under that lock — so every queued task always
-//! has a runner reserved for it, no matter what the executing tasks do.
+//! `ExecCounters::fallback_threads`). A worker becomes busy only by
+//! popping a queued task and leaves only when the queue is empty, both
+//! under that lock — so every queued task always has a runner reserved
+//! for it, no matter what the executing tasks do. Taking a task back
+//! only shortens the queue, so it keeps the bound.
 //!
-//! # Wake the worker that parked last; retire the rest
+//! # One wake per burst; wake the worker that parked last
 //!
 //! A worker that finds the queue empty pushes itself onto `State::parked`
-//! in that lock hold and parks; `submit` pops the most recently parked one
-//! and unparks it after the unlock (the unpark token covers a worker
-//! preempted between its push and its park). So the workers that traffic
+//! in that lock hold and parks. `submit` unparks one — the most recently
+//! parked, popped off the stack, after the unlock — only when the queue
+//! was empty: a task pushed behind others wakes nobody. Instead a worker
+//! that pops a task and leaves more behind unparks the next parked
+//! worker before it runs its own task, so a burst of k tasks still
+//! starts k workers, but the submitter pays for one wake-up, and a task
+//! its submitter takes back before a worker reaches it costs no wake-up
+//! at all. No queued task is stranded: whenever the queue is non-empty,
+//! at least one worker outside a task is off the stack (awake, or
+//! claimed and unparked), and it looks at the queue before it can park.
+//! A submission into an empty queue establishes that (it adds a worker,
+//! pops one, or finds the stack empty, so every free worker is awake),
+//! and a pop that leaves tasks behind keeps it (it pops the next parked
+//! worker, or the stack is empty). The unpark token covers a worker
+//! preempted between its push and its park. So the workers that traffic
 //! really needs stay hot, and the rest sit at the bottom of the stack. A
 //! worker no submission claims for `LINGER` exits iff the pool is above
 //! its base count and the queue is empty: the thread count follows the
@@ -59,10 +73,12 @@ const POISONED: &str = "pool state poisoned: a worker thread could not be create
 
 type TaskFn = Box<dyn FnOnce() + Send + 'static>;
 
-/// A unit of work plus the registry its execution is attributed to.
+/// A unit of work, the registry its execution is attributed to, and the
+/// tag its submitter may take it back by (0: untagged).
 struct Task {
     run: TaskFn,
     obs: Registry,
+    tag: usize,
 }
 
 /// Everything the pool knows, under one mutex, so that pushing a task and
@@ -81,6 +97,50 @@ struct State {
     /// One handle per live worker; a worker that retires takes its own.
     handles: Vec<JoinHandle<()>>,
     shutdown: bool,
+}
+
+/// Who will run a task about to be queued.
+enum Runner {
+    /// Nobody free: add a worker.
+    Grow,
+    /// The queue was empty: unpark this parked worker.
+    Wake(Thread),
+    /// A worker outside a task is already off the stack and will look at
+    /// the queue before it parks.
+    Awake,
+}
+
+impl State {
+    fn new(workers: usize) -> State {
+        State {
+            queue: VecDeque::new(),
+            executing: 0,
+            live: 0,
+            parked: Vec::with_capacity(workers),
+            handles: Vec::with_capacity(workers),
+            shutdown: false,
+        }
+    }
+
+    /// Reserve-or-grow for one more queued task, decided before the push.
+    /// The bound held before this task, so one more worker restores it;
+    /// a task behind others wakes nobody, because the worker that pops
+    /// the one ahead of it wakes the next.
+    fn runner_for_push(&mut self) -> Runner {
+        if self.queue.len() >= self.live - self.executing {
+            Runner::Grow
+        } else if self.queue.is_empty() {
+            self.parked.pop().map_or(Runner::Awake, Runner::Wake)
+        } else {
+            Runner::Awake
+        }
+    }
+
+    /// Remove the oldest queued task tagged `tag`.
+    fn take(&mut self, tag: usize) -> Option<Task> {
+        let at = self.queue.iter().position(|t| t.tag == tag)?;
+        self.queue.remove(at)
+    }
 }
 
 struct Inner {
@@ -107,14 +167,7 @@ impl Executor {
     pub fn new(workers: usize) -> Executor {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                executing: 0,
-                live: 0,
-                parked: Vec::with_capacity(workers),
-                handles: Vec::with_capacity(workers),
-                shutdown: false,
-            }),
+            state: Mutex::new(State::new(workers)),
             workers,
         });
         let mut st = inner.state.lock().expect(POISONED);
@@ -146,10 +199,28 @@ impl Executor {
     /// for this task land in `obs` (`RunStats::exec`), which is free when
     /// the registry is disabled. Tasks start in submission order.
     pub fn spawn(&self, obs: &Registry, f: impl FnOnce() + Send + 'static) {
+        self.spawn_tagged(obs, 0, f);
+    }
+
+    /// [`Executor::spawn`], with a nonzero `tag` that [`Executor::take`]
+    /// can later withdraw the task by while no worker has started it. A
+    /// speculation block tags its alternatives with one tag per block.
+    pub fn spawn_tagged(&self, obs: &Registry, tag: usize, f: impl FnOnce() + Send + 'static) {
         self.submit(Task {
             run: Box::new(f),
             obs: obs.clone(),
+            tag,
         });
+    }
+
+    /// Withdraw the oldest still-queued task tagged `tag` (nonzero), or
+    /// `None` when every such task has been started or taken. The caller
+    /// runs it or drops it; either way it is not counted in `tasks_run`.
+    pub fn take(&self, tag: usize) -> Option<Box<dyn FnOnce() + Send + 'static>> {
+        debug_assert_ne!(tag, 0, "untagged tasks cannot be taken back");
+        let task = self.inner.state.lock().expect(POISONED).take(tag)?;
+        task.obs.with(|i| i.stats.exec_queue_depth.sub(1));
+        Some(task.run)
     }
 
     /// Run `f`, with every closure it hands to [`Scope::spawn`] allowed to
@@ -202,15 +273,15 @@ impl Executor {
             }
         });
         let mut st = self.inner.state.lock().expect(POISONED);
-        // Reserve-or-grow, in the same lock hold as the push. The bound
-        // held before this task, so one more worker restores it; an empty
-        // stack means every free worker will see the queue before parking.
-        let claimed = if st.queue.len() >= st.live - st.executing {
-            task.obs.with(|i| i.stats.exec.fallback_threads.incr());
-            add_worker(&self.inner, &mut st);
-            None
-        } else {
-            st.parked.pop()
+        // Reserve-or-grow, in the same lock hold as the push.
+        let claimed = match st.runner_for_push() {
+            Runner::Grow => {
+                task.obs.with(|i| i.stats.exec.fallback_threads.incr());
+                add_worker(&self.inner, &mut st);
+                None
+            }
+            Runner::Wake(worker) => Some(worker),
+            Runner::Awake => None,
         };
         st.queue.push_back(task);
         drop(st);
@@ -261,9 +332,19 @@ fn worker_loop(inner: Arc<Inner>) {
     let mut lingered = false;
     let mut st = inner.state.lock().expect(POISONED);
     loop {
-        if let Some(Task { run, obs }) = st.queue.pop_front() {
+        if let Some(Task { run, obs, .. }) = st.queue.pop_front() {
             st.executing += 1;
+            // Tasks left behind: start the next parked worker on them
+            // before this one is busy (chained wakes, see module docs).
+            let next = if st.queue.is_empty() {
+                None
+            } else {
+                st.parked.pop()
+            };
             drop(st);
+            if let Some(worker) = next {
+                worker.unpark();
+            }
             obs.with(|i| {
                 i.stats.exec_queue_depth.sub(1);
                 i.stats.exec.tasks_run.incr();
@@ -313,8 +394,8 @@ fn worker_loop(inner: Arc<Inner>) {
 
 /// A countdown latch: one count per [`Latch::guard`] handed out, counted
 /// down when the guard drops (so panics still count down); [`Latch::wait`]
-/// blocks until zero.
-pub struct Latch {
+/// blocks until zero. What [`Executor::scope`] joins on.
+pub(crate) struct Latch {
     count: Mutex<usize>,
     cv: Condvar,
 }
@@ -355,7 +436,7 @@ impl Latch {
 }
 
 /// Decrements its [`Latch`] when dropped — normal return or unwind alike.
-pub struct CountsDown(Arc<Latch>);
+pub(crate) struct CountsDown(Arc<Latch>);
 
 impl Drop for CountsDown {
     fn drop(&mut self) {
@@ -389,6 +470,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         self.exec.submit(Task {
             run: task,
             obs: self.obs.clone(),
+            tag: 0,
         });
     }
 }
@@ -642,6 +724,126 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(pool.inner.state.lock().unwrap().live, 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_burst_into_parked_workers_starts_them_all() {
+        // One submission wakes one worker; each worker that pops a task
+        // with more behind it wakes the next. A 4-party barrier inside
+        // the tasks only opens if all four run at once.
+        let obs = Registry::enabled();
+        let pool = Executor::new(4);
+        assert!(state_reaches(&pool, Duration::from_secs(5), |st| {
+            st.parked.len() == 4
+        }));
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        for _ in 0..4 {
+            let (barrier, tx) = (barrier.clone(), tx.clone());
+            pool.spawn(&obs, move || {
+                barrier.wait();
+                tx.send(()).unwrap();
+            });
+        }
+        for _ in 0..4 {
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("a parked worker was never woken");
+        }
+        assert_eq!(obs.stats().unwrap().exec.fallback_threads.get(), 0);
+        pool.shutdown();
+    }
+
+    /// A stand-in for a parked worker: only its handle is ever touched.
+    fn parked_thread() -> Thread {
+        std::thread::spawn(std::thread::current).join().unwrap()
+    }
+
+    fn tagged(tag: usize, ran: &Arc<Mutex<Vec<usize>>>, id: usize) -> Task {
+        let ran = ran.clone();
+        Task {
+            run: Box::new(move || ran.lock().unwrap().push(id)),
+            obs: Registry::disabled(),
+            tag,
+        }
+    }
+
+    #[test]
+    fn a_submit_behind_queued_work_wakes_nobody() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let mut st = State::new(3);
+        st.live = 3;
+        st.parked = vec![parked_thread(), parked_thread(), parked_thread()];
+        // Into an empty queue: the worker that parked last is woken.
+        let last = st.parked[2].id();
+        assert!(matches!(st.runner_for_push(), Runner::Wake(t) if t.id() == last));
+        st.queue.push_back(tagged(0, &ran, 0));
+        // Behind a queued task: nobody is woken, the stack is untouched.
+        assert!(matches!(st.runner_for_push(), Runner::Awake));
+        assert_eq!(st.parked.len(), 2);
+        st.queue.push_back(tagged(0, &ran, 1));
+        // Reserve-or-grow still counts: two free workers, two queued.
+        st.executing = 1;
+        assert!(matches!(st.runner_for_push(), Runner::Grow));
+        assert_eq!(st.parked.len(), 2);
+    }
+
+    #[test]
+    fn take_leaves_other_blocks_tasks_queued_in_fifo_order() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let mut st = State::new(1);
+        for (id, tag) in [7, 9, 7, 0, 9].into_iter().enumerate() {
+            st.queue.push_back(tagged(tag, &ran, id));
+        }
+        // Block 7's oldest, then its next; then none.
+        (st.take(7).unwrap().run)();
+        (st.take(7).unwrap().run)();
+        assert!(st.take(7).is_none());
+        assert_eq!(*ran.lock().unwrap(), vec![0, 2]);
+        // Everything else is still queued, oldest first.
+        while let Some(task) = st.queue.pop_front() {
+            (task.run)();
+        }
+        assert_eq!(*ran.lock().unwrap(), vec![0, 2, 1, 3, 4]);
+    }
+
+    #[test]
+    fn take_and_a_worker_never_both_get_a_task() {
+        // Task A blocks the only worker, so B (behind A in the queue)
+        // stays queued until it is taken back or A is released.
+        let obs = Registry::enabled();
+        let pool = Executor::new(1);
+        let (started_tx, started) = std::sync::mpsc::channel::<()>();
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        pool.spawn(&obs, move || {
+            started_tx.send(()).unwrap();
+            wait.recv().unwrap();
+        });
+        started.recv_timeout(Duration::from_secs(5)).unwrap();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let hits = ran.clone();
+        pool.spawn_tagged(&obs, 5, move || {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        // A worker grown for B may or may not have started it; either
+        // way exactly one of the take and the worker gets it.
+        let taken = pool.take(5);
+        release.send(()).unwrap();
+        assert!(state_reaches(&pool, Duration::from_secs(5), |st| {
+            st.executing == 0 && st.queue.is_empty()
+        }));
+        let stats = obs.stats().unwrap();
+        match taken {
+            Some(task) => {
+                assert_eq!(ran.load(Ordering::SeqCst), 0);
+                assert_eq!(stats.exec.tasks_run.get(), 1, "only A ran on a worker");
+                task();
+                assert_eq!(ran.load(Ordering::SeqCst), 1);
+            }
+            None => assert_eq!(stats.exec.tasks_run.get(), 2),
+        }
+        assert_eq!(stats.exec_queue_depth.get(), 0);
+        assert!(pool.take(5).is_none());
         pool.shutdown();
     }
 

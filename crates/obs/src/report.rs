@@ -151,7 +151,9 @@ counter_struct! {
     /// replay has no executor events to reconstruct it from, and the
     /// summary omits the section when every counter is zero.
     pub struct ExecCounters {
-        /// Tasks executed by pool workers.
+        /// Tasks executed by pool workers. A task its submitter takes
+        /// back (`Executor::take`) is not counted, whether the submitter
+        /// then runs it or drops it unrun.
         pub tasks_run,
         /// Always 0: the pool has one queue and nothing to steal from.
         /// Kept because `benchmark/` reads it, until ROADMAP item 8's

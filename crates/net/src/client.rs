@@ -1,6 +1,6 @@
 //! The client half: per-request deadlines, bounded retries with
-//! exponential backoff and deterministic jitter, and correlation-id
-//! reuse so retries are idempotent end to end.
+//! exponential backoff and deterministic jitter, correlation-id reuse so
+//! retries are idempotent end to end, and pipelined bursts.
 //!
 //! A [`Conn`] is one logical link to one node. Failures below the RPC
 //! layer — timeout, reset, truncated frame — drop the TCP stream
@@ -9,6 +9,25 @@
 //! fresh connection after backing off. The server's reply ledger turns
 //! that retransmit into a replay of the recorded reply, which is what
 //! makes a retried `CommitBack` apply exactly once.
+//!
+//! ## Bursts
+//!
+//! [`Conn::call_many`] writes every frame of a burst before it reads a
+//! reply, then matches replies to requests by correlation id: a burst
+//! of `n` requests waits one round trip, not `n`. [`Conn::call`] is the
+//! burst of one, so there is one send/retry loop. Two rules make a
+//! burst safe:
+//!
+//! * **Small replies only.** A burst carries ack-style requests, whose
+//!   replies are a few bytes. The node writes each reply while the
+//!   client may still be writing; the socket buffers hold them all, so
+//!   neither side can block the other.
+//! * **Resend only what is unanswered.** A reply fills its request's
+//!   slot as soon as it is read. After a failed attempt, the retry
+//!   resends only the frames still without a reply, each under its
+//!   original corr-id; one the node applied but whose reply was lost
+//!   comes back from its reply ledger, so every frame of a burst
+//!   applies at most once, however the attempts were cut.
 //!
 //! Backoff jitter is seeded ([`RetryPolicy::seed`]) and derived from
 //! `(seed, corr, attempt)`, so a given schedule of faults produces the
@@ -132,13 +151,13 @@ impl Conn {
         self.node
     }
 
-    /// Issue `req`, retrying per the policy. Returns the server's reply
-    /// — including `Nack`, which is a *successful* transport outcome and
-    /// is never retried (asking again with the same corr-id would just
-    /// replay the same answer).
+    /// Issue `req`, retrying per the policy: a burst of one. Returns the
+    /// server's reply — including `Nack`, which is a *successful*
+    /// transport outcome and is never retried (asking again with the
+    /// same corr-id would just replay the same answer).
     pub fn call(&mut self, req: &Request) -> Result<Reply> {
         let corr = next_corr();
-        self.deliver(corr, &req.encode_frame(corr))
+        only(self.deliver(&[(corr, req.encode_frame(corr))]))
     }
 
     /// Issue `req` and unwrap the `Ack`, mapping `Nack` to an error.
@@ -146,17 +165,56 @@ impl Conn {
         ack(self.call(req)?)
     }
 
+    /// Issue `reqs` as one pipelined burst and unwrap each `Ack`: every
+    /// frame is written before any reply is read, and slot `i` of the
+    /// answer is request `i`'s outcome (`Nack` mapped to an error), in
+    /// request order whatever order the replies arrived in.
+    ///
+    /// A burst carries **ack-style requests only** (`Rfork`,
+    /// `CommitBack`, `Discard`, `PredicatedSend`, `Ping`, the session
+    /// verbs): their replies are a few bytes, so the socket buffers
+    /// hold every reply of a burst while the client is still writing,
+    /// and a client that writes the whole burst before reading cannot
+    /// deadlock against a node blocked writing replies. A request whose
+    /// reply can be large (`Telemetry`) goes through [`Conn::call`].
+    pub fn call_many(&mut self, reqs: &[Request]) -> Vec<Result<u64>> {
+        let frames: Vec<_> = reqs
+            .iter()
+            .map(|req| {
+                let corr = next_corr();
+                (corr, req.encode_frame(corr))
+            })
+            .collect();
+        acks(self.deliver(&frames))
+    }
+
     /// [`Request::Rfork`] from an image the caller keeps: the bytes are
     /// framed straight from the borrowed slice.
     pub fn call_rfork(&mut self, image: &[u8]) -> Result<u64> {
-        let corr = next_corr();
-        ack(self.deliver(corr, &rfork_frame(corr, image))?)
+        self.call_rforks(&[image])
+            .pop()
+            .expect("one reply per frame")
+    }
+
+    /// One [`Request::Rfork`] per image, as one burst ([`Conn::call_many`]);
+    /// slot `i` is the world restored from `images[i]`.
+    pub fn call_rforks(&mut self, images: &[&[u8]]) -> Vec<Result<u64>> {
+        let frames: Vec<_> = images
+            .iter()
+            .map(|image| {
+                let corr = next_corr();
+                (corr, rfork_frame(corr, image))
+            })
+            .collect();
+        acks(self.deliver(&frames))
     }
 
     /// [`Request::CommitBack`] from pages the caller keeps.
     pub fn call_commit_back(&mut self, base: u64, pages: &[(u64, Vec<u8>)]) -> Result<u64> {
         let corr = next_corr();
-        ack(self.deliver(corr, &commit_back_frame(corr, base, pages))?)
+        ack(only(
+            self.deliver(&[(corr, commit_back_frame(corr, base, pages))]),
+        )?)
     }
 
     /// Issue a [`Request::HashProbe`] and unwrap the presence bitmap.
@@ -177,11 +235,23 @@ impl Conn {
         }
     }
 
-    /// Deliver one already-framed request, retrying with its corr-id.
-    fn deliver(&mut self, corr: u64, wire: &[u8]) -> Result<Reply> {
+    /// The one send/retry loop: deliver already-framed `(corr, frame)`
+    /// requests as a burst, and after a failed attempt resend only the
+    /// frames still unanswered, each under its own corr-id. Slot `i` of
+    /// the answer is `frames[i]`'s reply, or the error that ended its
+    /// delivery.
+    fn deliver(&mut self, frames: &[(u64, Vec<u8>)]) -> Vec<Result<Reply>> {
+        let mut replies: Vec<Option<Result<Reply>>> = frames.iter().map(|_| None).collect();
+        let attempts = self.policy.max_attempts.max(1);
         let mut last = None;
-        for attempt in 1..=self.policy.max_attempts.max(1) {
+        for attempt in 1..=attempts {
             if attempt > 1 {
+                // Jitter keys on the first unanswered frame, so a burst
+                // of one backs off exactly as a single request did.
+                let (corr, _) = frames[replies
+                    .iter()
+                    .position(Option::is_none)
+                    .expect("unanswered")];
                 let backoff = self.policy.backoff(corr, attempt - 1);
                 self.obs.emit(|| {
                     Event::new(
@@ -197,47 +267,60 @@ impl Conn {
                 });
                 std::thread::sleep(backoff);
             }
-            match self.attempt(corr, wire) {
-                Ok(reply) => {
-                    if let Reply::Nack { code, .. } = &reply {
-                        // A refusal is a transport success, so no retry
-                        // path records it — emit here so `worlds-report
-                        // --net` can count refusals per reason.
-                        let code = *code;
-                        self.obs.emit(|| {
-                            Event::new(
-                                EventKind::NetNack {
-                                    node: self.node,
-                                    code: code as u64,
-                                },
-                                0,
-                                None,
-                                0,
-                            )
-                        });
-                    }
-                    return Ok(reply);
+            match self.attempt(frames, &mut replies) {
+                Ok(()) => {
+                    last = None;
+                    break;
                 }
                 Err(e) => {
                     // A failed attempt poisons the stream: a late reply
                     // arriving on it would desync the next request.
                     self.stream = None;
-                    if !e.is_retryable() {
-                        return Err(e);
-                    }
+                    let fatal = !e.is_retryable();
                     last = Some(e);
+                    if fatal {
+                        break;
+                    }
                 }
             }
         }
-        Err(NetError::RetriesExhausted {
-            attempts: self.policy.max_attempts.max(1),
-            last: Box::new(last.unwrap_or(NetError::Truncated)),
-        })
+        let mut failed = last.map(|e| {
+            if e.is_retryable() {
+                NetError::RetriesExhausted {
+                    attempts,
+                    last: Box::new(e),
+                }
+            } else {
+                e
+            }
+        });
+        // Every unanswered frame gets the error; the last one gets the
+        // original, so a burst of one loses nothing.
+        let mut unanswered = replies.iter().filter(|r| r.is_none()).count();
+        replies
+            .into_iter()
+            .map(|reply| {
+                reply.unwrap_or_else(|| {
+                    unanswered -= 1;
+                    let e = match unanswered {
+                        0 => failed.take(),
+                        _ => failed.as_ref().map(duplicate),
+                    };
+                    Err(e.expect("an unanswered frame failed"))
+                })
+            })
+            .collect()
     }
 
-    /// One attempt under one deadline: connect if needed, send, await
-    /// the matching reply.
-    fn attempt(&mut self, corr: u64, wire: &[u8]) -> Result<Reply> {
+    /// One attempt under one deadline: connect if needed, write every
+    /// unanswered frame, then read until each has its reply. A reply
+    /// fills its frame's slot the moment it is read, so an attempt that
+    /// fails half-way keeps what it already learned.
+    fn attempt(
+        &mut self,
+        frames: &[(u64, Vec<u8>)],
+        replies: &mut [Option<Result<Reply>>],
+    ) -> Result<()> {
         let started = Instant::now();
         let (obs, node) = (self.obs.clone(), self.node);
         if self.stream.is_none() {
@@ -250,26 +333,35 @@ impl Conn {
         }
         let stream = self.stream.as_mut().expect("just connected");
 
-        let result = (|| {
-            stream.get_mut().write_all(wire)?;
-            obs.emit(|| {
-                Event::new(
-                    EventKind::NetSend {
-                        node,
-                        bytes: wire.len() as u64,
-                    },
-                    0,
-                    None,
-                    0,
-                )
-            });
-            loop {
+        let result = (|| -> Result<()> {
+            let mut unanswered = 0;
+            for ((_, wire), _) in frames.iter().zip(&*replies).filter(|(_, r)| r.is_none()) {
+                stream.get_mut().write_all(wire)?;
+                unanswered += 1;
+                obs.emit(|| {
+                    Event::new(
+                        EventKind::NetSend {
+                            node,
+                            bytes: wire.len() as u64,
+                        },
+                        0,
+                        None,
+                        0,
+                    )
+                });
+            }
+            while unanswered > 0 {
                 let (reply, size) = read_frame(stream)?;
-                if reply.corr != corr {
-                    // A reply to a request this Conn already gave up on;
-                    // the ledger replayed it harmlessly. Keep waiting.
+                // A reply to a request this Conn already gave up on (the
+                // ledger replayed it harmlessly) matches no open slot.
+                // Keep waiting.
+                let Some(slot) = frames
+                    .iter()
+                    .zip(&*replies)
+                    .position(|((corr, _), r)| *corr == reply.corr && r.is_none())
+                else {
                     continue;
-                }
+                };
                 obs.emit(|| {
                     Event::new(
                         EventKind::NetRecv {
@@ -282,8 +374,28 @@ impl Conn {
                         0,
                     )
                 });
-                return Reply::decode_owned(reply.kind, reply.payload);
+                let reply = Reply::decode_owned(reply.kind, reply.payload)?;
+                if let Reply::Nack { code, .. } = &reply {
+                    // A refusal is a transport success, so no retry path
+                    // records it — emit here so `worlds-report --net` can
+                    // count refusals per reason.
+                    let code = *code;
+                    obs.emit(|| {
+                        Event::new(
+                            EventKind::NetNack {
+                                node,
+                                code: code as u64,
+                            },
+                            0,
+                            None,
+                            0,
+                        )
+                    });
+                }
+                replies[slot] = Some(Ok(reply));
+                unanswered -= 1;
             }
+            Ok(())
         })();
         if let Err(e) = &result {
             if e.is_timeout() {
@@ -301,6 +413,39 @@ impl Conn {
             }
         }
         result
+    }
+}
+
+/// The one reply of a burst of one.
+fn only(mut replies: Vec<Result<Reply>>) -> Result<Reply> {
+    replies.pop().expect("one reply per frame")
+}
+
+/// Unwrap every reply of a burst as an ack.
+fn acks(replies: Vec<Result<Reply>>) -> Vec<Result<u64>> {
+    replies.into_iter().map(|r| r.and_then(ack)).collect()
+}
+
+/// A copy of the error that ended a burst, for each unanswered frame but
+/// the last. `NetError` holds an `io::Error`, which is not `Clone`; its
+/// kind and message are what callers read.
+fn duplicate(e: &NetError) -> NetError {
+    match e {
+        NetError::Io(io) => NetError::Io(std::io::Error::new(io.kind(), io.to_string())),
+        NetError::BadMagic => NetError::BadMagic,
+        NetError::BadVersion(v) => NetError::BadVersion(*v),
+        NetError::Truncated => NetError::Truncated,
+        NetError::BadCrc => NetError::BadCrc,
+        NetError::TooLarge(n) => NetError::TooLarge(*n),
+        NetError::Protocol(msg) => NetError::Protocol(msg.clone()),
+        NetError::Nack { code, detail } => NetError::Nack {
+            code: *code,
+            detail: detail.clone(),
+        },
+        NetError::RetriesExhausted { attempts, last } => NetError::RetriesExhausted {
+            attempts: *attempts,
+            last: Box::new(duplicate(last)),
+        },
     }
 }
 
@@ -379,6 +524,33 @@ mod tests {
         assert!(b5 <= Duration::from_millis(80), "capped");
         assert_eq!(p.backoff(7, 3), p.backoff(7, 3), "deterministic");
         assert_ne!(p.backoff(7, 3), p.backoff(8, 3), "per-corr jitter");
+    }
+
+    #[test]
+    fn a_burst_that_never_lands_fails_every_slot_alike() {
+        // A port nothing listens on: every attempt is refused.
+        let addr = std::net::TcpListener::bind(("127.0.0.1", 0))
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+            deadline: Duration::from_millis(50),
+            seed: 0,
+        };
+        let mut conn = Conn::new(1, addr, policy, Registry::disabled());
+        let replies = conn.call_many(&[Request::Ping, Request::Ping, Request::Ping]);
+        assert_eq!(replies.len(), 3);
+        for reply in replies {
+            match reply {
+                Err(NetError::RetriesExhausted { attempts: 2, last }) => {
+                    assert!(matches!(*last, NetError::Io(_)), "{last}")
+                }
+                other => panic!("expected an exhausted burst, got {other:?}"),
+            }
+        }
     }
 
     #[test]

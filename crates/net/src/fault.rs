@@ -46,6 +46,11 @@ enum Mode {
         k: u64,
         kind: FaultKind,
     },
+    /// Op `op` (0-based) suffers `kind`; no other op faults.
+    Once {
+        op: u64,
+        kind: FaultKind,
+    },
     /// Roughly one op in `period` faults, kind chosen by hash — a
     /// deterministic stand-in for a flaky network.
     Seeded {
@@ -77,6 +82,14 @@ impl FaultSchedule {
         }
     }
 
+    /// Only logical operation `op` (0-based) suffers `kind`: the schedule
+    /// a fail-the-k-th-op sweep arms once per `k`.
+    pub fn once(op: u64, kind: FaultKind) -> FaultSchedule {
+        FaultSchedule {
+            mode: Mode::Once { op, kind },
+        }
+    }
+
     /// A seeded pseudo-random schedule faulting roughly one op in
     /// `period`, cycling through all fault kinds. Same seed, same
     /// schedule — forever.
@@ -95,6 +108,7 @@ impl FaultSchedule {
         match self.mode {
             Mode::None => None,
             Mode::Every { k, kind } => (op + 1).is_multiple_of(k).then_some(kind),
+            Mode::Once { op: at, kind } => (op == at).then_some(kind),
             Mode::Seeded { seed, period } => {
                 let h = splitmix64(seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 if !h.is_multiple_of(period) {
@@ -147,6 +161,14 @@ mod tests {
             [false, false, true, false, false, true, false, false, true]
         );
         assert_eq!(s.fault_for(2), Some(FaultKind::Drop));
+    }
+
+    #[test]
+    fn once_faults_exactly_one_op() {
+        let s = FaultSchedule::once(2, FaultKind::Reset);
+        assert!(s.is_active());
+        let pattern: Vec<_> = (0..5).map(|op| s.fault_for(op)).collect();
+        assert_eq!(pattern, [None, None, Some(FaultKind::Reset), None, None]);
     }
 
     #[test]

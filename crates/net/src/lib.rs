@@ -22,7 +22,8 @@
 //!   operation idempotent under retransmission.
 //! * [`Conn`] / [`Pool`] — the client: per-request deadlines, bounded
 //!   retries, exponential backoff with deterministic jitter, corr-id
-//!   reuse.
+//!   reuse, and pipelined bursts that wait one round trip for many
+//!   small-reply requests.
 //! * [`FaultSchedule`] / [`FaultProxy`] — deterministic misbehaviour:
 //!   drops, delays, truncations, resets and swallowed replies from a
 //!   seeded schedule, injected by a real man-in-the-middle relay.

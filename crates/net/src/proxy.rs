@@ -152,9 +152,10 @@ impl Drop for FaultProxy {
     }
 }
 
-/// Relay one client connection. The protocol is strict request/reply per
-/// connection, so the relay alternates: read request from client, decide
-/// fate, forward upstream, pump the reply back.
+/// Relay one client connection, one frame at a time: read a request from
+/// the client, decide its fate, forward it upstream, pump the reply back.
+/// A pipelined burst is relayed the same way, frame by frame in arrival
+/// order, so its ops are numbered in the order they went on the wire.
 fn relay(client: TcpStream, shared: Arc<Shared>) {
     let _ = client.set_read_timeout(Some(Duration::from_millis(25)));
     let _ = client.set_nodelay(true);

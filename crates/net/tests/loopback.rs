@@ -414,3 +414,79 @@ fn pool_tracks_nodes_independently() {
     a.shutdown();
     b.shutdown();
 }
+
+/// A pipelined burst through a proxy that drops its 2nd frame's first
+/// delivery: the 1st and 3rd apply on the first attempt, only the 2nd
+/// is resent, each image restores exactly one world, and slot `i` of
+/// the answer is request `i`'s reply although the 2nd applied last.
+#[test]
+fn a_burst_resends_only_the_dropped_frame() {
+    let store = PageStore::new(PAGE);
+    let node = NetNode::serve(1, store.clone(), Registry::disabled()).unwrap();
+    let proxy = FaultProxy::spawn(
+        node.addr(),
+        FaultSchedule::once(1, FaultKind::Drop),
+        Registry::disabled(),
+    )
+    .unwrap();
+    let (obs, ring) = Registry::with_ring(256);
+    let mut conn = Conn::new(1, proxy.addr(), fast(), obs.clone());
+
+    let local = PageStore::new(PAGE);
+    let w = local.create_world();
+    local.write(w, 4, 0, b"three of these").unwrap();
+    let image = checkpoint(&local, w).unwrap();
+    let worlds: Vec<u64> = conn
+        .call_rforks(&[&image, &image, &image])
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+
+    assert_eq!(store.world_count(), 3, "three images, three worlds");
+    for &world in &worlds {
+        assert_eq!(
+            store.read_vec(WorldId::from_raw(world), 4, 0, 14).unwrap(),
+            b"three of these"
+        );
+    }
+    // World ids are minted in apply order: the 3rd frame applied before
+    // the resent 2nd, yet each reply sits in its request's slot.
+    assert!(worlds[0] < worlds[2] && worlds[2] < worlds[1], "{worlds:?}");
+    assert_eq!(proxy.faults_injected(), 1);
+    let sends = ring
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, worlds_obs::EventKind::NetSend { .. }))
+        .count();
+    assert_eq!(sends, 4, "three frames, then only the dropped one again");
+    let stats = obs.stats().unwrap();
+    assert_eq!(stats.net.timeouts.get(), 1);
+    assert_eq!(stats.net.retries.get(), 1);
+    proxy.shutdown();
+    node.shutdown();
+}
+
+/// A refusal inside a burst is that slot's answer: the other discards
+/// of the burst still apply.
+#[test]
+fn a_discard_burst_nacks_only_the_missing_world() {
+    let store = PageStore::new(PAGE);
+    let a = store.create_world();
+    let b = store.create_world();
+    let node = NetNode::serve(2, store.clone(), Registry::disabled()).unwrap();
+    let mut conn = Conn::new(2, node.addr(), fast(), Registry::disabled());
+    let replies = conn.call_many(&[
+        Request::Discard { world: a.raw() },
+        Request::Discard { world: 999_999 },
+        Request::Discard { world: b.raw() },
+    ]);
+    assert_eq!(replies.len(), 3);
+    assert_eq!(replies[0].as_ref().unwrap(), &a.raw());
+    assert_eq!(
+        replies[1].as_ref().unwrap_err().nack_code(),
+        Some(nack::NO_SUCH_WORLD)
+    );
+    assert_eq!(replies[2].as_ref().unwrap(), &b.raw());
+    assert_eq!(store.world_count(), 0, "both live worlds were discarded");
+    node.shutdown();
+}

@@ -3,7 +3,9 @@
 use worlds_kernel::VirtualTime;
 use worlds_net::FaultSchedule;
 use worlds_obs::{Event as ObsEvent, EventKind, Registry};
-use worlds_pagestore::{checkpoint, checkpoint_content, delta_manifest, PageStore, WorldId};
+use worlds_pagestore::{
+    checkpoint, checkpoint_content, delta_manifest, PageStore, PageStoreError, WorldId,
+};
 
 use crate::net::NetModel;
 use crate::transport::{DeltaBase, DeltaCache, InProcess, Tcp, Transport};
@@ -47,6 +49,10 @@ pub struct RemoteWorld {
     /// The world id within that node's store.
     pub world: WorldId,
 }
+
+/// One replica forked on a remote node and what shipping it cost, or
+/// why it failed.
+pub(crate) type Forked = Result<(RemoteWorld, VirtualTime), PageStoreError>;
 
 /// A set of nodes joined by a modelled network. Node 0 is the *origin*
 /// (where the parent process lives).
@@ -220,7 +226,7 @@ impl Cluster {
             for (dst, base) in self.delta_cache.drain() {
                 // Best-effort: pinned bases are invisible infrastructure.
                 let _ = self.nodes[base.src_node].store.drop_world(base.snapshot);
-                let _ = self.transport.discard(dst, base.replica);
+                let _ = self.transport.discard(dst, &[base.replica]);
             }
         }
     }
@@ -248,7 +254,7 @@ impl Cluster {
     fn release_evicted(&mut self, evicted: Vec<(usize, DeltaBase)>) {
         for (dst, base) in evicted {
             let _ = self.nodes[base.src_node].store.drop_world(base.snapshot);
-            let _ = self.transport.discard(dst, base.replica);
+            let _ = self.transport.discard(dst, &[base.replica]);
             self.obs.emit(|| {
                 ObsEvent::new(
                     EventKind::NetCacheEvict {
@@ -379,7 +385,45 @@ impl Cluster {
             let image = checkpoint(&self.nodes[src.node.0].store, src.world)?;
             self.ship(src, dst, &image, &mut total)?
         };
-        let world = WorldId::from_raw(shipped);
+        Ok((self.forked(src, dst, shipped), total))
+    }
+
+    /// Fork `count` further replicas of `src` on `first`'s node, from
+    /// `first` — a replica of `src` nothing has written to yet — instead
+    /// of shipping `src` again. Each sibling is a header-only delta image
+    /// (no records, base `first`), which the receiver restores as a fork
+    /// of `first`; all of them travel in one transport batch. Each is
+    /// charged its own transfer of that image and emits its own
+    /// `RemoteFork` under `src`, in the order the images go on the wire,
+    /// so the transfer numbering still matches a fault proxy's op
+    /// numbering. Slot `i` is sibling `i`, or why it failed.
+    pub(crate) fn fork_siblings(
+        &mut self,
+        src: RemoteWorld,
+        first: RemoteWorld,
+        count: usize,
+    ) -> Result<Vec<Forked>, PageStoreError> {
+        let dst = first.node;
+        let image = checkpoint_content(
+            &self.nodes[src.node.0].store,
+            src.world,
+            first.world.raw(),
+            &[],
+            &[],
+        )?;
+        let costs: Vec<VirtualTime> = (0..count)
+            .map(|_| self.transfer(src.world.raw(), src.node, dst, image.len()))
+            .collect();
+        let shipped = self.transport.ship_image(dst.0, &vec![&image[..]; count]);
+        Ok(shipped
+            .into_iter()
+            .zip(costs)
+            .map(|(world, cost)| Ok((self.forked(src, dst, world?), cost)))
+            .collect())
+    }
+
+    /// The replica `world` that a fork of `src` restored on `dst`.
+    fn forked(&self, src: RemoteWorld, dst: NodeId, world: u64) -> RemoteWorld {
         // The restored world is a *child* of the origin world in the
         // speculation tree: node stores share one id allocator, so the
         // parent reference is unambiguous and the span layer links the
@@ -387,12 +431,15 @@ impl Cluster {
         self.obs.emit(|| {
             ObsEvent::new(
                 EventKind::RemoteFork { node: dst.0 as u64 },
-                world.raw(),
+                world,
                 Some(src.world.raw()),
                 self.clock_ns,
             )
         });
-        Ok((RemoteWorld { node: dst, world }, total))
+        RemoteWorld {
+            node: dst,
+            world: WorldId::from_raw(world),
+        }
     }
 
     /// Move one checkpoint image from `src`'s node to `dst`: charge the
@@ -406,7 +453,10 @@ impl Cluster {
         total: &mut VirtualTime,
     ) -> Result<u64, worlds_pagestore::PageStoreError> {
         *total += self.transfer(src.world.raw(), src.node, dst, image.len());
-        self.transport.ship_image(dst.0, image)
+        self.transport
+            .ship_image(dst.0, &[image])
+            .pop()
+            .expect("one outcome per image")
     }
 
     /// The delta shipment of `src → dst`, one straight line: pinned base
@@ -491,7 +541,25 @@ impl Cluster {
     /// O(changed) for a child forked from the replica, and exact for any
     /// child: the argument never asks where the child came from. Without
     /// a pinned base every mapped vpn is a candidate.
+    ///
+    /// A remote child is discarded once its pages are home.
     pub fn commit_back(
+        &mut self,
+        base: RemoteWorld,
+        child: RemoteWorld,
+    ) -> Result<(VirtualTime, usize), worlds_pagestore::PageStoreError> {
+        let shipped = self.commit_home(base, child)?;
+        if child.node != base.node {
+            // The remote replica is done with.
+            self.discard_all(&[child], Some(child))?;
+        }
+        Ok(shipped)
+    }
+
+    /// [`Cluster::commit_back`] without the discard: a remote `child`
+    /// stays live, for its caller to discard in a batch with others. A
+    /// local child is adopted, which consumes it.
+    pub(crate) fn commit_home(
         &mut self,
         base: RemoteWorld,
         child: RemoteWorld,
@@ -535,8 +603,6 @@ impl Cluster {
         let n = moved.len();
         self.transport
             .ship_pages(base.node.0, base.world.raw(), &moved)?;
-        // The remote replica is done with.
-        self.transport.discard(child.node.0, child.world.raw())?;
         // Close the remote world's span: its edits now live in `base`.
         self.obs.emit(|| {
             ObsEvent::new(
@@ -555,17 +621,46 @@ impl Cluster {
 
     /// Discard a remote world (sibling elimination on another node).
     pub fn discard(&mut self, w: RemoteWorld) -> Result<(), worlds_pagestore::PageStoreError> {
-        self.transport.discard(w.node.0, w.world.raw())?;
-        // Remote elimination never blocks the winner: always async.
-        self.obs.emit(|| {
-            ObsEvent::new(
-                EventKind::EliminateAsync,
-                w.world.raw(),
-                None,
-                self.clock_ns,
-            )
-        });
-        Ok(())
+        self.discard_all(&[w], None)
+    }
+
+    /// Discard `worlds`, one transport batch per node, in node order.
+    /// Every discarded world but `committed` — whose span its commit
+    /// already closed — is an elimination. Best effort: every batch is
+    /// sent, and the first error is returned.
+    pub(crate) fn discard_all(
+        &mut self,
+        worlds: &[RemoteWorld],
+        committed: Option<RemoteWorld>,
+    ) -> Result<(), worlds_pagestore::PageStoreError> {
+        let mut result = Ok(());
+        for node in 0..self.nodes.len() {
+            let batch: Vec<u64> = worlds
+                .iter()
+                .filter(|w| w.node.0 == node)
+                .map(|w| w.world.raw())
+                .collect();
+            if batch.is_empty() {
+                continue;
+            }
+            let outcomes = self.transport.discard(node, &batch);
+            for (&world, outcome) in batch.iter().zip(outcomes) {
+                match outcome {
+                    Err(e) => {
+                        if result.is_ok() {
+                            result = Err(e);
+                        }
+                    }
+                    Ok(()) if committed.is_some_and(|c| c.world.raw() == world) => {}
+                    // Remote elimination never blocks the winner: always
+                    // async.
+                    Ok(()) => self.obs.emit(|| {
+                        ObsEvent::new(EventKind::EliminateAsync, world, None, self.clock_ns)
+                    }),
+                }
+            }
+        }
+        result
     }
 
     /// Read from a remote world (test/diagnostic path; charged no time).
@@ -640,9 +735,9 @@ mod tests {
         fn ship_image(
             &mut self,
             dst: usize,
-            image: &[u8],
-        ) -> Result<u64, worlds_pagestore::PageStoreError> {
-            self.0.ship_image(dst, image)
+            images: &[&[u8]],
+        ) -> Vec<Result<u64, worlds_pagestore::PageStoreError>> {
+            self.0.ship_image(dst, images)
         }
         fn ship_pages(
             &mut self,
@@ -662,9 +757,9 @@ mod tests {
         fn discard(
             &mut self,
             dst: usize,
-            world: u64,
-        ) -> Result<(), worlds_pagestore::PageStoreError> {
-            self.0.discard(dst, world)
+            worlds: &[u64],
+        ) -> Vec<Result<(), worlds_pagestore::PageStoreError>> {
+            self.0.discard(dst, worlds)
         }
         fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
         fn name(&self) -> &'static str {

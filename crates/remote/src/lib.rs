@@ -19,9 +19,11 @@
 //!   in virtual time — calibrated so the paper's 70 KB process costs ≈ 1 s
 //!   to ship on the `lan_1989` preset;
 //! * [`run_distributed_block`] — a whole alternative block executed
-//!   remotely: rfork each alternative round-robin over the non-origin
-//!   nodes, run, ship the winner's **dirty pages only** back and commit
-//!   them into the origin world, discard the losers. The dirty set is
+//!   remotely: place the alternatives round-robin over the non-origin
+//!   nodes, rfork once per node and fork that node's further
+//!   alternatives from its first replica there, run, ship the winner's
+//!   **dirty pages only** back and commit them into the origin world,
+//!   discard the replicas. The dirty set is
 //!   content-based — the pages whose bytes differ from the origin's —
 //!   and [`Cluster::commit_back`] finds it by comparing only the pages a
 //!   pinned delta base says may differ. A block that fails still

@@ -76,7 +76,9 @@ pub struct DistReport {
     /// Response time: last rfork issue → commit complete.
     pub wall: VirtualTime,
     /// Time spent shipping replicas out (sum over alternatives; they are
-    /// issued serially from the origin).
+    /// issued serially from the origin). A sibling — an alternative
+    /// forked from its node's first replica — is charged a 32-byte
+    /// transfer (its header-only image), not an image of the world.
     pub rfork_total: VirtualTime,
     /// Time spent shipping the winner's dirty pages back.
     pub commit_cost: VirtualTime,
@@ -98,14 +100,21 @@ impl DistReport {
 /// cluster's non-origin nodes (or the origin itself for a 1-node
 /// cluster). Virtual-time semantics:
 ///
-/// 1. replicas ship serially from the origin (`rfork` per alternative);
+/// 1. replicas ship serially from the origin, once per node: the first
+///    alternative placed on a node rforks there (a probe, then an image
+///    with pages, under delta rfork); every further alternative on that
+///    node is a *sibling*, forked there from that first replica by a
+///    header-only image and charged a 32-byte transfer. A node's
+///    siblings travel in one transport batch;
 /// 2. each alternative computes on its node for its `compute` time, all
 ///    in parallel (one alternative per node at a time is guaranteed by
 ///    round-robin placement only when `alts ≤ nodes − 1`; surplus
 ///    alternatives *queue* on their node);
 /// 3. the earliest finisher with a passing guard wins; its content-diff
 ///    against the origin's world ships back and commits;
-/// 4. losers are discarded in place (asynchronously — no wall cost).
+/// 4. every replica still live — the losers and the committed winner's
+///    — is discarded in place, one transport batch per node
+///    (asynchronously — no wall cost).
 ///
 /// A block that fails — an rfork, the commit or a discard returns an
 /// error — still discards every replica it shipped (best effort), then
@@ -122,28 +131,26 @@ pub fn run_distributed_block(
         "the parent lives on the origin node"
     );
     // 4. Whatever is still live once the block ends is discarded here:
-    // the losers, or on error every replica shipped so far.
+    // the losers and the committed winner, or on error every replica
+    // shipped so far.
     let mut live = Vec::with_capacity(alts.len());
-    let report = run_block(cluster, origin_world, &mut alts, &mut live);
-    let mut discarded = Ok(());
-    for r in live {
-        let d = cluster.discard(r);
-        if discarded.is_ok() {
-            discarded = d;
-        }
-    }
+    let mut committed = None;
+    let report = run_block(cluster, origin_world, &mut alts, &mut live, &mut committed);
+    let discarded = cluster.discard_all(&live, committed);
     let report = report?;
     discarded?;
     Ok(report)
 }
 
-/// Steps 1–3 of [`run_distributed_block`]. `replicas` holds every
-/// replica shipped and not yet committed, in alternative order.
+/// Steps 1–3 of [`run_distributed_block`]. `live` gathers every replica
+/// shipped and not consumed; `committed` is the one among them whose
+/// pages are home.
 fn run_block(
     cluster: &mut Cluster,
     origin_world: RemoteWorld,
     alts: &mut [DistAlt],
-    replicas: &mut Vec<RemoteWorld>,
+    live: &mut Vec<RemoteWorld>,
+    committed: &mut Option<RemoteWorld>,
 ) -> Result<DistReport, PageStoreError> {
     let n_nodes = cluster.len();
     let target = |i: usize| -> NodeId {
@@ -154,18 +161,60 @@ fn run_block(
         }
     };
 
-    // 1. Ship replicas serially.
-    let mut ready_at: Vec<VirtualTime> = Vec::with_capacity(alts.len());
+    // 1. Ship one replica per node serially, then fork each node's
+    // siblings from it, one batch per node. `placed[i]` is alternative
+    // i's replica and the virtual time it is ready.
+    let mut placed: Vec<Option<(RemoteWorld, VirtualTime)>> = vec![None; alts.len()];
+    let mut first_on: Vec<Option<RemoteWorld>> = vec![None; n_nodes];
+    let mut siblings: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
     let mut clock = VirtualTime::ZERO;
     let mut rfork_total = VirtualTime::ZERO;
-    for (i, _alt) in alts.iter().enumerate() {
+    for (i, slot) in placed.iter_mut().enumerate() {
+        let node = target(i);
+        // A local fork is already free: only remote nodes share.
+        if node != origin_world.node && first_on[node.0].is_some() {
+            siblings[node.0].push(i);
+            continue;
+        }
         cluster.set_clock_ns(clock.as_ns());
-        let (replica, cost) = cluster.rfork(origin_world, target(i))?;
+        let (replica, cost) = cluster.rfork(origin_world, node)?;
         clock += cost;
         rfork_total += cost;
-        replicas.push(replica);
-        ready_at.push(clock);
+        live.push(replica);
+        first_on[node.0] = Some(replica);
+        *slot = Some((replica, clock));
     }
+    for (node, there) in siblings.iter().enumerate() {
+        let Some(first) = first_on[node].filter(|_| !there.is_empty()) else {
+            continue;
+        };
+        cluster.set_clock_ns(clock.as_ns());
+        let mut failed = None;
+        for (&i, forked) in
+            there
+                .iter()
+                .zip(cluster.fork_siblings(origin_world, first, there.len())?)
+        {
+            match forked {
+                Ok((replica, cost)) => {
+                    clock += cost;
+                    rfork_total += cost;
+                    live.push(replica);
+                    placed[i] = Some((replica, clock));
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+    }
+    let (replicas, ready_at): (Vec<RemoteWorld>, Vec<VirtualTime>) = placed
+        .into_iter()
+        .map(|p| p.expect("every alternative is placed"))
+        .unzip();
 
     // 2. Compute, with per-node FIFO queueing for surplus alternatives.
     let mut node_free_at: Vec<VirtualTime> = vec![VirtualTime::ZERO; n_nodes];
@@ -190,9 +239,14 @@ fn run_block(
     let (outcome, wall, commit_cost, pages_shipped) = match winner {
         Some((t_done, w)) => {
             cluster.set_clock_ns(t_done.as_ns());
-            let (cost, pages) = cluster.commit_back(origin_world, replicas[w])?;
-            // The commit consumed the winner's replica.
-            replicas.remove(w);
+            let (cost, pages) = cluster.commit_home(origin_world, replicas[w])?;
+            if replicas[w].node == origin_world.node {
+                // Adoption consumed the winner's replica.
+                live.retain(|&r| r != replicas[w]);
+            } else {
+                // Its pages are home; step 4 discards it with the losers.
+                *committed = Some(replicas[w]);
+            }
             (
                 DistOutcome::Winner {
                     index: w,
@@ -429,7 +483,7 @@ mod tests {
     }
 
     /// An in-process transport whose link goes down on cue: at the
-    /// `fail_image`-th `ship_image` (counting from 1) or at every
+    /// `fail_image`-th image shipped (counting from 1) or at every
     /// `ship_pages`.
     struct Failing {
         inner: InProcess,
@@ -443,12 +497,17 @@ mod tests {
     }
 
     impl Transport for Failing {
-        fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError> {
-            self.images += 1;
-            if self.fail_image == Some(self.images) {
-                return Err(link_down("ship_image"));
-            }
-            self.inner.ship_image(dst, image)
+        fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+            images
+                .iter()
+                .map(|image| {
+                    self.images += 1;
+                    if self.fail_image == Some(self.images) {
+                        return Err(link_down("ship_image"));
+                    }
+                    self.inner.ship_image(dst, &[image]).remove(0)
+                })
+                .collect()
         }
         fn ship_pages(
             &mut self,
@@ -468,8 +527,8 @@ mod tests {
         ) -> Result<Vec<bool>, PageStoreError> {
             self.inner.probe_hashes(dst, hashes)
         }
-        fn discard(&mut self, dst: usize, world: u64) -> Result<(), PageStoreError> {
-            self.inner.discard(dst, world)
+        fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
+            self.inner.discard(dst, worlds)
         }
         fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
         fn name(&self) -> &'static str {
@@ -530,5 +589,158 @@ mod tests {
         let err = run_distributed_block(&mut c, origin, alts).unwrap_err();
         assert_eq!(err, link_down("ship_image"));
         assert_block_left_no_trace(&c, origin, worlds_there);
+    }
+
+    /// One transport call as the wire would carry it: which method, and
+    /// the size of each frame (image bytes, probed hashes, pages, or
+    /// worlds discarded).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Call {
+        Probe(usize),
+        Images(usize, Vec<usize>),
+        Pages(usize),
+        Discard(usize, usize),
+    }
+
+    /// An in-process transport that logs every call it forwards.
+    struct Counting {
+        inner: InProcess,
+        log: std::sync::Arc<std::sync::Mutex<Vec<Call>>>,
+    }
+
+    impl Counting {
+        fn note(&self, call: Call) {
+            self.log.lock().unwrap().push(call);
+        }
+    }
+
+    impl Transport for Counting {
+        fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+            self.note(Call::Images(dst, images.iter().map(|i| i.len()).collect()));
+            self.inner.ship_image(dst, images)
+        }
+        fn ship_pages(
+            &mut self,
+            dst: usize,
+            base: u64,
+            pages: &[(u64, Vec<u8>)],
+        ) -> Result<(), PageStoreError> {
+            self.note(Call::Pages(pages.len()));
+            self.inner.ship_pages(dst, base, pages)
+        }
+        fn probe_hashes(
+            &mut self,
+            dst: usize,
+            hashes: &[u64],
+        ) -> Result<Vec<bool>, PageStoreError> {
+            self.note(Call::Probe(hashes.len()));
+            self.inner.probe_hashes(dst, hashes)
+        }
+        fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
+            self.note(Call::Discard(dst, worlds.len()));
+            self.inner.discard(dst, worlds)
+        }
+        fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// The transport calls of the second of two 3-alternative delta
+    /// blocks (the first pins the base) on `nodes` nodes, each
+    /// alternative writing four pages.
+    fn steady_block_calls(nodes: usize) -> Vec<Call> {
+        let obs = Registry::disabled();
+        let stores = Cluster::stores(nodes, 4096, &obs);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let transport = Box::new(Counting {
+            inner: InProcess::new(stores.clone()),
+            log: log.clone(),
+        });
+        let mut c = Cluster::assemble(stores, 4096, NetModel::lan_1989(), obs, transport);
+        c.set_delta_rfork(true);
+        let origin = c.create_world(NodeId(0));
+        for vpn in 0..16 {
+            c.write(origin, vpn, &[0xCC; 64]).unwrap();
+        }
+        let block = |c: &mut Cluster, byte: u8| {
+            let alts = (0..3)
+                .map(|i| {
+                    DistAlt::new(
+                        format!("alt{i}"),
+                        VirtualTime::from_secs(1.0),
+                        move |c, w| {
+                            for vpn in 0..4 {
+                                c.write(w, vpn, &[byte]).expect("replica live");
+                            }
+                        },
+                    )
+                })
+                .collect();
+            assert!(run_distributed_block(c, origin, alts).unwrap().succeeded());
+        };
+        block(&mut c, 0xD0);
+        log.lock().unwrap().clear();
+        // The first block's commit moved the origin off the pinned
+        // base, so this one probes and ships a delta with pages.
+        block(&mut c, 0xD1);
+        let calls = log.lock().unwrap().clone();
+        for node in 1..nodes {
+            assert_eq!(
+                c.node(NodeId(node)).store().world_count(),
+                1,
+                "node {node} holds only its pinned base"
+            );
+        }
+        calls
+    }
+
+    #[test]
+    fn a_delta_block_ships_its_state_once_per_node() {
+        // Parent shape: a probe and an image per alternative, the
+        // commit, then one discard per replica — 10 calls.
+        let calls = steady_block_calls(2);
+        let header = 32;
+        assert!(
+            matches!(&calls[..], [
+                Call::Probe(4),
+                Call::Images(1, first),
+                Call::Images(1, siblings),
+                Call::Pages(4),
+                Call::Discard(1, 3),
+            ] if first.len() == 1 && first[0] > header && siblings == &[header, header]),
+            "{calls:?}"
+        );
+        let frames: usize = calls
+            .iter()
+            .map(|c| match c {
+                Call::Probe(_) | Call::Pages(_) => 1,
+                Call::Images(_, sizes) => sizes.len(),
+                Call::Discard(_, n) => *n,
+            })
+            .sum();
+        assert_eq!(frames, 8);
+    }
+
+    #[test]
+    fn every_node_receives_one_image_with_pages_per_block() {
+        // Three alternatives on two workers: node 1 holds alternatives 0
+        // and 2, node 2 holds alternative 1.
+        let calls = steady_block_calls(3);
+        for node in 1..3 {
+            let with_pages = calls
+                .iter()
+                .filter_map(|c| match c {
+                    Call::Images(dst, sizes) if *dst == node => {
+                        Some(sizes.iter().filter(|&&len| len > 32).count())
+                    }
+                    _ => None,
+                })
+                .sum::<usize>();
+            assert_eq!(with_pages, 1, "node {node}: {calls:?}");
+        }
+        assert!(calls.contains(&Call::Images(1, vec![32])), "{calls:?}");
+        assert!(calls.contains(&Call::Discard(1, 2)), "{calls:?}");
+        assert!(calls.contains(&Call::Discard(2, 1)), "{calls:?}");
     }
 }

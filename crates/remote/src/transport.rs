@@ -2,9 +2,14 @@
 //!
 //! The [`Cluster`](crate::Cluster) decides *what* to ship (checkpoint
 //! images, dirty pages), *what it costs* (the [`NetModel`](crate::NetModel)
-//! virtual-time account, fault doubling included) and *when* (the
-//! distributed block's serial-rfork schedule). The [`Transport`] decides
-//! only *how the bytes get to the other store*:
+//! virtual-time account, fault doubling included) and *when*. A
+//! distributed block's schedule is serial: one rfork per node, each a
+//! probe then an image with pages, then one batch per node of header-only
+//! images that fork that node's further alternatives from its first
+//! replica; after the commit, one discard batch per node. The
+//! [`Transport`] decides only *how the bytes get to the other store*,
+//! and a batch is one call: on [`Tcp`] it is one pipelined burst, so it
+//! waits one round trip.
 //!
 //! * [`InProcess`] applies them directly — today's simulation semantics,
 //!   zero real I/O, exactly the behaviour every existing test encodes.
@@ -31,9 +36,10 @@ use worlds_pagestore::{restore, PageStore, PageStoreError, WorldId};
 /// cluster's node list; world ids are raw (cluster stores share one id
 /// allocator, so they are unambiguous).
 pub trait Transport {
-    /// Restore a checkpoint image into node `dst`'s store; returns the
-    /// new world's id.
-    fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError>;
+    /// Restore each checkpoint image into node `dst`'s store, in order;
+    /// slot `i` is the world restored from `images[i]`, or why it was
+    /// not. A failed image does not stop the ones after it.
+    fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>>;
 
     /// Commit dirty pages into world `base` in node `dst`'s store, all
     /// or nothing ([`PageStore::commit_pages`]).
@@ -50,8 +56,9 @@ pub trait Transport {
     /// `true` costs a resend without refs, never corruption.
     fn probe_hashes(&mut self, dst: usize, hashes: &[u64]) -> Result<Vec<bool>, PageStoreError>;
 
-    /// Drop `world` on node `dst`.
-    fn discard(&mut self, dst: usize, world: u64) -> Result<(), PageStoreError>;
+    /// Drop each of `worlds` on node `dst`; slot `i` is `worlds[i]`'s
+    /// outcome. A failed discard does not stop the ones after it.
+    fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>>;
 
     /// Re-arm wire-level fault injection. `InProcess` has no wire, so
     /// this is a no-op there (the cluster's virtual cost doubling is the
@@ -85,8 +92,11 @@ impl InProcess {
 }
 
 impl Transport for InProcess {
-    fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError> {
-        restore(&self.stores[dst], image).map(WorldId::raw)
+    fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+        images
+            .iter()
+            .map(|image| restore(&self.stores[dst], image).map(WorldId::raw))
+            .collect()
     }
 
     fn ship_pages(
@@ -105,8 +115,11 @@ impl Transport for InProcess {
             .collect())
     }
 
-    fn discard(&mut self, dst: usize, world: u64) -> Result<(), PageStoreError> {
-        self.stores[dst].drop_world(WorldId::from_raw(world))
+    fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
+        worlds
+            .iter()
+            .map(|&world| self.stores[dst].drop_world(WorldId::from_raw(world)))
+            .collect()
     }
 
     fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
@@ -117,7 +130,8 @@ impl Transport for InProcess {
 }
 
 /// Real sockets: every node's store behind a loopback [`NetNode`], every
-/// operation a framed RPC with deadlines and retries. With a fault
+/// operation a framed RPC with deadlines and retries, every batch one
+/// pipelined burst ([`Conn::call_many`]). With a fault
 /// schedule armed, accounted operations (rfork, commit-back) route
 /// through a per-node [`FaultProxy`]; unaccounted chatter (discards)
 /// always goes direct, so wire faults land on exactly the ops the
@@ -165,10 +179,14 @@ impl Tcp {
     /// The connection accounted ops should use: through the fault
     /// proxies when armed, direct otherwise.
     fn accounted(&mut self, dst: usize) -> Result<&mut Conn, PageStoreError> {
-        let pool = self.proxied.as_mut().unwrap_or(&mut self.direct);
-        pool.conn(dst as u64)
-            .ok_or_else(|| net_err(dst, &NetError::Protocol("node not registered".into())))
+        conn_for(self.proxied.as_mut().unwrap_or(&mut self.direct), dst)
     }
+}
+
+/// `pool`'s connection to node `dst`.
+fn conn_for(pool: &mut Pool, dst: usize) -> Result<&mut Conn, PageStoreError> {
+    pool.conn(dst as u64)
+        .ok_or_else(|| net_err(dst, &NetError::Protocol("node not registered".into())))
 }
 
 /// Map a transport failure into the cluster's error vocabulary.
@@ -190,11 +208,29 @@ fn net_err(dst: usize, e: &NetError) -> PageStoreError {
     PageStoreError::NoSuchFile(format!("tcp transport, node {dst}: {e}"))
 }
 
+/// Send one burst of `len` requests to node `dst` on `conn`, with each
+/// slot's outcome in the cluster's error vocabulary; with no connection,
+/// every slot fails alike.
+fn burst(
+    dst: usize,
+    conn: Result<&mut Conn, PageStoreError>,
+    len: usize,
+    send: impl FnOnce(&mut Conn) -> Vec<Result<u64, NetError>>,
+) -> Vec<Result<u64, PageStoreError>> {
+    match conn {
+        Ok(conn) => send(conn)
+            .into_iter()
+            .map(|r| r.map_err(|e| net_err(dst, &e)))
+            .collect(),
+        Err(e) => vec![Err(e); len],
+    }
+}
+
 impl Transport for Tcp {
-    fn ship_image(&mut self, dst: usize, image: &[u8]) -> Result<u64, PageStoreError> {
-        self.accounted(dst)?
-            .call_rfork(image)
-            .map_err(|e| net_err(dst, &e))
+    fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+        burst(dst, self.accounted(dst), images.len(), |conn| {
+            conn.call_rforks(images)
+        })
     }
 
     fn ship_pages(
@@ -218,11 +254,17 @@ impl Transport for Tcp {
             .map_err(|e| net_err(dst, &e))
     }
 
-    fn discard(&mut self, dst: usize, world: u64) -> Result<(), PageStoreError> {
-        self.direct
-            .call_ack(dst as u64, &Request::Discard { world })
-            .map(|_| ())
-            .map_err(|e| net_err(dst, &e))
+    fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
+        let reqs: Vec<_> = worlds
+            .iter()
+            .map(|&world| Request::Discard { world })
+            .collect();
+        burst(dst, conn_for(&mut self.direct, dst), reqs.len(), |conn| {
+            conn.call_many(&reqs)
+        })
+        .into_iter()
+        .map(|r| r.map(drop))
+        .collect()
     }
 
     fn set_fault_schedule(&mut self, schedule: FaultSchedule) {

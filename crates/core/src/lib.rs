@@ -70,7 +70,7 @@ pub use ctx::{CancelToken, WorldCtx};
 pub use error::AltError;
 pub use report::{AltRun, AltRunStatus, RunOutcome, RunReport};
 pub use speculation::{ExecMode, Speculation};
-pub use worlds_exec::{Executor, Reaper, WORKERS_ENV};
+pub use worlds_exec::{Executor, Reaper};
 
 pub use worlds_pagestore::{StoreStats, WorldId};
 pub use worlds_predicate::{Pid, PredicateSet};

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use worlds_exec::{Executor, Reaper};
 use worlds_ipc::{SourceDevice, Teletype};
-use worlds_obs::{Event as ObsEvent, EventKind, Registry, TraceCtx};
+use worlds_obs::{env, Event as ObsEvent, EventKind, Registry, TraceCtx};
 use worlds_pagestore::{FileSystem, PageStore, WorldId, PAGE_SIZE_DEFAULT};
 use worlds_predicate::{Pid, PredicateSet};
 
@@ -134,16 +134,14 @@ impl Speculation {
     /// it.
     ///
     /// `WORLDS_DEDUPE=1` arms the store's content index
-    /// ([`PageStore::set_dedupe`]), the same environment-switch idiom
-    /// as `WORLDS_OBS`/`WORLDS_PROF`.
+    /// ([`PageStore::set_dedupe`]). It is an [`env::flag`], with the
+    /// same rule as `WORLDS_OBS`/`WORLDS_PROF`.
     pub fn with_obs(page_size: usize, obs: Registry) -> Self {
         // WORLDS_PROF=1 gets a sampler without bespoke wiring: the first
         // session's registry receives the flushes.
         worlds_prof::autostart_from_env(&obs);
         let store = PageStore::with_obs(page_size, obs);
-        if std::env::var_os("WORLDS_DEDUPE").is_some_and(|v| v != "0") {
-            store.set_dedupe(true);
-        }
+        store.set_dedupe(env::flag(env::DEDUPE));
         let root_world = store.create_world();
         let fs = FileSystem::new(store.clone());
         Speculation {

@@ -38,5 +38,5 @@ mod pool;
 mod reaper;
 
 pub use fair::{FairPolicy, FairScheduler, Saturated, TenantStats};
-pub use pool::{Executor, Scope, WORKERS_ENV};
+pub use pool::{Executor, Scope};
 pub use reaper::Reaper;

@@ -59,10 +59,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use worlds_obs::Registry;
-
-/// Environment variable overriding the global pool's worker count.
-pub const WORKERS_ENV: &str = "WORLDS_EXEC_THREADS";
+use worlds_obs::{env, Registry};
 
 /// How long a surplus worker stays parked, unclaimed, before it exits.
 const LINGER: Duration = Duration::from_secs(1);
@@ -180,7 +177,7 @@ impl Executor {
 
     /// The process-wide pool every [`Speculation`] uses by default, sized
     /// to `effective_cores` (`std::thread::available_parallelism`) unless
-    /// [`WORKERS_ENV`] overrides it. Never shut down.
+    /// [`env::EXEC_THREADS`] overrides it. Never shut down.
     ///
     /// [`Speculation`]: https://docs.rs/worlds
     pub fn global() -> Executor {
@@ -300,9 +297,7 @@ impl std::fmt::Debug for Executor {
 }
 
 fn default_workers() -> usize {
-    std::env::var(WORKERS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+    env::number(env::EXEC_THREADS)
         .filter(|&n| n > 0)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()

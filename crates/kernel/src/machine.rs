@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use worlds_obs::{Event as ObsEvent, EventKind, Registry};
+use worlds_obs::{env, Event as ObsEvent, EventKind, Registry};
 use worlds_pagestore::{PageStore, WorldId};
 
 use crate::costs::CostModel;
@@ -87,13 +87,11 @@ impl Machine {
     ///
     /// `WORLDS_DEDUPE=1` in the environment arms the store's content
     /// index ([`PageStore::set_dedupe`]), so any example or bench can
-    /// run deduped without code changes — the same switch idiom as
-    /// `WORLDS_OBS`/`WORLDS_PROF`.
+    /// run deduped without code changes. It is an [`env::flag`], with
+    /// the same rule as `WORLDS_OBS`/`WORLDS_PROF`.
     pub fn with_obs(cost: CostModel, obs: Registry) -> Self {
         let store = PageStore::with_obs(cost.page_size, obs.clone());
-        if std::env::var_os("WORLDS_DEDUPE").is_some_and(|v| v != "0") {
-            store.set_dedupe(true);
-        }
+        store.set_dedupe(env::flag(env::DEDUPE));
         Machine { cost, store, obs }
     }
 

@@ -18,6 +18,7 @@
 //! println!("{}", obs.summary().unwrap());
 //! ```
 
+pub mod env;
 mod event;
 mod metrics;
 mod report;
@@ -90,29 +91,25 @@ impl Registry {
         (Registry::with_sinks(vec![ring.clone()]), ring)
     }
 
-    /// Build from the environment:
-    ///
-    /// | variable            | effect                                     |
-    /// |---------------------|--------------------------------------------|
-    /// | `WORLDS_OBS=1`      | enable counters + histograms               |
-    /// | `WORLDS_OBS_JSONL=p`| also stream events to JSONL file `p`       |
-    ///
-    /// Anything else (unset, `0`, empty) yields the disabled registry.
-    /// An unwritable JSONL path disables the sink with a note on stderr
-    /// rather than failing the run.
+    /// Build from the environment ([`env::OBS`], [`env::OBS_JSONL`];
+    /// see [`env`](mod@env) for the knobs and their parse rules):
+    /// disabled unless one of them is set. An unwritable JSONL path
+    /// disables the sink with a note on stderr rather than failing the
+    /// run.
     pub fn from_env() -> Registry {
-        let enabled = std::env::var("WORLDS_OBS").map(|v| v != "0" && !v.is_empty());
-        let jsonl = std::env::var("WORLDS_OBS_JSONL")
-            .ok()
-            .filter(|p| !p.is_empty());
-        if enabled != Ok(true) && jsonl.is_none() {
+        let jsonl = env::path(env::OBS_JSONL);
+        if !env::flag(env::OBS) && jsonl.is_none() {
             return Registry::disabled();
         }
         let mut sinks: Vec<Arc<dyn EventSink>> = Vec::new();
         if let Some(path) = jsonl {
             match JsonlSink::create(&path) {
                 Ok(sink) => sinks.push(Arc::new(sink)),
-                Err(e) => eprintln!("worlds-obs: cannot open WORLDS_OBS_JSONL={path}: {e}"),
+                Err(e) => eprintln!(
+                    "worlds-obs: cannot open {}={}: {e}",
+                    env::OBS_JSONL,
+                    path.display()
+                ),
             }
         }
         let obs = Registry::with_sinks(sinks);

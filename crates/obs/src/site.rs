@@ -76,11 +76,6 @@ pub fn site_label_or_anon(id: u64) -> String {
     site_label(id).unwrap_or_else(|| format!("site#{id}"))
 }
 
-/// How many sites this process has registered.
-pub fn site_count() -> u64 {
-    table().lock().unwrap().labels.len() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +88,6 @@ mod tests {
         assert_eq!(site_id("test/site-a"), a);
         assert_eq!(site_label(a.0).as_deref(), Some("test/site-a"));
         assert_eq!(site_label_or_anon(b.0), "test/site-b");
-        assert!(site_count() >= 2);
     }
 
     #[test]

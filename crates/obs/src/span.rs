@@ -661,11 +661,6 @@ impl SpanTree {
         self.spans.is_empty()
     }
 
-    /// Largest virtual timestamp in the stream.
-    pub fn max_vt_ns(&self) -> u64 {
-        self.max_vt_ns
-    }
-
     /// Per-worker utilization points from profiler flushes, in stream
     /// order. Empty without a profiler capture.
     pub fn worker_util(&self) -> &[WorkerUtilPoint] {

@@ -34,29 +34,14 @@ pub use marker::{
     MarkerSlot, Phase, MAX_PHASES, NO_ALT, NO_SITE, NO_WORLD,
 };
 pub use sampler::{
-    prof_env_enabled, SampleKey, SampleTables, Sampler, SamplerConfig, StallHook, StallInfo,
-    DEFAULT_HZ, FLUSH_ENV, FOLDED_ENV, HZ_ENV, PROF_ENV, STALL_ENV, STALL_GUARD_ENV,
+    SampleKey, SampleTables, Sampler, SamplerConfig, StallHook, StallInfo, DEFAULT_HZ,
 };
 
 use std::sync::{Mutex, OnceLock};
-use worlds_obs::Registry;
+use worlds_obs::{env, Registry};
 
 /// The process-global sampler slot. `None` once decided against.
 static GLOBAL: OnceLock<Option<Mutex<Sampler>>> = OnceLock::new();
-
-/// Install `sampler` as the process-global sampler. Returns the sampler
-/// back if one was already installed (or autostart already declined).
-pub fn install_global(sampler: Sampler) -> Result<(), Sampler> {
-    let mut cell = Some(sampler);
-    GLOBAL.get_or_init(|| cell.take().map(Mutex::new));
-    match cell {
-        None => {
-            register_exit_flush();
-            Ok(())
-        }
-        Some(s) => Err(s),
-    }
-}
 
 /// Stop the global sampler when the process exits normally. Without
 /// this a run shorter than one flush interval — a CLI invocation under
@@ -79,7 +64,7 @@ fn register_exit_flush() {
 #[cfg(not(unix))]
 fn register_exit_flush() {}
 
-/// Start the process-global sampler if `WORLDS_PROF` asks for one and
+/// Start the process-global sampler if [`env::PROF`] asks for one and
 /// none is installed yet. Sessions call this at construction, so any
 /// binary built on the speculation layer honours the switch without
 /// bespoke wiring. Returns whether a global sampler is live afterwards.
@@ -88,15 +73,8 @@ fn register_exit_flush() {}
 pub fn autostart_from_env(obs: &Registry) -> bool {
     let live = GLOBAL
         .get_or_init(|| {
-            if prof_env_enabled() {
-                Some(Mutex::new(Sampler::start(
-                    SamplerConfig::from_env(),
-                    obs.clone(),
-                    None,
-                )))
-            } else {
-                None
-            }
+            env::flag(env::PROF)
+                .then(|| Mutex::new(Sampler::start(SamplerConfig::from_env(), obs.clone(), None)))
         })
         .is_some();
     if live {

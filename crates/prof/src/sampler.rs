@@ -16,27 +16,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use worlds_obs::{Event, EventKind, Registry};
+use worlds_obs::{env, Event, EventKind, Registry};
 
 /// Default sampling rate. Prime, so the sampler never phase-locks with
 /// millisecond-periodic work and systematically over- or under-samples
 /// it.
 pub const DEFAULT_HZ: u64 = 997;
-
-/// Environment switch: any value but `0`/empty enables the sampler for
-/// processes that call [`crate::autostart_from_env`].
-pub const PROF_ENV: &str = "WORLDS_PROF";
-/// Sampling rate override (Hz).
-pub const HZ_ENV: &str = "WORLDS_PROF_HZ";
-/// Flush interval override (milliseconds).
-pub const FLUSH_ENV: &str = "WORLDS_PROF_FLUSH_MS";
-/// Guard-phase stall deadline override (milliseconds).
-pub const STALL_GUARD_ENV: &str = "WORLDS_PROF_STALL_GUARD_MS";
-/// Any-phase stall deadline override (milliseconds).
-pub const STALL_ENV: &str = "WORLDS_PROF_STALL_MS";
-/// When set, the sampler rewrites this file with cumulative folded
-/// stacks at every flush.
-pub const FOLDED_ENV: &str = "WORLDS_PROF_FOLDED";
 
 /// Sampler tuning. `Default` matches the documented defaults: 997 Hz,
 /// 250 ms flushes, 5 s guard / 30 s overall stall deadlines, one dump
@@ -70,45 +55,20 @@ impl Default for SamplerConfig {
     }
 }
 
-fn env_ms(name: &str) -> Option<Duration> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
-
 impl SamplerConfig {
-    /// Defaults overridden by the `WORLDS_PROF_*` environment.
+    /// Defaults overridden by [`env::PROF_HZ`] and [`env::PROF_FOLDED`].
     pub fn from_env() -> SamplerConfig {
-        let mut cfg = SamplerConfig::default();
-        if let Some(hz) = std::env::var(HZ_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            cfg.hz = hz.clamp(1, 100_000);
+        SamplerConfig {
+            hz: env::number(env::PROF_HZ).map_or(DEFAULT_HZ, |hz: u64| hz.clamp(1, 100_000)),
+            folded_path: env::path(env::PROF_FOLDED),
+            ..SamplerConfig::default()
         }
-        if let Some(d) = env_ms(FLUSH_ENV) {
-            cfg.flush_interval = d.max(Duration::from_millis(1));
-        }
-        if let Some(d) = env_ms(STALL_GUARD_ENV) {
-            cfg.guard_stall = d;
-        }
-        if let Some(d) = env_ms(STALL_ENV) {
-            cfg.overall_stall = d;
-        }
-        cfg.folded_path = std::env::var(FOLDED_ENV).ok().map(PathBuf::from);
-        cfg
     }
 
     /// Estimated on-CPU nanoseconds one sample stands for.
     pub fn period_ns(&self) -> u64 {
         1_000_000_000 / self.hz.max(1)
     }
-}
-
-/// Is the `WORLDS_PROF` switch on?
-pub fn prof_env_enabled() -> bool {
-    std::env::var(PROF_ENV).map(|v| !v.is_empty() && v != "0") == Ok(true)
 }
 
 /// One attribution bucket: where a sampled thread was.

@@ -185,14 +185,6 @@ impl Cluster {
         self.transport.nodes()
     }
 
-    /// Inject a deterministic network fault: every `k`-th cross-node
-    /// transfer times out once and is retried (doubling its virtual
-    /// cost). `k = 0` disables injection. Shorthand for
-    /// [`Cluster::set_fault_schedule`] with [`FaultSchedule::every`].
-    pub fn set_fault_every(&mut self, k: u64) {
-        self.set_fault_schedule(FaultSchedule::every(k));
-    }
-
     /// Arm a [`FaultSchedule`]. Transfers are numbered from the moment a
     /// schedule is armed (op 0 is the next transfer), and the same
     /// numbering drives both the virtual cost model here and — on the
@@ -1094,7 +1086,7 @@ mod tests {
     fn fault_injection_retries_deterministically_and_doubles_cost() {
         let mut faulty = Cluster::with_obs(2, 4096, NetModel::lan_1989(), Registry::enabled());
         let mut clean = cluster(2);
-        faulty.set_fault_every(1); // every transfer times out once
+        faulty.set_fault_schedule(FaultSchedule::every(1)); // every transfer times out once
         let forigin = faulty.create_world(NodeId(0));
         let corigin = clean.create_world(NodeId(0));
         faulty.write(forigin, 0, b"y").unwrap();
@@ -1110,7 +1102,7 @@ mod tests {
         assert_eq!(stats.remote.rpc_timeouts.get(), 1);
         assert_eq!(stats.remote.rpc_retries.get(), 1);
         // Determinism: disabling injection stops the faults.
-        faulty.set_fault_every(0);
+        faulty.set_fault_schedule(FaultSchedule::every(0));
         let (_, recost) = faulty.rfork(forigin, NodeId(1)).unwrap();
         assert_eq!(recost.as_ns(), ccost.as_ns());
         assert_eq!(faulty.obs().stats().unwrap().remote.rpc_timeouts.get(), 1);

@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 use worlds_net::{
     Conn, FaultProxy, FaultSchedule, NetError, NetNode, OpLedger, Pool, Request, RetryPolicy,
 };
-use worlds_obs::Registry;
+use worlds_obs::{env, Registry};
 use worlds_pagestore::{restore, PageStore, PageStoreError, WorldId};
 
 /// The byte-moving half of a cluster. Node indexes are positions in the
@@ -314,17 +314,14 @@ impl Drop for Tcp {
     }
 }
 
-/// Environment variable overriding the delta-rfork cache's byte budget.
-pub const CACHE_BYTES_ENV: &str = "WORLDS_NET_CACHE_BYTES";
-
-/// Default pinned-base budget when [`CACHE_BYTES_ENV`] is unset: 64 MiB.
+/// Default pinned-base budget when [`env::NET_CACHE_BYTES`] is unset: 64 MiB.
 pub const CACHE_BYTES_DEFAULT: u64 = 64 * 1024 * 1024;
 
 /// The delta-rfork base cache: per (destination node, source world), the
 /// locally pinned snapshot of what was shipped and the pinned replica id
 /// on the destination. See [`crate::Cluster::set_delta_rfork`].
 ///
-/// LRU-bounded by a byte budget ([`CACHE_BYTES_ENV`], default 64 MiB):
+/// LRU-bounded by a byte budget ([`env::NET_CACHE_BYTES`], default 64 MiB):
 /// each entry is charged the full image that pinned it, and inserting
 /// past the budget evicts least-recently-forked entries — the caller
 /// releases their pinned worlds and emits `net_cache_evict`. The
@@ -344,11 +341,7 @@ pub struct DeltaCache {
 
 impl Default for DeltaCache {
     fn default() -> DeltaCache {
-        let budget = std::env::var(CACHE_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(CACHE_BYTES_DEFAULT);
-        DeltaCache::with_budget(budget)
+        DeltaCache::with_budget(env::number(env::NET_CACHE_BYTES).unwrap_or(CACHE_BYTES_DEFAULT))
     }
 }
 

@@ -31,31 +31,26 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
-use worlds_obs::{Event, EventKind};
-
-/// Directory override for flight dumps.
-pub const FLIGHT_DIR_ENV: &str = "WORLDS_FLIGHT_DIR";
+use worlds_obs::{env, Event, EventKind};
 
 /// The directory flight dumps land in: `WORLDS_FLIGHT_DIR` when set
 /// (created on demand), the process working directory otherwise. An
 /// uncreatable override falls back to the working directory — a dump
 /// that lands somewhere beats one that lands nowhere.
 pub fn flight_dir() -> PathBuf {
-    match std::env::var(FLIGHT_DIR_ENV).ok().filter(|d| !d.is_empty()) {
-        Some(dir) => {
-            let dir = PathBuf::from(dir);
-            match std::fs::create_dir_all(&dir) {
-                Ok(()) => dir,
-                Err(e) => {
-                    eprintln!(
-                        "worlds-telemetry: cannot create {FLIGHT_DIR_ENV}={}: {e}",
-                        dir.display()
-                    );
-                    PathBuf::from(".")
-                }
-            }
+    let Some(dir) = env::path(env::FLIGHT_DIR) else {
+        return PathBuf::from(".");
+    };
+    match std::fs::create_dir_all(&dir) {
+        Ok(()) => dir,
+        Err(e) => {
+            eprintln!(
+                "worlds-telemetry: cannot create {}={}: {e}",
+                env::FLIGHT_DIR,
+                dir.display()
+            );
+            PathBuf::from(".")
         }
-        None => PathBuf::from("."),
     }
 }
 
@@ -403,14 +398,14 @@ mod tests {
     fn flight_path_resolves_against_env_dir() {
         // Env mutation: test process only.
         let dir = std::env::temp_dir().join("worlds_flight_dir_test");
-        std::env::set_var(FLIGHT_DIR_ENV, &dir);
+        std::env::set_var(env::FLIGHT_DIR, &dir);
         let p = flight_path("dump.jsonl");
         assert_eq!(p, dir.join("dump.jsonl"));
         assert!(dir.is_dir(), "flight_dir creates the directory");
         // Absolute names bypass the directory.
         let abs = std::env::temp_dir().join("elsewhere.jsonl");
         assert_eq!(flight_path(&abs), abs);
-        std::env::remove_var(FLIGHT_DIR_ENV);
+        std::env::remove_var(env::FLIGHT_DIR);
         assert_eq!(flight_path("dump.jsonl"), Path::new(".").join("dump.jsonl"));
         let _ = std::fs::remove_dir_all(&dir);
     }

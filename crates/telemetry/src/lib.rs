@@ -4,8 +4,8 @@
 //! read at the end, JSONL you replay offline. This crate answers "what
 //! is happening *now*", cluster-wide, from the same event stream:
 //!
-//! * [`TelemetryHub`] — a lock-free [`EventSink`] that folds every
-//!   event into sliding-window rollups (rates, gauges, RTT histogram)
+//! * [`TelemetryHub`] — a lock-free [`EventSink`](worlds_obs::EventSink) that folds every
+//!   event into sliding-window rollups (rates, gauges, mean RTT)
 //!   the moment it is emitted. Snapshots are readable any time with
 //!   bounded staleness — no replay, no locks on the hot path.
 //! * [`SiteStats`] — per-call-site decaying histograms of guard
@@ -50,7 +50,7 @@ pub use collect::{
     install_node_handler, node_report, query_sessions, query_table, Collector, Exporter,
     COLLECTOR_NODE_ID,
 };
-pub use flight::{flight_dir, flight_path, install_panic_dump, FlightRecorder, FLIGHT_DIR_ENV};
+pub use flight::{flight_dir, flight_path, install_panic_dump, FlightRecorder};
 pub use pi::{AltSnapshot, SiteSnapshot, SiteStats, MAX_ALTS, MAX_SITES};
 pub use render::{
     render_cluster, render_cluster_json, render_sessions, render_sessions_json, render_sites,
@@ -63,139 +63,3 @@ pub use wire::{
 
 #[cfg(unix)]
 pub use flight::install_sigusr1_dump;
-
-use std::sync::Arc;
-use worlds_obs::{Event, EventKind, EventSink, JsonlSink, Registry};
-
-/// What [`from_env`] assembled: the registry to thread through the
-/// program, and the hub when telemetry was requested.
-pub struct TelemetryEnv {
-    /// The observability handle (disabled when nothing was requested).
-    pub obs: Registry,
-    /// The live hub, when `WORLDS_TELEMETRY` asked for one.
-    pub hub: Option<Arc<TelemetryHub>>,
-}
-
-/// Build a registry + hub from the environment. A superset of
-/// [`Registry::from_env`]:
-///
-/// | variable               | effect                                      |
-/// |------------------------|---------------------------------------------|
-/// | `WORLDS_OBS=1`         | enable counters + histograms                |
-/// | `WORLDS_OBS_JSONL=p`   | also stream events to JSONL file `p`        |
-/// | `WORLDS_TELEMETRY=1`   | attach a [`TelemetryHub`] sink              |
-/// | `WORLDS_FLIGHT_DUMP=p` | dump the flight ring to `p` on panic (and   |
-/// |                        | on `SIGUSR1` on unix)                       |
-/// | `WORLDS_FLIGHT_DIR=d`  | directory relative dump paths land in       |
-/// |                        | (default: the working directory)            |
-/// | `WORLDS_PROF=1`        | start the sampling profiler; with a hub,    |
-/// |                        | its stall watchdog dumps the flight ring to |
-/// |                        | `worlds-stall.jsonl` in the flight dir      |
-///
-/// Any telemetry variable implies an enabled registry; with everything
-/// unset this is `Registry::disabled()` and no hub. (`WORLDS_PROF`
-/// alone does not enable one — a sampler with no event consumer would
-/// flush into the void; `Speculation` still autostarts it against
-/// whatever registry the program built.)
-pub fn from_env() -> TelemetryEnv {
-    let truthy = |var: &str| {
-        std::env::var(var)
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false)
-    };
-    let path_var = |var: &str| std::env::var(var).ok().filter(|p| !p.is_empty());
-    let jsonl = path_var("WORLDS_OBS_JSONL");
-    let flight = path_var("WORLDS_FLIGHT_DUMP");
-    let want_hub = truthy("WORLDS_TELEMETRY") || flight.is_some();
-    if !truthy("WORLDS_OBS") && jsonl.is_none() && !want_hub {
-        return TelemetryEnv {
-            obs: Registry::disabled(),
-            hub: None,
-        };
-    }
-    let mut sinks: Vec<Arc<dyn EventSink>> = Vec::new();
-    if let Some(path) = jsonl {
-        match JsonlSink::create(&path) {
-            Ok(sink) => sinks.push(Arc::new(sink)),
-            Err(e) => eprintln!("worlds-telemetry: cannot open WORLDS_OBS_JSONL={path}: {e}"),
-        }
-    }
-    let hub = want_hub.then(|| Arc::new(TelemetryHub::default()));
-    if let Some(hub) = &hub {
-        sinks.push(hub.clone());
-    }
-    let obs = Registry::with_sinks(sinks);
-    // Same provenance stamp Registry::from_env writes: replay tooling
-    // keys its 1-CPU caveat banner off this.
-    obs.emit(|| {
-        Event::new(
-            EventKind::Meta {
-                effective_cores: worlds_obs::effective_cores(),
-            },
-            0,
-            None,
-            0,
-        )
-    });
-    if let (Some(hub), Some(path)) = (&hub, flight) {
-        let path = flight_path(path);
-        install_panic_dump(hub, &path);
-        #[cfg(unix)]
-        install_sigusr1_dump(hub, &path);
-    }
-    // With both a hub and WORLDS_PROF, claim the process-global sampler
-    // here so the watchdog gets a dump hook; the speculation layer's
-    // autostart would install one without it. Rate limiting is the
-    // sampler's (`dump_cooldown`), so a stall storm costs one dump per
-    // cooldown window, not one per stall.
-    if let Some(hub) = &hub {
-        if worlds_prof::prof_env_enabled() {
-            let dump_hub = Arc::downgrade(hub);
-            let hook: worlds_prof::StallHook = Box::new(move |info| {
-                let Some(hub) = dump_hub.upgrade() else {
-                    return;
-                };
-                let path = flight_path("worlds-stall.jsonl");
-                match hub.dump_flight(&path) {
-                    Ok(n) => eprintln!(
-                        "worlds-telemetry: stall (worker {}, phase {:?}, {:?}): \
-                         dumped {n} lines to {}",
-                        info.worker,
-                        info.phase,
-                        info.waited,
-                        path.display()
-                    ),
-                    Err(e) => eprintln!(
-                        "worlds-telemetry: stall dump to {} failed: {e}",
-                        path.display()
-                    ),
-                }
-            });
-            let sampler = worlds_prof::Sampler::start(
-                worlds_prof::SamplerConfig::from_env(),
-                obs.clone(),
-                Some(hook),
-            );
-            // A racing earlier install keeps its sampler; ours stops.
-            let _ = worlds_prof::install_global(sampler);
-        }
-    }
-    TelemetryEnv { obs, hub }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn from_env_unset_is_disabled() {
-        // Env mutation: test process only.
-        std::env::remove_var("WORLDS_OBS");
-        std::env::remove_var("WORLDS_OBS_JSONL");
-        std::env::remove_var("WORLDS_TELEMETRY");
-        std::env::remove_var("WORLDS_FLIGHT_DUMP");
-        let env = from_env();
-        assert!(!env.obs.is_enabled());
-        assert!(env.hub.is_none());
-    }
-}

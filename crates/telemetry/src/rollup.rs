@@ -31,7 +31,7 @@
 use crate::flight::FlightRecorder;
 use crate::pi::{SiteSnapshot, SiteStats};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use worlds_obs::{Counter, Event, EventKind, EventSink, Gauge, Histogram, HistogramSnapshot};
+use worlds_obs::{Counter, Event, EventKind, EventSink, Gauge};
 
 /// Per-slot counter indices. One cache-friendly block of `u64`s per
 /// slot instead of named fields, so rotation is a short loop.
@@ -153,8 +153,6 @@ pub struct TelemetryHub {
     /// Lifetime watchdog stall events.
     stalls: Counter,
     frames: Gauge,
-    /// Lifetime RTT distribution (decays with the sites).
-    rtt: Histogram,
     sites: SiteStats,
     flight: FlightRecorder,
     /// `effective_cores` from the last Meta event, 0 before one.
@@ -188,7 +186,6 @@ impl TelemetryHub {
             timeouts: Counter::new(),
             stalls: Counter::new(),
             frames: Gauge::new(),
-            rtt: Histogram::new(),
             sites: SiteStats::new(),
             flight: FlightRecorder::new(cfg.flight_capacity),
             meta_cores: AtomicU64::new(0),
@@ -292,7 +289,6 @@ impl TelemetryHub {
                 bump(c::NET_FRAMES);
                 slot.counts[c::RTT_SUM].fetch_add(*rtt_ns, Relaxed);
                 bump(c::RTT_COUNT);
-                self.rtt.record(*rtt_ns);
             }
             EventKind::NetRetry { .. } => bump(c::NET_RETRIES),
             EventKind::CpuSamples {
@@ -423,11 +419,6 @@ impl TelemetryHub {
         }
     }
 
-    /// Lifetime RTT distribution (subject to decay).
-    pub fn rtt_snapshot(&self) -> HistogramSnapshot {
-        self.rtt.snapshot()
-    }
-
     /// The per-site `Rμ`/`Ro`/`PI` table, advancing the decay clock
     /// first. Reads drive decay: the histograms halve once per
     /// `decay_interval_ns` of *event time* elapsed since the last step,
@@ -448,7 +439,6 @@ impl TelemetryHub {
                 .is_ok()
         {
             self.sites.decay();
-            self.rtt.decay_halve();
         }
     }
 }

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use worlds_kernel::VirtualTime;
-use worlds_obs::{EventSink, JsonlSink, Registry, RingSink};
+use worlds_obs::{env, EventSink, JsonlSink, Registry, RingSink};
 use worlds_remote::{run_distributed_block, Cluster, DistAlt, FaultSchedule, NetModel, NodeId};
 use worlds_telemetry::{install_node_handler, render_cluster, Collector, Exporter, TelemetryHub};
 
@@ -35,12 +35,10 @@ use worlds_telemetry::{install_node_handler, render_cluster, Collector, Exporter
 fn registry(hub: Option<&Arc<TelemetryHub>>) -> (Registry, Arc<RingSink>) {
     let ring = Arc::new(RingSink::new(4096));
     let mut sinks: Vec<Arc<dyn EventSink>> = vec![ring.clone()];
-    if let Ok(path) = std::env::var("WORLDS_OBS_JSONL") {
-        if !path.is_empty() {
-            match JsonlSink::create(&path) {
-                Ok(sink) => sinks.push(Arc::new(sink)),
-                Err(e) => eprintln!("cannot open WORLDS_OBS_JSONL={path}: {e}"),
-            }
+    if let Some(path) = env::path(env::OBS_JSONL) {
+        match JsonlSink::create(&path) {
+            Ok(sink) => sinks.push(Arc::new(sink)),
+            Err(e) => eprintln!("cannot open {}={}: {e}", env::OBS_JSONL, path.display()),
         }
     }
     if let Some(hub) = hub {

@@ -17,20 +17,15 @@
 //! its own dump to prove the black box survived the crash.
 
 use std::sync::Arc;
-use worlds_obs::{Registry, RunStats};
+use worlds_obs::{env, Registry, RunStats};
 use worlds_pagestore::PageStore;
 use worlds_telemetry::{install_panic_dump, TelemetryHub};
 
 fn main() {
-    let dump = std::env::var("WORLDS_FLIGHT_DUMP")
-        .ok()
-        .filter(|p| !p.is_empty())
-        .unwrap_or_else(|| {
-            std::env::temp_dir()
-                .join("worlds_flight_demo.jsonl")
-                .to_string_lossy()
-                .into_owned()
-        });
+    let dump = env::path(env::FLIGHT_DUMP)
+        .unwrap_or_else(|| std::env::temp_dir().join("worlds_flight_demo.jsonl"))
+        .display()
+        .to_string();
     let hub = Arc::new(TelemetryHub::default());
     let obs = Registry::with_sinks(vec![hub.clone()]);
     install_panic_dump(&hub, &dump);

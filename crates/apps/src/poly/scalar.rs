@@ -57,11 +57,6 @@ impl ScalarProblem {
     pub fn eval(&self, x: f64) -> f64 {
         (self.f)(x)
     }
-
-    /// Is `x` a root to tolerance?
-    pub fn is_root(&self, x: f64) -> bool {
-        self.eval(x).abs() <= self.tol
-    }
 }
 
 impl fmt::Debug for ScalarProblem {

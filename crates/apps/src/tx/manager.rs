@@ -39,16 +39,6 @@ pub struct Tx {
 }
 
 impl Tx {
-    /// Pages read so far.
-    pub fn read_set(&self) -> &BTreeSet<Vpn> {
-        &self.reads
-    }
-
-    /// Pages written so far.
-    pub fn write_set(&self) -> &BTreeSet<Vpn> {
-        &self.writes
-    }
-
     /// The database version this transaction is reading.
     pub fn begin_version(&self) -> u64 {
         self.begin_version

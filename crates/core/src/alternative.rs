@@ -86,7 +86,7 @@ impl<T> std::fmt::Debug for Alternative<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::CancelToken;
+    use crate::word::Decision;
     use worlds_pagestore::{FileSystem, PageStore};
     use worlds_predicate::{Pid, PredicateSet};
 
@@ -98,7 +98,7 @@ mod tests {
             world,
             Pid::fresh(),
             PredicateSet::empty(),
-            CancelToken::new(),
+            Decision::new(0, None),
             worlds_obs::TraceCtx {
                 root: world.raw(),
                 world: world.raw(),

@@ -1,49 +1,13 @@
 //! The world context: what one alternative sees while it runs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use worlds_obs::TraceCtx;
 use worlds_pagestore::{FileSystem, PageStoreError, WorldId};
 use worlds_predicate::{Pid, PredicateSet};
 
 use crate::error::AltError;
-
-/// Shared cancellation flag: set once a sibling succeeds or the block is
-/// decided, and implied once the block's deadline (if any) has passed;
-/// alternatives poll it at [`WorldCtx::checkpoint`].
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// A fresh token that also reads cancelled from `deadline` on
-    /// (`None`: never by itself).
-    pub fn with_deadline(deadline: Option<Instant>) -> Self {
-        CancelToken {
-            flag: Arc::default(),
-            deadline,
-        }
-    }
-
-    /// Raise the flag.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Has the flag been raised, or the deadline passed?
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
+use crate::word::Decision;
 
 /// An alternative's view of the system: private COW state, deferred
 /// output, identity, and cancellation.
@@ -58,7 +22,8 @@ pub struct WorldCtx {
     world: WorldId,
     pid: Pid,
     predicates: PredicateSet,
-    cancel: CancelToken,
+    /// The block this world runs in; polled at [`WorldCtx::checkpoint`].
+    decision: Arc<Decision>,
     trace: TraceCtx,
     /// Deferred teletype lines (flushed by the parent iff this world wins).
     pub(crate) output: Vec<String>,
@@ -70,7 +35,7 @@ impl WorldCtx {
         world: WorldId,
         pid: Pid,
         predicates: PredicateSet,
-        cancel: CancelToken,
+        decision: Arc<Decision>,
         trace: TraceCtx,
     ) -> Self {
         WorldCtx {
@@ -78,7 +43,7 @@ impl WorldCtx {
             world,
             pid,
             predicates,
-            cancel,
+            decision,
             trace,
             output: Vec::new(),
         }
@@ -200,9 +165,10 @@ impl WorldCtx {
 
     // ---- cancellation ----
 
-    /// Has a sibling already succeeded, or the block's deadline passed?
+    /// Has the block been decided (a sibling won, or it timed out), or
+    /// its deadline passed?
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
+        self.decision.is_cancelled()
     }
 
     /// Cooperative cancellation point: long-running alternatives should
@@ -230,23 +196,28 @@ impl std::fmt::Debug for WorldCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::word::{BlockWord, Phase, Slot, Verdict};
+    use std::time::Instant;
     use worlds_pagestore::PageStore;
 
-    fn ctx() -> WorldCtx {
+    fn ctx_in(decision: Arc<Decision>) -> WorldCtx {
         let store = PageStore::new(256);
         let world = store.create_world();
-        let fs = FileSystem::new(store);
         WorldCtx::new(
-            fs,
+            FileSystem::new(store),
             world,
             Pid::fresh(),
             PredicateSet::empty(),
-            CancelToken::new(),
+            decision,
             TraceCtx {
                 root: world.raw(),
                 world: world.raw(),
             },
         )
+    }
+
+    fn ctx() -> WorldCtx {
+        ctx_in(Decision::new(0, None))
     }
 
     #[test]
@@ -300,23 +271,13 @@ mod tests {
 
     #[test]
     fn cancellation() {
-        let token = CancelToken::new();
-        let store = PageStore::new(256);
-        let world = store.create_world();
-        let mut c = WorldCtx::new(
-            FileSystem::new(store),
-            world,
-            Pid::fresh(),
-            PredicateSet::empty(),
-            token.clone(),
-            TraceCtx {
-                root: world.raw(),
-                world: world.raw(),
-            },
-        );
+        // Alternative 0 runs in `c`; alternative 1's success decides.
+        let block = BlockWord::<()>::new(2, None);
+        let mut c = ctx_in(block.decision().clone());
         assert!(c.checkpoint().is_ok());
         assert!(c.put_u64("pre", 1).is_ok());
-        token.cancel();
+        assert!(block.slot(1, Slot::claim));
+        assert_eq!(block.offer(1, (), true, false), Verdict::Won);
         assert!(c.is_cancelled());
         assert_eq!(c.checkpoint().unwrap_err(), AltError::Cancelled);
         // Writes are cancellation points too: no page of a cancelled
@@ -325,25 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn a_past_deadline_cancels_without_the_flag() {
-        let token = CancelToken::with_deadline(Some(Instant::now()));
-        assert!(token.is_cancelled());
-        let store = PageStore::new(256);
-        let world = store.create_world();
-        let mut c = WorldCtx::new(
-            FileSystem::new(store),
-            world,
-            Pid::fresh(),
-            PredicateSet::empty(),
-            token,
-            TraceCtx {
-                root: world.raw(),
-                world: world.raw(),
-            },
-        );
+    fn a_past_deadline_cancels_an_open_word() {
+        let block = BlockWord::<()>::new(1, Some(Instant::now()));
+        assert_eq!(block.load().phase(), Phase::Open);
+        let mut c = ctx_in(block.decision().clone());
         assert_eq!(c.put_bytes("late", b"x").unwrap_err(), AltError::Cancelled);
         assert_eq!(c.get_bytes("late"), None, "nothing was written");
-        assert!(!CancelToken::with_deadline(None).is_cancelled());
+        assert!(!Decision::new(1, None).is_cancelled());
     }
 
     #[test]

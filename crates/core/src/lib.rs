@@ -66,7 +66,7 @@ mod word;
 
 pub use alternative::{AltResult, Alternative};
 pub use block::{AltBlock, ElimMode};
-pub use ctx::{CancelToken, WorldCtx};
+pub use ctx::WorldCtx;
 pub use error::AltError;
 pub use report::{AltRun, AltRunStatus, RunOutcome, RunReport};
 pub use speculation::{ExecMode, Speculation};

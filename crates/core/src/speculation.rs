@@ -38,10 +38,11 @@
 //!    to the background [`worlds_exec::Reaper`] ([`ElimMode::Async`], the
 //!    paper's faster choice, where a loser still running disposes of its
 //!    own world when it reports). Cancellation does not wait for the
-//!    decision: the winning offer raises the block's [`CancelToken`], and
-//!    the token of a timed block reads cancelled from its deadline on, so
-//!    the alternatives the parent runs stop for a sibling's win or the
-//!    timeout too; a task that starts cancelled skips its body.
+//!    parent: an alternative reads itself cancelled from the block word
+//!    once the winning offer has decided it, or from a timed block's
+//!    deadline on, so the alternatives the parent runs stop for a
+//!    sibling's win or the timeout too; a task that starts cancelled
+//!    skips its body.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -54,10 +55,10 @@ use worlds_pagestore::{FileSystem, PageStore, WorldId, PAGE_SIZE_DEFAULT};
 use worlds_predicate::{Pid, PredicateSet};
 
 use crate::block::{AltBlock, ElimMode};
-use crate::ctx::{CancelToken, WorldCtx};
+use crate::ctx::WorldCtx;
 use crate::error::AltError;
 use crate::report::{AltRun, AltRunStatus, RunOutcome, RunReport};
-use crate::word::{late_loser_disposes, BlockWord, Phase, Slot, Verdict};
+use crate::word::{late_loser_disposes, BlockWord, Decision, Phase, Slot, Verdict};
 
 /// How a [`Speculation`] dispatches its alternatives.
 #[derive(Clone, Debug)]
@@ -218,11 +219,6 @@ impl Speculation {
         self
     }
 
-    /// How this session dispatches alternatives.
-    pub fn exec_mode(&self) -> &ExecMode {
-        &self.exec
-    }
-
     /// The session's page store (for stats and diagnostics).
     pub fn store(&self) -> &PageStore {
         &self.store
@@ -245,14 +241,7 @@ impl Speculation {
         &self,
         f: impl FnOnce(&mut WorldCtx) -> Result<R, AltError>,
     ) -> Result<R, AltError> {
-        let mut ctx = WorldCtx::new(
-            self.fs.clone(),
-            self.root_world,
-            self.root_pid,
-            PredicateSet::empty(),
-            CancelToken::new(),
-            self.root_trace(),
-        );
+        let mut ctx = self.root_ctx();
         let r = f(&mut ctx)?;
         for line in &ctx.output {
             self.tty
@@ -264,23 +253,23 @@ impl Speculation {
 
     /// Read the committed state (the root world's current view).
     pub fn read<R>(&self, f: impl FnOnce(&WorldCtx) -> R) -> R {
-        let ctx = WorldCtx::new(
+        f(&self.root_ctx())
+    }
+
+    /// A context on the root world, which runs under no assumptions and
+    /// in no block (so it is never cancelled), and causes itself.
+    fn root_ctx(&self) -> WorldCtx {
+        WorldCtx::new(
             self.fs.clone(),
             self.root_world,
             self.root_pid,
             PredicateSet::empty(),
-            CancelToken::new(),
-            self.root_trace(),
-        );
-        f(&ctx)
-    }
-
-    /// The root world's trace context (root causes itself).
-    fn root_trace(&self) -> TraceCtx {
-        TraceCtx {
-            root: self.root_world.raw(),
-            world: self.root_world.raw(),
-        }
+            Decision::new(0, None),
+            TraceCtx {
+                root: self.root_world.raw(),
+                world: self.root_world.raw(),
+            },
+        )
     }
 
     /// Execute an alternative block: run every alternative concurrently in
@@ -326,8 +315,7 @@ impl Speculation {
             obs.announce_site(s);
         }
         let deadline = block.timeout.map(|t| start + t);
-        let cancel = CancelToken::with_deadline(deadline);
-        let shared = Arc::new(BlockWord::<ChildReport<T>>::new(n));
+        let shared = Arc::new(BlockWord::<ChildReport<T>>::new(n, deadline));
         // Unique while any of this block's tasks is queued: each holds
         // a reference to `shared`.
         let tag = Arc::as_ptr(&shared) as usize;
@@ -392,7 +380,6 @@ impl Speculation {
             };
             let fs = self.fs.clone();
             let store = self.store.clone();
-            let cancel = cancel.clone();
             let shared = shared.clone();
             let reaper = reaper.clone();
             let (elim, timeout, pid) = (block.elim, block.timeout, pids[i]);
@@ -406,7 +393,7 @@ impl Speculation {
                 // A task that starts after a sibling succeeded, the block
                 // was decided or its deadline passed cannot win: it
                 // reports itself cancelled without running its body.
-                let (result, output) = if cancel.is_cancelled() {
+                let (result, output) = if shared.decision().is_cancelled() {
                     (Err(AltError::Cancelled), Vec::new())
                 } else {
                     // Refine the executor's bare `Task` marker: this thread
@@ -417,7 +404,8 @@ impl Speculation {
                         Some(i as u64),
                         worlds_prof::Phase::Guard,
                     );
-                    let mut ctx = WorldCtx::new(fs, world, pid, preds, cancel.clone(), trace);
+                    let decision = shared.decision().clone();
+                    let mut ctx = WorldCtx::new(fs, world, pid, preds, decision, trace);
                     // A panic fails the alternative, not the block.
                     let result = catch_unwind(AssertUnwindSafe(|| alt.execute(&mut ctx)))
                         .unwrap_or_else(|_| Err(AltError::GuardFailed("panicked".into())));
@@ -431,17 +419,14 @@ impl Speculation {
                     output,
                     elapsed,
                 };
-                match shared.offer(i, report, ok, late) {
-                    // A success eliminates: the siblings, the parent's own
-                    // alternative among them, stop at their next
-                    // cancellation point.
-                    Verdict::Won => cancel.cancel(),
-                    Verdict::Late if late_loser_disposes(elim, shared.on_parent()) => {
-                        if let Some(r) = shared.slot(i, Slot::take) {
-                            reaper.enqueue(&store, r.world);
-                        }
+                // A success eliminates by deciding the word: the siblings,
+                // the parent's own alternative among them, stop at their
+                // next cancellation point.
+                let verdict = shared.offer(i, report, ok, late);
+                if verdict == Verdict::Late && late_loser_disposes(elim, shared.on_parent()) {
+                    if let Some(r) = shared.slot(i, Slot::take) {
+                        reaper.enqueue(&store, r.world);
                     }
-                    Verdict::Late | Verdict::Handed => {}
                 }
             };
             if own_task.is_none() {
@@ -497,8 +482,7 @@ impl Speculation {
         // alt_wait(TIMEOUT): the first on-time success decides, every
         // report failing decides, or the deadline does. Each report is
         // judged by its own time, however late the parent looks.
-        shared.wait(false, deadline);
-        cancel.cancel();
+        shared.wait(false);
         let elim_start = Instant::now();
         // Take back the siblings no worker has started, unrun, and give
         // their worlds to this block's batch.
@@ -512,7 +496,7 @@ impl Speculation {
         // Synchronous elimination (§2.2.1's slower option) also waits for
         // every running sibling to reach its sync point and report.
         let word = match block.elim {
-            ElimMode::Sync => shared.wait(true, None),
+            ElimMode::Sync => shared.wait(true),
             ElimMode::Async => shared.load(),
         };
         let (outcome, winner_index) = match word.phase() {

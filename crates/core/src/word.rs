@@ -30,9 +30,14 @@
 //! (then nobody is left to win). The parent parks at most once per wait
 //! and is unparked at most once per park: only by the offer that settles
 //! what it waits for, which clears `parked` in the same CAS.
+//!
+//! The word is also the block's only cancel flag: an alternative is
+//! cancelled once the word has left `Open` or the block's deadline has
+//! passed ([`Decision::is_cancelled`]), so a win cancels the siblings by
+//! the same CAS that decides it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::Instant;
 
@@ -220,27 +225,61 @@ impl<R> Slot<R> {
     }
 }
 
-/// The shared half of one running block: the word, the slots, and the
-/// thread to unpark.
-pub(crate) struct BlockWord<R> {
+/// The block word and the block's deadline: the part of a block every
+/// world context holds, whatever the block's report type.
+#[derive(Debug)]
+pub(crate) struct Decision {
     word: AtomicU64,
+    deadline: Option<Instant>,
+}
+
+impl Decision {
+    /// An open block of `n` alternatives that times out at `deadline`
+    /// (`None`: never by itself).
+    pub(crate) fn new(n: usize, deadline: Option<Instant>) -> Arc<Decision> {
+        Arc::new(Decision {
+            word: AtomicU64::new(Word::new(n).0),
+            deadline,
+        })
+    }
+
+    pub(crate) fn load(&self) -> Word {
+        Word(self.word.load(Ordering::Acquire))
+    }
+
+    /// Is the block decided or timed out, or its deadline past? One
+    /// atomic load, and a clock read only for a timed block.
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.load().phase() != Phase::Open || self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+/// The shared half of one running block: the decision, the slots, and
+/// the thread to unpark.
+pub(crate) struct BlockWord<R> {
+    decision: Arc<Decision>,
     slots: Box<[Mutex<Slot<R>>]>,
     parent: Thread,
 }
 
 impl<R> BlockWord<R> {
-    /// An open block of `n` queued alternatives, parented by the calling
-    /// thread.
-    pub(crate) fn new(n: usize) -> BlockWord<R> {
+    /// An open block of `n` queued alternatives that times out at
+    /// `deadline`, parented by the calling thread.
+    pub(crate) fn new(n: usize, deadline: Option<Instant>) -> BlockWord<R> {
         BlockWord {
-            word: AtomicU64::new(Word::new(n).0),
+            decision: Decision::new(n, deadline),
             slots: (0..n).map(|_| Mutex::new(Slot::Queued)).collect(),
             parent: std::thread::current(),
         }
     }
 
+    /// The word and deadline, for the block's world contexts.
+    pub(crate) fn decision(&self) -> &Arc<Decision> {
+        &self.decision
+    }
+
     pub(crate) fn load(&self) -> Word {
-        Word(self.word.load(Ordering::Acquire))
+        self.decision.load()
     }
 
     /// Apply `f` with one compare-and-swap, retried on contention; the
@@ -249,7 +288,7 @@ impl<R> BlockWord<R> {
         let mut old = self.load();
         loop {
             let (next, x) = f(old);
-            match self.word.compare_exchange_weak(
+            match self.decision.word.compare_exchange_weak(
                 old.0,
                 next.0,
                 Ordering::AcqRel,
@@ -286,9 +325,13 @@ impl<R> BlockWord<R> {
     }
 
     /// The parent waits until [`Word::settled`]`(all)`, timing the block
-    /// out at `deadline`. Parks at most once: only a settling offer clears
-    /// `parked`, and a spurious return parks again on the same bit.
-    pub(crate) fn wait(&self, all: bool, deadline: Option<Instant>) -> Word {
+    /// out at its deadline while it waits for the decision. The wait for
+    /// every world (`all`) follows a settled wait for the decision, so it
+    /// has nothing left to time out and is untimed. Parks at most once:
+    /// only a settling offer clears `parked`, and a spurious return parks
+    /// again on the same bit.
+    pub(crate) fn wait(&self, all: bool) -> Word {
+        let deadline = if all { None } else { self.decision.deadline };
         let mut w = self.load();
         loop {
             if w.settled(all) {
@@ -309,10 +352,12 @@ impl<R> BlockWord<R> {
                     continue;
                 }
             };
-            w = match self
-                .word
-                .compare_exchange(w.0, next.0, Ordering::AcqRel, Ordering::Acquire)
-            {
+            w = match self.decision.word.compare_exchange(
+                w.0,
+                next.0,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
                 Ok(_) => next,
                 Err(now) => Word(now),
             };

@@ -171,12 +171,12 @@ impl Conn {
     /// request order whatever order the replies arrived in.
     ///
     /// A burst carries **ack-style requests only** (`Rfork`,
-    /// `CommitBack`, `Discard`, `PredicatedSend`, `Ping`, the session
-    /// verbs): their replies are a few bytes, so the socket buffers
-    /// hold every reply of a burst while the client is still writing,
-    /// and a client that writes the whole burst before reading cannot
-    /// deadlock against a node blocked writing replies. A request whose
-    /// reply can be large (`Telemetry`) goes through [`Conn::call`].
+    /// `CommitBack`, `Discard`, `Ping`, the session verbs): their
+    /// replies are a few bytes, so the socket buffers hold every reply
+    /// of a burst while the client is still writing, and a client that
+    /// writes the whole burst before reading cannot deadlock against a
+    /// node blocked writing replies. A request whose reply can be large
+    /// (`Telemetry`) goes through [`Conn::call`].
     pub fn call_many(&mut self, reqs: &[Request]) -> Vec<Result<u64>> {
         let frames: Vec<_> = reqs
             .iter()

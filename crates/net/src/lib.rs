@@ -5,8 +5,9 @@
 //! there, and later commit the winner's state back. `worlds-remote`
 //! models the *costs* of that protocol; this crate supplies the *bytes*:
 //! a synchronous, std-only TCP transport that really ships checkpoint
-//! images, dirty pages and predicated messages between page stores over
-//! loopback sockets — deadlines, retries, corruption and all.
+//! images and dirty pages between page stores over loopback sockets —
+//! deadlines, retries, corruption and all. Predicated messages (§2.4)
+//! are simulated (`worlds-kernel`'s `SplitKernel`), not sent.
 //!
 //! The stack, bottom to top:
 //!
@@ -15,8 +16,8 @@
 //!   versioned, checksummed frame codec ([`frame`] module docs give the
 //!   byte layout).
 //! * [`Request`] / [`Reply`] — the RPC vocabulary: `Ping`, `Rfork`
-//!   (checkpoint image), `CommitBack` (dirty pages), `Discard`,
-//!   `PredicatedSend` (an `ipc::Message`, predicate set included).
+//!   (checkpoint image), `CommitBack` (dirty pages), `Discard`, plus
+//!   telemetry, hash probes and the tenant session family.
 //! * [`NetNode`] — the server: one listener per node, handlers on the
 //!   shared executor, and a corr-id reply ledger that makes every
 //!   operation idempotent under retransmission.
@@ -71,5 +72,5 @@ pub use frame::{
     FRAME_VERSION, MAX_PAYLOAD,
 };
 pub use proxy::{FaultProxy, OpLedger};
-pub use rpc::{decode_message, encode_message, kind, nack, Reply, Request};
+pub use rpc::{kind, nack, Reply, Request};
 pub use server::{NetNode, SessionHandler, TelemetryHandler};

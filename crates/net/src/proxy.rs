@@ -62,7 +62,6 @@ struct Shared {
     schedule: FaultSchedule,
     stop: AtomicBool,
     faults: AtomicU64,
-    forwarded: AtomicU64,
     ops: OpLedger,
 }
 
@@ -100,7 +99,6 @@ impl FaultProxy {
             schedule,
             stop: AtomicBool::new(false),
             faults: AtomicU64::new(0),
-            forwarded: AtomicU64::new(0),
             ops,
         });
         let accept_shared = shared.clone();
@@ -130,11 +128,6 @@ impl FaultProxy {
     /// Faults injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.shared.faults.load(Ordering::Relaxed)
-    }
-
-    /// Request frames forwarded cleanly so far.
-    pub fn frames_forwarded(&self) -> u64 {
-        self.shared.forwarded.load(Ordering::Relaxed)
     }
 
     /// Stop relaying. Existing connections die on their next frame.
@@ -209,7 +202,6 @@ fn relay(client: TcpStream, shared: Arc<Shared>) {
                 }
             }
         }
-        shared.forwarded.fetch_add(1, Ordering::Relaxed);
         let reply = match pump(&mut upstream, &shared, &frame) {
             Ok(r) => r,
             Err(()) => return,

@@ -1,7 +1,10 @@
 //! The RPC vocabulary: what cluster nodes say to each other.
 //!
 //! One request kind per remote-fork lifecycle step (§3.4's rfork /
-//! commit-back protocol) plus the predicated message send of §2.4.1:
+//! commit-back protocol), plus telemetry and the tenant session family.
+//! Predicated IPC (§2.4.1) is simulated, not sent: kind 5, which once
+//! carried an `ipc::Message`, is retired and never reused, so a peer that
+//! still sends it gets the unknown-kind `BAD_REQUEST` Nack.
 //!
 //! | kind | request          | carries                                   |
 //! |------|------------------|-------------------------------------------|
@@ -9,7 +12,7 @@
 //! | 2    | `Rfork`          | a checkpoint image (full or delta)        |
 //! | 3    | `CommitBack`     | the winner's dirty pages, applied to base |
 //! | 4    | `Discard`        | a losing world to drop                    |
-//! | 5    | `PredicatedSend` | an `ipc::Message` incl. its predicate set |
+//! | 5    | —                | retired, never reused                     |
 //! | 6    | `Telemetry`      | opaque telemetry bytes (rollup delta/query)|
 //! | 7    | `HashProbe`      | page-content hashes to test for presence  |
 //! | 8    | `SessionOpen`    | tenant name + resource limits             |
@@ -31,10 +34,7 @@
 
 use crate::error::{NetError, Result};
 use crate::frame::encode_with;
-use worlds_ipc::{Message, MsgId};
-use worlds_obs::TraceCtx;
 use worlds_pagestore::Cursor;
-use worlds_predicate::{Pid, PredicateSet};
 
 /// Frame-kind bytes for requests.
 pub mod kind {
@@ -42,7 +42,7 @@ pub mod kind {
     pub const RFORK: u8 = 2;
     pub const COMMIT_BACK: u8 = 3;
     pub const DISCARD: u8 = 4;
-    pub const PREDICATED_SEND: u8 = 5;
+    // 5 is retired (it carried predicated sends) and never reused.
     pub const TELEMETRY: u8 = 6;
     pub const HASH_PROBE: u8 = 7;
     pub const SESSION_OPEN: u8 = 8;
@@ -111,9 +111,6 @@ pub enum Request {
     },
     /// Drop a losing speculative world on the receiving node.
     Discard { world: u64 },
-    /// Ship a predicated IPC message (§2.4.1) to the receiving node's
-    /// inbox, sending predicate and all.
-    PredicatedSend { msg: Message },
     /// Telemetry-plane traffic (rollup deltas pushed node→collector,
     /// table queries from `worlds-top`). The payload is opaque at this
     /// layer — `worlds-telemetry` owns the schema — so the wire protocol
@@ -163,7 +160,7 @@ pub enum Request {
 pub enum Reply {
     /// Success. `world` is the operation's subject: the restored world
     /// for `Rfork`, the base for `CommitBack`, the dropped world for
-    /// `Discard`, the message id for `PredicatedSend`, 0 for `Ping`.
+    /// `Discard`, 0 for `Ping`.
     Ack { world: u64 },
     /// Failure the server diagnosed; see [`nack`] for codes.
     Nack { code: u32, detail: String },
@@ -185,7 +182,6 @@ impl Request {
             Request::Rfork { .. } => kind::RFORK,
             Request::CommitBack { .. } => kind::COMMIT_BACK,
             Request::Discard { .. } => kind::DISCARD,
-            Request::PredicatedSend { .. } => kind::PREDICATED_SEND,
             Request::Telemetry { .. } => kind::TELEMETRY,
             Request::HashProbe { .. } => kind::HASH_PROBE,
             Request::SessionOpen { .. } => kind::SESSION_OPEN,
@@ -220,7 +216,6 @@ impl Request {
             Request::Rfork { image } => image.len(),
             Request::CommitBack { pages, .. } => 8 + pages_len(pages),
             Request::Discard { .. } => 8,
-            Request::PredicatedSend { msg } => message_len(msg),
             Request::Telemetry { payload } => payload.len(),
             Request::HashProbe { hashes } => 4 + 8 * hashes.len(),
             Request::SessionOpen { name, .. } => 28 + name.len(),
@@ -237,7 +232,6 @@ impl Request {
             Request::Rfork { image } => out.extend_from_slice(image),
             Request::CommitBack { base, pages } => put_commit_back(out, *base, pages),
             Request::Discard { world } => out.extend_from_slice(&world.to_le_bytes()),
-            Request::PredicatedSend { msg } => put_message(out, msg),
             Request::Telemetry { payload } => out.extend_from_slice(payload),
             Request::HashProbe { hashes } => {
                 out.extend_from_slice(&(hashes.len() as u32).to_le_bytes());
@@ -310,9 +304,6 @@ impl Request {
                 r.finish()?;
                 Request::Discard { world }
             }
-            kind::PREDICATED_SEND => Request::PredicatedSend {
-                msg: parse_message(&payload)?,
-            },
             kind::TELEMETRY => Request::Telemetry { payload },
             kind::HASH_PROBE => {
                 let count = r.u32()? as usize;
@@ -533,84 +524,6 @@ pub(crate) fn commit_back_frame(corr: u64, base: u64, pages: &[(u64, Vec<u8>)]) 
     })
 }
 
-/// Serialise an [`worlds_ipc::Message`] — id, endpoints, the full
-/// predicate set (must-complete and can't-complete pid lists), payload,
-/// and the optional trace context.
-pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::with_capacity(message_len(msg));
-    put_message(&mut out, msg);
-    out
-}
-
-fn message_len(msg: &Message) -> usize {
-    let pids = msg.predicate.must_complete().count() + msg.predicate.cant_complete().count();
-    37 + 8 * pids + msg.payload.len() + if msg.trace.is_some() { 16 } else { 0 }
-}
-
-fn put_message(out: &mut Vec<u8>, msg: &Message) {
-    out.extend_from_slice(&msg.id.0.to_le_bytes());
-    out.extend_from_slice(&msg.src.raw().to_le_bytes());
-    out.extend_from_slice(&msg.dst.raw().to_le_bytes());
-    for pids in [
-        msg.predicate.must_complete().collect::<Vec<Pid>>(),
-        msg.predicate.cant_complete().collect(),
-    ] {
-        out.extend_from_slice(&(pids.len() as u32).to_le_bytes());
-        for pid in &pids {
-            out.extend_from_slice(&pid.raw().to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(msg.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&msg.payload);
-    match &msg.trace {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            out.extend_from_slice(&t.root.to_le_bytes());
-            out.extend_from_slice(&t.world.to_le_bytes());
-        }
-    }
-}
-
-/// Parse a message serialised by [`encode_message`].
-pub fn decode_message(payload: &[u8]) -> Result<Message> {
-    parse_message(payload).map_err(NetError::Protocol)
-}
-
-fn parse_message(payload: &[u8]) -> std::result::Result<Message, String> {
-    let mut r = Cursor::new(payload);
-    let id = r.u64()?;
-    let src = Pid(r.u64()?);
-    let dst = Pid(r.u64()?);
-    let n_must = r.u32()? as usize;
-    let mut must = Vec::with_capacity(n_must.min(4096));
-    for _ in 0..n_must {
-        must.push(Pid(r.u64()?));
-    }
-    let n_cant = r.u32()? as usize;
-    let mut cant = Vec::with_capacity(n_cant.min(4096));
-    for _ in 0..n_cant {
-        cant.push(Pid(r.u64()?));
-    }
-    let plen = r.u32()? as usize;
-    let body = r.take(plen)?.to_vec();
-    let trace = match r.u8()? {
-        0 => None,
-        1 => Some(TraceCtx {
-            root: r.u64()?,
-            world: r.u64()?,
-        }),
-        other => {
-            return Err(format!("bad trace flag {other}"));
-        }
-    };
-    r.finish()?;
-    let mut msg = Message::new(src, dst, PredicateSet::new(must, cant), body);
-    msg.id = MsgId(id);
-    msg.trace = trace;
-    Ok(msg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,13 +549,6 @@ mod tests {
             pages: Vec::new(),
         });
         round_trip_request(Request::Discard { world: u64::MAX });
-        let msg = Message::new(
-            Pid(3),
-            Pid(9),
-            PredicateSet::new([Pid(1), Pid(2)], [Pid(7)]),
-            b"speculative hello".to_vec(),
-        );
-        round_trip_request(Request::PredicatedSend { msg });
         round_trip_request(Request::Telemetry {
             payload: vec![0, 1, 2, 0xFF],
         });
@@ -739,15 +645,6 @@ mod tests {
         assert_eq!(nack::reason(nack::UNKNOWN_SESSION), "unknown_session");
         assert_eq!(nack::reason(nack::BAD_REQUEST), "bad_request");
         assert_eq!(nack::reason(999), "unknown");
-    }
-
-    #[test]
-    fn message_with_id_and_trace_round_trips() {
-        let mut msg = Message::new(Pid(1), Pid(2), PredicateSet::empty(), Vec::new());
-        msg.id = MsgId(77);
-        msg.trace = Some(TraceCtx { root: 5, world: 6 });
-        let back = decode_message(&encode_message(&msg)).unwrap();
-        assert_eq!(back, msg);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use worlds_net::{
 };
 use worlds_obs::Registry;
 use worlds_pagestore::{checkpoint, checkpoint_delta, PageStore, WorldId};
-use worlds_predicate::{Pid, PredicateSet};
 
 const PAGE: usize = 64;
 
@@ -203,25 +202,6 @@ fn nacked_commit_back_leaves_the_base_untouched() {
 }
 
 #[test]
-fn predicated_send_delivers_message_intact() {
-    let node = NetNode::serve(2, PageStore::new(PAGE), Registry::disabled()).unwrap();
-    let mut conn = Conn::new(2, node.addr(), fast(), Registry::disabled());
-    let mut msg = worlds_ipc::Message::new(
-        Pid(4),
-        Pid(9),
-        PredicateSet::new([Pid(1)], [Pid(2)]),
-        b"guarded".to_vec(),
-    );
-    msg.id = worlds_ipc::MsgId(31);
-    conn.call_ack(&Request::PredicatedSend { msg: msg.clone() })
-        .unwrap();
-    let got = node.take_messages();
-    assert_eq!(got, vec![msg]);
-    assert!(node.take_messages().is_empty(), "inbox drains");
-    node.shutdown();
-}
-
-#[test]
 fn nacks_surface_without_retries() {
     let (obs, _ring) = Registry::with_ring(64);
     let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
@@ -252,6 +232,47 @@ fn hostile_rfork_image_is_nacked_and_the_connection_survives() {
     assert_eq!(err.nack_code(), Some(nack::BAD_IMAGE), "{err}");
     assert_eq!(node.store().world_count(), 0, "no half-built world");
     assert_eq!(conn.call_ack(&Request::Ping).unwrap(), 0);
+    node.shutdown();
+}
+
+/// Kind 5 once carried a predicated `ipc::Message`; predicates are now
+/// simulated, and the kind is retired, never reused. This is the frame
+/// an older peer sent (it was the wire fixture's `predicated_send` line):
+/// a message from pid 3 to pid 9, predicate {must 1, 2; cant 7}, body
+/// "speculative hello", trace (5, 6), under correlation id 5.
+const RETIRED_PREDICATED_SEND: &str =
+    "4d574e46010505000000000000005e0000004d0000000000000003000000\
+     00000000090000000000000002000000010000000000000002000000000000000100000007000000000000\
+     001100000073706563756c61746976652068656c6c6f0105000000000000000600000000000000ba97a8dd";
+
+/// A peer that still sends the retired kind gets the unknown-kind Nack,
+/// and the same connection goes on answering.
+#[test]
+fn a_retired_predicated_send_is_nacked_and_the_connection_survives() {
+    let node = NetNode::serve(2, PageStore::new(PAGE), Registry::disabled()).unwrap();
+    let wire: Vec<u8> = (0..RETIRED_PREDICATED_SEND.len() / 2)
+        .map(|i| u8::from_str_radix(&RETIRED_PREDICATED_SEND[2 * i..2 * i + 2], 16).unwrap())
+        .collect();
+    // A well-formed frame: the refusal comes from the RPC layer.
+    assert_eq!(Frame::decode(&wire).unwrap().kind, 5);
+
+    let mut s = std::net::TcpStream::connect(node.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    std::io::Write::write_all(&mut s, &wire).unwrap();
+    let (reply, _) = read_frame(&mut s).unwrap();
+    assert_eq!(reply.corr, 5);
+    match Reply::decode(reply.kind, &reply.payload).unwrap() {
+        Reply::Nack { code, .. } => assert_eq!(code, nack::BAD_REQUEST),
+        other => panic!("kind 5 must be nacked, got {other:?}"),
+    }
+
+    write_frame(&mut s, &Frame::new(Request::Ping.kind(), 6, Vec::new())).unwrap();
+    let (pong, _) = read_frame(&mut s).unwrap();
+    assert_eq!(pong.corr, 6);
+    assert_eq!(
+        Reply::decode(pong.kind, &pong.payload).unwrap(),
+        Reply::Ack { world: 0 }
+    );
     node.shutdown();
 }
 

@@ -5,10 +5,7 @@
 //! the same value, so peers built either side of that change interoperate.
 //! Never regenerate the fixture from the current encoder.
 
-use worlds_ipc::{Message, MsgId};
 use worlds_net::{nack, read_frame, Frame, Reply, Request};
-use worlds_obs::TraceCtx;
-use worlds_predicate::{Pid, PredicateSet};
 
 const GOLDEN: &str = include_str!("golden/wire_v1.hex");
 
@@ -57,14 +54,6 @@ impl Value {
 
 /// One case per variant, in fixture order: name, correlation id, value.
 fn cases() -> Vec<(&'static str, u64, Value)> {
-    let mut msg = Message::new(
-        Pid(3),
-        Pid(9),
-        PredicateSet::new([Pid(1), Pid(2)], [Pid(7)]),
-        b"speculative hello".to_vec(),
-    );
-    msg.id = MsgId(77);
-    msg.trace = Some(TraceCtx { root: 5, world: 6 });
     let req = Value::Req;
     let rep = Value::Rep;
     vec![
@@ -85,7 +74,6 @@ fn cases() -> Vec<(&'static str, u64, Value)> {
             }),
         ),
         ("discard", 4, req(Request::Discard { world: u64::MAX })),
-        ("predicated_send", 5, req(Request::PredicatedSend { msg })),
         (
             "telemetry",
             6,

@@ -280,17 +280,4 @@ mod tests {
         clone.emit(|| Event::new(EventKind::MsgAccept, 1, None, 0));
         assert_eq!(obs.stats().unwrap().ipc.accepts.get(), 1);
     }
-
-    #[test]
-    fn from_env_round_trip() {
-        // Env mutation: test process only, distinct var values per case.
-        std::env::remove_var("WORLDS_OBS");
-        std::env::remove_var("WORLDS_OBS_JSONL");
-        assert!(!Registry::from_env().is_enabled());
-        std::env::set_var("WORLDS_OBS", "0");
-        assert!(!Registry::from_env().is_enabled());
-        std::env::set_var("WORLDS_OBS", "1");
-        assert!(Registry::from_env().is_enabled());
-        std::env::remove_var("WORLDS_OBS");
-    }
 }

@@ -395,22 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_path_resolves_against_env_dir() {
-        // Env mutation: test process only.
-        let dir = std::env::temp_dir().join("worlds_flight_dir_test");
-        std::env::set_var(env::FLIGHT_DIR, &dir);
-        let p = flight_path("dump.jsonl");
-        assert_eq!(p, dir.join("dump.jsonl"));
-        assert!(dir.is_dir(), "flight_dir creates the directory");
-        // Absolute names bypass the directory.
-        let abs = std::env::temp_dir().join("elsewhere.jsonl");
-        assert_eq!(flight_path(&abs), abs);
-        std::env::remove_var(env::FLIGHT_DIR);
-        assert_eq!(flight_path("dump.jsonl"), Path::new(".").join("dump.jsonl"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn dump_is_meta_headed_parseable_jsonl() {
         let ring = FlightRecorder::new(4);
         for w in 0..6u64 {

@@ -4,7 +4,8 @@
 //!
 //! * **Frame codec throughput** — encode + decode MB/s for small
 //!   (command-sized) and large (checkpoint-sized) payloads. The codec is
-//!   one length-prefixed copy plus a slicing CRC-32. The same run times
+//!   one length-prefixed copy plus a CRC-32 (carry-less-multiply folding
+//!   where the CPU has it, else slicing-by-16). The same run times
 //!   the byte-at-a-time CRC the codec used to ship, as an oracle, and
 //!   fails unless the large-frame codec — copy included — moves at least
 //!   twice the oracle's bytes per second: a ratio, so it holds on any

@@ -343,6 +343,41 @@ mod tests {
     }
 
     #[test]
+    fn bit_flips_in_a_large_frame_fail_the_crc() {
+        use crate::fault::splitmix64;
+        let payload = (0..(1u64 << 20) + 13).map(|i| splitmix64(i) as u8);
+        let mut wire = Frame::new(2, 9, payload.collect()).encode();
+        let body = wire.len() - FRAME_TRAILER;
+        // One seeded bit in each range. `decode` checksums the frame from
+        // its first byte, `read_frame` from the payload's (after the
+        // header's own CRC), so each one's four fold lanes start in a
+        // different place; both inputs end in a < 16-byte tail.
+        let lanes = |from: usize| (0..4).map(move |lane| from + 16 * lane..from + 16 * lane + 16);
+        // The header's kind and corr: its other fields fail their own
+        // checks before the CRC is reached.
+        let ranges = std::iter::once(5..14)
+            .chain(lanes(0).skip(1))
+            .chain(lanes(FRAME_HEADER))
+            .chain([body / 2..body / 2 + 16, body - 13..body]);
+        for (seed, range) in ranges.enumerate() {
+            let bit = range.start * 8 + splitmix64(seed as u64) as usize % (range.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
+            let decoded = Frame::decode(&wire);
+            assert!(
+                matches!(decoded, Err(NetError::BadCrc)),
+                "decode, bit {bit}"
+            );
+            let read = read_frame(&mut &wire[..]);
+            assert!(
+                matches!(read, Err(NetError::BadCrc)),
+                "read_frame, bit {bit}"
+            );
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(Frame::decode(&wire).is_ok() && read_frame(&mut &wire[..]).is_ok());
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let f = Frame::new(2, 9, b"cut short".to_vec());
         let clean = f.encode();

@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use worlds::{AltBlock, AltError, ElimMode, Executor, Speculation};
+use worlds_obs::prof::{mark, mark_always, mark_idle, Phase, Sampler, SamplerConfig};
 use worlds_obs::{Event, EventKind, EventSink, Registry};
-use worlds_prof::{mark, mark_always, mark_idle, Phase, Sampler, SamplerConfig};
 use worlds_telemetry::TelemetryHub;
 
 /// Nanoseconds per call over `iters` alternating marker transitions.
@@ -165,6 +165,9 @@ fn sampler_overhead(pairs: usize, blocks: usize, pool: &Executor) -> Overhead {
 
 struct WedgeResult {
     stall_events: u64,
+    /// The registry's own fold of the same stream: its `prof` counters.
+    registry_stalls: u64,
+    cpu_samples: u64,
     dump_lines: u64,
     dump_replayable: bool,
     waited_ns: u64,
@@ -240,8 +243,11 @@ fn wedge_smoke(dump_path: &std::path::Path) -> WedgeResult {
             Err(_) => dump_replayable = false,
         }
     }
+    let prof = &obs.stats().expect("registry is enabled").prof;
     WedgeResult {
         stall_events,
+        registry_stalls: prof.stalls.get(),
+        cpu_samples: prof.cpu_samples.get(),
         dump_lines,
         dump_replayable,
         waited_ns,
@@ -311,6 +317,11 @@ fn main() {
         wedge.stall_events, 1,
         "one wedge must emit exactly one Stall"
     );
+    assert_eq!(
+        wedge.registry_stalls, wedge.stall_events,
+        "the registry counts the stall the hub saw"
+    );
+    assert!(wedge.cpu_samples > 0, "the wedged guard was sampled");
     assert!(wedge.dump_lines > 0, "stall dump must not be empty");
     assert!(wedge.dump_replayable, "stall dump must replay");
 

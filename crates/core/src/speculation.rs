@@ -140,7 +140,7 @@ impl Speculation {
     pub fn with_obs(page_size: usize, obs: Registry) -> Self {
         // WORLDS_PROF=1 gets a sampler without bespoke wiring: the first
         // session's registry receives the flushes.
-        worlds_prof::autostart_from_env(&obs);
+        worlds_obs::prof::autostart_from_env(&obs);
         let store = PageStore::with_obs(page_size, obs);
         store.set_dedupe(env::flag(env::DEDUPE));
         let root_world = store.create_world();
@@ -398,11 +398,11 @@ impl Speculation {
                 } else {
                     // Refine the executor's bare `Task` marker: this thread
                     // is now a specific alternative in a specific world.
-                    worlds_prof::mark(
+                    worlds_obs::prof::mark(
                         Some(world.raw()),
                         site,
                         Some(i as u64),
-                        worlds_prof::Phase::Guard,
+                        worlds_obs::prof::Phase::Guard,
                     );
                     let decision = shared.decision().clone();
                     let mut ctx = WorldCtx::new(fs, world, pid, preds, decision, trace);
@@ -459,7 +459,7 @@ impl Speculation {
         }
 
         // A nested caller's own (Guard) marker is put back at the end.
-        let outer_mark = worlds_prof::current_mark();
+        let outer_mark = worlds_obs::prof::current_mark();
         // Help first: the siblings are queued, so rather than park in
         // alt_wait this thread runs the first alternative itself, then,
         // if the block has no deadline for a sibling to overrun, takes
@@ -473,11 +473,11 @@ impl Speculation {
             }
         }
         // From here the parent is off-CPU by intent while the rest race.
-        worlds_prof::mark(
+        worlds_obs::prof::mark(
             Some(parent_world.raw()),
             site,
             None,
-            worlds_prof::Phase::Wait,
+            worlds_obs::prof::Phase::Wait,
         );
         // alt_wait(TIMEOUT): the first on-time success decides, every
         // report failing decides, or the deadline does. Each report is
@@ -593,11 +593,11 @@ impl Speculation {
             for &i in &withdrawn {
                 alt_runs[i].status = AltRunStatus::Failed(AltError::Cancelled.to_string());
             }
-            worlds_prof::mark(
+            worlds_obs::prof::mark(
                 Some(parent_world.raw()),
                 site,
                 None,
-                worlds_prof::Phase::Elim,
+                worlds_obs::prof::Phase::Elim,
             );
             // One batched drop (a single recycler acquisition).
             self.store.drop_worlds(&losers);
@@ -643,7 +643,7 @@ impl Speculation {
             obs.flush();
         }
 
-        worlds_prof::restore_mark(outer_mark);
+        worlds_obs::prof::restore_mark(outer_mark);
 
         RunReport {
             outcome,
@@ -659,11 +659,11 @@ impl Speculation {
     /// replacement.
     fn commit(&self, parent_world: WorldId, world: WorldId, dirty_pages: u64, site: Option<u64>) {
         let obs = self.store.obs();
-        worlds_prof::mark(
+        worlds_obs::prof::mark(
             Some(parent_world.raw()),
             site,
             None,
-            worlds_prof::Phase::Commit,
+            worlds_obs::prof::Phase::Commit,
         );
         let adopt_start = Instant::now();
         self.store
@@ -1071,6 +1071,17 @@ mod tests {
         assert!(
             s.kernel.guard_fail.get() >= 2,
             "pre-spawn + runtime failures"
+        );
+        assert!(s.kernel.guard_pass.get() >= 1, "the winner's guard passed");
+        assert_eq!(
+            s.commit_latency.snapshot().count,
+            1,
+            "one commit overhead per commit"
+        );
+        assert_eq!(
+            s.elim_latency.snapshot().count,
+            s.kernel.eliminations_sync.get(),
+            "one elimination overhead per synchronous elimination"
         );
         assert!(
             s.pagestore.page_copies.get() >= 1,

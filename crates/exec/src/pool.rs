@@ -351,7 +351,7 @@ fn worker_loop(inner: Arc<Inner>) {
             // between back-to-back tasks the next pickup overwrites the
             // slot anyway, and skipping the flip halves the marker tax on
             // a saturated worker.
-            worlds_prof::mark(None, None, None, worlds_prof::Phase::Task);
+            worlds_obs::prof::mark(None, None, None, worlds_obs::prof::Phase::Task);
             // A panicking task must not take its worker down with it.
             let _ = catch_unwind(AssertUnwindSafe(run));
             // Not under the lock: this may be the registry's last handle.
@@ -372,7 +372,7 @@ fn worker_loop(inner: Arc<Inner>) {
         // Out of work: retire the last task's marker before blocking so
         // neither the sampler nor the stall watchdog attributes the wait
         // to a task that already finished.
-        worlds_prof::mark_idle();
+        worlds_obs::prof::mark_idle();
         st.parked.push(me.clone());
         drop(st);
         let deadline = Instant::now() + LINGER;

@@ -197,13 +197,13 @@ fn reaper_loop(inner: Arc<Inner>) {
         };
 
         // One `drop_worlds` call per run of worlds that share a store.
-        worlds_prof::mark(None, None, None, worlds_prof::Phase::Reap);
+        worlds_obs::prof::mark(None, None, None, worlds_obs::prof::Phase::Reap);
         for run in batch.chunk_by(|a, b| a.0.same_store(&b.0)) {
             let ids: Vec<WorldId> = run.iter().map(|&(_, w)| w).collect();
             reap(&run[0].0, &ids);
         }
 
-        worlds_prof::mark_idle();
+        worlds_obs::prof::mark_idle();
         {
             let mut st = inner.state.lock().unwrap();
             st.reaping = false;

@@ -14,7 +14,7 @@
 //! Those numbers become [`CostModel`] parameters, so simulated experiments
 //! reproduce the measured cost *structure* exactly.
 
-use crate::time::VirtualTime;
+use crate::VirtualTime;
 
 /// Cost parameters of a simulated machine.
 #[derive(Debug, Clone, PartialEq)]

@@ -45,7 +45,6 @@ mod machine;
 mod report;
 mod spec;
 mod split;
-mod time;
 mod trace;
 
 pub use costs::CostModel;
@@ -53,5 +52,5 @@ pub use machine::Machine;
 pub use report::{AltOutcome, AltStatus, Outcome, SimReport};
 pub use spec::{AltSpec, BlockSpec, ElimMode, GuardPlacement, Segment};
 pub use split::{Delivered, SplitKernel, SplitProcess};
-pub use time::VirtualTime;
 pub use trace::{Trace, TraceEvent};
+pub use worlds_obs::VirtualTime;

@@ -10,8 +10,8 @@ use worlds_pagestore::{PageStore, WorldId};
 use crate::costs::CostModel;
 use crate::report::{AltOutcome, AltStatus, Outcome, SimReport};
 use crate::spec::{AltSpec, BlockSpec, ElimMode, GuardPlacement, Segment};
-use crate::time::VirtualTime;
 use crate::trace::{Trace, TraceEvent};
+use crate::VirtualTime;
 
 /// A compiled unit of work for one process.
 #[derive(Debug, Clone, Copy)]
@@ -144,12 +144,12 @@ impl Machine {
         // The whole simulation is real CPU on the calling thread; stamp
         // the transitions so the sampler attributes it (and the watchdog
         // sees progress between blocks).
-        let outer_mark = worlds_prof::current_mark();
-        worlds_prof::mark(
+        let outer_mark = worlds_obs::prof::current_mark();
+        worlds_obs::prof::mark(
             Some(parent_world.raw()),
             None,
             None,
-            worlds_prof::Phase::Task,
+            worlds_obs::prof::Phase::Task,
         );
         for vpn in 0..spec.shared_pages {
             self.store
@@ -386,11 +386,11 @@ impl Machine {
         let outcome = if let Some(w) = winner {
             let dirty = per_proc_dirty[w];
             commit_overhead = self.cost.rendezvous.as_ns() + dirty * self.cost.commit_copy.as_ns();
-            worlds_prof::mark(
+            worlds_obs::prof::mark(
                 Some(parent_world.raw()),
                 None,
                 None,
-                worlds_prof::Phase::Commit,
+                worlds_obs::prof::Phase::Commit,
             );
             // Adopt the winner's world into the parent: the atomic page-map
             // replacement of §2.2.
@@ -671,7 +671,7 @@ impl Machine {
             }
         }
 
-        worlds_prof::restore_mark(outer_mark);
+        worlds_obs::prof::restore_mark(outer_mark);
         let report = SimReport {
             outcome,
             wall: VirtualTime(now),

@@ -1,6 +1,6 @@
 //! Results of a simulated alternative block.
 
-use crate::time::VirtualTime;
+use crate::VirtualTime;
 
 /// How one alternative ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,7 +7,7 @@
 //! how the paper's analysis treats alternatives — as opaque computations
 //! with a time `τ(Cᵢ, λ)` and a footprint.
 
-use crate::time::VirtualTime;
+use crate::VirtualTime;
 
 /// One step of an alternative's execution.
 #[derive(Debug, Clone, PartialEq)]

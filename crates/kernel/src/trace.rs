@@ -13,7 +13,7 @@
 //! such as passing guard verdicts or bookkeeping eliminations of worlds
 //! that already self-aborted).
 
-use crate::time::VirtualTime;
+use crate::VirtualTime;
 use worlds_obs::{Event as ObsEvent, EventKind};
 
 /// One event in a block's execution history.

@@ -218,6 +218,9 @@ proptest! {
         prop_assert!(s.kernel.commits.get() <= s.kernel.rendezvous.get());
         prop_assert!(s.kernel.commits.get() <= 1, "one block commits at most once");
         prop_assert!(spawned <= alts.len() as u64);
+        if timeout_step == 0 {
+            prop_assert_eq!(s.kernel.timeouts.get(), 0, "no deadline, no timeout");
+        }
         match elim {
             ElimMode::Sync => prop_assert_eq!(s.kernel.eliminations_async.get(), 0),
             ElimMode::Async => prop_assert_eq!(s.kernel.eliminations_sync.get(), 0),

@@ -13,8 +13,8 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
+use worlds_obs::prof::render_folded_events;
 use worlds_obs::{fmt_ns, site_label_or_anon, Event, EventKind};
-use worlds_prof::render_folded_events;
 
 fn usage() -> ! {
     eprintln!("usage: worlds-prof <capture.jsonl> [--out <path>] [--summary]");

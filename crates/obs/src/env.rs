@@ -7,9 +7,9 @@
 //! | `WORLDS_OBS_JSONL` | path | none | [`Registry::from_env`](crate::Registry::from_env) (a set path alone enables the registry) | same CI step; README, EXPERIMENTS.md |
 //! | `WORLDS_FLIGHT_DUMP` | path | none | the `flight_recorder` example (where its panic dump lands) | CI *Forced panic leaves a replayable flight dump*; EXPERIMENTS.md |
 //! | `WORLDS_FLIGHT_DIR` | path | working directory | `worlds_telemetry::flight_dir` | the flight-dir unit test |
-//! | `WORLDS_PROF` | flag | off | `worlds_prof::autostart_from_env` | CI *Sampled bench-exec leaves parseable folded stacks*; EXPERIMENTS.md |
-//! | `WORLDS_PROF_HZ` | number | 997, clamped to 1..=100 000 | `worlds_prof::SamplerConfig::from_env` | same CI step |
-//! | `WORLDS_PROF_FOLDED` | path | none | `worlds_prof::SamplerConfig::from_env` | same CI step |
+//! | `WORLDS_PROF` | flag | off | [`prof::autostart_from_env`](crate::prof::autostart_from_env) | CI *Sampled bench-exec leaves parseable folded stacks* and *A recorded race replays into folded stacks*; EXPERIMENTS.md |
+//! | `WORLDS_PROF_HZ` | number | 997, clamped to 1..=100 000 | [`prof::SamplerConfig::from_env`](crate::prof::SamplerConfig::from_env) | same CI steps |
+//! | `WORLDS_PROF_FOLDED` | path | none | [`prof::SamplerConfig::from_env`](crate::prof::SamplerConfig::from_env) | CI *Sampled bench-exec leaves parseable folded stacks* |
 //! | `WORLDS_EXEC_THREADS` | number | available cores; 0 counts as unset | the global `worlds_exec::Executor` | DESIGN.md *The block executor* |
 //! | `WORLDS_DEDUPE` | flag | off | `Speculation::with_obs` and `Machine::with_obs` (arm the content index) | EXPERIMENTS.md |
 //! | `WORLDS_NET_CACHE_BYTES` | number | 64 MiB | `worlds_remote::DeltaCache::default` | DESIGN.md *The content index*; EXPERIMENTS.md |

@@ -67,10 +67,6 @@ pub enum EventKind {
     /// [`EventKind::CowCopy`]/[`EventKind::ZeroFill`], so the
     /// `frames_resident` gauge stays pure event arithmetic.
     FrameDedup { vpn: u64, bytes: u64 },
-    /// An in-place write retracted a sealed frame's content-index entry
-    /// (the first mutation after a seal). Downstream dedupe probes skip
-    /// this frame until it is resealed.
-    PageHashSkip { vpn: u64 },
     /// The remote-fork replica/base cache evicted `bytes` of pinned base
     /// state for node `node` to stay inside its byte budget.
     NetCacheEvict { node: u64, bytes: u64 },
@@ -195,7 +191,6 @@ impl EventKind {
             EventKind::ZeroFill { .. } => "zero_fill",
             EventKind::FrameFree { .. } => "frame_free",
             EventKind::FrameDedup { .. } => "frame_dedup",
-            EventKind::PageHashSkip { .. } => "page_hash_skip",
             EventKind::NetCacheEvict { .. } => "net_cache_evict",
             EventKind::Checkpoint { .. } => "checkpoint",
             EventKind::MsgAccept => "msg_accept",
@@ -310,7 +305,6 @@ impl Event {
                 push_field(&mut s, "vpn", *vpn);
                 push_field(&mut s, "bytes", *bytes);
             }
-            EventKind::PageHashSkip { vpn } => push_field(&mut s, "vpn", *vpn),
             EventKind::NetCacheEvict { node, bytes } => {
                 push_field(&mut s, "node", *node);
                 push_field(&mut s, "bytes", *bytes);
@@ -478,9 +472,6 @@ impl Event {
             "frame_dedup" => EventKind::FrameDedup {
                 vpn: fields.u64_field("vpn")?,
                 bytes: fields.u64_field("bytes")?,
-            },
-            "page_hash_skip" => EventKind::PageHashSkip {
-                vpn: fields.u64_field("vpn")?,
             },
             "net_cache_evict" => EventKind::NetCacheEvict {
                 node: fields.u64_field("node")?,
@@ -773,7 +764,6 @@ mod tests {
                 vpn: 42,
                 bytes: 4096,
             },
-            EventKind::PageHashSkip { vpn: 42 },
             EventKind::NetCacheEvict {
                 node: 2,
                 bytes: 131_072,

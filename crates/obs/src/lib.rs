@@ -5,8 +5,12 @@
 //! `Option` that is `None`: every instrumentation site is one branch and
 //! no event is ever constructed. Enabled, each lifecycle moment becomes
 //! an [`Event`] that is folded into lock-free [`RunStats`] and fanned
-//! out to pluggable [`EventSink`]s — an in-memory ring for tests, a
-//! JSONL stream for offline analysis.
+//! out to pluggable [`EventSink`]s — an in-memory ring ([`RingSink`],
+//! for tests and the telemetry hub's flight recorder), a JSONL stream
+//! for offline analysis.
+//!
+//! The sampling profiler ([`prof`]) lives here too: it attributes
+//! on-CPU time through the same event stream.
 //!
 //! ```
 //! use worlds_obs::{Event, EventKind, Registry};
@@ -21,10 +25,12 @@
 pub mod env;
 mod event;
 mod metrics;
+pub mod prof;
 mod report;
 mod sink;
 pub mod site;
 pub mod span;
+mod time;
 pub mod trace_export;
 
 pub use event::{Event, EventKind, ParseError};
@@ -36,6 +42,7 @@ pub use report::{
 pub use sink::{EventSink, JsonlSink, RingSink};
 pub use site::{learn_site_label, site_id, site_label, site_label_or_anon, SiteId};
 pub use span::{SpanOutcome, SpanTree, TraceCtx, WorldSpan};
+pub use time::VirtualTime;
 pub use trace_export::{chrome_trace_json, validate_json};
 
 use std::sync::Arc;

@@ -7,10 +7,10 @@
 //! ([`render_folded_tables`]) and a replayed JSONL capture's `cpu`
 //! flush events ([`render_folded_events`]).
 
-use crate::marker::{Phase, NO_SITE, NO_WORLD};
-use crate::sampler::SampleTables;
+use super::marker::{Phase, NO_SITE, NO_WORLD};
+use super::sampler::SampleTables;
+use crate::{site_label_or_anon, Event, EventKind};
 use std::collections::BTreeMap;
-use worlds_obs::{site_label_or_anon, Event, EventKind};
 
 fn site_frame(site: u64) -> String {
     if site == NO_SITE {
@@ -92,8 +92,8 @@ pub fn parse_folded_line(line: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::marker::NO_ALT;
-    use crate::sampler::SampleKey;
+    use crate::prof::marker::NO_ALT;
+    use crate::prof::sampler::SampleKey;
 
     #[test]
     fn tables_fold_and_parse() {

@@ -436,7 +436,7 @@ mod tests {
     fn retired_slots_are_reused() {
         // A short-lived thread's slot index must return to the free
         // list and be handed to the next registering thread.
-        let _serial = crate::test_serial();
+        let _serial = crate::prof::test_serial();
         acquire_reader();
         std::thread::spawn(|| mark(Some(1), None, None, Phase::Task))
             .join()
@@ -454,7 +454,7 @@ mod tests {
     fn mark_is_gated_on_readers() {
         // With no reader this thread must not register a slot. Run in a
         // fresh thread so other tests' thread-locals can't interfere.
-        let _serial = crate::test_serial();
+        let _serial = crate::prof::test_serial();
         std::thread::spawn(|| {
             let slots_before = live_slots().len();
             mark(Some(9), None, None, Phase::Guard);

@@ -1,8 +1,7 @@
-//! worlds-prof: an always-on sampling profiler for the speculation
-//! substrate.
+//! The always-on sampling profiler for the speculation substrate.
 //!
 //! Wall-clock numbers lie on time-sliced hosts: a guard that *waited*
-//! looks as expensive as one that *computed*. This crate recovers
+//! looks as expensive as one that *computed*. This module recovers
 //! on-CPU truth statistically, with three pieces:
 //!
 //! * **Markers** ([`marker`]): each worker thread publishes its current
@@ -37,8 +36,8 @@ pub use sampler::{
     SampleKey, SampleTables, Sampler, SamplerConfig, StallHook, StallInfo, DEFAULT_HZ,
 };
 
+use crate::{env, Registry};
 use std::sync::{Mutex, OnceLock};
-use worlds_obs::{env, Registry};
 
 /// The process-global sampler slot. `None` once decided against.
 static GLOBAL: OnceLock<Option<Mutex<Sampler>>> = OnceLock::new();

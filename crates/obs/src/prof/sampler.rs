@@ -10,13 +10,13 @@
 //! concurrency property test pins that invariant under eight hammering
 //! workers.
 
-use crate::marker::{self, MarkerSample, Phase, NO_ALT, NO_SITE, NO_WORLD};
+use super::marker::{self, MarkerSample, Phase, NO_ALT, NO_SITE, NO_WORLD};
+use crate::{env, Event, EventKind, Registry};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use worlds_obs::{env, Event, EventKind, Registry};
 
 /// Default sampling rate. Prime, so the sampler never phase-locks with
 /// millisecond-periodic work and systematically over- or under-samples
@@ -202,7 +202,7 @@ impl Sampler {
 
     /// Cumulative folded stacks (`site;world;phase count`).
     pub fn folded(&self) -> String {
-        crate::fold::render_folded_tables(&self.tables())
+        super::fold::render_folded_tables(&self.tables())
     }
 
     /// Estimated on-CPU nanoseconds per sample at the configured rate.
@@ -465,7 +465,7 @@ fn flush(
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        let _ = std::fs::write(path, crate::fold::render_folded_tables(&tables));
+        let _ = std::fs::write(path, super::fold::render_folded_tables(&tables));
     }
 }
 
@@ -484,7 +484,7 @@ mod tests {
 
     #[test]
     fn samples_are_conserved_across_tables() {
-        let _serial = crate::test_serial();
+        let _serial = crate::prof::test_serial();
         let (obs, _ring) = Registry::with_ring(4096);
         let mut sampler = Sampler::start(fast_config(), obs, None);
         let stop = Arc::new(AtomicBool::new(false));
@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn flush_emits_cpu_and_util_events() {
-        let _serial = crate::test_serial();
+        let _serial = crate::prof::test_serial();
         let (obs, ring) = Registry::with_ring(4096);
         let mut sampler = Sampler::start(fast_config(), obs, None);
         let stop = Arc::new(AtomicBool::new(false));
@@ -560,7 +560,7 @@ mod tests {
 
     #[test]
     fn wedge_fires_exactly_one_stall_and_one_dump() {
-        let _serial = crate::test_serial();
+        let _serial = crate::prof::test_serial();
         let (obs, ring) = Registry::with_ring(4096);
         let dumps = Arc::new(AtomicU64::new(0));
         let hook_dumps = dumps.clone();
@@ -619,7 +619,7 @@ mod tests {
 
     #[test]
     fn stall_clears_when_marker_advances() {
-        let _serial = crate::test_serial();
+        let _serial = crate::prof::test_serial();
         let (obs, ring) = Registry::with_ring(1024);
         let config = SamplerConfig {
             hz: 2000,

@@ -46,8 +46,6 @@ counter_struct! {
         pub frames_freed,
         /// Checkpoint images written.
         pub checkpoints,
-        /// Total checkpoint image bytes.
-        pub checkpoint_bytes,
     }
 }
 
@@ -59,14 +57,8 @@ counter_struct! {
     pub struct DedupCounters {
         /// Commits that re-shared an existing identical frame.
         pub frames_deduped,
-        /// Bytes those hits avoided materialising.
-        pub bytes_saved,
-        /// Content-index entries retracted by in-place writes.
-        pub hash_skips,
         /// Remote-fork base-cache evictions (byte budget pressure).
         pub cache_evictions,
-        /// Bytes of pinned base state those evictions released.
-        pub cache_evict_bytes,
     }
 }
 
@@ -81,8 +73,6 @@ counter_struct! {
         pub ignores,
         /// Messages that split the receiver into two worlds.
         pub splits,
-        /// Accepting copies forked by those splits.
-        pub split_spawns,
     }
 }
 
@@ -110,12 +100,8 @@ counter_struct! {
     pub struct NetCounters {
         /// Request frames put on the wire (every attempt counts).
         pub frames_sent,
-        /// Reply frames received.
-        pub frames_received,
         /// Bytes on the wire outbound (frame headers + checksums included).
         pub wire_bytes_sent,
-        /// Bytes on the wire inbound.
-        pub wire_bytes_received,
         /// Requests re-sent after a timeout or connection error.
         pub retries,
         /// Request deadlines missed.
@@ -129,15 +115,13 @@ counter_struct! {
 }
 
 counter_struct! {
-    /// Sampling profiler (worlds-prof). Event-derived from the flush
-    /// stream, so JSONL replay reconstructs it; the summary omits the
-    /// section when no samples were recorded, keeping replays of
+    /// Sampling profiler ([`crate::prof`]). Event-derived from the
+    /// flush stream, so JSONL replay reconstructs it; the summary omits
+    /// the section when no samples were recorded, keeping replays of
     /// pre-prof captures byte-identical.
     pub struct ProfCounters {
         /// Marker samples attributed to a world (flush-event sum).
         pub cpu_samples,
-        /// Estimated on-CPU nanoseconds (`samples * period_ns` summed).
-        pub est_cpu_ns,
         /// Stall watchdog firings.
         pub stalls,
     }
@@ -193,7 +177,7 @@ pub struct RunStats {
     pub remote: RemoteCounters,
     /// worlds-net wire counters (event-derived, see [`NetCounters`]).
     pub net: NetCounters,
-    /// worlds-prof sampler counters (event-derived, see [`ProfCounters`]).
+    /// Profiler sampler counters (event-derived, see [`ProfCounters`]).
     pub prof: ProfCounters,
     /// worlds-exec pool/reaper counters (live-only, see [`ExecCounters`]).
     pub exec: ExecCounters,
@@ -263,27 +247,16 @@ impl RunStats {
             // A dedupe commit re-shares a frame that is already resident,
             // so it deliberately does NOT touch `frames_resident` — only
             // CowCopy/ZeroFill/FrameFree move the gauge.
-            EventKind::FrameDedup { bytes, .. } => {
-                self.dedupe.frames_deduped.incr();
-                self.dedupe.bytes_saved.add(*bytes);
-            }
-            EventKind::PageHashSkip { .. } => self.dedupe.hash_skips.incr(),
-            EventKind::NetCacheEvict { bytes, .. } => {
-                self.dedupe.cache_evictions.incr();
-                self.dedupe.cache_evict_bytes.add(*bytes);
-            }
-            EventKind::Checkpoint {
-                bytes, duration_ns, ..
-            } => {
+            EventKind::FrameDedup { .. } => self.dedupe.frames_deduped.incr(),
+            EventKind::NetCacheEvict { .. } => self.dedupe.cache_evictions.incr(),
+            EventKind::Checkpoint { duration_ns, .. } => {
                 self.pagestore.checkpoints.incr();
-                self.pagestore.checkpoint_bytes.add(*bytes);
                 self.checkpoint_duration.record(*duration_ns);
             }
             EventKind::MsgAccept => self.ipc.accepts.incr(),
             EventKind::MsgExtend => self.ipc.extends.incr(),
             EventKind::MsgIgnore => self.ipc.ignores.incr(),
             EventKind::MsgSplit => self.ipc.splits.incr(),
-            EventKind::SplitSpawn => self.ipc.split_spawns.incr(),
             EventKind::RemoteFork { .. } => self.remote.rforks.incr(),
             EventKind::RpcSend {
                 bytes, latency_ns, ..
@@ -298,26 +271,19 @@ impl RunStats {
                 self.net.frames_sent.incr();
                 self.net.wire_bytes_sent.add(*bytes);
             }
-            EventKind::NetRecv { bytes, rtt_ns, .. } => {
-                self.net.frames_received.incr();
-                self.net.wire_bytes_received.add(*bytes);
-                self.net_rtt.record(*rtt_ns);
-            }
+            EventKind::NetRecv { rtt_ns, .. } => self.net_rtt.record(*rtt_ns),
             EventKind::NetRetry { .. } => self.net.retries.incr(),
             EventKind::NetTimeout { .. } => self.net.timeouts.incr(),
             // The per-reason breakdown lives in the `--net` table (it is
             // per node+code); the summary carries only the total.
             EventKind::NetNack { .. } => self.net.nacks.incr(),
-            EventKind::CpuSamples {
-                samples, period_ns, ..
-            } => {
-                self.prof.cpu_samples.add(*samples);
-                self.prof.est_cpu_ns.add(samples.saturating_mul(*period_ns));
-            }
+            EventKind::CpuSamples { samples, .. } => self.prof.cpu_samples.add(*samples),
             EventKind::Stall { .. } => self.prof.stalls.incr(),
             // Utilization is a per-worker level, not a run counter; the
-            // trace export renders it, the summary does not.
-            EventKind::WorkerUtil { .. } => {}
+            // trace export renders it, the summary does not. A split's
+            // accepting copy is a span edge (span.rs), counted by the
+            // `splits` that made it.
+            EventKind::WorkerUtil { .. } | EventKind::SplitSpawn => {}
             // Capture provenance, not a run metric: absorbing it would
             // make new captures aggregate differently from old ones.
             EventKind::Meta { .. } | EventKind::SiteLabel { .. } => {}
@@ -475,7 +441,6 @@ mod tests {
             vpn: 3,
             bytes: 4096,
         }));
-        s.absorb(&ev(EventKind::PageHashSkip { vpn: 3 }));
         s.absorb(&ev(EventKind::NetCacheEvict {
             node: 1,
             bytes: 8192,
@@ -524,14 +489,10 @@ mod tests {
             "one CoW + one zero-fill - one free; dedupe does not move it"
         );
         assert_eq!(s.dedupe.frames_deduped.get(), 1);
-        assert_eq!(s.dedupe.bytes_saved.get(), 4096);
-        assert_eq!(s.dedupe.hash_skips.get(), 1);
         assert_eq!(s.dedupe.cache_evictions.get(), 1);
-        assert_eq!(s.dedupe.cache_evict_bytes.get(), 8192);
         assert_eq!(s.net.nacks.get(), 1);
         assert_eq!(s.pagestore.checkpoints.get(), 1);
-        assert_eq!(s.ipc.snapshot().iter().map(|(_, v)| v).sum::<u64>(), 5);
-        assert_eq!(s.ipc.split_spawns.get(), 1);
+        assert_eq!(s.ipc.snapshot().iter().map(|(_, v)| v).sum::<u64>(), 4);
         assert_eq!(s.remote.rforks.get(), 1);
         assert_eq!(s.remote.rpc_sends.get(), 1);
         assert_eq!(s.remote.rpc_retries.get(), 1);
@@ -617,7 +578,7 @@ mod tests {
             bytes: 4096,
         }));
         let text = s.render_summary();
-        for needle in ["[dedupe]", "frames_deduped", "bytes_saved"] {
+        for needle in ["[dedupe]", "frames_deduped", "cache_evictions"] {
             assert!(text.contains(needle), "summary missing {needle}:\n{text}");
         }
     }

@@ -548,7 +548,7 @@ impl SpanTree {
                 });
                 span.end_ns = span.end_ns.max(vt);
             }
-            EventKind::FrameFree { .. } | EventKind::PageHashSkip { .. } => {
+            EventKind::FrameFree { .. } => {
                 // Frame accounting has no per-world span meaning (the
                 // freeing world is often already closed).
             }

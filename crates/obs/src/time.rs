@@ -1,4 +1,6 @@
-//! Virtual time.
+//! Virtual time: the simulator's clock and the unit of every event's
+//! `vt` stamp. `worlds-kernel` re-exports it, so the simulator and the
+//! distributed cluster share one type without depending on each other.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -91,7 +91,7 @@ pub struct StoreStats {
     /// Bytes those dedupe hits avoided materialising (hits × page size).
     pub bytes_deduped: u64,
     /// Content-index entries retracted by in-place writes (the first
-    /// mutation after a seal — `page_hash_skip` events).
+    /// mutation after a seal).
     pub hash_invalidations: u64,
     /// Recycler (free list + buffer pool) mutex acquisitions — the cost
     /// batched elimination amortizes.

@@ -242,11 +242,8 @@ struct Shard {
 enum Committed {
     /// The page was already private; bytes written in place.
     /// `invalidated` records that the mutation retracted the frame's
-    /// content-index entry (a `page_hash_skip`).
-    InPlace {
-        parent: Option<u64>,
-        invalidated: bool,
-    },
+    /// content-index entry.
+    InPlace { invalidated: bool },
     /// A demand-zero page was materialised — or, with `deduped`, the
     /// would-be zero-fill re-shared an existing identical frame.
     ZeroFill { parent: Option<u64>, deduped: bool },
@@ -629,10 +626,7 @@ impl PageStore {
             return None;
         }
         let invalidated = self.frames.write_if_private(frame, offset, data, seal)?;
-        Some(Committed::InPlace {
-            parent: w.parent(),
-            invalidated,
-        })
+        Some(Committed::InPlace { invalidated })
     }
 
     /// Build the page a copying write will install: `base`'s bytes (zeroes
@@ -717,15 +711,9 @@ impl PageStore {
     /// and emit events, with every lock already released.
     fn note_write(&self, world: WorldId, vpn: Vpn, committed: Committed) {
         match committed {
-            Committed::InPlace {
-                parent,
-                invalidated,
-            } => {
+            Committed::InPlace { invalidated } => {
                 if invalidated {
                     self.stats.hash_invalidations.incr();
-                    self.obs.emit(|| {
-                        Event::new(EventKind::PageHashSkip { vpn }, world.0, parent, self.vt())
-                    });
                 }
             }
             Committed::ZeroFill { parent, deduped } => {
@@ -1749,7 +1737,11 @@ mod tests {
             EventKind::FrameFree { frames: 1 },
             "dropping the child frees exactly its private copy"
         );
-        let gauge = obs.stats().unwrap().frames_resident.get();
+        let stats = obs.stats().unwrap();
+        assert_eq!(stats.pagestore.zero_fills.get(), 1);
+        assert_eq!(stats.pagestore.bytes_copied.get(), 64, "one 64-byte page");
+        assert_eq!(stats.pagestore.frames_freed.get(), 1);
+        let gauge = stats.frames_resident.get();
         assert_eq!(gauge as usize, s.live_frames());
         // Replaying the same events reconstructs the same gauge.
         let replayed = worlds_obs::replay(events.iter());

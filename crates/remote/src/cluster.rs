@@ -1,8 +1,7 @@
 //! Nodes and remote forking.
 
-use worlds_kernel::VirtualTime;
 use worlds_net::FaultSchedule;
-use worlds_obs::{Event as ObsEvent, EventKind, Registry};
+use worlds_obs::{Event as ObsEvent, EventKind, Registry, VirtualTime};
 use worlds_pagestore::{
     checkpoint, checkpoint_content, delta_manifest, PageStore, PageStoreError, WorldId,
 };
@@ -884,6 +883,12 @@ mod tests {
         // Node stores share the registry: the replica's checkpoint and
         // write traffic is visible too.
         assert!(stats.pagestore.checkpoints.get() >= 1);
+        assert_eq!(
+            stats.checkpoint_duration.snapshot().count,
+            stats.pagestore.checkpoints.get(),
+            "one duration per checkpoint"
+        );
+        assert_eq!(stats.remote.rforks.get(), 1);
         assert!(stats.rpc_latency.snapshot().count >= 2);
     }
 
@@ -1079,6 +1084,11 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e.kind, EventKind::NetCacheEvict { node: 1, .. })),
             "eviction is observable"
+        );
+        assert_eq!(
+            c.obs().stats().unwrap().dedupe.cache_evictions.get(),
+            c.net_cache_stats().0,
+            "and counted once per eviction"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Network cost model for inter-node transfers.
 
-use worlds_kernel::VirtualTime;
+use worlds_obs::VirtualTime;
 
 /// Latency + bandwidth model: a transfer of `n` bytes costs
 /// `latency + n / bandwidth`.

@@ -1,6 +1,6 @@
 //! Distributed alternative blocks: speculation across nodes.
 
-use worlds_kernel::VirtualTime;
+use worlds_obs::VirtualTime;
 use worlds_pagestore::PageStoreError;
 
 use crate::cluster::{Cluster, NodeId, RemoteWorld};

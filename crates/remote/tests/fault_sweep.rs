@@ -8,9 +8,8 @@
 //! applied twice — the stores performed exactly the forks, writes and
 //! adoptions of the clean run.
 
-use worlds_kernel::VirtualTime;
 use worlds_net::{FaultKind, FaultSchedule};
-use worlds_obs::{EventKind, Registry};
+use worlds_obs::{EventKind, Registry, VirtualTime};
 use worlds_pagestore::StoreStats;
 use worlds_remote::{run_distributed_block, Cluster, DistAlt, DistOutcome, NetModel, NodeId};
 

@@ -4,9 +4,8 @@
 //! or without faults, because both wires consult one [`FaultSchedule`]
 //! under one op numbering.
 
-use worlds_kernel::VirtualTime;
 use worlds_net::{FaultKind, FaultSchedule};
-use worlds_obs::{EventKind, Registry};
+use worlds_obs::{EventKind, Registry, VirtualTime};
 use worlds_remote::{run_distributed_block, Cluster, DistAlt, DistOutcome, NetModel, NodeId};
 
 const PAGE: usize = 256;

@@ -1,5 +1,5 @@
 //! `worlds-report` — replay a JSONL event stream into the summary table
-//! and the worlds-trace analyses, or watch a live telemetry endpoint.
+//! and the worlds-trace analyses. `worlds-top` is the live viewer.
 //!
 //! ```text
 //! worlds-report run.jsonl                  # summary table from a file
@@ -10,8 +10,6 @@
 //! worlds-report --dedupe run.jsonl         # + per-world dedupe residency
 //! worlds-report --cpu run.jsonl            # + per-world CPU attribution
 //! worlds-report --trace-out t.json run.jsonl  # + Chrome trace for Perfetto
-//! worlds-report --live 127.0.0.1:4200      # refreshing cluster tables
-//! worlds-report --live ADDR --once         # one snapshot, then exit
 //! ```
 //!
 //! Replays every event through the same [`RunStats`] mapping the live
@@ -29,13 +27,12 @@
 use std::io::{BufRead, BufReader, Read, Write};
 
 use worlds_obs::{chrome_trace_json, Event, EventKind, Histogram, RunStats, SpanTree};
-use worlds_telemetry::{query_table, render_cluster};
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1).collect()));
 }
 
-const USAGE: &str = "usage: worlds-report [--critical-path] [--waste] [--net] [--dedupe] [--cpu] [--trace-out FILE] [<events.jsonl> | -]\n       worlds-report --live ADDR [--once] [--interval MS]";
+const USAGE: &str = "usage: worlds-report [--critical-path] [--waste] [--net] [--dedupe] [--cpu] [--trace-out FILE] [<events.jsonl> | -]";
 
 struct Options {
     path: String,
@@ -45,9 +42,6 @@ struct Options {
     dedupe: bool,
     cpu: bool,
     trace_out: Option<String>,
-    live: Option<String>,
-    once: bool,
-    interval_ms: u64,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Options, String> {
@@ -59,9 +53,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         dedupe: false,
         cpu: false,
         trace_out: None,
-        live: None,
-        once: false,
-        interval_ms: 1000,
     };
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -77,20 +68,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                     it.next()
                         .ok_or_else(|| "--trace-out needs a file argument".to_string())?,
                 );
-            }
-            "--live" => {
-                opts.live = Some(
-                    it.next()
-                        .ok_or_else(|| "--live needs an ADDR argument".to_string())?,
-                );
-            }
-            "--once" => opts.once = true,
-            "--interval" => {
-                opts.interval_ms = it
-                    .next()
-                    .ok_or_else(|| "--interval needs a millisecond argument".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--interval: {e}"))?;
             }
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--") => {
@@ -118,9 +95,6 @@ fn run(args: Vec<String>) -> i32 {
             return 2;
         }
     };
-    if let Some(addr) = &opts.live {
-        return run_live(addr, opts.once, opts.interval_ms);
-    }
     let reader: Box<dyn Read> = if opts.path == "-" {
         Box::new(std::io::stdin())
     } else {
@@ -271,38 +245,6 @@ fn run(args: Vec<String>) -> i32 {
         return 1;
     }
     0
-}
-
-/// `--live`: poll the telemetry endpoint and render the cluster tables,
-/// once or on an interval.
-fn run_live(addr: &str, once: bool, interval_ms: u64) -> i32 {
-    let addr: std::net::SocketAddr = match addr.parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("worlds-report: --live {addr}: {e}");
-            return 2;
-        }
-    };
-    loop {
-        match query_table(addr) {
-            Ok(table) => {
-                if !once {
-                    // ANSI clear + home, like any other top.
-                    print!("\x1b[2J\x1b[H");
-                }
-                print!("{}", render_cluster(&table));
-                let _ = std::io::stdout().flush();
-            }
-            Err(e) => {
-                eprintln!("worlds-report: query {addr}: {e}");
-                return 1;
-            }
-        }
-        if once {
-            return 0;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
-    }
 }
 
 /// The `--cpu` table: profiler samples attributed per world, wall vs

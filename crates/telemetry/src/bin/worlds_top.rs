@@ -1,4 +1,5 @@
-//! `worlds-top` — a refreshing terminal view of a live cluster.
+//! `worlds-top` — a refreshing terminal view of a live cluster: the
+//! one live viewer.
 //!
 //! ```text
 //! worlds-top 127.0.0.1:4200                # refresh every second
@@ -15,8 +16,7 @@
 //! front door instead: each refresh shows one row per admitted session
 //! (tenant name, lineage parent, live worlds, resident frames, vt
 //! budget burn-down, rejections, fair-queue depth). Each refresh is
-//! one `Telemetry` query over the worlds-net framed wire; the cluster
-//! tables are the same ones `worlds-report --live` prints.
+//! one `Telemetry` query over the worlds-net framed wire.
 
 use std::io::Write;
 use worlds_telemetry::{

@@ -1,11 +1,11 @@
-//! The flight recorder: an always-on bounded ring of recent events.
+//! The flight recorder's dump paths.
 //!
 //! Post-mortems usually start after the interesting part: the JSONL
-//! sink nobody enabled, the panic message with no context. The flight
-//! recorder keeps the last N events (default 4096) in a fixed ring at
-//! all times, cheap enough to leave on, and dumps them — oldest first,
-//! one JSON object per line, `Meta` provenance stamped at the head —
-//! when something goes wrong:
+//! sink nobody enabled, the panic message with no context. Every
+//! [`TelemetryHub`] keeps the last 4 096 events in a
+//! [`RingSink`](worlds_obs::RingSink) at all times, cheap enough to
+//! leave on, and dumps them — oldest first, one JSON object per line,
+//! `Meta` provenance stamped at the head — when something goes wrong:
 //!
 //! * [`install_panic_dump`] chains onto the panic hook;
 //! * [`install_sigusr1_dump`] (unix) dumps on `SIGUSR1`, so a wedged
@@ -18,20 +18,13 @@
 //! `<path>.rollups.json` sidecar with the hub's windowed rates and PI
 //! table at dump time — the "what was it doing" to the ring's "what
 //! happened".
-//!
-//! The ring is a vector of slot mutexes plus one atomic cursor.
-//! Writers `fetch_add` the cursor and overwrite their slot; each lock
-//! is uncontended unless two writers collide on the same slot a full
-//! lap apart. Readers walk the last `capacity` indices, so a dump
-//! taken while writers are active can miss or double-count the events
-//! in flight at the boundary — the usual snapshot contract.
 
 use crate::TelemetryHub;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-use worlds_obs::{env, Event, EventKind};
+#[cfg(unix)]
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+use worlds_obs::env;
 
 /// The directory flight dumps land in: `WORLDS_FLIGHT_DIR` when set
 /// (created on demand), the process working directory otherwise. An
@@ -62,92 +55,6 @@ pub fn flight_path(name: impl AsRef<Path>) -> PathBuf {
         name.to_path_buf()
     } else {
         flight_dir().join(name)
-    }
-}
-
-/// The bounded event ring. Usually owned by a
-/// [`TelemetryHub`](crate::TelemetryHub); standalone use is fine too.
-pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<Event>>>,
-    /// Total events ever recorded; `cursor % capacity` is the next slot.
-    cursor: AtomicU64,
-}
-
-impl FlightRecorder {
-    /// A ring holding the last `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever recorded (≥ what the ring still holds).
-    pub fn recorded(&self) -> u64 {
-        self.cursor.load(Relaxed)
-    }
-
-    /// Record one event, evicting the oldest when full.
-    #[inline]
-    pub fn record_event(&self, ev: &Event) {
-        let idx = self.cursor.fetch_add(1, Relaxed) as usize % self.slots.len();
-        *self.slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(ev.clone());
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        let cur = self.cursor.load(Relaxed);
-        let start = cur.saturating_sub(self.slots.len() as u64);
-        (start..cur)
-            .filter_map(|i| {
-                self.slots[i as usize % self.slots.len()]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone()
-            })
-            .collect()
-    }
-
-    /// Write the retained events as JSONL to `w`, headed by a `Meta`
-    /// provenance line. Returns the number of event lines written
-    /// (Meta included).
-    pub fn dump_to<W: Write>(&self, w: &mut W) -> std::io::Result<usize> {
-        let meta = Event::new(
-            EventKind::Meta {
-                effective_cores: worlds_obs::effective_cores(),
-            },
-            0,
-            None,
-            0,
-        );
-        let mut lines = 1;
-        writeln!(w, "{}", meta.to_json())?;
-        let events = self.events();
-        // Site ids are process-local, and the ring has usually aged out
-        // the stream's original site_label lines — re-describe the
-        // sites the retained events mention, so dumps stay renderable
-        // in any process.
-        let mut sites: Vec<u64> = events.iter().filter_map(|ev| ev.kind.site()).collect();
-        sites.sort_unstable();
-        sites.dedup();
-        for site in sites {
-            if let Some(label) = worlds_obs::site_label(site) {
-                let ev = Event::new(EventKind::SiteLabel { site, label }, 0, None, 0);
-                writeln!(w, "{}", ev.to_json())?;
-                lines += 1;
-            }
-        }
-        for ev in events {
-            writeln!(w, "{}", ev.to_json())?;
-            lines += 1;
-        }
-        w.flush()?;
-        Ok(lines)
     }
 }
 
@@ -225,7 +132,7 @@ impl TelemetryHub {
 /// no sampler is live. Per-world rows are sorted so successive dumps
 /// diff cleanly.
 fn prof_tables_json() -> String {
-    let Some(t) = worlds_prof::global_tables() else {
+    let Some(t) = worlds_obs::prof::global_tables() else {
         return "null".into();
     };
     let mut s = format!(
@@ -323,34 +230,7 @@ pub fn install_sigusr1_dump(hub: &Arc<TelemetryHub>, path: impl Into<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(world: u64, wall_ns: u64) -> Event {
-        let mut e = Event::new(EventKind::Spawn { alt: 0 }, world, None, 0);
-        e.wall_ns = wall_ns;
-        e
-    }
-
-    #[test]
-    fn ring_evicts_oldest_first() {
-        let ring = FlightRecorder::new(4);
-        for w in 0..10u64 {
-            ring.record_event(&ev(w, w));
-        }
-        let got: Vec<u64> = ring.events().iter().map(|e| e.world).collect();
-        assert_eq!(got, vec![6, 7, 8, 9], "last 4, oldest first");
-        assert_eq!(ring.recorded(), 10);
-        assert_eq!(ring.capacity(), 4);
-    }
-
-    #[test]
-    fn partial_ring_keeps_order() {
-        let ring = FlightRecorder::new(8);
-        for w in 0..3u64 {
-            ring.record_event(&ev(w, w));
-        }
-        let got: Vec<u64> = ring.events().iter().map(|e| e.world).collect();
-        assert_eq!(got, vec![0, 1, 2]);
-    }
+    use worlds_obs::{Event, EventKind};
 
     #[test]
     fn rollups_sidecar_is_valid_json_with_prof_fields() {
@@ -392,28 +272,5 @@ mod tests {
         // No global sampler in this test process slot: prof is null or
         // a table, both valid — the key must exist either way.
         assert!(json.contains("\"prof\":"), "{json}");
-    }
-
-    #[test]
-    fn dump_is_meta_headed_parseable_jsonl() {
-        let ring = FlightRecorder::new(4);
-        for w in 0..6u64 {
-            ring.record_event(&ev(w, w * 10));
-        }
-        let mut buf = Vec::new();
-        let lines = ring.dump_to(&mut buf).unwrap();
-        assert_eq!(lines, 5, "meta + 4 retained events");
-        let text = String::from_utf8(buf).unwrap();
-        let parsed: Vec<Event> = text
-            .lines()
-            .map(|l| Event::from_json(l).expect("every dumped line parses"))
-            .collect();
-        assert!(matches!(parsed[0].kind, EventKind::Meta { .. }));
-        let worlds: Vec<u64> = parsed[1..].iter().map(|e| e.world).collect();
-        assert_eq!(
-            worlds,
-            vec![2, 3, 4, 5],
-            "truncated to the newest, in order"
-        );
     }
 }

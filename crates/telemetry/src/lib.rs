@@ -12,15 +12,16 @@
 //!   durations (per alternative) and commit/elimination overhead,
 //!   yielding live estimates of the paper's `Rμ`, `Ro` and
 //!   `PI = Rμ/(1+Ro)` per speculation site (§3.3, Figures 3–4).
-//! * [`FlightRecorder`] — an always-on bounded ring of recent events,
+//! * The flight recorder — every hub keeps its last 4 096 events in a
+//!   [`RingSink`](worlds_obs::RingSink), `worlds-obs`'s one event ring,
 //!   dumped to worlds-report-compatible JSONL by a panic hook
 //!   ([`install_panic_dump`]), on `SIGUSR1`
 //!   ([`install_sigusr1_dump`]), or on demand.
 //! * [`Collector`] / [`Exporter`] — cluster export: each node streams
 //!   its rollup snapshot over the `worlds-net` framed wire
-//!   (`Request::Telemetry`) to a collector; `worlds-top` and
-//!   `worlds-report --live` render the merged per-node / per-site
-//!   tables over TCP.
+//!   (`Request::Telemetry`) to a collector; `worlds-top`, the live
+//!   viewer, renders the merged per-node / per-site tables over TCP.
+//!   `worlds-report` replays captures and dumps offline.
 //!
 //! The division of labour with `worlds-obs` is strict: obs owns the
 //! event vocabulary and the lock-free metric primitives; this crate
@@ -50,12 +51,12 @@ pub use collect::{
     install_node_handler, node_report, query_sessions, query_table, Collector, Exporter,
     COLLECTOR_NODE_ID,
 };
-pub use flight::{flight_dir, flight_path, install_panic_dump, FlightRecorder};
+pub use flight::{flight_dir, flight_path, install_panic_dump};
 pub use pi::{AltSnapshot, SiteSnapshot, SiteStats, MAX_ALTS, MAX_SITES};
 pub use render::{
     render_cluster, render_cluster_json, render_sessions, render_sessions_json, render_sites,
 };
-pub use rollup::{Gauges, Rates, TelemetryConfig, TelemetryHub};
+pub use rollup::{Gauges, Rates, TelemetryHub};
 pub use wire::{
     decode_session_table, encode_session_table, encode_sessions_query, AltReport, NodeReport,
     SessionReport, SiteReport, TelemetryMsg, MSG_SESSIONS,

@@ -1,5 +1,5 @@
-//! Terminal tables for the live telemetry plane, shared by
-//! `worlds-top` and `worlds-report --live`.
+//! Terminal tables for the live telemetry plane, rendered by
+//! `worlds-top`.
 
 use crate::wire::{NodeReport, SessionReport};
 use worlds_obs::fmt_ns;

@@ -4,9 +4,10 @@
 //! emits lands here once, inline, and is folded into three lock-free
 //! structures:
 //!
-//! * **Slot rollups** — a ring of time slots (default 8 × 250ms). Each
-//!   slot is a block of relaxed atomic counters tagged with the epoch
-//!   (`wall_ns / slot_ns`) it belongs to; writers rotate a stale slot
+//! * **Slot rollups** — a ring of [`SLOTS`] time slots of [`SLOT_NS`]
+//!   (8 × 250 ms, a 2 s window). Each slot is a block of relaxed
+//!   atomic counters tagged with the epoch (`wall_ns / SLOT_NS`) it
+//!   belongs to; writers rotate a stale slot
 //!   by CAS-ing its epoch forward and zeroing the counters. [`Rates`]
 //!   sums the slots still inside the window — a sliding-window rate
 //!   with bounded staleness (one slot), no replay, no locks.
@@ -14,7 +15,11 @@
 //!   and the frames-resident level, giving [`Gauges`] (live worlds,
 //!   frames, elimination backlog) as pure event arithmetic.
 //! * **Per-site statistics** — [`SiteStats`](crate::SiteStats) decay
-//!   histograms feeding the `Rμ`/`Ro`/`PI` table.
+//!   histograms feeding the `Rμ`/`Ro`/`PI` table, halved once per
+//!   [`DECAY_INTERVAL_NS`] (1 s) of event time.
+//!
+//! Beside them the hub keeps the flight recorder: a
+//! [`RingSink`] of the last [`FLIGHT_CAPACITY`] events.
 //!
 //! Time is *event time*: the hub's "now" is the largest `wall_ns` it
 //! has seen, so rollups replay deterministically from a JSONL stream
@@ -28,10 +33,9 @@
 //! few events, which rate snapshots tolerate (same contract as
 //! histogram snapshots).
 
-use crate::flight::FlightRecorder;
 use crate::pi::{SiteSnapshot, SiteStats};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use worlds_obs::{Counter, Event, EventKind, EventSink, Gauge};
+use worlds_obs::{Counter, Event, EventKind, EventSink, Gauge, RingSink};
 
 /// Per-slot counter indices. One cache-friendly block of `u64`s per
 /// slot instead of named fields, so rotation is a short loop.
@@ -51,33 +55,18 @@ mod c {
     pub const N: usize = 12;
 }
 
-/// Shape of the hub: window geometry, decay clock, flight capacity.
-#[derive(Debug, Clone, Copy)]
-pub struct TelemetryConfig {
-    /// Width of one rollup slot in event-time nanoseconds.
-    pub slot_ns: u64,
-    /// Number of slots in the sliding window.
-    pub slots: usize,
-    /// Flight-recorder ring capacity (events).
-    pub flight_capacity: usize,
-    /// Event-time interval between half-life steps of the per-site
-    /// decay histograms.
-    pub decay_interval_ns: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            slot_ns: 250_000_000,
-            slots: 8,
-            flight_capacity: 4096,
-            decay_interval_ns: 1_000_000_000,
-        }
-    }
-}
+/// Width of one rollup slot in event-time nanoseconds.
+const SLOT_NS: u64 = 250_000_000;
+/// Number of slots in the sliding window.
+const SLOTS: usize = 8;
+/// Flight-recorder ring capacity (events).
+const FLIGHT_CAPACITY: usize = 4096;
+/// Event-time interval between half-life steps of the per-site decay
+/// histograms.
+const DECAY_INTERVAL_NS: u64 = 1_000_000_000;
 
 struct Slot {
-    /// `wall_ns / slot_ns` of the data currently in the counters.
+    /// `wall_ns / SLOT_NS` of the data currently in the counters.
     epoch: AtomicU64,
     counts: [AtomicU64; c::N],
 }
@@ -137,8 +126,7 @@ pub struct Gauges {
 /// The live rollup hub. Construct one, wrap it in an `Arc`, and hand
 /// it to [`worlds_obs::Registry::with_sinks`].
 pub struct TelemetryHub {
-    cfg: TelemetryConfig,
-    slots: Vec<Slot>,
+    slots: [Slot; SLOTS],
     /// Largest `wall_ns` seen — the hub's "now".
     max_wall: AtomicU64,
     /// Event time of the last decay step.
@@ -154,28 +142,15 @@ pub struct TelemetryHub {
     stalls: Counter,
     frames: Gauge,
     sites: SiteStats,
-    flight: FlightRecorder,
+    flight: RingSink,
     /// `effective_cores` from the last Meta event, 0 before one.
     meta_cores: AtomicU64,
 }
 
 impl Default for TelemetryHub {
     fn default() -> Self {
-        TelemetryHub::new(TelemetryConfig::default())
-    }
-}
-
-impl TelemetryHub {
-    /// A hub with the given window geometry.
-    pub fn new(cfg: TelemetryConfig) -> TelemetryHub {
-        let cfg = TelemetryConfig {
-            slot_ns: cfg.slot_ns.max(1),
-            slots: cfg.slots.max(1),
-            ..cfg
-        };
         TelemetryHub {
-            slots: (0..cfg.slots).map(|_| Slot::new()).collect(),
-            cfg,
+            slots: std::array::from_fn(|_| Slot::new()),
             max_wall: AtomicU64::new(0),
             last_decay: AtomicU64::new(0),
             spawns: Counter::new(),
@@ -187,16 +162,13 @@ impl TelemetryHub {
             stalls: Counter::new(),
             frames: Gauge::new(),
             sites: SiteStats::new(),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: RingSink::new(FLIGHT_CAPACITY),
             meta_cores: AtomicU64::new(0),
         }
     }
+}
 
-    /// The geometry this hub was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
+impl TelemetryHub {
     /// The hub's current event time (largest `wall_ns` seen).
     pub fn now_ns(&self) -> u64 {
         self.max_wall.load(Relaxed)
@@ -211,7 +183,7 @@ impl TelemetryHub {
     }
 
     /// The always-on ring of recent events.
-    pub fn flight(&self) -> &FlightRecorder {
+    pub fn flight(&self) -> &RingSink {
         &self.flight
     }
 
@@ -223,7 +195,7 @@ impl TelemetryHub {
     /// Fold one event in. This is the hot path; see the module docs for
     /// its cost budget.
     pub fn absorb(&self, ev: &Event) {
-        self.flight.record_event(ev);
+        self.flight.record(ev);
         let wall = ev.wall_ns;
         self.max_wall.fetch_max(wall, Relaxed);
         let slot = self.slot_for(wall);
@@ -324,8 +296,8 @@ impl TelemetryHub {
     /// The slot for `wall_ns`, rotated forward if it still holds an
     /// older epoch.
     fn slot_for(&self, wall_ns: u64) -> &Slot {
-        let epoch = wall_ns / self.cfg.slot_ns;
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
+        let epoch = wall_ns / SLOT_NS;
+        let slot = &self.slots[(epoch % SLOTS as u64) as usize];
         let cur = slot.epoch.load(Relaxed);
         if cur != epoch
             && cur < epoch
@@ -344,8 +316,8 @@ impl TelemetryHub {
     /// Sliding-window rates as of the hub's event time.
     pub fn rates(&self) -> Rates {
         let now = self.max_wall.load(Relaxed);
-        let now_epoch = now / self.cfg.slot_ns;
-        let lo = now_epoch.saturating_sub(self.slots.len() as u64 - 1);
+        let now_epoch = now / SLOT_NS;
+        let lo = now_epoch.saturating_sub(SLOTS as u64 - 1);
         let mut sums = [0u64; c::N];
         for slot in &self.slots {
             let epoch = slot.epoch.load(Relaxed);
@@ -355,7 +327,7 @@ impl TelemetryHub {
                 }
             }
         }
-        let window_ns = now.saturating_sub(lo * self.cfg.slot_ns).max(1);
+        let window_ns = now.saturating_sub(lo * SLOT_NS).max(1);
         let per_s = |n: u64| n as f64 * 1e9 / window_ns as f64;
         Rates {
             window_ns,
@@ -420,10 +392,9 @@ impl TelemetryHub {
     }
 
     /// The per-site `Rμ`/`Ro`/`PI` table, advancing the decay clock
-    /// first. Reads drive decay: the histograms halve once per
-    /// `decay_interval_ns` of *event time* elapsed since the last step,
-    /// so an idle stream stops decaying and a replayed one decays
-    /// identically.
+    /// first. Reads drive decay: the histograms halve once per second
+    /// of *event time* elapsed since the last step, so an idle stream
+    /// stops decaying and a replayed one decays identically.
     pub fn site_table(&self) -> Vec<SiteSnapshot> {
         self.maybe_decay();
         self.sites.snapshot()
@@ -432,7 +403,7 @@ impl TelemetryHub {
     fn maybe_decay(&self) {
         let now = self.max_wall.load(Relaxed);
         let last = self.last_decay.load(Relaxed);
-        if now.saturating_sub(last) >= self.cfg.decay_interval_ns
+        if now.saturating_sub(last) >= DECAY_INTERVAL_NS
             && self
                 .last_decay
                 .compare_exchange(last, now, Relaxed, Relaxed)
@@ -459,25 +430,18 @@ mod tests {
         ev
     }
 
-    fn hub_ms(slot_ms: u64, slots: usize) -> TelemetryHub {
-        TelemetryHub::new(TelemetryConfig {
-            slot_ns: slot_ms * 1_000_000,
-            slots,
-            ..TelemetryConfig::default()
-        })
-    }
-
     #[test]
     fn rates_cover_only_the_window() {
-        let hub = hub_ms(10, 4);
-        // 100 spawns in the first 10ms slot, then silence until 1s.
+        let hub = TelemetryHub::default();
+        // 100 spawns in the first 10ms of the first slot, then silence
+        // for five windows.
         for i in 0..100u64 {
             hub.absorb(&at(EventKind::Spawn { alt: 0 }, i * 100_000));
         }
         let early = hub.rates();
         assert!(early.spawns_s > 0.0);
         // An event far in the future rotates the window past the burst.
-        hub.absorb(&at(EventKind::Rendezvous, 1_000_000_000));
+        hub.absorb(&at(EventKind::Rendezvous, 5 * SLOTS as u64 * SLOT_NS));
         let late = hub.rates();
         assert_eq!(late.spawns_s, 0.0, "burst fell out of the window: {late:?}");
         assert!(late.events_s > 0.0, "the rendezvous itself is in-window");
@@ -635,10 +599,7 @@ mod tests {
 
     #[test]
     fn decay_is_event_time_driven() {
-        let hub = TelemetryHub::new(TelemetryConfig {
-            decay_interval_ns: 1000,
-            ..TelemetryConfig::default()
-        });
+        let hub = TelemetryHub::default();
         let site = worlds_obs::site_id("rollup-test/decay").0;
         for i in 0..8u64 {
             hub.absorb(&at(
@@ -658,8 +619,9 @@ mod tests {
             .map(|s| s.alts.iter().map(|a| a.count).sum())
             .unwrap();
         assert_eq!(before, 8);
-        // Advance event time past the decay interval and read again.
-        hub.absorb(&at(EventKind::Rendezvous, 5000));
+        // Advance event time past one decay interval (but not two) and
+        // read again.
+        hub.absorb(&at(EventKind::Rendezvous, DECAY_INTERVAL_NS * 3 / 2));
         let after: u64 = hub
             .site_table()
             .iter()

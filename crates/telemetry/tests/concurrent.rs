@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use std::thread;
-use worlds_obs::{Event, EventKind, Histogram, HistogramSnapshot, Registry, RunStats};
-use worlds_telemetry::{FlightRecorder, TelemetryConfig, TelemetryHub};
+use worlds_obs::{Event, EventKind, EventSink, Histogram, HistogramSnapshot, RingSink, RunStats};
+use worlds_telemetry::TelemetryHub;
 
 fn ev(kind: EventKind, world: u64, wall_ns: u64) -> Event {
     let mut e = Event::new(kind, world, Some(0), 0);
@@ -53,39 +53,32 @@ fn sharded_histogram_snapshots_merge_to_full_stream() {
 
 #[test]
 fn hub_totals_survive_concurrent_emitters() {
-    // Many threads emit through one registry into one hub; lifetime
-    // counters must land exactly, and the in-window rollup must agree
-    // with a single-threaded replay of the same event multiset.
+    // Many threads record into one hub; lifetime counters must land
+    // exactly, and the in-window rollup must agree with a
+    // single-threaded replay of the same event multiset.
     const WRITERS: u64 = 8;
     const PER_WRITER: u64 = 5_000;
-    let hub = Arc::new(TelemetryHub::new(TelemetryConfig {
-        // One huge slot so every event stays in-window: the concurrent
-        // sum is then exactly comparable to the serial replay.
-        slot_ns: u64::MAX / 16,
-        slots: 4,
-        ..TelemetryConfig::default()
-    }));
-    let obs = Registry::with_sinks(vec![hub.clone()]);
+    let hub = Arc::new(TelemetryHub::default());
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let obs = obs.clone();
+            let hub = hub.clone();
             thread::spawn(move || {
                 for i in 0..PER_WRITER {
                     let world = w * PER_WRITER + i;
-                    obs.emit(|| Event::new(EventKind::Spawn { alt: w }, world, Some(0), 0));
-                    obs.emit(|| {
-                        Event::new(
-                            EventKind::GuardVerdict {
-                                pass: true,
-                                duration_ns: 100 + w * 50,
-                                alt: Some(w % 4),
-                                site: Some(0),
-                            },
-                            world,
-                            Some(0),
-                            0,
-                        )
-                    });
+                    // Every event at wall_ns 0, so every event lands in
+                    // one slot: the concurrent sum is then exactly
+                    // comparable to the serial replay.
+                    hub.record(&ev(EventKind::Spawn { alt: w }, world, 0));
+                    hub.record(&ev(
+                        EventKind::GuardVerdict {
+                            pass: true,
+                            duration_ns: 100 + w * 50,
+                            alt: Some(w % 4),
+                            site: Some(0),
+                        },
+                        world,
+                        0,
+                    ));
                 }
             })
         })
@@ -93,11 +86,7 @@ fn hub_totals_survive_concurrent_emitters() {
     for h in handles {
         h.join().unwrap();
     }
-    let replay = TelemetryHub::new(TelemetryConfig {
-        slot_ns: u64::MAX / 16,
-        slots: 4,
-        ..TelemetryConfig::default()
-    });
+    let replay = TelemetryHub::default();
     for w in 0..WRITERS {
         for i in 0..PER_WRITER {
             replay.absorb(&ev(EventKind::Spawn { alt: w }, w * PER_WRITER + i, 0));
@@ -113,6 +102,7 @@ fn hub_totals_survive_concurrent_emitters() {
             ));
         }
     }
+    assert_eq!(hub.rates(), replay.rates(), "one slot, same sums");
     assert_eq!(hub.gauges(), replay.gauges());
     assert_eq!(
         hub.gauges().live_worlds,
@@ -133,13 +123,13 @@ fn flight_ring_truncates_under_concurrent_writers() {
     const CAP: usize = 256;
     const WRITERS: u64 = 4;
     const PER_WRITER: u64 = 2_000;
-    let ring = Arc::new(FlightRecorder::new(CAP));
+    let ring = Arc::new(RingSink::new(CAP));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let ring = ring.clone();
             thread::spawn(move || {
                 for i in 0..PER_WRITER {
-                    ring.record_event(&ev(EventKind::Rendezvous, w * PER_WRITER + i, i));
+                    ring.record(&ev(EventKind::Rendezvous, w * PER_WRITER + i, i));
                 }
             })
         })

@@ -138,7 +138,7 @@ fn main() {
 
     // The live telemetry plane: one hub fed by every demo's registry, an
     // exporter pushing it to a collector, the collector queryable by
-    // worlds-top / worlds-report --live while the run holds.
+    // worlds-top while the run holds.
     let plane = if telemetry {
         let hub = Arc::new(TelemetryHub::default());
         let collector = Collector::start(worlds_obs::Registry::disabled())

@@ -167,29 +167,6 @@ pub fn elimination_cost_best_of(n: usize, rounds: usize) -> io::Result<(Duration
     Ok((best_sync, best_async))
 }
 
-/// Build a simulator [`worlds::sim::CostModel`] calibrated from *this
-/// host's* live measurements — the bridge that lets the virtual-time
-/// experiments answer "what would the paper's tables look like on my
-/// machine?". CPU count comes from the OS; fork and page-copy costs from
-/// the §3.4 measurement kit; elimination costs from a best-of-3 run.
-pub fn calibrated_cost_model() -> io::Result<worlds::sim::CostModel> {
-    use worlds::sim::{CostModel, VirtualTime};
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let fork = fork_latency(320 * 1024, 20)?;
-    let rate = page_copy_rate(512, 4096)?;
-    let (elim_sync, elim_async) = elimination_cost_best_of(16, 3)?;
-    let mut m = CostModel::modern(cpus);
-    m.name = "this host (live-calibrated)";
-    m.page_size = 4096;
-    m.fork = VirtualTime::from_secs(fork.as_secs_f64());
-    m.page_copy = VirtualTime::from_secs(1.0 / rate.max(1.0));
-    m.elim_sync = VirtualTime::from_secs(elim_sync.as_secs_f64() / 16.0);
-    m.elim_async = VirtualTime::from_secs(elim_async.as_secs_f64() / 16.0);
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,17 +210,6 @@ mod tests {
             sync < Duration::from_millis(500),
             "elimination should be fast"
         );
-    }
-
-    #[test]
-    fn calibrated_model_is_sane() {
-        let m = calibrated_cost_model().unwrap();
-        assert!(m.cpus >= 1);
-        assert!(m.fork.as_ns() > 0);
-        assert!(m.page_copy.as_ns() > 0);
-        // A 2026 kernel beats the paper's 1989 numbers at everything.
-        assert!(m.fork < worlds::sim::CostModel::hp9000_350().fork);
-        assert!(m.page_copy_rate() > 1034.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! accepts, ignores, and full receiver world-splits with COW state.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use worlds_ipc::{classify, Message, Network};
+use worlds::ipc::{classify, Message, Network};
+use worlds::{Pid, PredicateSet};
 use worlds_kernel::SplitKernel;
-use worlds_predicate::{Pid, PredicateSet};
 
 fn bench_classify(c: &mut Criterion) {
     let mut g = c.benchmark_group("ipc_classify");

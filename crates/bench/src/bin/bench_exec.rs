@@ -5,7 +5,7 @@
 //! * **Block throughput** — the same speculation workload (3-alternative
 //!   blocks, synchronous elimination) driven through the pooled executor
 //!   and through the old thread-per-alternative dispatcher
-//!   ([`ExecMode::ThreadPerAlt`]). In both modes the calling thread runs
+//!   ([`Speculation::with_thread_per_alt`]). In both modes the calling thread runs
 //!   the first alternative itself, so a block dispatches N−1 = 2: pool
 //!   tasks in one, fresh OS threads in the other. The pooled number
 //!   should win: a dispatch costs a queue push instead of OS thread
@@ -23,7 +23,7 @@
 //! cargo run --release -p worlds-bench --bin bench-exec [out.json] [--smoke]
 //! ```
 //!
-//! [`ExecMode::ThreadPerAlt`]: worlds::ExecMode
+//! [`Speculation::with_thread_per_alt`]: worlds::Speculation::with_thread_per_alt
 
 use std::time::Instant;
 

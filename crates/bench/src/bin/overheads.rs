@@ -128,7 +128,7 @@ fn main() {
     #[cfg(unix)]
     {
         use worlds_kernel::{AltSpec, BlockSpec, Machine};
-        match worlds_apps::os::measure::calibrated_cost_model() {
+        match worlds_bench::measured::calibrated_cost_model() {
             Ok(model) => {
                 println!("\nthis host as a calibrated cost model:");
                 println!(

@@ -6,7 +6,7 @@
 //! performance improvement is that the different algorithms should
 //! perform well at different and unpredictable points in the input; the
 //! best case is where at each input where one or more algorithms perform
-//! badly, they have at least [a] counterpart which performs well."
+//! badly, they have at least \[a\] counterpart which performs well."
 //!
 //! The experiment: three synthetic algorithm families over a 1-D input
 //! domain, from perfectly complementary to fully dominated, each swept

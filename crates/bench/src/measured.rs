@@ -1,6 +1,8 @@
 //! *Measured* figure series: drive the virtual-time simulator with
 //! workloads tuned to each target `Rμ`/`Ro` and read `PI` off the
-//! resulting reports, to be overlaid on the closed-form curves.
+//! resulting reports, to be overlaid on the closed-form curves. Also the
+//! simulator cost model of this host, calibrated from live `fork(2)`
+//! measurements.
 
 use worlds_analysis::stats::times_with_r_mu;
 use worlds_analysis::FigPoint;
@@ -73,6 +75,31 @@ pub fn fig4_measured(r_mu: f64, r_o_min: f64, r_o_max: f64, steps: usize) -> Vec
         .collect()
 }
 
+/// Build a simulator [`CostModel`] calibrated from *this host's* live
+/// measurements — the bridge that lets the virtual-time experiments
+/// answer "what would the paper's tables look like on my machine?". CPU
+/// count comes from the OS; fork and page-copy costs from the §3.4
+/// measurement kit ([`worlds_apps::os::measure`]); elimination costs from
+/// a best-of-3 run.
+#[cfg(unix)]
+pub fn calibrated_cost_model() -> std::io::Result<CostModel> {
+    use worlds_apps::os::measure::{elimination_cost_best_of, fork_latency, page_copy_rate};
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let fork = fork_latency(320 * 1024, 20)?;
+    let rate = page_copy_rate(512, 4096)?;
+    let (elim_sync, elim_async) = elimination_cost_best_of(16, 3)?;
+    let mut m = CostModel::modern(cpus);
+    m.name = "this host (live-calibrated)";
+    m.page_size = 4096;
+    m.fork = VirtualTime::from_secs(fork.as_secs_f64());
+    m.page_copy = VirtualTime::from_secs(1.0 / rate.max(1.0));
+    m.elim_sync = VirtualTime::from_secs(elim_sync.as_secs_f64() / 16.0);
+    m.elim_async = VirtualTime::from_secs(elim_async.as_secs_f64() / 16.0);
+    Ok(m)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,5 +142,17 @@ mod tests {
         let above: Vec<&FigPoint> = pts.iter().filter(|p| p.x > 1.55).collect();
         assert!(below.iter().all(|p| p.pi < 1.0));
         assert!(above.iter().all(|p| p.pi > 1.0));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn calibrated_model_is_sane() {
+        let m = calibrated_cost_model().unwrap();
+        assert!(m.cpus >= 1);
+        assert!(m.fork.as_ns() > 0);
+        assert!(m.page_copy.as_ns() > 0);
+        // A 2026 kernel beats the paper's 1989 numbers at everything.
+        assert!(m.fork < CostModel::hp9000_350().fork);
+        assert!(m.page_copy_rate() > 1034.0);
     }
 }

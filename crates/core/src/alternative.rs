@@ -86,9 +86,9 @@ impl<T> std::fmt::Debug for Alternative<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::{Pid, PredicateSet};
     use crate::word::Decision;
     use worlds_pagestore::{FileSystem, PageStore};
-    use worlds_predicate::{Pid, PredicateSet};
 
     fn ctx() -> WorldCtx {
         let store = PageStore::new(256);

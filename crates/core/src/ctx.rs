@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use worlds_obs::TraceCtx;
 use worlds_pagestore::{FileSystem, PageStoreError, WorldId};
-use worlds_predicate::{Pid, PredicateSet};
 
 use crate::error::AltError;
+use crate::predicate::{Pid, PredicateSet};
 use crate::word::Decision;
 
 /// An alternative's view of the system: private COW state, deferred
@@ -67,12 +67,12 @@ impl WorldCtx {
     }
 
     /// The trace context for causal edges that leave this world: attach
-    /// it to outbound [`worlds_ipc::Message`]s (via `with_trace`) so the
+    /// it to outbound [`Message`]s (via `with_trace`) so the
     /// receiver's events join this run's span tree instead of starting
     /// an orphan root. `root` is the session's root world; `world` is
     /// this alternative's own world.
     ///
-    /// [`worlds_ipc::Message`]: https://docs.rs/worlds
+    /// [`Message`]: crate::ipc::Message
     pub fn trace_ctx(&self) -> TraceCtx {
         self.trace
     }

@@ -10,9 +10,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use worlds_predicate::Pid;
 
-use crate::message::{Message, MsgId};
+use super::message::{Message, MsgId};
+use crate::predicate::Pid;
 
 /// One receiver's pending-message queue, in arrival order.
 #[derive(Debug, Default)]
@@ -131,7 +131,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use worlds_predicate::PredicateSet;
+    use crate::predicate::PredicateSet;
 
     fn msg(src: u64, dst: u64, body: &str) -> Message {
         Message::new(Pid(src), Pid(dst), PredicateSet::empty(), body)

@@ -17,7 +17,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use worlds_predicate::PredicateSet;
+
+use crate::predicate::PredicateSet;
 
 /// Error from a source-device operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,7 +153,7 @@ impl<D: SourceDevice> BufferedSource<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use worlds_predicate::Pid;
+    use crate::predicate::Pid;
 
     #[test]
     fn teletype_accepts_resolved_worlds() {

@@ -1,7 +1,8 @@
 //! The three-part message structure of §2.4.1.
 
 use worlds_obs::TraceCtx;
-use worlds_predicate::{Pid, PredicateSet};
+
+use crate::predicate::{Pid, PredicateSet};
 
 /// Per-network unique message identifier (also the global send order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -1,4 +1,4 @@
-//! # worlds-ipc — predicated interprocess communication
+//! Predicated interprocess communication.
 //!
 //! §2.1 of the paper fixes the system model: "Interprocess communication is
 //! accomplished solely through passing messages", reliable (no loss, no
@@ -13,11 +13,11 @@
 //!   accepting under `complete(sender)`, one rejecting under
 //!   `¬complete(sender)`.
 //!
-//! This crate provides:
+//! This module provides:
 //!
 //! * [`Message`] — the paper's three-part structure (sending predicate,
 //!   data, control information);
-//! * [`Network`] — a reliable-FIFO transport between [`Pid`]s;
+//! * [`Network`] — a reliable-FIFO transport between [`Pid`](crate::Pid)s;
 //! * [`classify`] / [`DeliveryAction`] — the acceptance decision, ready for
 //!   a kernel to act on (the kernel owns process duplication, this layer
 //!   owns the decision and the mailbox mechanics);
@@ -26,6 +26,11 @@
 //!   observable side-effects, and thus cannot interface with sources"
 //!   (§2.4.2); the buffered wrapper implements Jefferson-style deferral, the
 //!   paper's nod to Time Warp's `stdout` process (§5).
+//!
+//! A [`crate::Speculation`] owns a [`Teletype`]; the simulator's
+//! `SplitKernel` (in `worlds-kernel`) drives [`Network`] and
+//! [`classify_observed`] to split receivers. Predicates come from
+//! [`crate::predicate`].
 
 mod channel;
 mod device;
@@ -36,5 +41,3 @@ pub use channel::{Mailbox, Network};
 pub use device::{BufferedSource, DeviceError, SourceDevice, Teletype};
 pub use message::{Message, MsgId};
 pub use router::{classify, classify_observed, DeliveryAction};
-
-pub use worlds_predicate::{Compat, Pid, PredicateSet};

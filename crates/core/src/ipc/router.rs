@@ -1,8 +1,7 @@
 //! Delivery classification: what the kernel must do with a message.
 
-use worlds_predicate::{Compat, PredicateSet};
-
-use crate::message::Message;
+use super::message::Message;
+use crate::predicate::{Compat, PredicateSet};
 
 /// The action the process-management layer must take for one message
 /// arriving at a receiver with a given predicate set (§2.4.2).
@@ -74,7 +73,7 @@ pub fn classify_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use worlds_predicate::Pid;
+    use crate::predicate::Pid;
 
     fn p(n: u64) -> Pid {
         Pid(n)

@@ -53,13 +53,25 @@
 //!   cancellation.
 //! * [`RunReport`] — who won, how long everything took, and how many pages
 //!   speculation actually copied.
-//! * [`sim`] — re-export of the `worlds-kernel` virtual-time simulator for
-//!   cost-model experiments (the paper's figures are generated there).
+//! * [`predicate`] — the paper's speculation predicates (§2.3): every
+//!   alternative runs under a sibling-rivalry [`PredicateSet`], and
+//!   [`predicate::PredicateSet::compat`] decides whether a message is
+//!   accepted, ignored or splits its receiver.
+//! * [`ipc`] — predicated messages (§2.4) and source devices: the
+//!   session's [`ipc::Teletype`] is what buffered output reaches when a
+//!   block commits.
+//!
+//! The virtual-time simulator, `worlds-kernel`, is a client of this
+//! crate: its `SplitKernel` runs predicated IPC with receiver splitting
+//! on [`ipc`] and [`predicate`], and its `Machine` regenerates the
+//! paper's figures. [`sim`] keeps only the virtual clock.
 
 mod alternative;
 mod block;
 mod ctx;
 mod error;
+pub mod ipc;
+pub mod predicate;
 mod report;
 mod speculation;
 mod word;
@@ -68,17 +80,15 @@ pub use alternative::{AltResult, Alternative};
 pub use block::{AltBlock, ElimMode};
 pub use ctx::WorldCtx;
 pub use error::AltError;
+pub use predicate::{Pid, PredicateSet};
 pub use report::{AltRun, AltRunStatus, RunOutcome, RunReport};
-pub use speculation::{ExecMode, Speculation};
+pub use speculation::Speculation;
 pub use worlds_exec::{Executor, Reaper};
 
 pub use worlds_pagestore::{StoreStats, WorldId};
-pub use worlds_predicate::{Pid, PredicateSet};
 
-/// Virtual-time simulation layer (re-export of `worlds-kernel`).
+/// The virtual clock, for code that names it by this path. The simulator
+/// itself is the `worlds-kernel` crate, which depends on this one.
 pub mod sim {
-    pub use worlds_kernel::{
-        AltSpec, BlockSpec, CostModel, ElimMode as SimElimMode, GuardPlacement, Machine, Outcome,
-        Segment, SimReport, SplitKernel, VirtualTime,
-    };
+    pub use worlds_obs::VirtualTime;
 }

@@ -1,6 +1,6 @@
 //! The four-way outcome of the §2.4.2 message-acceptance rule.
 
-use crate::set::PredicateSet;
+use super::set::PredicateSet;
 
 /// What a receiver must do with a message, given its predicate set `R` and
 /// the message's sending predicate `S`.

@@ -1,4 +1,4 @@
-//! # worlds-predicate — speculation predicates
+//! Speculation predicates.
 //!
 //! In "Multiple Worlds" (Smith & Maguire, ICPP 1989 §2.3) every speculative
 //! process carries a *predicate*: two lists of process identifiers,
@@ -31,8 +31,12 @@
 //!    [`PredicateSet::resolve`].
 //!
 //! A world whose predicate set is non-empty is *unresolved* and must not
-//! touch source (non-idempotent) state — enforced by the `worlds-ipc`
-//! device layer.
+//! touch source (non-idempotent) state — enforced by the
+//! [`crate::ipc`] device layer.
+//!
+//! [`PredicateSet::for_spawned_child`] is how a block gives each of its
+//! alternatives the sibling-rivalry set; [`Pid`] and [`PredicateSet`]
+//! are re-exported at the crate root.
 
 mod compat;
 mod pid;

@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use crate::pid::Pid;
-use crate::set::{PredicateSet, Resolution};
+use super::pid::Pid;
+use super::set::{PredicateSet, Resolution};
 
 /// The known fate of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,8 +3,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::compat::Compat;
-use crate::pid::Pid;
+use super::compat::Compat;
+use super::pid::Pid;
 
 /// Outcome of resolving one process's fate against a predicate set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

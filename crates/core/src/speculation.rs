@@ -10,9 +10,10 @@
 //!    COW fork of the root world and a report slot. All but the first
 //!    spawned one are submitted, tagged with the block, to a persistent
 //!    pool ([`worlds_exec::Executor`]) shared by every block — see
-//!    [`ExecMode`] for the thread-per-alternative ablation mode — and the
-//!    first runs on the calling thread, which would otherwise only block
-//!    in `alt_wait`. Then, while a block without a `TIMEOUT` is
+//!    [`Speculation::with_thread_per_alt`] for the thread-per-alternative
+//!    ablation mode — and the first runs on the calling thread, which
+//!    would otherwise only block in `alt_wait`. Then, while a block
+//!    without a `TIMEOUT` is
 //!    undecided, the caller takes back each sibling no worker has started
 //!    yet and runs it too. The block cannot return before an alternative
 //!    the caller runs returns or reaches a cancellation point; a timed
@@ -49,20 +50,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use worlds_exec::{Executor, Reaper};
-use worlds_ipc::{SourceDevice, Teletype};
 use worlds_obs::{env, Event as ObsEvent, EventKind, Registry, TraceCtx};
 use worlds_pagestore::{FileSystem, PageStore, WorldId, PAGE_SIZE_DEFAULT};
-use worlds_predicate::{Pid, PredicateSet};
 
 use crate::block::{AltBlock, ElimMode};
 use crate::ctx::WorldCtx;
 use crate::error::AltError;
+use crate::ipc::{SourceDevice, Teletype};
+use crate::predicate::{Pid, PredicateSet};
 use crate::report::{AltRun, AltRunStatus, RunOutcome, RunReport};
 use crate::word::{late_loser_disposes, BlockWord, Decision, Phase, Slot, Verdict};
 
 /// How a [`Speculation`] dispatches its alternatives.
 #[derive(Clone, Debug)]
-pub enum ExecMode {
+pub(crate) enum ExecMode {
     /// Run all alternatives but the first as tasks on a persistent pool,
     /// and the first on the calling thread. The default is the process-wide
     /// [`Executor::global`]; sessions can be pinned to a private pool with

@@ -2,7 +2,8 @@
 //! and the delivery classification's exhaustiveness.
 
 use proptest::prelude::*;
-use worlds_ipc::{classify, DeliveryAction, Message, Network, Pid, PredicateSet};
+use worlds::ipc::{classify, DeliveryAction, Message, Network};
+use worlds::{Pid, PredicateSet};
 
 #[derive(Debug, Clone)]
 enum Op {

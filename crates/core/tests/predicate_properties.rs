@@ -1,7 +1,7 @@
 //! Property-based tests of the predicate algebra.
 
 use proptest::prelude::*;
-use worlds_predicate::{Compat, Pid, PredicateSet};
+use worlds::predicate::{Compat, Pid, PredicateSet};
 
 fn arb_set() -> impl Strategy<Value = PredicateSet> {
     (
@@ -80,7 +80,7 @@ proptest! {
                 || (set.assumes_fails(pid) && completed);
             let res = s.resolve(pid, completed);
             if expect_doom {
-                prop_assert_eq!(res, worlds_predicate::Resolution::Doomed);
+                prop_assert_eq!(res, worlds::predicate::Resolution::Doomed);
                 doomed = true;
             }
         }
@@ -110,7 +110,7 @@ proptest! {
             let mut set = member.clone();
             let mut doomed = false;
             for (j, &sib) in sibs.iter().enumerate() {
-                if set.resolve(sib, j == winner) == worlds_predicate::Resolution::Doomed {
+                if set.resolve(sib, j == winner) == worlds::predicate::Resolution::Doomed {
                     doomed = true;
                 }
             }

@@ -175,11 +175,9 @@ impl Executor {
         Executor { inner }
     }
 
-    /// The process-wide pool every [`Speculation`] uses by default, sized
-    /// to `effective_cores` (`std::thread::available_parallelism`) unless
-    /// [`env::EXEC_THREADS`] overrides it. Never shut down.
-    ///
-    /// [`Speculation`]: https://docs.rs/worlds
+    /// The process-wide pool every `worlds::Speculation` uses by default,
+    /// sized to `effective_cores` (`std::thread::available_parallelism`)
+    /// unless [`env::EXEC_THREADS`] overrides it. Never shut down.
     pub fn global() -> Executor {
         static GLOBAL: OnceLock<Executor> = OnceLock::new();
         GLOBAL

@@ -23,6 +23,10 @@
 //!   [`CostModel::ardent_titan`]) taken from the numbers in §3.4 and
 //!   Table I.
 //!
+//! The simulator is a client of the primitive: [`SplitKernel`] runs the
+//! paper's predicated messages and receiver splitting (§2.4) on
+//! [`worlds::ipc`] and [`worlds::predicate`].
+//!
 //! Because time is virtual, the paper's parallel-speedup *shapes* (who
 //! wins, where break-evens fall, sync vs async ordering) reproduce
 //! deterministically on any host — including this repository's 1-CPU CI

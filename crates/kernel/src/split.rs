@@ -9,15 +9,17 @@
 //! and eliminated, and the now-true assumptions are dropped everywhere.
 //!
 //! [`SplitKernel`] is the reference implementation of that linkage over the
-//! real `worlds-pagestore` / `worlds-ipc` substrates. The discrete-event
+//! real `worlds-pagestore` store and the primitive's [`worlds::ipc`] and
+//! [`worlds::predicate`] modules. The discrete-event
 //! [`crate::Machine`] measures time; this measures *semantics*.
 
 use std::collections::HashMap;
 
-use worlds_ipc::{classify_observed, DeliveryAction, Message, Network};
+use worlds::ipc::{classify_observed, DeliveryAction, Message, Network};
+use worlds::predicate::{Fate, FateBoard};
+use worlds::{Pid, PredicateSet};
 use worlds_obs::{Event as ObsEvent, EventKind, TraceCtx};
 use worlds_pagestore::{PageStore, WorldId};
-use worlds_predicate::{Fate, FateBoard, Pid, PredicateSet};
 
 /// A process under the split kernel.
 #[derive(Debug, Clone)]

@@ -49,7 +49,7 @@ const READ_CHUNK: usize = 4 << 20;
 const MID_FRAME_STALL: Duration = Duration::from_millis(250);
 
 /// One decoded frame: the RPC discriminant, the correlation id, and the
-/// opaque payload the [`crate::rpc`] layer interprets.
+/// opaque payload the `rpc` layer interprets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     pub kind: u8,

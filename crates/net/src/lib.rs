@@ -13,7 +13,7 @@
 //!
 //! * [`crc32`] — the integrity check every frame ends with.
 //! * [`Frame`] / [`read_frame`] / [`write_frame`] — the length-prefixed,
-//!   versioned, checksummed frame codec ([`frame`] module docs give the
+//!   versioned, checksummed frame codec (the `frame.rs` source gives the
 //!   byte layout).
 //! * [`Request`] / [`Reply`] — the RPC vocabulary: `Ping`, `Rfork`
 //!   (checkpoint image), `CommitBack` (dirty pages), `Discard`, plus

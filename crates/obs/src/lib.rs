@@ -36,8 +36,8 @@ pub mod trace_export;
 pub use event::{Event, EventKind, ParseError};
 pub use metrics::{fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use report::{
-    replay, ExecCounters, IpcCounters, KernelCounters, NetCounters, PageCounters, RemoteCounters,
-    RunStats,
+    replay, DedupCounters, ExecCounters, IpcCounters, KernelCounters, NetCounters, PageCounters,
+    ProfCounters, RemoteCounters, RunStats,
 };
 pub use sink::{EventSink, JsonlSink, RingSink};
 pub use site::{learn_site_label, site_id, site_label, site_label_or_anon, SiteId};

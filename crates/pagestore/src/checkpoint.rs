@@ -155,7 +155,7 @@ pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
 /// restored on the remote store (cluster stores share one id allocator,
 /// so the id is unambiguous either way).
 ///
-/// Only [`dirty_pages`] ship: a write that restored the original bytes
+/// Only dirty pages ship: a write that restored the original bytes
 /// ships nothing.
 pub fn checkpoint_delta(
     store: &PageStore,

@@ -13,7 +13,7 @@
 
 use worlds_kernel::{Delivered, SplitKernel};
 
-fn show(k: &SplitKernel, label: &str, pid: worlds_predicate::Pid) {
+fn show(k: &SplitKernel, label: &str, pid: worlds::Pid) {
     match k.process(pid) {
         Some(p) => println!("  {label:<18} {pid}  predicates {}", p.predicates),
         None => println!("  {label:<18} {pid}  (eliminated)"),

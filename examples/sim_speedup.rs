@@ -6,8 +6,8 @@
 //! cargo run --example sim_speedup
 //! ```
 
-use worlds::sim::{AltSpec, BlockSpec, CostModel, Machine, VirtualTime};
 use worlds_analysis::PerfModel;
+use worlds_kernel::{AltSpec, BlockSpec, CostModel, Machine, VirtualTime};
 
 fn block(times_ms: &[f64]) -> BlockSpec {
     BlockSpec::new(

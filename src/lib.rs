@@ -5,11 +5,13 @@
 //! examples and cross-crate integration tests. Library users normally
 //! depend on the individual crates:
 //!
-//! * [`worlds`] — the committed-choice speculation API (start here);
+//! * [`worlds`] — the committed-choice speculation API (start here),
+//!   with two modules of the paper's own:
+//!   - [`worlds::predicate`] — speculation predicates;
+//!   - [`worlds::ipc`] — predicated messages and source devices;
 //! * [`worlds_pagestore`] — COW single-level store;
-//! * [`worlds_predicate`] — speculation predicates;
-//! * [`worlds_ipc`] — predicated messages and source devices;
-//! * [`worlds_kernel`] — deterministic virtual-time kernel simulator;
+//! * [`worlds_kernel`] — deterministic virtual-time kernel simulator, a
+//!   client of [`worlds`];
 //! * [`worlds_analysis`] — the paper's performance model (`PI`, `Rμ`, `Ro`);
 //! * [`worlds_remote`] — distributed (rfork) execution over simulated nodes;
 //! * [`worlds_apps`] — the paper's applications, one module each:
@@ -23,8 +25,6 @@
 pub use worlds;
 pub use worlds_analysis;
 pub use worlds_apps;
-pub use worlds_ipc;
 pub use worlds_kernel;
 pub use worlds_pagestore;
-pub use worlds_predicate;
 pub use worlds_remote;

@@ -2,9 +2,9 @@
 //! speculative worlds, receiver splitting with real COW state, and
 //! source-device gating — the full §2.4 machinery across crates.
 
-use multiple_worlds::worlds_ipc::{SourceDevice, Teletype};
+use multiple_worlds::worlds::ipc::{SourceDevice, Teletype};
+use multiple_worlds::worlds::PredicateSet;
 use multiple_worlds::worlds_kernel::{Delivered, SplitKernel};
-use multiple_worlds::worlds_predicate::PredicateSet;
 
 // `Delivered` is re-exported through the kernel's split module; make sure
 // the path the docs advertise actually resolves.

@@ -29,6 +29,15 @@
 //!   comes back from its reply ledger, so every frame of a burst
 //!   applies at most once, however the attempts were cut.
 //!
+//! ## Buffers
+//!
+//! A `Conn` encodes the first frame of every burst, the one an image
+//! rides in, into a buffer it keeps between bursts, so a steady stream
+//! of image-sized rforks allocates no image-sized memory once the first
+//! has grown it to fit. Retries resend the same bytes from it. A buffer
+//! a frame grew past one read chunk (4 MiB) goes back to the allocator
+//! ([`shed_oversized`]).
+//!
 //! Backoff jitter is seeded ([`RetryPolicy::seed`]) and derived from
 //! `(seed, corr, attempt)`, so a given schedule of faults produces the
 //! same retry timing run after run — fault tests replay instead of
@@ -36,8 +45,8 @@
 
 use crate::error::{NetError, Result};
 use crate::fault::splitmix64;
-use crate::frame::read_frame;
-use crate::rpc::{commit_back_frame, rfork_frame, Reply, Request};
+use crate::frame::{read_frame, shed_oversized};
+use crate::rpc::{commit_back_frame_into, rfork_frame_into, Reply, Request};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -131,6 +140,9 @@ pub struct Conn {
     /// The live stream behind the connection's one read buffer, so a
     /// reply that fits it costs a single `read` system call.
     stream: Option<BufReader<TcpStream>>,
+    /// The buffer the first frame of every burst is encoded into, kept
+    /// between bursts.
+    wire: Vec<u8>,
 }
 
 impl Conn {
@@ -143,6 +155,7 @@ impl Conn {
             policy,
             obs,
             stream: None,
+            wire: Vec::new(),
         }
     }
 
@@ -156,8 +169,7 @@ impl Conn {
     /// transport outcome and is never retried (asking again with the
     /// same corr-id would just replay the same answer).
     pub fn call(&mut self, req: &Request) -> Result<Reply> {
-        let corr = next_corr();
-        only(self.deliver(&[(corr, req.encode_frame(corr))]))
+        only(self.send(1, |_, corr, out| req.encode_frame_into(corr, out)))
     }
 
     /// Issue `req` and unwrap the `Ack`, mapping `Nack` to an error.
@@ -178,14 +190,9 @@ impl Conn {
     /// node blocked writing replies. A request whose reply can be large
     /// (`Telemetry`) goes through [`Conn::call`].
     pub fn call_many(&mut self, reqs: &[Request]) -> Vec<Result<u64>> {
-        let frames: Vec<_> = reqs
-            .iter()
-            .map(|req| {
-                let corr = next_corr();
-                (corr, req.encode_frame(corr))
-            })
-            .collect();
-        acks(self.deliver(&frames))
+        acks(self.send(reqs.len(), |i, corr, out| {
+            reqs[i].encode_frame_into(corr, out)
+        }))
     }
 
     /// [`Request::Rfork`] from an image the caller keeps: the bytes are
@@ -199,22 +206,16 @@ impl Conn {
     /// One [`Request::Rfork`] per image, as one burst ([`Conn::call_many`]);
     /// slot `i` is the world restored from `images[i]`.
     pub fn call_rforks(&mut self, images: &[&[u8]]) -> Vec<Result<u64>> {
-        let frames: Vec<_> = images
-            .iter()
-            .map(|image| {
-                let corr = next_corr();
-                (corr, rfork_frame(corr, image))
-            })
-            .collect();
-        acks(self.deliver(&frames))
+        acks(self.send(images.len(), |i, corr, out| {
+            rfork_frame_into(corr, images[i], out)
+        }))
     }
 
     /// [`Request::CommitBack`] from pages the caller keeps.
     pub fn call_commit_back(&mut self, base: u64, pages: &[(u64, Vec<u8>)]) -> Result<u64> {
-        let corr = next_corr();
-        ack(only(
-            self.deliver(&[(corr, commit_back_frame(corr, base, pages))]),
-        )?)
+        ack(only(self.send(1, |_, corr, out| {
+            commit_back_frame_into(corr, base, pages, out)
+        }))?)
     }
 
     /// Issue a [`Request::HashProbe`] and unwrap the presence bitmap.
@@ -233,6 +234,34 @@ impl Conn {
                 "unexpected reply to a hash probe".into(),
             )),
         }
+    }
+
+    /// Frame `count` requests, request `i` by `encode(i, corr, out)` under
+    /// a fresh corr-id, deliver them as one burst, and keep the first
+    /// frame's buffer for the next one.
+    fn send(
+        &mut self,
+        count: usize,
+        mut encode: impl FnMut(usize, u64, &mut Vec<u8>),
+    ) -> Vec<Result<Reply>> {
+        let frames: Vec<_> = (0..count)
+            .map(|i| {
+                let corr = next_corr();
+                let mut wire = if i == 0 {
+                    std::mem::take(&mut self.wire)
+                } else {
+                    Vec::new()
+                };
+                encode(i, corr, &mut wire);
+                (corr, wire)
+            })
+            .collect();
+        let replies = self.deliver(&frames);
+        if let Some((_, wire)) = frames.into_iter().next() {
+            self.wire = wire;
+            shed_oversized(&mut self.wire);
+        }
+        replies
     }
 
     /// The one send/retry loop: deliver already-framed `(corr, frame)`

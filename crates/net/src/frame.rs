@@ -41,7 +41,12 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 /// end checks out, so it only ever buys one chunk of (untouched, never
 /// zero-filled) capacity; every frame up to this size — any image the
 /// paper's regime produces — is still a single exact allocation.
-const READ_CHUNK: usize = 4 << 20;
+///
+/// It is also the most frame-buffer capacity an owner keeps between
+/// frames ([`shed_oversized`]): a connection or cluster keeps its buffers
+/// for its whole life, so a steady stream of images allocates none, but
+/// one that carried a larger frame hands it back to the allocator.
+pub const READ_CHUNK: usize = 4 << 20;
 /// How long a server-side reader lets a frame stall mid-flight before
 /// calling the stream desynchronised: the scale of a client's
 /// [`crate::RetryPolicy::deadline`], not of the 25 ms tick the reader
@@ -57,30 +62,69 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Serialise one frame into a fresh buffer sized for `payload_hint`
-/// payload bytes: header, whatever `put` appends as the payload, CRC.
-/// The RPC layer encodes borrowed requests straight through this, so a
-/// checkpoint image is copied once, into the buffer the socket reads.
+/// Serialise one frame into `out`, which is cleared first and grown at
+/// most once, to fit `payload_hint` payload bytes: header, whatever `put`
+/// appends as the payload, CRC. The RPC layer encodes borrowed requests
+/// straight through this, so a checkpoint image is copied once, into the
+/// buffer the socket reads, and a sender that keeps `out` allocates
+/// nothing for the next frame that fits it.
+pub(crate) fn encode_into(
+    kind: u8,
+    corr: u64,
+    payload_hint: usize,
+    out: &mut Vec<u8>,
+    put: impl FnOnce(&mut Vec<u8>),
+) {
+    out.clear();
+    out.reserve_exact(FRAME_HEADER + payload_hint + FRAME_TRAILER);
+    out.extend_from_slice(FRAME_MAGIC);
+    out.push(FRAME_VERSION);
+    out.push(kind);
+    out.extend_from_slice(&corr.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    put(out);
+    // A payload past 4 GiB saturates the field, so the receiver rejects
+    // it as too large instead of misreading a wrapped length.
+    let len = u32::try_from(out.len() - FRAME_HEADER).unwrap_or(u32::MAX);
+    out[14..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+    let crc = crc::crc32(out);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// [`encode_into`] a fresh buffer.
 pub(crate) fn encode_with(
     kind: u8,
     corr: u64,
     payload_hint: usize,
     put: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload_hint + FRAME_TRAILER);
-    out.extend_from_slice(FRAME_MAGIC);
-    out.push(FRAME_VERSION);
-    out.push(kind);
-    out.extend_from_slice(&corr.to_le_bytes());
-    out.extend_from_slice(&[0; 4]);
-    put(&mut out);
-    // A payload past 4 GiB saturates the field, so the receiver rejects
-    // it as too large instead of misreading a wrapped length.
-    let len = u32::try_from(out.len() - FRAME_HEADER).unwrap_or(u32::MAX);
-    out[14..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
-    let crc = crc::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let mut out = Vec::new();
+    encode_into(kind, corr, payload_hint, &mut out, put);
     out
+}
+
+/// Keep `buf` for the next frame unless it has grown past [`READ_CHUNK`];
+/// a buffer that large goes back to the allocator.
+pub fn shed_oversized(buf: &mut Vec<u8>) {
+    if buf.capacity() > READ_CHUNK {
+        *buf = Vec::new();
+    }
+}
+
+/// A frame read into a caller's buffer: everything but the payload, which
+/// is what the buffer holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Envelope {
+    pub(crate) kind: u8,
+    pub(crate) corr: u64,
+    /// Bytes the frame occupied on the wire.
+    pub(crate) wire_len: usize,
+}
+
+impl Envelope {
+    fn with_payload(self, payload: Vec<u8>) -> (Frame, usize) {
+        (Frame::new(self.kind, self.corr, payload), self.wire_len)
+    }
 }
 
 /// Validate a header's magic, version and length field; returns the
@@ -162,10 +206,21 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, NetError>
 /// life of the connection and a frame that fits its buffer costs one
 /// `read` system call.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), NetError> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload).map(|envelope| envelope.with_payload(payload))
+}
+
+/// [`read_frame`] into `payload`, a buffer the caller keeps: on success
+/// it holds exactly the frame's payload, on any failure nothing.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> Result<Envelope, NetError> {
+    payload.clear();
     let mut patience = Patience::default();
     let mut header = [0u8; FRAME_HEADER];
     fill(r, &mut header, 0, &mut patience)?;
-    read_body(r, &header, &mut patience)
+    read_body(r, &header, &mut patience, payload)
 }
 
 /// Like [`read_frame`], but for a server polling `stop` on a short read
@@ -180,6 +235,19 @@ pub fn read_frame_idle(
     r: &mut impl Read,
     stop: &AtomicBool,
 ) -> Result<Option<(Frame, usize)>, NetError> {
+    let mut payload = Vec::new();
+    let read = read_frame_idle_into(r, stop, &mut payload)?;
+    Ok(read.map(|envelope| envelope.with_payload(payload)))
+}
+
+/// [`read_frame_idle`] into a buffer the caller keeps, as
+/// [`read_frame_into`] is to [`read_frame`].
+pub(crate) fn read_frame_idle_into(
+    r: &mut impl Read,
+    stop: &AtomicBool,
+    payload: &mut Vec<u8>,
+) -> Result<Option<Envelope>, NetError> {
+    payload.clear();
     let mut header = [0u8; FRAME_HEADER];
     let got = loop {
         if stop.load(Ordering::Acquire) {
@@ -197,7 +265,7 @@ pub fn read_frame_idle(
         stalled_since: None,
     };
     fill(r, &mut header, got, &mut patience)?;
-    read_body(r, &header, &mut patience).map(Some)
+    read_body(r, &header, &mut patience, payload).map(Some)
 }
 
 /// What a read timeout means once a frame has started arriving. A
@@ -252,16 +320,30 @@ fn fill(
     Ok(())
 }
 
-/// Read the payload and CRC that follow `header`, verify, and hand the
-/// body over as the frame's payload without copying it.
+/// Read the payload and CRC that follow `header` into `body` (empty on
+/// entry), verify, and leave exactly the payload there. A failure leaves
+/// `body` empty: no half-read or unverified bytes survive it.
 fn read_body(
     r: &mut impl Read,
     header: &[u8; FRAME_HEADER],
     patience: &mut Patience,
-) -> Result<(Frame, usize), NetError> {
+    body: &mut Vec<u8>,
+) -> Result<Envelope, NetError> {
+    let read = fill_body(r, header, patience, body);
+    if read.is_err() {
+        body.clear();
+    }
+    read
+}
+
+fn fill_body(
+    r: &mut impl Read,
+    header: &[u8; FRAME_HEADER],
+    patience: &mut Patience,
+    body: &mut Vec<u8>,
+) -> Result<Envelope, NetError> {
     let len = checked_payload_len(header)?;
     let need = len + FRAME_TRAILER;
-    let mut body = Vec::new();
     while body.len() < need {
         if body.len() == body.capacity() {
             body.reserve_exact((need - body.len()).min(READ_CHUNK));
@@ -272,7 +354,7 @@ fn read_body(
         // it fails, so a waited-out timeout resumes where it stopped.
         let before = body.len();
         let room = (body.capacity() - before).min(need - before);
-        let read = r.by_ref().take(room as u64).read_to_end(&mut body);
+        let read = r.by_ref().take(room as u64).read_to_end(body);
         if body.len() > before {
             patience.stalled_since = None;
         }
@@ -288,12 +370,11 @@ fn read_body(
         return Err(NetError::BadCrc);
     }
     body.truncate(len);
-    let frame = Frame {
+    Ok(Envelope {
         kind: header[5],
         corr: u64::from_le_bytes(header[6..14].try_into().expect("8 bytes")),
-        payload: body,
-    };
-    Ok((frame, FRAME_HEADER + need))
+        wire_len: FRAME_HEADER + need,
+    })
 }
 
 #[cfg(test)]
@@ -398,6 +479,40 @@ mod tests {
             assert!(read_frame(&mut &clean[..cut]).is_err(), "cut at {cut}");
         }
         assert!(read_frame(&mut &clean[..]).is_ok());
+    }
+
+    #[test]
+    fn a_reused_buffer_holds_exactly_the_latest_frame_or_nothing() {
+        let long = Frame::new(2, 1, vec![0xAB; 5000]).encode();
+        let short = Frame::new(3, 2, b"short payload".to_vec());
+        let mut buf = Vec::new();
+        read_frame_into(&mut &long[..], &mut buf).unwrap();
+        assert_eq!(buf, vec![0xAB; 5000]);
+        let grown = buf.capacity();
+        // A shorter frame after a longer one: its payload and no more, in
+        // the same allocation.
+        let wire = short.encode();
+        let envelope = read_frame_into(&mut &wire[..], &mut buf).unwrap();
+        assert_eq!((envelope.kind, envelope.corr), (3, 2));
+        assert_eq!(envelope.wire_len, wire.len());
+        assert_eq!(buf, short.payload);
+        assert_eq!(buf.capacity(), grown);
+
+        let stop = AtomicBool::new(false);
+        let mut bad_crc = wire.clone();
+        *bad_crc.last_mut().unwrap() ^= 1;
+        for wire in [&bad_crc[..], &long[..long.len() - 1], &long[..10]] {
+            read_frame_into(&mut &long[..], &mut buf).unwrap();
+            let err = read_frame_into(&mut &wire[..], &mut buf).unwrap_err();
+            assert!(buf.is_empty(), "{err}: stale bytes survived");
+            read_frame_into(&mut &long[..], &mut buf).unwrap();
+            assert!(read_frame_idle_into(&mut &wire[..], &stop, &mut buf).is_err());
+            assert!(buf.is_empty(), "idle reader: stale bytes survived");
+        }
+        assert!(matches!(
+            read_frame_into(&mut &bad_crc[..], &mut buf),
+            Err(NetError::BadCrc)
+        ));
     }
 
     #[test]

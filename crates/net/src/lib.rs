@@ -68,8 +68,8 @@ pub use crc::crc32;
 pub use error::{NetError, Result};
 pub use fault::{FaultKind, FaultSchedule};
 pub use frame::{
-    read_frame, read_frame_idle, write_frame, Frame, FRAME_HEADER, FRAME_MAGIC, FRAME_TRAILER,
-    FRAME_VERSION, MAX_PAYLOAD,
+    read_frame, read_frame_idle, shed_oversized, write_frame, Frame, FRAME_HEADER, FRAME_MAGIC,
+    FRAME_TRAILER, FRAME_VERSION, MAX_PAYLOAD, READ_CHUNK,
 };
 pub use proxy::{FaultProxy, OpLedger};
 pub use rpc::{kind, nack, Reply, Request};

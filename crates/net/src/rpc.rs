@@ -33,7 +33,7 @@
 //! uses, so a hostile payload yields `NetError::Protocol`, never a panic.
 
 use crate::error::{NetError, Result};
-use crate::frame::encode_with;
+use crate::frame::{encode_into, encode_with};
 use worlds_pagestore::Cursor;
 
 /// Frame-kind bytes for requests.
@@ -201,6 +201,14 @@ impl Request {
         })
     }
 
+    /// [`Request::encode_frame`] into `out`, a buffer the caller keeps:
+    /// cleared, then refilled.
+    pub fn encode_frame_into(&self, corr: u64, out: &mut Vec<u8>) {
+        encode_into(self.kind(), corr, self.payload_len(), out, |out| {
+            self.encode_into(out)
+        })
+    }
+
     /// Serialise the payload (the frame codec adds header and CRC).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload_len());
@@ -278,21 +286,21 @@ impl Request {
 
     /// Parse a request from its frame-kind byte and payload.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Request> {
-        Request::decode_owned(kind_byte, payload.to_vec())
-    }
-
-    /// [`Request::decode`] for a payload the caller is done with: the
-    /// kinds that *are* their payload (`Rfork`, `Telemetry`) keep the
-    /// buffer instead of copying it.
-    pub fn decode_owned(kind_byte: u8, payload: Vec<u8>) -> Result<Request> {
         Request::parse(kind_byte, payload).map_err(NetError::Protocol)
     }
 
-    fn parse(kind_byte: u8, payload: Vec<u8>) -> std::result::Result<Request, String> {
-        let mut r = Cursor::new(&payload);
+    /// [`Request::decode`] for a payload the caller owns.
+    pub fn decode_owned(kind_byte: u8, payload: Vec<u8>) -> Result<Request> {
+        Request::decode(kind_byte, &payload)
+    }
+
+    fn parse(kind_byte: u8, payload: &[u8]) -> std::result::Result<Request, String> {
+        let mut r = Cursor::new(payload);
         let req = match kind_byte {
             kind::PING => Request::Ping,
-            kind::RFORK => Request::Rfork { image: payload },
+            kind::RFORK => Request::Rfork {
+                image: payload.to_vec(),
+            },
             kind::COMMIT_BACK => {
                 let base = r.u64()?;
                 let pages = get_pages(&mut r)?;
@@ -304,7 +312,9 @@ impl Request {
                 r.finish()?;
                 Request::Discard { world }
             }
-            kind::TELEMETRY => Request::Telemetry { payload },
+            kind::TELEMETRY => Request::Telemetry {
+                payload: payload.to_vec(),
+            },
             kind::HASH_PROBE => {
                 let count = r.u32()? as usize;
                 let mut hashes = Vec::with_capacity(count.min(4096));
@@ -385,6 +395,13 @@ impl Reply {
     /// correlation id; see [`Request::encode_frame`].
     pub fn encode_frame(&self, corr: u64) -> Vec<u8> {
         encode_with(self.kind(), corr, self.payload_len(), |out| {
+            self.encode_into(out)
+        })
+    }
+
+    /// [`Reply::encode_frame`] into a buffer the caller keeps.
+    pub fn encode_frame_into(&self, corr: u64, out: &mut Vec<u8>) {
+        encode_into(self.kind(), corr, self.payload_len(), out, |out| {
             self.encode_into(out)
         })
     }
@@ -508,18 +525,23 @@ fn put_commit_back(out: &mut Vec<u8>, base: u64, pages: &[(u64, Vec<u8>)]) {
     put_pages(out, pages);
 }
 
-/// One complete `Rfork` frame from an image the caller keeps — what
-/// [`crate::Conn::call_rfork`] sends.
-pub(crate) fn rfork_frame(corr: u64, image: &[u8]) -> Vec<u8> {
-    encode_with(kind::RFORK, corr, image.len(), |out| {
+/// One complete `Rfork` frame, into `out`, from an image the caller
+/// keeps — what [`crate::Conn::call_rfork`] sends.
+pub(crate) fn rfork_frame_into(corr: u64, image: &[u8], out: &mut Vec<u8>) {
+    encode_into(kind::RFORK, corr, image.len(), out, |out| {
         out.extend_from_slice(image)
     })
 }
 
-/// One complete `CommitBack` frame from pages the caller keeps — what
-/// [`crate::Conn::call_commit_back`] sends.
-pub(crate) fn commit_back_frame(corr: u64, base: u64, pages: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    encode_with(kind::COMMIT_BACK, corr, 8 + pages_len(pages), |out| {
+/// One complete `CommitBack` frame, into `out`, from pages the caller
+/// keeps — what [`crate::Conn::call_commit_back`] sends.
+pub(crate) fn commit_back_frame_into(
+    corr: u64,
+    base: u64,
+    pages: &[(u64, Vec<u8>)],
+    out: &mut Vec<u8>,
+) {
+    encode_into(kind::COMMIT_BACK, corr, 8 + pages_len(pages), out, |out| {
         put_commit_back(out, base, pages)
     })
 }

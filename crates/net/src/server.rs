@@ -16,8 +16,8 @@
 //! land exactly once no matter how many times the frame is delivered
 //! (the double-delivery test in `tests/loopback.rs` proves it).
 
-use crate::frame::{read_frame_idle, Frame};
-use crate::rpc::{nack, Reply, Request};
+use crate::frame::{read_frame_idle_into, shed_oversized};
+use crate::rpc::{kind, nack, Reply, Request};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -193,9 +193,14 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     // One read buffer for the life of the connection: a request that
     // fits it costs one `read` system call.
     let mut stream = BufReader::new(stream);
+    // And one frame buffer: every request's payload is read into it, and
+    // every reply encoded into it once the request is answered, so a
+    // steady stream of images allocates none. It is given back when a
+    // frame has grown it past one read chunk.
+    let mut wire = Vec::new();
     loop {
-        let frame = match read_frame_idle(&mut stream, &shared.stop) {
-            Ok(Some((frame, _))) => frame,
+        let envelope = match read_frame_idle_into(&mut stream, &shared.stop, &mut wire) {
+            Ok(Some(envelope)) => envelope,
             // Shutdown requested while idle.
             Ok(None) => return,
             // EOF, reset, desync, corruption: this stream is done. The
@@ -203,15 +208,13 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             // idempotent.
             Err(_) => return,
         };
-        let corr = frame.corr;
-        let reply = reply_for(&shared, frame);
-        if stream
-            .get_mut()
-            .write_all(&reply.encode_frame(corr))
-            .is_err()
-        {
+        let corr = envelope.corr;
+        let reply = reply_for(&shared, envelope.kind, corr, &wire);
+        reply.encode_frame_into(corr, &mut wire);
+        if stream.get_mut().write_all(&wire).is_err() {
             return;
         }
+        shed_oversized(&mut wire);
     }
 }
 
@@ -223,21 +226,20 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
 /// replays the recorded reply. Different corr-ids therefore apply
 /// concurrently — essential once session spawns (which block on fair
 /// scheduling) share the node with everything else.
-fn reply_for(shared: &Shared, frame: Frame) -> Reply {
+fn reply_for(shared: &Shared, kind_byte: u8, corr: u64, payload: &[u8]) -> Reply {
     {
         let mut ledger = shared.ledger.lock().expect("ledger lock");
         loop {
-            if let Some(prior) = ledger.get(frame.corr) {
+            if let Some(prior) = ledger.get(corr) {
                 return prior;
             }
-            if ledger.inflight.insert(frame.corr) {
+            if ledger.inflight.insert(corr) {
                 break;
             }
             ledger = shared.ledger_cv.wait(ledger).expect("ledger lock");
         }
     }
-    let corr = frame.corr;
-    let reply = apply(shared, frame);
+    let reply = apply(shared, kind_byte, payload);
     let mut ledger = shared.ledger.lock().expect("ledger lock");
     ledger.inflight.remove(&corr);
     ledger.put(corr, reply.clone());
@@ -245,8 +247,13 @@ fn reply_for(shared: &Shared, frame: Frame) -> Reply {
     reply
 }
 
-fn apply(shared: &Shared, frame: Frame) -> Reply {
-    let request = match Request::decode_owned(frame.kind, frame.payload) {
+/// Answer one request. An `Rfork` restores straight from the borrowed
+/// payload: its image is never copied out of the connection's buffer.
+fn apply(shared: &Shared, kind_byte: u8, payload: &[u8]) -> Reply {
+    if kind_byte == kind::RFORK {
+        return restored(shared, payload);
+    }
+    let request = match Request::decode(kind_byte, payload) {
         Ok(r) => r,
         Err(e) => {
             return Reply::Nack {
@@ -257,13 +264,7 @@ fn apply(shared: &Shared, frame: Frame) -> Reply {
     };
     match request {
         Request::Ping => Reply::Ack { world: 0 },
-        Request::Rfork { image } => match restore(&shared.store, &image) {
-            Ok(world) => Reply::Ack { world: world.raw() },
-            Err(e) => Reply::Nack {
-                code: nack::BAD_IMAGE,
-                detail: format!("node {}: {e}", shared.node),
-            },
-        },
+        Request::Rfork { image } => restored(shared, &image),
         Request::CommitBack { base, pages } => {
             match shared.store.commit_pages(WorldId::from_raw(base), &pages) {
                 Ok(()) => Reply::Ack { world: base },
@@ -331,5 +332,16 @@ fn apply(shared: &Shared, frame: Frame) -> Reply {
                 Some(h) => h(&req),
             }
         }
+    }
+}
+
+/// Restore `image` as a new world of this node's store.
+fn restored(shared: &Shared, image: &[u8]) -> Reply {
+    match restore(&shared.store, image) {
+        Ok(world) => Reply::Ack { world: world.raw() },
+        Err(e) => Reply::Nack {
+            code: nack::BAD_IMAGE,
+            detail: format!("node {}: {e}", shared.node),
+        },
     }
 }

@@ -1,21 +1,26 @@
-//! The copies stay gone: a counting global allocator watches one 1 MiB
-//! `Rfork` cross the loopback wire and a lying length field hit the
+//! The copies stay gone: a counting global allocator watches 1 MiB
+//! `Rfork`s cross the loopback wire and a lying length field hit the
 //! reader. Measured by this test (release build), client and server in
-//! one process, before and after the copy-free framing rewrite:
+//! one process, before and after the copy-free framing rewrite and then
+//! the kept frame buffers:
 //!
-//! | caller's image + all bytes both sides allocate, ÷ image | before | after |
-//! |---|---|---|
-//! | one 1 MiB `Rfork`, `Conn` → `NetNode`                   | 8.04 × | 4.04 × |
-//! | reserved for a `MAX_PAYLOAD` claim that delivers 10 B   | 64 MiB | 4 MiB  |
+//! | bytes allocated, ÷ image                                  | before | copy-free | kept buffers |
+//! |---|---|---|---|
+//! | first 1 MiB `Rfork` on a `Conn`, with the caller's image   | 8.04 × | 4.04 ×    | 4.05 ×       |
+//! | a later 1 MiB `Rfork` on the same `Conn`, image borrowed    |        | 3.02 ×    | 1.02 ×       |
+//! | reserved for a `MAX_PAYLOAD` claim that delivers 10 B      | 64 MiB | 4 MiB     | 4 MiB        |
 //!
-//! (`Tcp::ship_image` added a ninth copy with its `to_vec`; `call_rfork`
-//! measures 4.01 ×.) What remains is the caller's image, one frame buffer
-//! per side, and the receiving store's own page frames.
+//! The first rfork pays for the caller's image, one frame buffer per
+//! side and the receiving store's page frames. Both sides keep their
+//! frame buffers, so a later one pays for the page frames alone. A
+//! connection that carried a frame past one read chunk (4 MiB) gives its
+//! buffers back: about 1.1 MiB stays live after a 6 MiB rfork and its
+//! discard, the store's recycled page buffers and bookkeeping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use worlds_net::{read_frame, Conn, Frame, NetNode, Request, RetryPolicy, MAX_PAYLOAD};
+use worlds_net::{read_frame, Conn, Frame, NetNode, Request, RetryPolicy, MAX_PAYLOAD, READ_CHUNK};
 use worlds_obs::Registry;
 use worlds_pagestore::{checkpoint, PageStore};
 
@@ -160,4 +165,71 @@ fn a_reader_never_reserves_more_than_it_received_plus_one_chunk() {
         "{peak} B live for a {} B frame",
         big.len()
     );
+}
+
+/// Live bytes now, less `before` (zero if fewer are live).
+fn live_since(before: usize) -> usize {
+    LIVE.load(Ordering::Relaxed).saturating_sub(before)
+}
+
+/// A world of `pages` distinct pages, and its full image.
+fn image_of(store: &PageStore, pages: u64) -> Vec<u8> {
+    let world = store.create_world();
+    for vpn in 0..pages {
+        store
+            .write(world, vpn, 0, &[vpn as u8 ^ 0x5A; PAGE])
+            .unwrap();
+    }
+    checkpoint(store, world).unwrap()
+}
+
+#[test]
+fn later_1mib_rforks_on_one_conn_allocate_only_the_stores_frames() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
+    let mut conn = Conn::new(1, node.addr(), RetryPolicy::default(), Registry::disabled());
+    let image = image_of(&PageStore::new(PAGE), 256);
+    let len = image.len();
+    // The first rfork grows both sides' frame buffers to fit the image.
+    conn.call_rfork(&image).unwrap();
+    for n in 2..=6 {
+        let (replica, total, _) = measure(|| conn.call_rfork(&image));
+        replica.unwrap();
+        // The receiving store's 256 new page frames are one image's worth;
+        // everything else is small change.
+        let images = total as f64 / len as f64;
+        eprintln!("rfork {n}: {images:.3} x the image allocated");
+        assert!(
+            images <= 1.1,
+            "rfork {n}: {images:.3} x the image allocated"
+        );
+    }
+    node.shutdown();
+}
+
+#[test]
+fn a_connection_that_carried_a_large_frame_keeps_at_most_one_chunk() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
+    let mut conn = Conn::new(1, node.addr(), RetryPolicy::default(), Registry::disabled());
+    for _ in 0..4 {
+        conn.call_ack(&Request::Ping).unwrap();
+    }
+    // 6 MiB of pages: a frame past one chunk on both sides of the wire.
+    let image = image_of(&PageStore::new(PAGE), 1536);
+    assert!(image.len() > READ_CHUNK);
+    let live = LIVE.load(Ordering::Relaxed);
+    let world = conn.call_rfork(&image).unwrap();
+    // The node answers this only after it is done with the rfork's frame.
+    conn.call_ack(&Request::Discard { world }).unwrap();
+    let kept = live_since(live);
+    eprintln!("kept after a {} B frame: {kept} B", image.len());
+    // Keeping the frame's buffers would hold two frames' worth; what is
+    // left is the store's recycled page buffers and bookkeeping.
+    assert!(
+        kept <= READ_CHUNK,
+        "kept {kept} B after a {} B frame",
+        image.len()
+    );
+    node.shutdown();
 }

@@ -35,6 +35,11 @@
 //!   which hashes its content index already holds, and ships a *ref*
 //!   record (17 bytes) for each present page instead of the page itself.
 //!
+//! [`checkpoint_into`] and [`checkpoint_content_into`] write the same
+//! images into a buffer the caller keeps, so a sender that ships image
+//! after image (a cluster's rforks) allocates no image-sized memory once
+//! its buffer has grown to the largest one.
+//!
 //! The receiver maps refs through [`PageStore::map_content`], which
 //! re-hashes the local candidate before sharing — a stale or colliding
 //! index entry fails the restore (the sender re-encodes the same manifest
@@ -85,22 +90,26 @@ fn dirty_pages(
     Ok(())
 }
 
-/// The one image writer: the header, then one record per entry of
-/// `records` — `(vpn, Some(hash))` ships a ref, `(vpn, None)` ships
-/// `world`'s page inline. The buffer is sized exactly, once. Serialisation
-/// is real work (not simulated), so the announced duration is measured
-/// wall time.
-fn write_image(
+/// The one image writer: clear `out`, then write the header and one
+/// record per entry of `records` into it — `(vpn, Some(hash))` ships a
+/// ref, `(vpn, None)` ships `world`'s page inline, appended straight from
+/// the frame with no zero-fill first. The buffer is grown to the exact
+/// image size at most once, so a caller that keeps it across images
+/// allocates nothing for images that fit. Serialisation is real work (not
+/// simulated), so the announced duration is measured wall time.
+fn write_image_into(
     store: &PageStore,
     world: WorldId,
     base_on_target: u64,
     records: &[(Vpn, Option<u64>)],
-) -> Result<Vec<u8>> {
+    out: &mut Vec<u8>,
+) -> Result<()> {
     let started = Instant::now();
     let page_size = store.page_size();
     let refs = records.iter().filter(|(_, hash)| hash.is_some()).count();
     let body = records.len() * 9 + refs * 8 + (records.len() - refs) * page_size;
-    let mut out = Vec::with_capacity(HEADER + body);
+    out.clear();
+    out.reserve_exact(HEADER + body);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(page_size as u64).to_le_bytes());
@@ -115,9 +124,7 @@ fn write_image(
             }
             None => {
                 out.push(REC_INLINE);
-                let at = out.len();
-                out.resize(at + page_size, 0);
-                store.read(world, vpn, 0, &mut out[at..])?;
+                store.read_append(world, vpn, 0, page_size, out)?;
             }
         }
     }
@@ -134,18 +141,26 @@ fn write_image(
             0,
         )
     });
-    Ok(out)
+    Ok(())
 }
 
 /// Serialise every mapped page of `world` into a full image (base 0:
 /// the receiver starts from an empty world).
 pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    checkpoint_into(store, world, &mut out)?;
+    Ok(out)
+}
+
+/// [`checkpoint`] into a buffer the caller keeps: `out` is cleared and
+/// refilled, and only grows when the image outgrows it.
+pub fn checkpoint_into(store: &PageStore, world: WorldId, out: &mut Vec<u8>) -> Result<()> {
     let records: Vec<_> = store
         .mapped_vpns(world)?
         .into_iter()
         .map(|vpn| (vpn, None))
         .collect();
-    write_image(store, world, 0, &records)
+    write_image_into(store, world, 0, &records, out)
 }
 
 /// Serialise only the pages of `world` whose **bytes** differ from
@@ -165,7 +180,9 @@ pub fn checkpoint_delta(
 ) -> Result<Vec<u8>> {
     let mut records = Vec::new();
     dirty_pages(store, world, base, |vpn, _| records.push((vpn, None)))?;
-    write_image(store, world, base_on_target, &records)
+    let mut out = Vec::new();
+    write_image_into(store, world, base_on_target, &records, &mut out)?;
+    Ok(out)
 }
 
 /// The `(vpn, hash)` manifest a content delta ([`checkpoint_content`])
@@ -194,6 +211,21 @@ pub fn checkpoint_content(
     manifest: &[(Vpn, u64)],
     present: &[bool],
 ) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    checkpoint_content_into(store, world, base_on_target, manifest, present, &mut out)?;
+    Ok(out)
+}
+
+/// [`checkpoint_content`] into a buffer the caller keeps, as
+/// [`checkpoint_into`] does for a full image.
+pub fn checkpoint_content_into(
+    store: &PageStore,
+    world: WorldId,
+    base_on_target: u64,
+    manifest: &[(Vpn, u64)],
+    present: &[bool],
+    out: &mut Vec<u8>,
+) -> Result<()> {
     assert_eq!(
         manifest.len(),
         present.len(),
@@ -204,7 +236,7 @@ pub fn checkpoint_content(
         .zip(present)
         .map(|(&(vpn, hash), &have)| (vpn, have.then_some(hash)))
         .collect();
-    write_image(store, world, base_on_target, &records)
+    write_image_into(store, world, base_on_target, &records, out)
 }
 
 /// What an image says, before any of it touches a store.
@@ -643,6 +675,37 @@ mod tests {
         bad[32 + 8] = 7;
         assert!(restore(&there, &bad).is_err());
         assert_eq!(there.world_count(), before, "no worlds leaked");
+    }
+
+    #[test]
+    fn images_written_into_a_kept_buffer_match_fresh_ones() {
+        let store = PageStore::new(64);
+        let base = store.create_world();
+        for vpn in 0..10 {
+            store.write(base, vpn, 0, &[vpn as u8 + 1; 64]).unwrap();
+        }
+        let child = store.fork_world(base).unwrap();
+        store.write(child, 4, 0, b"edit").unwrap();
+        let manifest = delta_manifest(&store, child, base).unwrap();
+        let present = vec![false; manifest.len()];
+
+        let mut kept = Vec::new();
+        checkpoint_into(&store, base, &mut kept).unwrap();
+        assert_eq!(kept, checkpoint(&store, base).unwrap());
+        let grown = kept.capacity();
+        // A shorter image after a longer one: exactly its own bytes, in
+        // the same allocation.
+        checkpoint_content_into(&store, child, base.raw(), &manifest, &present, &mut kept).unwrap();
+        let fresh = checkpoint_content(&store, child, base.raw(), &manifest, &present).unwrap();
+        assert_eq!(kept, fresh);
+        assert_eq!(kept.capacity(), grown, "the kept buffer did not regrow");
+        let r = restore(&store, &kept).unwrap();
+        assert_eq!(store.read_vec(r, 4, 0, 4).unwrap(), b"edit");
+        // And the header-only image a sibling fork ships.
+        checkpoint_content_into(&store, child, base.raw(), &[], &[], &mut kept).unwrap();
+        assert_eq!(kept.len(), HEADER);
+        let twin = restore(&store, &kept).unwrap();
+        assert_eq!(store.read_vec(twin, 4, 0, 1).unwrap(), vec![5]);
     }
 
     #[test]

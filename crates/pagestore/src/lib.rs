@@ -62,7 +62,10 @@ mod page;
 mod stats;
 mod store;
 
-pub use checkpoint::{checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, restore};
+pub use checkpoint::{
+    checkpoint, checkpoint_content, checkpoint_content_into, checkpoint_delta, checkpoint_into,
+    delta_manifest, restore,
+};
 pub use content::page_hash;
 pub use cursor::Cursor;
 pub use error::{PageStoreError, Result};

@@ -513,15 +513,28 @@ impl PageStore {
     /// Convenience: read into a freshly allocated `Vec`. The buffer is
     /// filled in a single pass (no zero-then-overwrite).
     pub fn read_vec(&self, world: WorldId, vpn: Vpn, offset: usize, len: usize) -> Result<Vec<u8>> {
-        self.check_bounds(offset, len)?;
-        let data = self.page_snapshot(world, vpn)?;
         let mut v = Vec::with_capacity(len);
-        match data {
-            Some(arc) => v.extend_from_slice(&arc.bytes()[offset..offset + len]),
-            None => v.resize(len, 0),
+        self.read_append(world, vpn, offset, len, &mut v)?;
+        Ok(v)
+    }
+
+    /// Append `len` bytes at `offset` within page `vpn` of `world` to
+    /// `out`, in a single pass (no zero-then-overwrite).
+    pub(crate) fn read_append(
+        &self,
+        world: WorldId,
+        vpn: Vpn,
+        offset: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        self.check_bounds(offset, len)?;
+        match self.page_snapshot(world, vpn)? {
+            Some(arc) => out.extend_from_slice(&arc.bytes()[offset..offset + len]),
+            None => out.resize(out.len() + len, 0),
         }
         self.stats.reads.incr();
-        Ok(v)
+        Ok(())
     }
 
     /// Snapshot the page mapped at `vpn`, if any, under the shard read lock.

@@ -1,9 +1,9 @@
 //! Nodes and remote forking.
 
-use worlds_net::FaultSchedule;
+use worlds_net::{shed_oversized, FaultSchedule};
 use worlds_obs::{Event as ObsEvent, EventKind, Registry, VirtualTime};
 use worlds_pagestore::{
-    checkpoint, checkpoint_content, delta_manifest, PageStore, PageStoreError, WorldId,
+    checkpoint_content_into, checkpoint_into, delta_manifest, PageStore, PageStoreError, WorldId,
 };
 
 use crate::net::NetModel;
@@ -70,6 +70,11 @@ pub struct Cluster {
     /// pinned base instead of full images.
     delta_rfork: bool,
     delta_cache: DeltaCache,
+    /// The one buffer every shipped image is written into — full, delta
+    /// and sibling header alike — kept for the cluster's life (unless an
+    /// image grows it past [`worlds_net::READ_CHUNK`]), so a steady
+    /// stream of rforks allocates no image-sized memory here.
+    image: Vec<u8>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -164,6 +169,7 @@ impl Cluster {
             transport,
             delta_rfork: false,
             delta_cache: DeltaCache::default(),
+            image: Vec::new(),
         }
     }
 
@@ -373,8 +379,8 @@ impl Cluster {
         let shipped = if self.delta_rfork {
             self.ship_delta(src, dst, &mut total)?
         } else {
-            let image = checkpoint(&self.nodes[src.node.0].store, src.world)?;
-            self.ship(src, dst, &image, &mut total)?
+            checkpoint_into(&self.nodes[src.node.0].store, src.world, &mut self.image)?;
+            self.ship(src, dst, &mut total)?
         };
         Ok((self.forked(src, dst, shipped), total))
     }
@@ -395,17 +401,21 @@ impl Cluster {
         count: usize,
     ) -> Result<Vec<Forked>, PageStoreError> {
         let dst = first.node;
-        let image = checkpoint_content(
+        checkpoint_content_into(
             &self.nodes[src.node.0].store,
             src.world,
             first.world.raw(),
             &[],
             &[],
+            &mut self.image,
         )?;
+        let len = self.image.len();
         let costs: Vec<VirtualTime> = (0..count)
-            .map(|_| self.transfer(src.world.raw(), src.node, dst, image.len()))
+            .map(|_| self.transfer(src.world.raw(), src.node, dst, len))
             .collect();
-        let shipped = self.transport.ship_image(dst.0, &vec![&image[..]; count]);
+        let shipped = self
+            .transport
+            .ship_image(dst.0, &vec![&self.image[..]; count]);
         Ok(shipped
             .into_iter()
             .zip(costs)
@@ -433,21 +443,23 @@ impl Cluster {
         }
     }
 
-    /// Move one checkpoint image from `src`'s node to `dst`: charge the
-    /// transfer to `total`, then restore it there. Returns the restored
-    /// world's raw id.
+    /// Move the image in the cluster's buffer from `src`'s node to `dst`:
+    /// charge the transfer to `total`, then restore it there. Returns the
+    /// restored world's raw id.
     fn ship(
         &mut self,
         src: RemoteWorld,
         dst: NodeId,
-        image: &[u8],
         total: &mut VirtualTime,
     ) -> Result<u64, worlds_pagestore::PageStoreError> {
-        *total += self.transfer(src.world.raw(), src.node, dst, image.len());
-        self.transport
-            .ship_image(dst.0, &[image])
+        *total += self.transfer(src.world.raw(), src.node, dst, self.image.len());
+        let shipped = self
+            .transport
+            .ship_image(dst.0, &[&self.image])
             .pop()
-            .expect("one outcome per image")
+            .expect("one outcome per image");
+        shed_oversized(&mut self.image);
+        shipped
     }
 
     /// The delta shipment of `src → dst`, one straight line: pinned base
@@ -472,13 +484,14 @@ impl Cluster {
                 // image pins a base replica there and a snapshot here.
                 // Neither is ever handed out, so future rforks can
                 // diff against them no matter what the block commits.
-                let full = checkpoint(&store, src.world)?;
-                let replica = self.ship(src, dst, &full, total)?;
+                checkpoint_into(&store, src.world, &mut self.image)?;
+                let bytes = self.image.len() as u64;
+                let replica = self.ship(src, dst, total)?;
                 let base = DeltaBase {
                     src_node: src.node.0,
                     snapshot: store.fork_world(src.world)?,
                     replica,
-                    bytes: full.len() as u64,
+                    bytes,
                 };
                 let evicted = self.delta_cache.insert(dst.0, src.world, base);
                 self.release_evicted(evicted);
@@ -500,13 +513,26 @@ impl Cluster {
                 }
             }
         }
-        let image = checkpoint_content(&store, src.world, base.replica, &manifest, &present)?;
-        match self.ship(src, dst, &image, total) {
+        checkpoint_content_into(
+            &store,
+            src.world,
+            base.replica,
+            &manifest,
+            &present,
+            &mut self.image,
+        )?;
+        match self.ship(src, dst, total) {
             Err(_) if present.contains(&true) => {
                 present.fill(false);
-                let bytes =
-                    checkpoint_content(&store, src.world, base.replica, &manifest, &present)?;
-                self.ship(src, dst, &bytes, total)
+                checkpoint_content_into(
+                    &store,
+                    src.world,
+                    base.replica,
+                    &manifest,
+                    &present,
+                    &mut self.image,
+                )?;
+                self.ship(src, dst, total)
             }
             shipped => shipped,
         }
@@ -1048,6 +1074,48 @@ mod tests {
         c.write(origin, 2, b"never seen before").unwrap();
         let (r2, _) = c.rfork(origin, NodeId(1)).unwrap();
         assert_eq!(c.read(r2, 2, 17).unwrap(), b"never seen before");
+    }
+
+    #[test]
+    fn full_delta_and_header_images_share_one_buffer_and_restore_exactly() {
+        let mut c = Cluster::tcp(2, 4096, NetModel::ideal(), Registry::disabled()).unwrap();
+        c.set_delta_rfork(true);
+        let origin = c.create_world(NodeId(0));
+        let page = |vpn: u64, salt: u8| -> Vec<u8> {
+            (0..4096).map(|i| (vpn as u8) ^ salt ^ (i as u8)).collect()
+        };
+        for vpn in 0..64 {
+            c.write(origin, vpn, &page(vpn, 0)).unwrap();
+        }
+        let same_pages = |c: &Cluster, a: RemoteWorld, b: RemoteWorld| {
+            let vpns = c.node(a.node).store().mapped_vpns(a.world).unwrap();
+            assert_eq!(vpns, c.node(b.node).store().mapped_vpns(b.world).unwrap());
+            for vpn in vpns {
+                assert_eq!(c.read(a, vpn, 4096).unwrap(), c.read(b, vpn, 4096).unwrap());
+            }
+        };
+        // A full image pins the base, then a header-only delta forks it.
+        let (first, _) = c.rfork(origin, NodeId(1)).unwrap();
+        same_pages(&c, first, origin);
+        let grown = c.image.capacity();
+        assert!(grown > 64 * 4096, "the buffer held the full image");
+
+        // A delta of three pages, written over the full image's bytes.
+        for vpn in [3, 17, 40] {
+            c.write(origin, vpn, &page(vpn, 0xFF)).unwrap();
+        }
+        let (delta, _) = c.rfork(origin, NodeId(1)).unwrap();
+        same_pages(&c, delta, origin);
+        assert_eq!(c.image.len(), 32 + 3 * (9 + 4096), "a delta of three pages");
+        // Header-only siblings of the delta's replica.
+        let siblings = c.fork_siblings(origin, delta, 2).unwrap();
+        assert_eq!(c.image.len(), 32, "a header-only image");
+        for sibling in siblings {
+            same_pages(&c, sibling.unwrap().0, origin);
+        }
+        assert_eq!(c.image.capacity(), grown, "one buffer, never regrown");
+        // The first replica kept the bytes it was shipped.
+        assert_eq!(c.read(first, 3, 4096).unwrap(), page(3, 0));
     }
 
     #[test]

@@ -218,24 +218,6 @@ impl Conn {
         }))?)
     }
 
-    /// Issue a [`Request::HashProbe`] and unwrap the presence bitmap.
-    /// The reply must answer every probed hash, or the server is
-    /// confused and the caller should fall back to shipping bytes.
-    pub fn call_present(&mut self, hashes: Vec<u64>) -> Result<Vec<bool>> {
-        let want = hashes.len();
-        match self.call(&Request::HashProbe { hashes })? {
-            Reply::Present { present } if present.len() == want => Ok(present),
-            Reply::Present { present } => Err(NetError::Protocol(format!(
-                "hash probe answered {} of {want} hashes",
-                present.len()
-            ))),
-            Reply::Nack { code, detail } => Err(NetError::Nack { code, detail }),
-            _ => Err(NetError::Protocol(
-                "unexpected reply to a hash probe".into(),
-            )),
-        }
-    }
-
     /// Frame `count` requests, request `i` by `encode(i, corr, out)` under
     /// a fresh corr-id, deliver them as one burst, and keep the first
     /// frame's buffer for the next one.
@@ -483,7 +465,7 @@ fn ack(reply: Reply) -> Result<u64> {
     match reply {
         Reply::Ack { world } => Ok(world),
         Reply::Nack { code, detail } => Err(NetError::Nack { code, detail }),
-        Reply::Telemetry { .. } | Reply::Present { .. } => Err(NetError::Protocol(
+        Reply::Telemetry { .. } => Err(NetError::Protocol(
             "unexpected typed reply to an ack-style request".into(),
         )),
     }

@@ -17,7 +17,7 @@
 //!   byte layout).
 //! * [`Request`] / [`Reply`] — the RPC vocabulary: `Ping`, `Rfork`
 //!   (checkpoint image), `CommitBack` (dirty pages), `Discard`, plus
-//!   telemetry, hash probes and the tenant session family.
+//!   telemetry and the tenant session family.
 //! * [`NetNode`] — the server: one listener per node, handlers on the
 //!   shared executor, and a corr-id reply ledger that makes every
 //!   operation idempotent under retransmission.

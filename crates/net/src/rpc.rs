@@ -4,7 +4,10 @@
 //! commit-back protocol), plus telemetry and the tenant session family.
 //! Predicated IPC (§2.4.1) is simulated, not sent: kind 5, which once
 //! carried an `ipc::Message`, is retired and never reused, so a peer that
-//! still sends it gets the unknown-kind `BAD_REQUEST` Nack.
+//! still sends it gets the unknown-kind `BAD_REQUEST` Nack. So is kind 7,
+//! which once asked a receiver which page hashes its content index held
+//! before a delta rfork: a delta now carries its changed pages inline and
+//! asks nothing first. Its answer, reply kind 0x83, is retired with it.
 //!
 //! | kind | request          | carries                                   |
 //! |------|------------------|-------------------------------------------|
@@ -14,17 +17,16 @@
 //! | 4    | `Discard`        | a losing world to drop                    |
 //! | 5    | —                | retired, never reused                     |
 //! | 6    | `Telemetry`      | opaque telemetry bytes (rollup delta/query)|
-//! | 7    | `HashProbe`      | page-content hashes to test for presence  |
+//! | 7    | —                | retired, never reused                     |
 //! | 8    | `SessionOpen`    | tenant name + resource limits             |
 //! | 9    | `SessionSpawn`   | speculative world: page writes + vt cost  |
 //! | 10   | `SessionCommit`  | the session's chosen winner world         |
 //! | 11   | `SessionFork`    | lineage-fork a child session              |
 //! | 12   | `SessionClose`   | teardown; child close may adopt-to-parent |
 //!
-//! Replies are `Ack { world }` (0x80), `Nack { code, detail }` (0x81),
-//! `Telemetry { payload }` (0x82) answering a telemetry query, or
-//! `Present { present }` (0x83) answering a hash probe with one
-//! presence bit per probed hash.
+//! Replies are `Ack { world }` (0x80), `Nack { code, detail }` (0x81), or
+//! `Telemetry { payload }` (0x82) answering a telemetry query; 0x83 is
+//! retired and never reused.
 //!
 //! Serialisation is hand-rolled little-endian — the same std-only
 //! discipline as the checkpoint image and the obs JSONL codec. Every
@@ -44,7 +46,7 @@ pub mod kind {
     pub const DISCARD: u8 = 4;
     // 5 is retired (it carried predicated sends) and never reused.
     pub const TELEMETRY: u8 = 6;
-    pub const HASH_PROBE: u8 = 7;
+    // 7 is retired (it probed a receiver's content index) and never reused.
     pub const SESSION_OPEN: u8 = 8;
     pub const SESSION_SPAWN: u8 = 9;
     pub const SESSION_COMMIT: u8 = 10;
@@ -53,7 +55,7 @@ pub mod kind {
     pub const ACK: u8 = 0x80;
     pub const NACK: u8 = 0x81;
     pub const TELEMETRY_REPLY: u8 = 0x82;
-    pub const PRESENT: u8 = 0x83;
+    // 0x83 is retired (it answered kind 7) and never reused.
 }
 
 /// Nack codes — coarse, machine-checkable failure classes.
@@ -117,12 +119,6 @@ pub enum Request {
     /// stays ignorant of metric shapes, exactly as it is of checkpoint
     /// internals. Servers without a telemetry handler Nack it.
     Telemetry { payload: Vec<u8> },
-    /// Ask which page-content hashes the receiving node's store can
-    /// satisfy from its content index — the manifest round-trip that
-    /// lets a content-delta checkpoint ship refs instead of bytes.
-    /// Presence is a *hint*: the receiver re-verifies by re-hashing at
-    /// apply time, so a stale answer costs a resend, never corruption.
-    HashProbe { hashes: Vec<u64> },
     /// Admit a named tenant session with its resource limits (0 means
     /// "unlimited" for each axis). Ack carries the new session id.
     /// Servers without a session handler Nack with `BAD_REQUEST`.
@@ -167,11 +163,6 @@ pub enum Reply {
     /// Answer to a [`Request::Telemetry`] query — an opaque payload the
     /// telemetry layer decodes (e.g. the collector's cluster table).
     Telemetry { payload: Vec<u8> },
-    /// Answer to a [`Request::HashProbe`]: `present[i]` is whether the
-    /// node holds a live frame whose contents hash to `hashes[i]`.
-    /// Encoded as a count plus a packed bitmap — 17 probed pages cost
-    /// 7 payload bytes, not 17.
-    Present { present: Vec<bool> },
 }
 
 impl Request {
@@ -183,7 +174,6 @@ impl Request {
             Request::CommitBack { .. } => kind::COMMIT_BACK,
             Request::Discard { .. } => kind::DISCARD,
             Request::Telemetry { .. } => kind::TELEMETRY,
-            Request::HashProbe { .. } => kind::HASH_PROBE,
             Request::SessionOpen { .. } => kind::SESSION_OPEN,
             Request::SessionSpawn { .. } => kind::SESSION_SPAWN,
             Request::SessionCommit { .. } => kind::SESSION_COMMIT,
@@ -225,7 +215,6 @@ impl Request {
             Request::CommitBack { pages, .. } => 8 + pages_len(pages),
             Request::Discard { .. } => 8,
             Request::Telemetry { payload } => payload.len(),
-            Request::HashProbe { hashes } => 4 + 8 * hashes.len(),
             Request::SessionOpen { name, .. } => 28 + name.len(),
             Request::SessionSpawn { writes, .. } => 16 + pages_len(writes),
             Request::SessionCommit { .. } => 16,
@@ -241,12 +230,6 @@ impl Request {
             Request::CommitBack { base, pages } => put_commit_back(out, *base, pages),
             Request::Discard { world } => out.extend_from_slice(&world.to_le_bytes()),
             Request::Telemetry { payload } => out.extend_from_slice(payload),
-            Request::HashProbe { hashes } => {
-                out.extend_from_slice(&(hashes.len() as u32).to_le_bytes());
-                for h in hashes {
-                    out.extend_from_slice(&h.to_le_bytes());
-                }
-            }
             Request::SessionOpen {
                 name,
                 max_live_worlds,
@@ -315,15 +298,6 @@ impl Request {
             kind::TELEMETRY => Request::Telemetry {
                 payload: payload.to_vec(),
             },
-            kind::HASH_PROBE => {
-                let count = r.u32()? as usize;
-                let mut hashes = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    hashes.push(r.u64()?);
-                }
-                r.finish()?;
-                Request::HashProbe { hashes }
-            }
             kind::SESSION_OPEN => {
                 let nlen = r.u32()? as usize;
                 let name = String::from_utf8_lossy(r.take(nlen)?).into_owned();
@@ -387,7 +361,6 @@ impl Reply {
             Reply::Ack { .. } => kind::ACK,
             Reply::Nack { .. } => kind::NACK,
             Reply::Telemetry { .. } => kind::TELEMETRY_REPLY,
-            Reply::Present { .. } => kind::PRESENT,
         }
     }
 
@@ -418,7 +391,6 @@ impl Reply {
             Reply::Ack { .. } => 8,
             Reply::Nack { detail, .. } => 8 + detail.len(),
             Reply::Telemetry { payload } => payload.len(),
-            Reply::Present { present } => 4 + present.len().div_ceil(8),
         }
     }
 
@@ -431,22 +403,6 @@ impl Reply {
                 out.extend_from_slice(detail.as_bytes());
             }
             Reply::Telemetry { payload } => out.extend_from_slice(payload),
-            Reply::Present { present } => {
-                out.extend_from_slice(&(present.len() as u32).to_le_bytes());
-                let mut byte = 0u8;
-                for (i, &p) in present.iter().enumerate() {
-                    if p {
-                        byte |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        out.push(byte);
-                        byte = 0;
-                    }
-                }
-                if present.len() % 8 != 0 {
-                    out.push(byte);
-                }
-            }
         }
     }
 
@@ -477,15 +433,6 @@ impl Reply {
                 Reply::Nack { code, detail }
             }
             kind::TELEMETRY_REPLY => Reply::Telemetry { payload },
-            kind::PRESENT => {
-                let count = r.u32()? as usize;
-                let bitmap = r.take(count.div_ceil(8))?;
-                let present = (0..count)
-                    .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
-                    .collect();
-                r.finish()?;
-                Reply::Present { present }
-            }
             other => return Err(format!("unknown reply kind {other}")),
         };
         Ok(reply)
@@ -577,10 +524,6 @@ mod tests {
         round_trip_request(Request::Telemetry {
             payload: Vec::new(),
         });
-        round_trip_request(Request::HashProbe {
-            hashes: vec![0xDEAD_BEEF, u64::MAX, 1],
-        });
-        round_trip_request(Request::HashProbe { hashes: Vec::new() });
         round_trip_request(Request::SessionOpen {
             name: "tenant-a".into(),
             max_live_worlds: 8,
@@ -684,28 +627,10 @@ mod tests {
             Reply::Telemetry {
                 payload: vec![9, 8, 7],
             },
-            Reply::Present {
-                present: Vec::new(),
-            },
-            Reply::Present {
-                present: vec![true, false, true],
-            },
-            // 17 bits exercises the bitmap spill into a third byte.
-            Reply::Present {
-                present: (0..17).map(|i| i % 3 == 0).collect(),
-            },
         ] {
             let payload = reply.encode_payload();
             assert_eq!(Reply::decode(reply.kind(), &payload).unwrap(), reply);
         }
-    }
-
-    #[test]
-    fn present_bitmap_is_packed() {
-        let reply = Reply::Present {
-            present: vec![true; 17],
-        };
-        assert_eq!(reply.encode_payload().len(), 4 + 3, "17 bits in 3 bytes");
     }
 
     #[test]
@@ -723,30 +648,21 @@ mod tests {
         let mut lying = payload.clone();
         lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Request::decode(kind::COMMIT_BACK, &lying).is_err());
-        // Unknown kinds.
+        // Unknown kinds, the retired ones among them: a request of kind 5
+        // or 7 and a reply of kind 0x83 parse as nothing at all.
         assert!(Request::decode(0xEE, &[]).is_err());
         assert!(Reply::decode(0xEE, &[]).is_err());
+        for retired in [5, 7] {
+            assert!(Request::decode(retired, &[]).is_err(), "kind {retired}");
+            assert!(
+                Request::decode(retired, &[0; 12]).is_err(),
+                "kind {retired}"
+            );
+        }
+        assert!(Reply::decode(0x83, &[0; 5]).is_err());
         // Trailing garbage is rejected, not ignored.
         let mut long = Request::Discard { world: 3 }.encode_payload();
         long.push(0);
         assert!(Request::decode(kind::DISCARD, &long).is_err());
-        // Truncated hash probes and presence bitmaps.
-        let probe = Request::HashProbe {
-            hashes: vec![7, 8, 9],
-        }
-        .encode_payload();
-        for n in 0..probe.len() {
-            assert!(Request::decode(kind::HASH_PROBE, &probe[..n]).is_err());
-        }
-        let present = Reply::Present {
-            present: vec![true; 9],
-        }
-        .encode_payload();
-        for n in 0..present.len() {
-            assert!(Reply::decode(kind::PRESENT, &present[..n]).is_err());
-        }
-        let mut long = present.clone();
-        long.push(0);
-        assert!(Reply::decode(kind::PRESENT, &long).is_err());
     }
 }

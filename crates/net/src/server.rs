@@ -303,16 +303,6 @@ fn apply(shared: &Shared, kind_byte: u8, payload: &[u8]) -> Reply {
                 },
             }
         }
-        // Read-only and cheap (one index lookup + one page re-hash per
-        // probed hash), so no ledger interplay matters — but it flows
-        // through `reply_for` like everything else, which keeps
-        // retransmits free.
-        Request::HashProbe { hashes } => Reply::Present {
-            present: hashes
-                .iter()
-                .map(|&h| shared.store.content_probe(h))
-                .collect(),
-        },
         req @ (Request::SessionOpen { .. }
         | Request::SessionSpawn { .. }
         | Request::SessionCommit { .. }

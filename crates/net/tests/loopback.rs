@@ -76,62 +76,6 @@ fn delta_rfork_ships_against_restored_base() {
 }
 
 #[test]
-fn content_rfork_ships_refs_for_pages_the_receiver_holds() {
-    let server_store = PageStore::new(PAGE);
-    server_store.set_dedupe(true);
-    let node = NetNode::serve(1, server_store, Registry::disabled()).unwrap();
-    let mut conn = Conn::new(1, node.addr(), fast(), Registry::disabled());
-
-    let local = PageStore::new(PAGE);
-    let base = local.create_world();
-    for vpn in 0..20 {
-        local.write(base, vpn, 0, &[vpn as u8; PAGE]).unwrap();
-    }
-    let base_there = conn
-        .call_ack(&Request::Rfork {
-            image: checkpoint(&local, base).unwrap(),
-        })
-        .unwrap();
-
-    // The child rewrites page 3 to bytes nobody has, and page 4 to bytes
-    // the receiver *already holds* (base page 5's contents — restored
-    // full-page writes sealed them into the receiver's index).
-    let child = local.fork_world(base).unwrap();
-    local.write(child, 3, 0, &[99; PAGE]).unwrap();
-    local.write(child, 4, 0, &[5; PAGE]).unwrap();
-
-    let manifest = worlds_pagestore::delta_manifest(&local, child, base).unwrap();
-    let hashes: Vec<u64> = manifest.iter().map(|&(_, h)| h).collect();
-    let present = conn.call_present(hashes).unwrap();
-    assert_eq!(present.len(), manifest.len());
-    assert!(
-        present.iter().any(|&p| p),
-        "the receiver's index must recognise the duplicated page"
-    );
-
-    let inline = checkpoint_delta(&local, child, base, base_there).unwrap();
-    let refs = worlds_pagestore::checkpoint_content(&local, child, base_there, &manifest, &present)
-        .unwrap();
-    assert!(
-        refs.len() < inline.len(),
-        "content delta ({}) must undercut the plain delta ({})",
-        refs.len(),
-        inline.len()
-    );
-
-    let child_there = WorldId::from_raw(conn.call_ack(&Request::Rfork { image: refs }).unwrap());
-    assert_eq!(
-        node.store().read_vec(child_there, 3, 0, PAGE).unwrap(),
-        vec![99; PAGE]
-    );
-    assert_eq!(
-        node.store().read_vec(child_there, 4, 0, PAGE).unwrap(),
-        vec![5; PAGE]
-    );
-    node.shutdown();
-}
-
-#[test]
 fn commit_back_and_discard_apply_to_the_right_worlds() {
     let store = PageStore::new(PAGE);
     let base = store.create_world();
@@ -245,35 +189,62 @@ const RETIRED_PREDICATED_SEND: &str =
      00000000090000000000000002000000010000000000000002000000000000000100000007000000000000\
      001100000073706563756c61746976652068656c6c6f0105000000000000000600000000000000ba97a8dd";
 
-/// A peer that still sends the retired kind gets the unknown-kind Nack,
-/// and the same connection goes on answering.
-#[test]
-fn a_retired_predicated_send_is_nacked_and_the_connection_survives() {
+/// Kind 7 once asked a receiver which page hashes its content index held,
+/// before a delta rfork shipped refs to them; deltas now carry their pages
+/// inline, and the kind is retired, never reused. This is the frame an
+/// older peer sent (it was the wire fixture's `hash_probe` line): hashes
+/// 0xDEADBEEF, u64::MAX and 1, under correlation id 7.
+const RETIRED_HASH_PROBE: &str = "4d574e46010707000000000000001c00000003000000efbeadde00000000\
+     ffffffffffffffff01000000000000007018e0ca";
+
+/// Send the frame `hex` (a retired `kind` under correlation id `corr`)
+/// verbatim on a raw socket: the peer gets the unknown-kind Nack, and the
+/// same connection goes on answering.
+fn retired_frame_is_nacked_and_the_connection_survives(hex: &str, kind: u8, corr: u64) {
     let node = NetNode::serve(2, PageStore::new(PAGE), Registry::disabled()).unwrap();
-    let wire: Vec<u8> = (0..RETIRED_PREDICATED_SEND.len() / 2)
-        .map(|i| u8::from_str_radix(&RETIRED_PREDICATED_SEND[2 * i..2 * i + 2], 16).unwrap())
+    let wire: Vec<u8> = (0..hex.len() / 2)
+        .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
         .collect();
     // A well-formed frame: the refusal comes from the RPC layer.
-    assert_eq!(Frame::decode(&wire).unwrap().kind, 5);
+    assert_eq!(Frame::decode(&wire).unwrap().kind, kind);
 
     let mut s = std::net::TcpStream::connect(node.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     std::io::Write::write_all(&mut s, &wire).unwrap();
     let (reply, _) = read_frame(&mut s).unwrap();
-    assert_eq!(reply.corr, 5);
+    assert_eq!(reply.corr, corr);
     match Reply::decode(reply.kind, &reply.payload).unwrap() {
         Reply::Nack { code, .. } => assert_eq!(code, nack::BAD_REQUEST),
-        other => panic!("kind 5 must be nacked, got {other:?}"),
+        other => panic!("kind {kind} must be nacked, got {other:?}"),
     }
 
-    write_frame(&mut s, &Frame::new(Request::Ping.kind(), 6, Vec::new())).unwrap();
+    write_frame(
+        &mut s,
+        &Frame::new(Request::Ping.kind(), corr + 1, Vec::new()),
+    )
+    .unwrap();
     let (pong, _) = read_frame(&mut s).unwrap();
-    assert_eq!(pong.corr, 6);
+    assert_eq!(pong.corr, corr + 1);
     assert_eq!(
         Reply::decode(pong.kind, &pong.payload).unwrap(),
         Reply::Ack { world: 0 }
     );
+    assert_eq!(
+        node.store().world_count(),
+        0,
+        "a retired kind applies nothing"
+    );
     node.shutdown();
+}
+
+#[test]
+fn a_retired_predicated_send_is_nacked_and_the_connection_survives() {
+    retired_frame_is_nacked_and_the_connection_survives(RETIRED_PREDICATED_SEND, 5, 5);
+}
+
+#[test]
+fn a_retired_hash_probe_is_nacked_and_the_connection_survives() {
+    retired_frame_is_nacked_and_the_connection_survives(RETIRED_HASH_PROBE, 7, 7);
 }
 
 /// The tentpole idempotency guarantee: a request delivered twice under

@@ -15,35 +15,32 @@
 //!
 //! ```text
 //! magic "MWCK" | version u32 | page_size u64 | record_count u64 | base_world u64
-//! then per record: vpn u64 | kind u8
-//!                  | kind 0: page_size inline bytes | kind 1: content hash u64
+//! then per record: vpn u64 | kind u8 = 0 | page_size inline bytes
 //! ```
+//!
+//! Record kind 1 once carried an 8-byte content hash in place of the page,
+//! a *ref* to bytes the receiver's content index held. It is retired and
+//! never reused: on the delta rfork path a ref could not hit (see
+//! EXPERIMENTS.md, *Deltas without a probe*), so every page travels inline
+//! and [`restore`] rejects an image holding any other kind.
 //!
 //! [`restore`] builds a **new world**: a COW fork of `base_world` (which
 //! must already live in the target store — for `rfork` that is the replica
 //! an earlier image restored), or a fresh empty world when `base_world` is
-//! 0 (world ids start at 1), with every record applied on top. The three
-//! public encoders differ only in which records they emit:
+//! 0 (world ids start at 1), with every record applied on top. The public
+//! encoders differ only in which pages they write:
 //!
-//! * [`checkpoint`] — a **full** image: every mapped page inline against
-//!   base 0.
+//! * [`checkpoint`] — a **full** image: every mapped page against base 0.
 //! * [`checkpoint_delta`] — only the pages whose bytes differ from a
-//!   stated base world, inline. Repeated rfork of sibling worlds then
-//!   ships KBs instead of the full image.
-//! * [`checkpoint_content`] — the same pages, but the sender first derives
-//!   a `(vpn, hash)` manifest ([`delta_manifest`]), asks the receiver
-//!   which hashes its content index already holds, and ships a *ref*
-//!   record (17 bytes) for each present page instead of the page itself.
+//!   stated base world. Repeated rfork of sibling worlds then ships KBs
+//!   instead of the full image.
+//! * [`checkpoint_content`] — the pages a [`delta_manifest`] names, the
+//!   same image [`checkpoint_delta`] writes for that manifest.
 //!
-//! [`checkpoint_into`] and [`checkpoint_content_into`] write the same
-//! images into a buffer the caller keeps, so a sender that ships image
-//! after image (a cluster's rforks) allocates no image-sized memory once
-//! its buffer has grown to the largest one.
-//!
-//! The receiver maps refs through [`PageStore::map_content`], which
-//! re-hashes the local candidate before sharing — a stale or colliding
-//! index entry fails the restore (the sender re-encodes the same manifest
-//! with no refs) rather than aliasing wrong bytes.
+//! [`checkpoint_into`] and [`checkpoint_delta_into`] write the same images
+//! into a buffer the caller keeps, so a sender that ships image after
+//! image (a cluster's rforks) allocates no image-sized memory once its
+//! buffer has grown to the largest one.
 //!
 //! Images are ephemeral wire payloads between nodes of one build; nothing
 //! stores one, so there is no older version to stay readable.
@@ -62,10 +59,9 @@ const MAGIC: &[u8] = b"MWCK";
 const VERSION: u32 = 3;
 /// Header bytes: magic + version + page_size + record_count + base_world.
 const HEADER: usize = 32;
-/// Record kinds: a full inline page, or a hash ref to content the
-/// receiver already holds.
+/// The one record kind: a full inline page. (Kind 1, a content-hash ref,
+/// is retired.)
 const REC_INLINE: u8 = 0;
-const REC_REF: u8 = 1;
 
 /// Hand `each` every page of `world` whose **bytes** differ from `base`,
 /// ascending, with the `world`-side bytes. The candidate set is the COW
@@ -91,48 +87,37 @@ fn dirty_pages(
 }
 
 /// The one image writer: clear `out`, then write the header and one
-/// record per entry of `records` into it — `(vpn, Some(hash))` ships a
-/// ref, `(vpn, None)` ships `world`'s page inline, appended straight from
-/// the frame with no zero-fill first. The buffer is grown to the exact
-/// image size at most once, so a caller that keeps it across images
-/// allocates nothing for images that fit. Serialisation is real work (not
-/// simulated), so the announced duration is measured wall time.
+/// inline record per vpn of `vpns` into it, each page appended straight
+/// from `world`'s frame with no zero-fill first. The buffer is grown to
+/// the exact image size at most once, so a caller that keeps it across
+/// images allocates nothing for images that fit. Serialisation is real
+/// work (not simulated), so the announced duration is measured wall time.
 fn write_image_into(
     store: &PageStore,
     world: WorldId,
     base_on_target: u64,
-    records: &[(Vpn, Option<u64>)],
+    vpns: &[Vpn],
     out: &mut Vec<u8>,
 ) -> Result<()> {
     let started = Instant::now();
     let page_size = store.page_size();
-    let refs = records.iter().filter(|(_, hash)| hash.is_some()).count();
-    let body = records.len() * 9 + refs * 8 + (records.len() - refs) * page_size;
     out.clear();
-    out.reserve_exact(HEADER + body);
+    out.reserve_exact(HEADER + vpns.len() * (9 + page_size));
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(page_size as u64).to_le_bytes());
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(vpns.len() as u64).to_le_bytes());
     out.extend_from_slice(&base_on_target.to_le_bytes());
-    for &(vpn, hash) in records {
+    for &vpn in vpns {
         out.extend_from_slice(&vpn.to_le_bytes());
-        match hash {
-            Some(hash) => {
-                out.push(REC_REF);
-                out.extend_from_slice(&hash.to_le_bytes());
-            }
-            None => {
-                out.push(REC_INLINE);
-                store.read_append(world, vpn, 0, page_size, out)?;
-            }
-        }
+        out.push(REC_INLINE);
+        store.read_append(world, vpn, 0, page_size, out)?;
     }
     store.obs().emit(|| {
         let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
         worlds_obs::Event::new(
             worlds_obs::EventKind::Checkpoint {
-                pages: records.len() as u64,
+                pages: vpns.len() as u64,
                 bytes: out.len() as u64,
                 duration_ns: started.elapsed().as_nanos() as u64,
             },
@@ -155,20 +140,15 @@ pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
 /// [`checkpoint`] into a buffer the caller keeps: `out` is cleared and
 /// refilled, and only grows when the image outgrows it.
 pub fn checkpoint_into(store: &PageStore, world: WorldId, out: &mut Vec<u8>) -> Result<()> {
-    let records: Vec<_> = store
-        .mapped_vpns(world)?
-        .into_iter()
-        .map(|vpn| (vpn, None))
-        .collect();
-    write_image_into(store, world, 0, &records, out)
+    write_image_into(store, world, 0, &store.mapped_vpns(world)?, out)
 }
 
 /// Serialise only the pages of `world` whose **bytes** differ from
-/// `base`, all inline. `base_on_target` is the world id the image's
-/// receiver should fork as the base — for a same-store round trip that is
-/// `base.raw()`; for `rfork` it is the id of the replica a previous image
-/// restored on the remote store (cluster stores share one id allocator,
-/// so the id is unambiguous either way).
+/// `base`. `base_on_target` is the world id the image's receiver should
+/// fork as the base — for a same-store round trip that is `base.raw()`;
+/// for `rfork` it is the id of the replica a previous image restored on
+/// the remote store (cluster stores share one id allocator, so the id is
+/// unambiguous either way).
 ///
 /// Only dirty pages ship: a write that restored the original bytes
 /// ships nothing.
@@ -178,18 +158,32 @@ pub fn checkpoint_delta(
     base: WorldId,
     base_on_target: u64,
 ) -> Result<Vec<u8>> {
-    let mut records = Vec::new();
-    dirty_pages(store, world, base, |vpn, _| records.push((vpn, None)))?;
     let mut out = Vec::new();
-    write_image_into(store, world, base_on_target, &records, &mut out)?;
+    checkpoint_delta_into(store, world, base, base_on_target, &mut out)?;
     Ok(out)
 }
 
-/// The `(vpn, hash)` manifest a content delta ([`checkpoint_content`])
-/// negotiates with: every page of `world` whose bytes differ from `base`,
-/// paired with the content hash of the `world`-side bytes. Same candidate
-/// narrowing as [`checkpoint_delta`] — a write that restored the original
-/// bytes produces no entry.
+/// [`checkpoint_delta`] into a buffer the caller keeps, as
+/// [`checkpoint_into`] does for a full image. With `base == world` no
+/// page differs, and the image is the bare header: a fork of
+/// `base_on_target` as it stands.
+pub fn checkpoint_delta_into(
+    store: &PageStore,
+    world: WorldId,
+    base: WorldId,
+    base_on_target: u64,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let mut vpns = Vec::new();
+    dirty_pages(store, world, base, |vpn, _| vpns.push(vpn))?;
+    write_image_into(store, world, base_on_target, &vpns, out)
+}
+
+/// Every page of `world` whose bytes differ from `base`, paired with the
+/// content hash of the `world`-side bytes. Same candidate narrowing as
+/// [`checkpoint_delta`] — a write that restored the original bytes
+/// produces no entry. [`checkpoint_content`] takes the manifest for its
+/// vpns; [`checkpoint_delta`] finds the same pages without hashing.
 pub fn delta_manifest(store: &PageStore, world: WorldId, base: WorldId) -> Result<Vec<(Vpn, u64)>> {
     let mut manifest = Vec::new();
     dirty_pages(store, world, base, |vpn, bytes| {
@@ -198,12 +192,12 @@ pub fn delta_manifest(store: &PageStore, world: WorldId, base: WorldId) -> Resul
     Ok(manifest)
 }
 
-/// Serialise a content delta: one record per `manifest` entry, shipped as
-/// a 17-byte hash *ref* when the matching `present` flag says the
-/// receiver's content index already holds those bytes, and as the full
-/// inline page otherwise. `manifest` comes from [`delta_manifest`];
-/// `present` from probing the receiver (one flag per entry, in order).
-/// `base_on_target` is as in [`checkpoint_delta`].
+/// Serialise the pages a [`delta_manifest`] names, inline: for a manifest
+/// of `world` against `base`, the image [`checkpoint_delta`] writes.
+/// `present` must hold one `false` per manifest entry. A `true` once
+/// shipped that page as a ref to bytes the receiver held; refs are
+/// retired, so no flag may ask for one. `base_on_target` is as in
+/// [`checkpoint_delta`].
 pub fn checkpoint_content(
     store: &PageStore,
     world: WorldId,
@@ -211,39 +205,25 @@ pub fn checkpoint_content(
     manifest: &[(Vpn, u64)],
     present: &[bool],
 ) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    checkpoint_content_into(store, world, base_on_target, manifest, present, &mut out)?;
-    Ok(out)
-}
-
-/// [`checkpoint_content`] into a buffer the caller keeps, as
-/// [`checkpoint_into`] does for a full image.
-pub fn checkpoint_content_into(
-    store: &PageStore,
-    world: WorldId,
-    base_on_target: u64,
-    manifest: &[(Vpn, u64)],
-    present: &[bool],
-    out: &mut Vec<u8>,
-) -> Result<()> {
     assert_eq!(
         manifest.len(),
         present.len(),
         "one presence flag per manifest entry"
     );
-    let records: Vec<_> = manifest
-        .iter()
-        .zip(present)
-        .map(|(&(vpn, hash), &have)| (vpn, have.then_some(hash)))
-        .collect();
-    write_image_into(store, world, base_on_target, &records, out)
+    assert!(
+        !present.contains(&true),
+        "ref records are retired: every page ships inline"
+    );
+    let vpns: Vec<Vpn> = manifest.iter().map(|&(vpn, _)| vpn).collect();
+    let mut out = Vec::new();
+    write_image_into(store, world, base_on_target, &vpns, &mut out)?;
+    Ok(out)
 }
 
 /// What an image says, before any of it touches a store.
 struct Parsed<'a> {
     base: u64,
-    refs: Vec<(Vpn, u64)>,
-    inline: Vec<(Vpn, &'a [u8])>,
+    pages: Vec<(Vpn, &'a [u8])>,
 }
 
 /// The one record walk. Every field is the sender's claim and is read
@@ -264,14 +244,12 @@ fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, Stri
     let count = cur.u64()?;
     let mut parsed = Parsed {
         base: cur.u64()?,
-        refs: Vec::new(),
-        inline: Vec::new(),
+        pages: Vec::new(),
     };
     for _ in 0..count {
         let vpn = cur.u64()?;
         match cur.u8()? {
-            REC_INLINE => parsed.inline.push((vpn, cur.take(page_size)?)),
-            REC_REF => parsed.refs.push((vpn, cur.u64()?)),
+            REC_INLINE => parsed.pages.push((vpn, cur.take(page_size)?)),
             kind => return Err(format!("unknown record kind {kind}")),
         }
     }
@@ -283,20 +261,12 @@ fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, Stri
 /// store must have the same page size as the image, and a non-zero base
 /// world must be alive in `store`: the new world is a COW fork of it (an
 /// empty world for base 0) with the records applied. No world exists
-/// until the whole image has parsed, and a failure after that — a *ref*
-/// record that no verified local frame satisfies, a store error — drops
-/// the half-built world, so nothing leaks and the sender can re-encode
-/// without refs.
-///
-/// Every ref is applied before any inline page. A full inline page seals
-/// into the receiver's direct-mapped content index as it is written, and
-/// may land in — and so evict — the very slot a later ref of the same
-/// image resolves through; the sender probed all its refs against the
-/// index as it stood *before* this image, so that is the index they must
-/// meet.
+/// until the whole image has parsed — an image holding a record kind
+/// other than 0 is rejected before the base is forked — and a store error
+/// after that drops the half-built world, so nothing leaks.
 pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
     let err = |msg: String| PageStoreError::NoSuchFile(format!("checkpoint: {msg}"));
-    let Parsed { base, refs, inline } = parse(image, store.page_size()).map_err(err)?;
+    let Parsed { base, pages } = parse(image, store.page_size()).map_err(err)?;
     let world = if base == 0 {
         store.create_world()
     } else {
@@ -305,12 +275,7 @@ pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
             .map_err(|_| err(format!("delta base world {base} not in target store")))?
     };
     let apply = || -> Result<()> {
-        for (vpn, hash) in refs {
-            if !store.map_content(world, vpn, hash)? {
-                return Err(err("content ref not present on receiver".into()));
-            }
-        }
-        for (vpn, page) in inline {
+        for (vpn, page) in pages {
             store.write(world, vpn, 0, page)?;
         }
         Ok(())
@@ -522,54 +487,9 @@ mod tests {
     }
 
     #[test]
-    fn content_delta_round_trip_with_warm_index() {
-        // Receiver already holds the child's new page contents (under a
-        // different world); the image ships a hash ref, not bytes.
+    fn content_image_is_the_delta_its_manifest_names() {
         let here = PageStore::new(64);
         let there = PageStore::new(64);
-        there.set_dedupe(true);
-        let base = here.create_world();
-        for vpn in 0..4 {
-            here.write(base, vpn, 0, &[vpn as u8 + 1; 64]).unwrap();
-        }
-        // Mirror the base on the receiver (PR 5's pinned-base handshake).
-        let rbase = restore(&there, &checkpoint(&here, base).unwrap()).unwrap();
-
-        let child = here.fork_world(base).unwrap();
-        here.write(child, 2, 0, &[0xEE; 64]).unwrap();
-        here.write(child, 9, 0, &[0xDD; 64]).unwrap();
-        // Warm the receiver's index with one of the two new pages.
-        let warm = there.create_world();
-        there.write(warm, 0, 0, &[0xEE; 64]).unwrap();
-
-        let manifest = delta_manifest(&here, child, base).unwrap();
-        assert_eq!(manifest.len(), 2);
-        let present: Vec<bool> = manifest
-            .iter()
-            .map(|&(_, h)| there.content_probe(h))
-            .collect();
-        assert_eq!(present.iter().filter(|&&p| p).count(), 1);
-        let image = checkpoint_content(&here, child, rbase.raw(), &manifest, &present).unwrap();
-        // One ref record (17 B) + one inline record (8 + 1 + 64 B).
-        assert_eq!(image.len(), 32 + 17 + 73);
-
-        let r = restore(&there, &image).unwrap();
-        assert_eq!(there.read_vec(r, 2, 0, 64).unwrap(), vec![0xEE; 64]);
-        assert_eq!(there.read_vec(r, 9, 0, 64).unwrap(), vec![0xDD; 64]);
-        for vpn in 0..2 {
-            assert_eq!(
-                there.read_vec(r, vpn, 0, 64).unwrap(),
-                vec![vpn as u8 + 1; 64],
-                "inherited base page {vpn}"
-            );
-        }
-        assert!(there.stats().dedupe_hits >= 1, "ref record re-shared");
-    }
-
-    #[test]
-    fn content_delta_all_inline_when_index_cold() {
-        let here = PageStore::new(64);
-        let there = PageStore::new(64); // dedupe off: every probe misses
         let base = here.create_world();
         here.write(base, 0, 0, b"base").unwrap();
         let rbase = restore(&there, &checkpoint(&here, base).unwrap()).unwrap();
@@ -577,82 +497,26 @@ mod tests {
         here.write(child, 7, 0, b"fresh").unwrap();
 
         let manifest = delta_manifest(&here, child, base).unwrap();
-        let present: Vec<bool> = manifest
-            .iter()
-            .map(|&(_, h)| there.content_probe(h))
-            .collect();
-        assert!(present.iter().all(|&p| !p));
+        let present = vec![false; manifest.len()];
         let image = checkpoint_content(&here, child, rbase.raw(), &manifest, &present).unwrap();
+        assert_eq!(
+            image,
+            checkpoint_delta(&here, child, base, rbase.raw()).unwrap()
+        );
         let r = restore(&there, &image).unwrap();
         assert_eq!(there.read_vec(r, 7, 0, 5).unwrap(), b"fresh");
+        assert_eq!(there.read_vec(r, 0, 0, 4).unwrap(), b"base");
     }
 
     #[test]
-    fn content_ref_missing_on_receiver_fails_without_leaking_a_world() {
-        let here = PageStore::new(64);
-        let there = PageStore::new(64);
-        let base = here.create_world();
-        here.write(base, 0, 0, b"base").unwrap();
-        let rbase = restore(&there, &checkpoint(&here, base).unwrap()).unwrap();
-        let child = here.fork_world(base).unwrap();
-        here.write(child, 3, 0, b"only here").unwrap();
-
-        let manifest = delta_manifest(&here, child, base).unwrap();
-        // Lie: claim the receiver has the page so a ref record is emitted.
-        let present = vec![true; manifest.len()];
-        let image = checkpoint_content(&here, child, rbase.raw(), &manifest, &present).unwrap();
-        let before = there.world_count();
-        let err = restore(&there, &image).unwrap_err();
-        assert!(format!("{err}").contains("not present"), "{err}");
-        assert_eq!(there.world_count(), before, "half-built world torn down");
-    }
-
-    #[test]
-    fn inline_page_cannot_evict_a_ref_of_its_own_image() {
-        use crate::content::ContentIndex;
-        let here = PageStore::new(64);
-        let there = PageStore::new(64);
-        there.set_dedupe(true);
-        let base = here.create_world();
-        here.write(base, 0, 0, b"base").unwrap();
-        let rbase = restore(&there, &checkpoint(&here, base).unwrap()).unwrap();
-        // The receiver already holds the page the image will ref...
-        let held = [0xDDu8; 64];
-        let warm = there.create_world();
-        there.write(warm, 0, 0, &held).unwrap();
-        // ...and the page the image carries inline, at a lower vpn, is
-        // picked to seal into the very index slot that ref resolves through.
-        let slot = ContentIndex::slot_of(page_hash(&held));
-        let mut evictor = [0xEEu8; 64];
-        for n in 0u64.. {
-            evictor[..8].copy_from_slice(&n.to_le_bytes());
-            if ContentIndex::slot_of(page_hash(&evictor)) == slot {
-                break;
-            }
-        }
-        let child = here.fork_world(base).unwrap();
-        here.write(child, 2, 0, &evictor).unwrap();
-        here.write(child, 9, 0, &held).unwrap();
-
-        let manifest = delta_manifest(&here, child, base).unwrap();
-        let present: Vec<bool> = manifest
-            .iter()
-            .map(|&(_, h)| there.content_probe(h))
-            .collect();
-        assert_eq!(
-            present,
-            vec![false, true],
-            "inline record first, then the ref"
-        );
-        let image = checkpoint_content(&here, child, rbase.raw(), &manifest, &present).unwrap();
-        let r = restore(&there, &image).expect("refs resolve before inline pages seal");
-        assert_eq!(there.read_vec(r, 2, 0, 64).unwrap(), evictor);
-        assert_eq!(there.read_vec(r, 9, 0, 64).unwrap(), held);
-        assert!(
-            !there.content_probe(page_hash(&held)),
-            "the inline page did take the ref's index slot"
-        );
-        there.verify_refcounts().unwrap();
+    #[should_panic(expected = "ref records are retired")]
+    fn a_content_image_cannot_ask_for_a_ref() {
+        let store = PageStore::new(64);
+        let base = store.create_world();
+        let child = store.fork_world(base).unwrap();
+        store.write(child, 3, 0, b"only here").unwrap();
+        let manifest = delta_manifest(&store, child, base).unwrap();
+        let _ = checkpoint_content(&store, child, base.raw(), &manifest, &[true]);
     }
 
     #[test]
@@ -686,8 +550,6 @@ mod tests {
         }
         let child = store.fork_world(base).unwrap();
         store.write(child, 4, 0, b"edit").unwrap();
-        let manifest = delta_manifest(&store, child, base).unwrap();
-        let present = vec![false; manifest.len()];
 
         let mut kept = Vec::new();
         checkpoint_into(&store, base, &mut kept).unwrap();
@@ -695,14 +557,15 @@ mod tests {
         let grown = kept.capacity();
         // A shorter image after a longer one: exactly its own bytes, in
         // the same allocation.
-        checkpoint_content_into(&store, child, base.raw(), &manifest, &present, &mut kept).unwrap();
-        let fresh = checkpoint_content(&store, child, base.raw(), &manifest, &present).unwrap();
+        checkpoint_delta_into(&store, child, base, base.raw(), &mut kept).unwrap();
+        let fresh = checkpoint_delta(&store, child, base, base.raw()).unwrap();
         assert_eq!(kept, fresh);
         assert_eq!(kept.capacity(), grown, "the kept buffer did not regrow");
         let r = restore(&store, &kept).unwrap();
         assert_eq!(store.read_vec(r, 4, 0, 4).unwrap(), b"edit");
-        // And the header-only image a sibling fork ships.
-        checkpoint_content_into(&store, child, base.raw(), &[], &[], &mut kept).unwrap();
+        // And the header-only image a sibling fork ships: a delta of a
+        // world against itself.
+        checkpoint_delta_into(&store, child, child, base.raw(), &mut kept).unwrap();
         assert_eq!(kept.len(), HEADER);
         let twin = restore(&store, &kept).unwrap();
         assert_eq!(store.read_vec(twin, 4, 0, 1).unwrap(), vec![5]);

@@ -8,8 +8,7 @@
 //! hand-rolled — this workspace builds with no registry — and it is *not*
 //! cryptographic: equal hashes are a hint, never proof. Every consumer
 //! that shares memory on a hash match verifies the full page bytes first
-//! (see [`crate::PageStore`]'s dedupe path); the wire protocol re-hashes
-//! the receiver-side candidate before trusting it.
+//! (see [`crate::PageStore`]'s dedupe path).
 //!
 //! [`ContentIndex`] maps `page_hash → FrameId` with lock-free reads *and*
 //! writes: a fixed power-of-two table of packed `AtomicU64` entries
@@ -117,7 +116,7 @@ impl ContentIndex {
 
     /// The frame index the table currently hints at for `hash`, if the
     /// slot is occupied and its tag matches. The caller must verify the
-    /// frame's actual bytes (or re-hash them) before trusting the hint.
+    /// frame's actual bytes before trusting the hint.
     pub(crate) fn lookup(&self, hash: u64) -> Option<u32> {
         let entry = self.slots[Self::slot_of(hash)].load(Ordering::Acquire);
         if entry == 0 || (entry ^ hash) & 0xFFFF_FFFF_0000_0000 != 0 {

@@ -23,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::content::{page_hash, ContentIndex};
+use crate::content::ContentIndex;
 use crate::page::PageData;
 
 /// Index of a physical frame in the store's frame table.
@@ -369,46 +369,6 @@ impl FrameTable {
         self.try_incref(slot, candidate)
     }
 
-    /// Wire-side variant of [`FrameTable::dedupe_lookup`]: the caller has
-    /// only the hash (the page bytes live on another node), so the
-    /// candidate's current bytes are re-hashed instead of compared. Same
-    /// locking contract: shard write lock of the installing world held.
-    pub(crate) fn share_by_hash(&self, hash: u64) -> Option<FrameId> {
-        let candidate = FrameId(self.index.get()?.lookup(hash)?);
-        let slot = self.slot(candidate);
-        let guard = slot.data.lock();
-        let data = guard.as_ref()?;
-        if page_hash(data.bytes()) != hash {
-            return None;
-        }
-        self.try_incref(slot, candidate)
-    }
-
-    /// Does the index hold a frame whose *current* bytes hash to `hash`?
-    /// Read-only (no ref traffic), so it is safe from any context; used by
-    /// a node answering a remote `(vpn, hash)` manifest probe. The answer
-    /// is advisory — the frame can be freed before the follow-up image
-    /// arrives, which the restore path then surfaces as an error.
-    pub(crate) fn contains_content(&self, hash: u64) -> bool {
-        let Some(ix) = self.index.get() else {
-            return false;
-        };
-        let Some(candidate) = ix.lookup(hash) else {
-            return false;
-        };
-        let slot = self.slot(FrameId(candidate));
-        let guard = slot.data.lock();
-        matches!(guard.as_ref(), Some(data) if page_hash(data.bytes()) == hash)
-    }
-
-    /// The hash `id` is currently sealed under, or 0 if it is not
-    /// indexed (never sealed, or mutated in place since). Nonzero means
-    /// the frame's current bytes hash to this value — sealing happens
-    /// with the bytes pinned stable, and every mutation clears it first.
-    pub(crate) fn content_hash(&self, id: FrameId) -> u64 {
-        self.slot(id).content_hash.load(Ordering::Acquire)
-    }
-
     /// CAS-incref that refuses a freed frame: succeeds only from a
     /// nonzero count, so it can never resurrect a slot whose last
     /// reference is being dropped (the racing `decref`'s `fetch_sub`
@@ -498,6 +458,7 @@ impl FrameTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content::page_hash;
 
     fn page(fill: u8) -> PageData {
         let mut p = PageData::zeroed(8);
@@ -658,8 +619,8 @@ mod tests {
         t.index_insert(a, h);
         assert!(t.decref(a));
         assert!(t.index_snapshot().is_empty());
-        // share_by_hash on the retracted hash must miss, not resurrect.
-        assert_eq!(t.share_by_hash(h), None);
+        // A lookup of the retracted hash must miss, not resurrect.
+        assert_eq!(t.dedupe_lookup(h, &bytes), None);
         // The deferred path clears too.
         let b = t.alloc(page(6));
         let hb = page_hash(t.data_arc(b).bytes());
@@ -668,23 +629,6 @@ mod tests {
         assert!(t.decref_deferred(b, &mut freed));
         t.recycle_freed(freed);
         assert!(t.index_snapshot().is_empty());
-    }
-
-    #[test]
-    fn share_by_hash_rehashes_the_candidate() {
-        let t = FrameTable::new();
-        let a = t.alloc(page(3));
-        let h = page_hash(t.data_arc(a).bytes());
-        t.index_insert(a, h);
-        assert!(t.contains_content(h));
-        assert_eq!(t.share_by_hash(h), Some(a));
-        assert_eq!(t.refs(a), 2);
-        // Mutate via make_mut-equivalent: drop to one ref, write in place —
-        // the entry clears, so the old hash no longer matches anything.
-        t.decref(a);
-        assert!(t.write_if_private(a, 0, &[0xEE], None).is_some());
-        assert!(!t.contains_content(h));
-        assert_eq!(t.share_by_hash(h), None);
     }
 
     #[test]

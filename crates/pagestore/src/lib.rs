@@ -63,7 +63,7 @@ mod stats;
 mod store;
 
 pub use checkpoint::{
-    checkpoint, checkpoint_content, checkpoint_content_into, checkpoint_delta, checkpoint_into,
+    checkpoint, checkpoint_content, checkpoint_delta, checkpoint_delta_into, checkpoint_into,
     delta_manifest, restore,
 };
 pub use content::page_hash;

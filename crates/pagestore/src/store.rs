@@ -82,16 +82,16 @@
 //! # Content addressing (opt-in)
 //!
 //! With [`PageStore::set_dedupe`] enabled, frames are *sealed* into a
-//! content index at commit points — a CoW or zero-fill install, a
-//! full-page in-place write, and checkpoint encoding
-//! ([`PageStore::seal_world_contents`]). A later commit whose resulting
-//! bytes match an indexed frame re-shares that frame (rule 3) instead of
-//! installing the copy. Three rules keep this sound:
+//! content index at commit points — a CoW or zero-fill install and a
+//! full-page in-place write. A later commit whose resulting bytes match
+//! an indexed frame re-shares that frame (rule 3) instead of installing
+//! the copy. The index is the store's own: nothing on the wire reads it
+//! (a delta rfork ships its changed pages inline). Three rules keep this
+//! sound:
 //!
 //! * **Hashes are hints.** A probe byte-compares the candidate's full
-//!   page (or re-hashes it, on the wire path) under the frame's data
-//!   mutex before taking a reference; a forced hash collision can never
-//!   share wrong bytes.
+//!   page under the frame's data mutex before taking a reference; a
+//!   forced hash collision can never share wrong bytes.
 //! * **Probes run under the writer's exclusive shard lock**, so the
 //!   cross-world incref is invisible to [`PageStore::verify_refcounts`]
 //!   (which holds every shard lock).
@@ -1007,72 +1007,6 @@ impl PageStore {
             .get(&b.0)
             .ok_or(PageStoreError::NoSuchWorld(b.0))?;
         Ok(wa.map.diff(&wb.map))
-    }
-
-    /// Hash every page mapped in `world` and return the `(vpn, hash)`
-    /// manifest, sealing each frame into the content index when dedupe is
-    /// on — the checkpoint-encode seal point. Runs under the world's
-    /// shard *write* lock: that is what keeps every frame's bytes stable
-    /// (an in-place write to this world needs this shard; a foreign owner
-    /// of a shared page cannot see it as private while our map holds the
-    /// leaf, or a slot, that names it). Frames still carrying a valid seal
-    /// (`content_hash != 0`) skip the re-hash, so repeated checkpoints of
-    /// a quiet world cost one atomic load per page.
-    pub fn seal_world_contents(&self, world: WorldId) -> Result<Vec<(Vpn, u64)>> {
-        let dedupe = self.dedupe_enabled();
-        let shard = self.shard(world.0).write();
-        let w = shard
-            .worlds
-            .get(&world.0)
-            .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-        let mut manifest = Vec::with_capacity(w.map.mapped_pages());
-        for (vpn, frame) in w.map.iter() {
-            let sealed = self.frames.content_hash(frame);
-            let hash = if sealed != 0 {
-                sealed
-            } else {
-                let hash = page_hash(self.frames.data_arc(frame).bytes());
-                if dedupe {
-                    self.frames.index_insert(frame, hash);
-                }
-                hash
-            };
-            manifest.push((vpn, hash));
-        }
-        Ok(manifest)
-    }
-
-    /// Map `vpn` of `world` to an existing local frame whose bytes hash
-    /// to `hash`, if the content index knows one — the receiving half of
-    /// a wire manifest. The candidate is re-hashed under its data mutex
-    /// before sharing, so a stale index can never alias wrong bytes onto
-    /// the world. Returns `false` (and changes nothing) when no verified
-    /// frame is available; the caller then ships or awaits the full page.
-    pub fn map_content(&self, world: WorldId, vpn: Vpn, hash: u64) -> Result<bool> {
-        let freed;
-        let parent;
-        {
-            let mut shard = self.shard(world.0).write();
-            let w = shard
-                .worlds
-                .get_mut(&world.0)
-                .ok_or(PageStoreError::NoSuchWorld(world.0))?;
-            let Some(frame) = self.frames.share_by_hash(hash) else {
-                return Ok(false);
-            };
-            parent = w.parent();
-            freed = self.install(w, vpn, frame);
-        }
-        self.note_dedupe(world.0, parent, vpn, freed);
-        Ok(true)
-    }
-
-    /// Advisory: does this store currently hold a frame whose bytes hash
-    /// to `hash`? Used to answer a remote manifest probe; no reference is
-    /// taken, so the frame may be gone by the time a follow-up arrives
-    /// (which [`PageStore::map_content`] then reports as `false`).
-    pub fn content_probe(&self, hash: u64) -> bool {
-        self.frames.contains_content(hash)
     }
 
     /// Frame-sharing histogram: `histogram[k]` = number of live frames
@@ -2010,32 +1944,6 @@ mod tests {
         s.write(w, 0, 0, &[4u8; 64]).unwrap(); // same bytes, same hash
         let d = s.stats().delta_since(&before);
         assert_eq!(d.hash_invalidations, 0, "same-hash reseal skips retraction");
-        s.verify_refcounts().unwrap();
-    }
-
-    #[test]
-    fn seal_world_contents_feeds_map_content() {
-        let s = store();
-        s.set_dedupe(true);
-        let w = s.create_world();
-        s.write(w, 2, 0, &[0x11u8; 64]).unwrap();
-        s.write(w, 5, 0, &[0x22u8; 64]).unwrap();
-        let manifest = s.seal_world_contents(w).unwrap();
-        assert_eq!(manifest.len(), 2);
-        for &(_, h) in &manifest {
-            assert!(s.content_probe(h), "sealed hash must be probeable");
-        }
-        // A fresh world can adopt the pages purely by hash.
-        let v = s.create_world();
-        for &(vpn, h) in &manifest {
-            assert!(s.map_content(v, vpn, h).unwrap());
-        }
-        assert_eq!(s.read_vec(v, 2, 0, 64).unwrap(), vec![0x11u8; 64]);
-        assert_eq!(s.read_vec(v, 5, 0, 64).unwrap(), vec![0x22u8; 64]);
-        assert!(
-            !s.map_content(v, 9, 0xDEAD_BEEF).unwrap(),
-            "unknown hash maps nothing"
-        );
         s.verify_refcounts().unwrap();
     }
 

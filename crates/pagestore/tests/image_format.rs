@@ -1,11 +1,12 @@
 //! The one checkpoint image format, pinned.
 //!
-//! `golden/image.hex` holds one image per shape — full, inline-only
-//! delta, delta with refs, header-only — written once by the single
-//! encoder. The encoder must keep reproducing those bytes and `restore`
-//! must keep reading them; never regenerate the fixture from the current
-//! encoder. The rest of the file holds the decoder to the rule for bytes
-//! that crossed a network: *error, never panic, `world_count` unchanged*.
+//! `golden/image.hex` holds one image per shape — full, delta,
+//! header-only — written once by the single encoder. The encoder must
+//! keep reproducing those bytes and `restore` must keep reading them;
+//! never regenerate the fixture from the current encoder. A retired shape
+//! loses its line, and every other line keeps its bytes. The rest of the
+//! file holds the decoder to the rule for bytes that crossed a network:
+//! *error, never panic, `world_count` unchanged*.
 
 use worlds_pagestore::{
     checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, restore, PageStore, WorldId,
@@ -17,7 +18,7 @@ const HEADER: usize = 32;
 
 /// A sender holding a base world (pages 0..4 of `vpn + 1`) and a child of
 /// it that rewrites page 2, adds page 9 and rewrites page 3 to the bytes
-/// of base page 0 — content any receiver of the base already holds.
+/// of base page 0.
 struct Sender {
     store: PageStore,
     base: WorldId,
@@ -37,26 +38,19 @@ fn sender() -> Sender {
     Sender { store, base, child }
 }
 
-/// A receiver that has restored the sender's base (with dedupe on, so the
-/// restored pages are in its content index); returns the replica's id.
+/// A receiver that has restored the sender's base; returns the replica's
+/// id.
 fn receiver(s: &Sender) -> (PageStore, WorldId) {
     let there = PageStore::new(PAGE);
-    there.set_dedupe(true);
     let replica = restore(&there, &checkpoint(&s.store, s.base).unwrap()).unwrap();
     (there, replica)
 }
 
-/// The four shapes in fixture order, each encoded against `replica` as the
-/// receiver-side base, with a receiver ready to restore it.
+/// The three shapes in fixture order, each encoded against `replica` as
+/// the receiver-side base, with a receiver ready to restore it.
 fn shapes() -> Vec<(&'static str, Vec<u8>, PageStore)> {
     let s = sender();
-    let (there, replica) = receiver(&s);
-    let manifest = delta_manifest(&s.store, s.child, s.base).unwrap();
-    let present: Vec<bool> = manifest
-        .iter()
-        .map(|&(_, hash)| there.content_probe(hash))
-        .collect();
-    assert_eq!(present, [false, true, false], "page 3 is a ref");
+    let (_, replica) = receiver(&s);
     let twin = s.store.fork_world(s.base).unwrap();
     vec![
         (
@@ -67,11 +61,6 @@ fn shapes() -> Vec<(&'static str, Vec<u8>, PageStore)> {
         (
             "delta_inline",
             checkpoint_delta(&s.store, s.child, s.base, replica.raw()).unwrap(),
-            receiver(&s).0,
-        ),
-        (
-            "delta_refs",
-            checkpoint_content(&s.store, s.child, replica.raw(), &manifest, &present).unwrap(),
             receiver(&s).0,
         ),
         (
@@ -125,7 +114,7 @@ fn the_encoder_reproduces_the_golden_bytes_and_restore_reads_them_back() {
 fn the_three_encoders_are_one_writer() {
     let s = sender();
     let manifest = delta_manifest(&s.store, s.child, s.base).unwrap();
-    // A delta is a content image with no refs.
+    // A content image is the delta its manifest names.
     assert_eq!(
         checkpoint_delta(&s.store, s.child, s.base, 7).unwrap(),
         checkpoint_content(&s.store, s.child, 7, &manifest, &[false; 3]).unwrap(),
@@ -136,6 +125,27 @@ fn the_three_encoders_are_one_writer() {
         checkpoint(&s.store, s.child).unwrap(),
         checkpoint_delta(&s.store, s.child, empty, 0).unwrap(),
     );
+}
+
+/// The fixture's retired `delta_refs` line, verbatim: the delta of
+/// `sender()`'s child with page 3 shipped as a kind-1 record, a ref to the
+/// content hash of base page 0, instead of inline.
+const RETIRED_DELTA_REFS: &str = "4d57434b030000001000000000000000030000000000000001000000000000\
+     00020000000000000000eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee03000000000000000103ccda584a5b6290\
+     0900000000000000006e657720706167650000000000000000";
+
+#[test]
+fn a_ref_record_is_rejected_before_any_world_exists() {
+    let (there, replica) = receiver(&sender());
+    let image = unhex(RETIRED_DELTA_REFS);
+    // The image names a base the receiver holds: only the record is wrong.
+    assert_eq!(image[24..32], replica.raw().to_le_bytes());
+    let (worlds, forks) = (there.world_count(), there.stats().forks);
+    let err = restore(&there, &image).unwrap_err();
+    assert!(format!("{err}").contains("unknown record kind 1"), "{err}");
+    assert_eq!(there.world_count(), worlds, "no world left behind");
+    assert_eq!(there.stats().forks, forks, "the base was never forked");
+    there.verify_refcounts().unwrap();
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use worlds_net::{shed_oversized, FaultSchedule};
 use worlds_obs::{Event as ObsEvent, EventKind, Registry, VirtualTime};
 use worlds_pagestore::{
-    checkpoint_content_into, checkpoint_into, delta_manifest, PageStore, PageStoreError, WorldId,
+    checkpoint_delta_into, checkpoint_into, PageStore, PageStoreError, WorldId,
 };
 
 use crate::net::NetModel;
@@ -202,24 +202,15 @@ impl Cluster {
     }
 
     /// Turn delta rforks on or off. When on, the first rfork of a world
-    /// to a node ships the full image **plus** pins a base (a snapshot
-    /// here, a replica there; two transfers); every later rfork of that
-    /// world to that node first probes the receiver's content index and
-    /// ships 8-byte refs for changed pages the receiver already holds;
-    /// pages it lacks — all of them when the probe fails — travel inline
-    /// in the same image, and a receiver that no longer holds a page it
-    /// was probed for costs one resend with every page inline.
-    /// Turning it off releases all pinned bases.
+    /// to a node ships the full image and pins a base (a snapshot here, a
+    /// replica there); every later rfork of that world to that node ships
+    /// one image holding the pages that changed since, inline, in one
+    /// transfer and one round trip. No store's content index is read on
+    /// the way, so turning deltas on leaves every store's dedupe switch
+    /// as it was. Turning it off releases all pinned bases.
     pub fn set_delta_rfork(&mut self, on: bool) {
         self.delta_rfork = on;
-        if on {
-            // Content probes only answer from sealed-frame indexes, and
-            // each node store has its own dedupe switch (they share ids,
-            // not configuration), so arm them all.
-            for node in &self.nodes {
-                node.store.set_dedupe(true);
-            }
-        } else {
+        if !on {
             for (dst, base) in self.delta_cache.drain() {
                 // Best-effort: pinned bases are invisible infrastructure.
                 let _ = self.nodes[base.src_node].store.drop_world(base.snapshot);
@@ -401,12 +392,12 @@ impl Cluster {
         count: usize,
     ) -> Result<Vec<Forked>, PageStoreError> {
         let dst = first.node;
-        checkpoint_content_into(
+        // `src` against itself differs nowhere: the bare header.
+        checkpoint_delta_into(
             &self.nodes[src.node.0].store,
             src.world,
+            src.world,
             first.world.raw(),
-            &[],
-            &[],
             &mut self.image,
         )?;
         let len = self.image.len();
@@ -463,13 +454,8 @@ impl Cluster {
     }
 
     /// The delta shipment of `src → dst`, one straight line: pinned base
-    /// → manifest of what changed since → probe the receiver for the
-    /// content it already holds → encode (refs for those pages, bytes for
-    /// the rest) → ship. An empty manifest or a failed probe is simply "no
-    /// refs"; a receiver that cannot resolve a ref it said it held (the
-    /// frame went away between the probe and the image; its restore left
-    /// nothing behind) gets the same manifest again with every page
-    /// inline, once.
+    /// → the pages that changed since, inline → ship. A world shipped here
+    /// for the first time pins its base with a full image instead.
     fn ship_delta(
         &mut self,
         src: RemoteWorld,
@@ -498,44 +484,14 @@ impl Cluster {
                 base
             }
         };
-        let manifest = delta_manifest(&store, src.world, base.snapshot)?;
-        let mut present = vec![false; manifest.len()];
-        if !manifest.is_empty() {
-            let hashes: Vec<u64> = manifest.iter().map(|&(_, h)| h).collect();
-            if let Ok(answer) = self.transport.probe_hashes(dst.0, &hashes) {
-                if answer.len() == hashes.len() {
-                    // Request: count u32 + hashes. Reply: count u32 +
-                    // presence bitmap. Small, but it is wire traffic and
-                    // the virtual cost model must see it.
-                    let probe_bytes = 4 + 8 * hashes.len() + 4 + hashes.len().div_ceil(8);
-                    *total += self.transfer(src.world.raw(), src.node, dst, probe_bytes);
-                    present = answer;
-                }
-            }
-        }
-        checkpoint_content_into(
+        checkpoint_delta_into(
             &store,
             src.world,
+            base.snapshot,
             base.replica,
-            &manifest,
-            &present,
             &mut self.image,
         )?;
-        match self.ship(src, dst, total) {
-            Err(_) if present.contains(&true) => {
-                present.fill(false);
-                checkpoint_content_into(
-                    &store,
-                    src.world,
-                    base.replica,
-                    &manifest,
-                    &present,
-                    &mut self.image,
-                )?;
-                self.ship(src, dst, total)
-            }
-            shipped => shipped,
-        }
+        self.ship(src, dst, total)
     }
 
     /// Ship only the pages of `child` that differ from `base` back to the
@@ -740,81 +696,6 @@ mod tests {
         assert!(
             (0.8..1.3).contains(&cost.as_secs()),
             "paper: ~1 s for a 70 KB rfork; got {cost}"
-        );
-    }
-
-    /// An in-process transport whose content probe answers "present" for
-    /// everything: what a receiver looks like when the frames it was
-    /// probed for are gone by the time the image arrives.
-    struct StaleProbe(InProcess);
-
-    impl Transport for StaleProbe {
-        fn ship_image(
-            &mut self,
-            dst: usize,
-            images: &[&[u8]],
-        ) -> Vec<Result<u64, worlds_pagestore::PageStoreError>> {
-            self.0.ship_image(dst, images)
-        }
-        fn ship_pages(
-            &mut self,
-            dst: usize,
-            base: u64,
-            pages: &[(u64, Vec<u8>)],
-        ) -> Result<(), worlds_pagestore::PageStoreError> {
-            self.0.ship_pages(dst, base, pages)
-        }
-        fn probe_hashes(
-            &mut self,
-            _dst: usize,
-            hashes: &[u64],
-        ) -> Result<Vec<bool>, worlds_pagestore::PageStoreError> {
-            Ok(vec![true; hashes.len()])
-        }
-        fn discard(
-            &mut self,
-            dst: usize,
-            worlds: &[u64],
-        ) -> Vec<Result<(), worlds_pagestore::PageStoreError>> {
-            self.0.discard(dst, worlds)
-        }
-        fn set_fault_schedule(&mut self, _schedule: FaultSchedule) {}
-        fn name(&self) -> &'static str {
-            "stale-probe"
-        }
-    }
-
-    #[test]
-    fn rfork_resends_bytes_when_the_receiver_nacks_a_ref() {
-        let obs = Registry::disabled();
-        let stores = Cluster::stores(2, 4096, &obs);
-        let transport = Box::new(StaleProbe(InProcess::new(stores.clone())));
-        let mut c = Cluster::assemble(stores, 4096, NetModel::lan_1989(), obs, transport);
-        c.set_delta_rfork(true);
-        let origin = c.create_world(NodeId(0));
-        c.write(origin, 0, b"base").unwrap();
-        // Full image, pinned base, empty delta.
-        c.rfork(origin, NodeId(1)).unwrap();
-        let worlds_there = c.node(NodeId(1)).store().world_count();
-
-        c.write(origin, 3, b"bytes the receiver has never seen")
-            .unwrap();
-        let sent = c.origin().bytes_sent();
-        let (replica, _) = c
-            .rfork(origin, NodeId(1))
-            .expect("a nacked ref costs one resend, not the rfork");
-        assert_eq!(c.read(replica, 0, 4).unwrap(), b"base");
-        assert_eq!(
-            c.read(replica, 3, 33).unwrap(),
-            b"bytes the receiver has never seen"
-        );
-        // The nacked image and its all-inline resend both crossed the
-        // wire, and the failed restore left no world behind.
-        assert!(c.origin().bytes_sent() - sent > 4096 + 17);
-        assert_eq!(
-            c.node(NodeId(1)).store().world_count(),
-            worlds_there + 1,
-            "only the replica is new"
         );
     }
 
@@ -1023,57 +904,46 @@ mod tests {
     }
 
     #[test]
-    fn warm_index_rfork_ships_refs_not_bytes() {
-        // A changed page whose content the receiver already holds (any
-        // sealed frame, any world) travels as an 8-byte ref instead of a
-        // page of bytes — strictly under the all-inline cost.
+    fn a_delta_ships_changed_pages_inline_whatever_the_receiver_holds() {
+        // Page 3 is rewritten to the bytes of page 9, which the receiver
+        // already holds, and page 2 to bytes it has never seen; with both
+        // stores' content index armed, each still travels as a whole
+        // page: the delta is 32 + 2 × (9 + 4096) bytes, in one transfer.
+        // Sharing equal pages is the receiving store's business.
         let mut c = Cluster::with_obs(2, 4096, NetModel::lan_1989(), Registry::enabled());
         c.set_delta_rfork(true);
+        for node in 0..2 {
+            let store = c.node(NodeId(node)).store();
+            assert!(!store.dedupe_enabled(), "delta rfork arms no index");
+            store.set_dedupe(true);
+        }
         let origin = c.create_world(NodeId(0));
+        let page = |tag: u8| -> Vec<u8> {
+            let mut page = vec![0u8; 4096];
+            page[0] = tag;
+            page
+        };
         for vpn in 0..20 {
-            let mut page = vec![0u8; 4096];
-            page[0] = vpn as u8; // distinct contents, all sealed on ship
-            c.write(origin, vpn, &page).unwrap();
+            c.write(origin, vpn, &page(vpn as u8)).unwrap();
         }
         let (_r1, _) = c.rfork(origin, NodeId(1)).unwrap();
-        let first = c.node(NodeId(1)).bytes_received();
-        // Rewrite page 3 to the exact content of page 9: changed w.r.t.
-        // the pinned base, but the receiver's index already has it.
-        let mut page = vec![0u8; 4096];
-        page[0] = 9;
-        c.write(origin, 3, &page).unwrap();
-        let (r2, _) = c.rfork(origin, NodeId(1)).unwrap();
-        let delta = c.node(NodeId(1)).bytes_received() - first;
-        // Inline would ship 32 + 9 + 4096; the ref ships 32 + 9 + 8 plus
-        // the 17-byte probe round-trip. Assert the order of magnitude.
-        assert!(
-            delta < 128,
-            "warm-index delta must ship a ref, not a page: {delta} B"
+        let (first, sends) = (
+            c.node(NodeId(1)).bytes_received(),
+            c.obs().stats().unwrap().remote.rpc_sends.get(),
         );
-        assert_eq!(c.read(r2, 3, 4096).unwrap(), page, "ref resolves to bytes");
-        let stats = c.obs().stats().unwrap();
-        assert!(
-            stats.dedupe.frames_deduped.get() >= 1,
-            "the receiver adopted a sealed frame"
-        );
-    }
-
-    #[test]
-    fn cold_index_rfork_falls_back_to_inline_bytes() {
-        let mut c = cluster(2);
-        c.set_delta_rfork(true);
-        let origin = c.create_world(NodeId(0));
-        for vpn in 0..8 {
-            let mut page = vec![0u8; 4096];
-            page[0] = vpn as u8;
-            c.write(origin, vpn, &page).unwrap();
-        }
-        let (_r1, _) = c.rfork(origin, NodeId(1)).unwrap();
-        // Brand-new content the receiver cannot have: ships inline, and
-        // the replica still reads back exactly.
+        c.write(origin, 3, &page(9)).unwrap();
         c.write(origin, 2, b"never seen before").unwrap();
         let (r2, _) = c.rfork(origin, NodeId(1)).unwrap();
+        let delta = c.node(NodeId(1)).bytes_received() - first;
+        assert_eq!(delta, (32 + 2 * (9 + 4096)) as u64);
+        let stats = c.obs().stats().unwrap();
+        assert_eq!(stats.remote.rpc_sends.get() - sends, 1, "one transfer");
+        assert_eq!(c.read(r2, 3, 4096).unwrap(), page(9));
         assert_eq!(c.read(r2, 2, 17).unwrap(), b"never seen before");
+        assert_eq!(c.read(r2, 9, 4096).unwrap(), page(9));
+        // The bytes crossed the wire, and the receiver's own index then
+        // shared page 3 with the frame it already held for page 9.
+        assert!(stats.dedupe.frames_deduped.get() >= 1);
     }
 
     #[test]

@@ -75,10 +75,10 @@ pub struct DistReport {
     pub outcome: DistOutcome,
     /// Response time: last rfork issue → commit complete.
     pub wall: VirtualTime,
-    /// Time spent shipping replicas out (sum over alternatives; they are
-    /// issued serially from the origin). A sibling — an alternative
-    /// forked from its node's first replica — is charged a 32-byte
-    /// transfer (its header-only image), not an image of the world.
+    /// Time spent shipping replicas out (sum over alternatives, issued
+    /// serially from the origin): each rfork's one image, and for a
+    /// sibling — an alternative forked from its node's first replica —
+    /// a 32-byte header-only image instead of an image of the world.
     pub rfork_total: VirtualTime,
     /// Time spent shipping the winner's dirty pages back.
     pub commit_cost: VirtualTime,
@@ -101,11 +101,10 @@ impl DistReport {
 /// cluster). Virtual-time semantics:
 ///
 /// 1. replicas ship serially from the origin, once per node: the first
-///    alternative placed on a node rforks there (a probe, then an image
-///    with pages, under delta rfork); every further alternative on that
-///    node is a *sibling*, forked there from that first replica by a
-///    header-only image and charged a 32-byte transfer. A node's
-///    siblings travel in one transport batch;
+///    alternative placed on a node rforks there (one image); every
+///    further alternative on that node is a *sibling*, forked there from
+///    that first replica by a header-only image and charged a 32-byte
+///    transfer. A node's siblings travel in one transport batch;
 /// 2. each alternative computes on its node for its `compute` time, all
 ///    in parallel (one alternative per node at a time is guaranteed by
 ///    round-robin placement only when `alts ≤ nodes − 1`; surplus
@@ -520,13 +519,6 @@ mod tests {
             }
             self.inner.ship_pages(dst, base, pages)
         }
-        fn probe_hashes(
-            &mut self,
-            dst: usize,
-            hashes: &[u64],
-        ) -> Result<Vec<bool>, PageStoreError> {
-            self.inner.probe_hashes(dst, hashes)
-        }
         fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
             self.inner.discard(dst, worlds)
         }
@@ -592,11 +584,9 @@ mod tests {
     }
 
     /// One transport call as the wire would carry it: which method, and
-    /// the size of each frame (image bytes, probed hashes, pages, or
-    /// worlds discarded).
+    /// the size of each frame (image bytes, pages, or worlds discarded).
     #[derive(Debug, Clone, PartialEq, Eq)]
     enum Call {
-        Probe(usize),
         Images(usize, Vec<usize>),
         Pages(usize),
         Discard(usize, usize),
@@ -627,14 +617,6 @@ mod tests {
         ) -> Result<(), PageStoreError> {
             self.note(Call::Pages(pages.len()));
             self.inner.ship_pages(dst, base, pages)
-        }
-        fn probe_hashes(
-            &mut self,
-            dst: usize,
-            hashes: &[u64],
-        ) -> Result<Vec<bool>, PageStoreError> {
-            self.note(Call::Probe(hashes.len()));
-            self.inner.probe_hashes(dst, hashes)
         }
         fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
             self.note(Call::Discard(dst, worlds.len()));
@@ -682,7 +664,7 @@ mod tests {
         block(&mut c, 0xD0);
         log.lock().unwrap().clear();
         // The first block's commit moved the origin off the pinned
-        // base, so this one probes and ships a delta with pages.
+        // base, so this one ships a delta with pages.
         block(&mut c, 0xD1);
         let calls = log.lock().unwrap().clone();
         for node in 1..nodes {
@@ -697,29 +679,29 @@ mod tests {
 
     #[test]
     fn a_delta_block_ships_its_state_once_per_node() {
-        // Parent shape: a probe and an image per alternative, the
-        // commit, then one discard per replica — 10 calls.
+        // One image with pages, one batch of header-only siblings, the
+        // commit, then one discard batch: 7 frames, and no round trip
+        // asks the receiver anything first.
         let calls = steady_block_calls(2);
         let header = 32;
         assert!(
             matches!(&calls[..], [
-                Call::Probe(4),
                 Call::Images(1, first),
                 Call::Images(1, siblings),
                 Call::Pages(4),
                 Call::Discard(1, 3),
-            ] if first.len() == 1 && first[0] > header && siblings == &[header, header]),
+            ] if first == &[header + 4 * (9 + 4096)] && siblings == &[header, header]),
             "{calls:?}"
         );
         let frames: usize = calls
             .iter()
             .map(|c| match c {
-                Call::Probe(_) | Call::Pages(_) => 1,
+                Call::Pages(_) => 1,
                 Call::Images(_, sizes) => sizes.len(),
                 Call::Discard(_, n) => *n,
             })
             .sum();
-        assert_eq!(frames, 8);
+        assert_eq!(frames, 7);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The [`Cluster`](crate::Cluster) decides *what* to ship (checkpoint
 //! images, dirty pages), *what it costs* (the [`NetModel`](crate::NetModel)
 //! virtual-time account, fault doubling included) and *when*. A
-//! distributed block's schedule is serial: one rfork per node, each a
-//! probe then an image with pages, then one batch per node of header-only
-//! images that fork that node's further alternatives from its first
-//! replica; after the commit, one discard batch per node. The
+//! distributed block's schedule is serial: one rfork per node, each one
+//! image with pages, then one batch per node of header-only images that
+//! fork that node's further alternatives from its first replica; after
+//! the commit, one discard batch per node. No call asks a receiver what
+//! it holds: a delta carries its changed pages inline. The
 //! [`Transport`] decides only *how the bytes get to the other store*,
 //! and a batch is one call: on [`Tcp`] it is one pipelined burst, so it
 //! waits one round trip.
@@ -49,12 +50,6 @@ pub trait Transport {
         base: u64,
         pages: &[(u64, Vec<u8>)],
     ) -> Result<(), PageStoreError>;
-
-    /// Ask node `dst` which page-content hashes its store already holds
-    /// (the content-delta manifest round-trip). Answers are hints: the
-    /// receiver re-verifies by re-hashing at apply time, so a stale
-    /// `true` costs a resend without refs, never corruption.
-    fn probe_hashes(&mut self, dst: usize, hashes: &[u64]) -> Result<Vec<bool>, PageStoreError>;
 
     /// Drop each of `worlds` on node `dst`; slot `i` is `worlds[i]`'s
     /// outcome. A failed discard does not stop the ones after it.
@@ -106,13 +101,6 @@ impl Transport for InProcess {
         pages: &[(u64, Vec<u8>)],
     ) -> Result<(), PageStoreError> {
         self.stores[dst].commit_pages(WorldId::from_raw(base), pages)
-    }
-
-    fn probe_hashes(&mut self, dst: usize, hashes: &[u64]) -> Result<Vec<bool>, PageStoreError> {
-        Ok(hashes
-            .iter()
-            .map(|&h| self.stores[dst].content_probe(h))
-            .collect())
     }
 
     fn discard(&mut self, dst: usize, worlds: &[u64]) -> Vec<Result<(), PageStoreError>> {
@@ -242,15 +230,6 @@ impl Transport for Tcp {
         self.accounted(dst)?
             .call_commit_back(base, pages)
             .map(|_| ())
-            .map_err(|e| net_err(dst, &e))
-    }
-
-    fn probe_hashes(&mut self, dst: usize, hashes: &[u64]) -> Result<Vec<bool>, PageStoreError> {
-        // Accounted: the probe is part of an rfork's cost, and routing it
-        // through the fault proxies keeps the wire's op numbering aligned
-        // with the cluster's virtual one.
-        self.accounted(dst)?
-            .call_present(hashes.to_vec())
             .map_err(|e| net_err(dst, &e))
     }
 

@@ -116,8 +116,8 @@ fn failing_any_one_op_of_a_block_changes_nothing_it_commits() {
     ));
     assert_eq!(clean.worlds_there, [1, 1], "only the pinned base stays");
     // Block 1: full image, header-only delta, 2 siblings, commit.
-    // Block 2: probe, delta with pages, 2 siblings, commit.
-    assert_eq!(ops, 10);
+    // Block 2: delta with pages, 2 siblings, commit.
+    assert_eq!(ops, 9);
     for kind in [
         FaultKind::Drop,
         FaultKind::Reset,

@@ -25,12 +25,13 @@ proptest! {
         }
     }
 
-    /// One image format, three ways to fill it: whatever the origin holds
-    /// and however it changes between rforks, a replica built from a full
-    /// image (delta off), from a delta against a cold index (delta on, the
-    /// receiver has seen only the base) and from refs (delta on, every
-    /// changed page's contents already in the receiver's index) reads
-    /// identically.
+    /// One image format, three receivers: whatever the origin holds and
+    /// however it changes between rforks, a replica built from a full
+    /// image (delta off), from a delta to a cold receiver (delta on, the
+    /// receiver has seen only the base) and from a delta to a warm one
+    /// (delta on, its content index armed and already holding every
+    /// changed page's contents) reads identically, and the warm receiver
+    /// is shipped exactly the bytes the cold one is.
     #[test]
     fn full_cold_and_warm_rforks_build_identical_replicas(
         base in proptest::collection::btree_map(0u64..24, any::<u8>(), 1..12),
@@ -38,8 +39,8 @@ proptest! {
     ) {
         const PAGE: usize = 256;
         let page = |b: u8| vec![b; PAGE];
-        // The warm receiver's index holds every byte value an edit can
-        // write; the cold one has seen only the base image.
+        // The warm receiver's armed index holds every byte value an edit
+        // can write; the cold one has seen only the base image.
         let mut replicas = Vec::new();
         for (delta, warm) in [(false, false), (true, false), (true, true)] {
             let mut c = Cluster::new(2, PAGE, NetModel::datacenter());
@@ -50,6 +51,7 @@ proptest! {
             }
             c.rfork(origin, NodeId(1)).unwrap();
             if warm {
+                c.node(NodeId(1)).store().set_dedupe(true);
                 let held = c.create_world(NodeId(1));
                 for (i, &b) in edits.values().enumerate() {
                     c.write(held, i as u64, &page(b)).unwrap();
@@ -67,11 +69,8 @@ proptest! {
         }
         prop_assert_eq!(&replicas[0].0, &replicas[1].0, "full vs cold delta");
         prop_assert_eq!(&replicas[0].0, &replicas[2].0, "full vs warm delta");
-        // They differ only in what they cost on the wire.
-        prop_assert!(
-            replicas[2].1 <= replicas[1].1,
-            "refs never cost more than bytes"
-        );
+        // What the receiver holds changes nothing on the wire.
+        prop_assert_eq!(replicas[2].1, replicas[1].1, "warm vs cold bytes");
     }
 
     /// After arbitrary remote edits, commit_back makes the origin's view

@@ -198,9 +198,7 @@ pub fn query_table(addr: SocketAddr) -> Result<Vec<NodeReport>, String> {
     match conn.call(&req).map_err(|e| e.to_string())? {
         Reply::Telemetry { payload } => decode_table(&payload),
         Reply::Nack { detail, .. } => Err(format!("refused: {detail}")),
-        Reply::Ack { .. } | Reply::Present { .. } => {
-            Err("peer answered a query with the wrong reply kind".into())
-        }
+        Reply::Ack { .. } => Err("peer answered a query with the wrong reply kind".into()),
     }
 }
 
@@ -214,8 +212,6 @@ pub fn query_sessions(addr: SocketAddr) -> Result<Vec<SessionReport>, String> {
     match conn.call(&req).map_err(|e| e.to_string())? {
         Reply::Telemetry { payload } => decode_session_table(&payload),
         Reply::Nack { detail, .. } => Err(format!("refused: {detail}")),
-        Reply::Ack { .. } | Reply::Present { .. } => {
-            Err("peer answered a query with the wrong reply kind".into())
-        }
+        Reply::Ack { .. } => Err("peer answered a query with the wrong reply kind".into()),
     }
 }

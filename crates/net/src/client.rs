@@ -29,14 +29,17 @@
 //!   comes back from its reply ledger, so every frame of a burst
 //!   applies at most once, however the attempts were cut.
 //!
-//! ## Buffers
+//! ## Gathered frames
 //!
-//! A `Conn` encodes the first frame of every burst, the one an image
-//! rides in, into a buffer it keeps between bursts, so a steady stream
-//! of image-sized rforks allocates no image-sized memory once the first
-//! has grown it to fit. Retries resend the same bytes from it. A buffer
-//! a frame grew past one read chunk (4 MiB) goes back to the allocator
-//! ([`shed_oversized`]).
+//! A `Conn` keeps no frame buffer. A frame goes out as a gather list —
+//! its header, its payload where the payload already lies, its CRC
+//! trailer — and every unanswered frame of a burst goes out in one
+//! `write_vectored` loop, the CRC folded over each slice just before it
+//! is handed to the socket. An image rides as the slices of its
+//! description ([`RforkImage`]): the record headers and the page frames
+//! of the world it describes, snapshotted, so the kernel's copy into the
+//! socket buffer is the only copy of a page on this side. A retry gathers
+//! the same slices again, under the same corr-ids.
 //!
 //! Backoff jitter is seeded ([`RetryPolicy::seed`]) and derived from
 //! `(seed, corr, attempt)`, so a given schedule of faults produces the
@@ -45,14 +48,15 @@
 
 use crate::error::{NetError, Result};
 use crate::fault::splitmix64;
-use crate::frame::{read_frame, shed_oversized};
-use crate::rpc::{commit_back_frame_into, rfork_frame_into, Reply, Request};
+use crate::frame::{read_frame, write_gathered, Outgoing};
+use crate::rpc::{commit_back_payload, kind, Reply, Request};
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use worlds_obs::{Event, EventKind, Registry};
+use worlds_pagestore::ImageDesc;
 
 /// Correlation ids are a process-global counter offset by a per-process
 /// random base, so two `Conn`s — in this process or another one talking
@@ -140,9 +144,6 @@ pub struct Conn {
     /// The live stream behind the connection's one read buffer, so a
     /// reply that fits it costs a single `read` system call.
     stream: Option<BufReader<TcpStream>>,
-    /// The buffer the first frame of every burst is encoded into, kept
-    /// between bursts.
-    wire: Vec<u8>,
 }
 
 impl Conn {
@@ -155,7 +156,6 @@ impl Conn {
             policy,
             obs,
             stream: None,
-            wire: Vec::new(),
         }
     }
 
@@ -169,7 +169,8 @@ impl Conn {
     /// transport outcome and is never retried (asking again with the
     /// same corr-id would just replay the same answer).
     pub fn call(&mut self, req: &Request) -> Result<Reply> {
-        only(self.send(1, |_, corr, out| req.encode_frame_into(corr, out)))
+        let payload = req.encode_payload();
+        only(self.send([(req.kind(), vec![&payload[..]])]))
     }
 
     /// Issue `req` and unwrap the `Ack`, mapping `Nack` to an error.
@@ -190,14 +191,19 @@ impl Conn {
     /// node blocked writing replies. A request whose reply can be large
     /// (`Telemetry`) goes through [`Conn::call`].
     pub fn call_many(&mut self, reqs: &[Request]) -> Vec<Result<u64>> {
-        acks(self.send(reqs.len(), |i, corr, out| {
-            reqs[i].encode_frame_into(corr, out)
-        }))
+        let payloads: Vec<Vec<u8>> = reqs.iter().map(Request::encode_payload).collect();
+        acks(
+            self.send(
+                reqs.iter()
+                    .zip(&payloads)
+                    .map(|(req, payload)| (req.kind(), vec![&payload[..]])),
+            ),
+        )
     }
 
-    /// [`Request::Rfork`] from an image the caller keeps: the bytes are
-    /// framed straight from the borrowed slice.
-    pub fn call_rfork(&mut self, image: &[u8]) -> Result<u64> {
+    /// [`Request::Rfork`] from an image the caller keeps: its bytes, or
+    /// its description, sent from where they lie.
+    pub fn call_rfork<I: RforkImage + ?Sized>(&mut self, image: &I) -> Result<u64> {
         self.call_rforks(&[image])
             .pop()
             .expect("one reply per frame")
@@ -205,53 +211,40 @@ impl Conn {
 
     /// One [`Request::Rfork`] per image, as one burst ([`Conn::call_many`]);
     /// slot `i` is the world restored from `images[i]`.
-    pub fn call_rforks(&mut self, images: &[&[u8]]) -> Vec<Result<u64>> {
-        acks(self.send(images.len(), |i, corr, out| {
-            rfork_frame_into(corr, images[i], out)
-        }))
+    pub fn call_rforks<I: RforkImage + ?Sized>(&mut self, images: &[&I]) -> Vec<Result<u64>> {
+        acks(
+            self.send(
+                images
+                    .iter()
+                    .map(|image| (kind::RFORK, image.pieces().collect())),
+            ),
+        )
     }
 
     /// [`Request::CommitBack`] from pages the caller keeps.
     pub fn call_commit_back(&mut self, base: u64, pages: &[(u64, Vec<u8>)]) -> Result<u64> {
-        ack(only(self.send(1, |_, corr, out| {
-            commit_back_frame_into(corr, base, pages, out)
-        }))?)
+        let payload = commit_back_payload(base, pages);
+        ack(only(self.send([(kind::COMMIT_BACK, vec![&payload[..]])]))?)
     }
 
-    /// Frame `count` requests, request `i` by `encode(i, corr, out)` under
-    /// a fresh corr-id, deliver them as one burst, and keep the first
-    /// frame's buffer for the next one.
-    fn send(
+    /// Frame each `(kind, payload slices)` under a fresh corr-id and
+    /// deliver them as one burst.
+    fn send<'a>(
         &mut self,
-        count: usize,
-        mut encode: impl FnMut(usize, u64, &mut Vec<u8>),
+        frames: impl IntoIterator<Item = (u8, Vec<&'a [u8]>)>,
     ) -> Vec<Result<Reply>> {
-        let frames: Vec<_> = (0..count)
-            .map(|i| {
-                let corr = next_corr();
-                let mut wire = if i == 0 {
-                    std::mem::take(&mut self.wire)
-                } else {
-                    Vec::new()
-                };
-                encode(i, corr, &mut wire);
-                (corr, wire)
-            })
+        let frames: Vec<Outgoing<'a>> = frames
+            .into_iter()
+            .map(|(kind, pieces)| Outgoing::new(kind, next_corr(), pieces))
             .collect();
-        let replies = self.deliver(&frames);
-        if let Some((_, wire)) = frames.into_iter().next() {
-            self.wire = wire;
-            shed_oversized(&mut self.wire);
-        }
-        replies
+        self.deliver(&frames)
     }
 
-    /// The one send/retry loop: deliver already-framed `(corr, frame)`
-    /// requests as a burst, and after a failed attempt resend only the
-    /// frames still unanswered, each under its own corr-id. Slot `i` of
-    /// the answer is `frames[i]`'s reply, or the error that ended its
-    /// delivery.
-    fn deliver(&mut self, frames: &[(u64, Vec<u8>)]) -> Vec<Result<Reply>> {
+    /// The one send/retry loop: deliver `frames` as a burst, and after a
+    /// failed attempt resend only the frames still unanswered, each under
+    /// its own corr-id. Slot `i` of the answer is `frames[i]`'s reply, or
+    /// the error that ended its delivery.
+    fn deliver(&mut self, frames: &[Outgoing<'_>]) -> Vec<Result<Reply>> {
         let mut replies: Vec<Option<Result<Reply>>> = frames.iter().map(|_| None).collect();
         let attempts = self.policy.max_attempts.max(1);
         let mut last = None;
@@ -259,10 +252,11 @@ impl Conn {
             if attempt > 1 {
                 // Jitter keys on the first unanswered frame, so a burst
                 // of one backs off exactly as a single request did.
-                let (corr, _) = frames[replies
+                let corr = frames[replies
                     .iter()
                     .position(Option::is_none)
-                    .expect("unanswered")];
+                    .expect("unanswered")]
+                .corr;
                 let backoff = self.policy.backoff(corr, attempt - 1);
                 self.obs.emit(|| {
                     Event::new(
@@ -329,7 +323,7 @@ impl Conn {
     /// fails half-way keeps what it already learned.
     fn attempt(
         &mut self,
-        frames: &[(u64, Vec<u8>)],
+        frames: &[Outgoing<'_>],
         replies: &mut [Option<Result<Reply>>],
     ) -> Result<()> {
         let started = Instant::now();
@@ -345,15 +339,26 @@ impl Conn {
         let stream = self.stream.as_mut().expect("just connected");
 
         let result = (|| -> Result<()> {
-            let mut unanswered = 0;
-            for ((_, wire), _) in frames.iter().zip(&*replies).filter(|(_, r)| r.is_none()) {
-                stream.get_mut().write_all(wire)?;
-                unanswered += 1;
+            let open: Vec<&Outgoing<'_>> = frames
+                .iter()
+                .zip(&*replies)
+                .filter(|(_, r)| r.is_none())
+                .map(|(frame, _)| frame)
+                .collect();
+            let mut written = 0;
+            let sent = write_gathered(stream.get_mut(), &open, &mut written);
+            // A frame is sent once the socket has taken its last byte.
+            let mut end = 0;
+            for frame in &open {
+                end += frame.wire_len();
+                if end > written {
+                    break;
+                }
                 obs.emit(|| {
                     Event::new(
                         EventKind::NetSend {
                             node,
-                            bytes: wire.len() as u64,
+                            bytes: frame.wire_len() as u64,
                         },
                         0,
                         None,
@@ -361,6 +366,8 @@ impl Conn {
                     )
                 });
             }
+            sent?;
+            let mut unanswered = open.len();
             while unanswered > 0 {
                 let (reply, size) = read_frame(stream)?;
                 // A reply to a request this Conn already gave up on (the
@@ -369,7 +376,7 @@ impl Conn {
                 let Some(slot) = frames
                     .iter()
                     .zip(&*replies)
-                    .position(|((corr, _), r)| *corr == reply.corr && r.is_none())
+                    .position(|(frame, r)| frame.corr == reply.corr && r.is_none())
                 else {
                     continue;
                 };
@@ -468,6 +475,33 @@ fn ack(reply: Reply) -> Result<u64> {
         Reply::Telemetry { .. } => Err(NetError::Protocol(
             "unexpected typed reply to an ack-style request".into(),
         )),
+    }
+}
+
+/// A checkpoint image an `Rfork` frame can carry, as the slices its bytes
+/// lie in: an encoded image is one slice, an [`ImageDesc`] the header and
+/// then each record's header and page, gathered straight from the frames
+/// it snapshotted.
+pub trait RforkImage {
+    /// The image's bytes, in order.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]>;
+}
+
+impl RforkImage for [u8] {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self)
+    }
+}
+
+impl RforkImage for Vec<u8> {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(&self[..])
+    }
+}
+
+impl RforkImage for ImageDesc {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        ImageDesc::pieces(self)
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::crc;
 use crate::error::NetError;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -39,13 +39,14 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 /// How far ahead of the bytes actually received a reader reserves body
 /// space. The length field is unverified until the CRC at the frame's
 /// end checks out, so it only ever buys one chunk of (untouched, never
-/// zero-filled) capacity; every frame up to this size — any image the
-/// paper's regime produces — is still a single exact allocation.
+/// zero-filled) capacity; every frame up to this size is still a single
+/// exact allocation. A server reading an image into page buffers takes
+/// them by the same rule: at most one chunk of records ahead.
 ///
-/// It is also the most frame-buffer capacity an owner keeps between
-/// frames ([`shed_oversized`]): a connection or cluster keeps its buffers
-/// for its whole life, so a steady stream of images allocates none, but
-/// one that carried a larger frame hands it back to the allocator.
+/// It is also the most frame-buffer capacity a server connection keeps
+/// between frames (`shed_oversized`): it keeps its buffer for its whole
+/// life, so a steady stream of small frames allocates none, but one that
+/// carried a larger frame hands it back to the allocator.
 pub const READ_CHUNK: usize = 4 << 20;
 /// How long a server-side reader lets a frame stall mid-flight before
 /// calling the stream desynchronised: the scale of a client's
@@ -64,10 +65,11 @@ pub struct Frame {
 
 /// Serialise one frame into `out`, which is cleared first and grown at
 /// most once, to fit `payload_hint` payload bytes: header, whatever `put`
-/// appends as the payload, CRC. The RPC layer encodes borrowed requests
-/// straight through this, so a checkpoint image is copied once, into the
-/// buffer the socket reads, and a sender that keeps `out` allocates
-/// nothing for the next frame that fits it.
+/// appends as the payload, CRC. The whole-frame encoder: [`Frame::encode`],
+/// `Request::encode_frame` and the replies a server writes from the
+/// buffer it keeps go through it. A client's requests go out gathered
+/// from where their bytes lie instead ([`write_gathered`]); the bytes on
+/// the wire are the same.
 pub(crate) fn encode_into(
     kind: u8,
     corr: u64,
@@ -105,9 +107,114 @@ pub(crate) fn encode_with(
 
 /// Keep `buf` for the next frame unless it has grown past [`READ_CHUNK`];
 /// a buffer that large goes back to the allocator.
-pub fn shed_oversized(buf: &mut Vec<u8>) {
+pub(crate) fn shed_oversized(buf: &mut Vec<u8>) {
     if buf.capacity() > READ_CHUNK {
         *buf = Vec::new();
+    }
+}
+
+/// A frame on its way out: its header, and its payload as the slices the
+/// payload's bytes already lie in. Nothing is copied to send it.
+#[derive(Debug)]
+pub(crate) struct Outgoing<'a> {
+    pub(crate) corr: u64,
+    head: [u8; FRAME_HEADER],
+    pieces: Vec<&'a [u8]>,
+    len: usize,
+}
+
+impl<'a> Outgoing<'a> {
+    /// A frame of `kind` under `corr` whose payload is `pieces`, in order.
+    pub(crate) fn new(kind: u8, corr: u64, pieces: Vec<&'a [u8]>) -> Outgoing<'a> {
+        let len: usize = pieces.iter().map(|p| p.len()).sum();
+        let mut head = [0u8; FRAME_HEADER];
+        head[..4].copy_from_slice(FRAME_MAGIC);
+        head[4] = FRAME_VERSION;
+        head[5] = kind;
+        head[6..14].copy_from_slice(&corr.to_le_bytes());
+        // Saturated as `encode_into` does: the receiver rejects it as too
+        // large instead of misreading a wrapped length.
+        let field = u32::try_from(len).unwrap_or(u32::MAX);
+        head[14..].copy_from_slice(&field.to_le_bytes());
+        Outgoing {
+            corr,
+            head,
+            pieces,
+            len,
+        }
+    }
+
+    /// Total bytes this frame occupies on the wire.
+    pub(crate) fn wire_len(&self) -> usize {
+        FRAME_HEADER + self.len + FRAME_TRAILER
+    }
+}
+
+/// Slices handed to one `write_vectored` call (a 4 KiB page is two: its
+/// record header and its bytes). Each window's CRC is folded just before
+/// the window goes out, while its bytes are in cache.
+const GATHER: usize = 128;
+
+/// Write `frames` to `w` as one gather list: each frame's header, payload
+/// slices and CRC trailer in turn, straight from where they lie, a window
+/// of [`GATHER`] slices per `write_vectored` loop. The CRC of a frame is
+/// folded over its slices as they join a window, so its trailer is known
+/// when the window that ends the frame goes out. `written` counts the
+/// bytes the writer took, including when it fails part-way.
+pub(crate) fn write_gathered(
+    w: &mut impl Write,
+    frames: &[&Outgoing<'_>],
+    written: &mut usize,
+) -> io::Result<()> {
+    // Every slice of every frame in wire order; `None` is a trailer.
+    let mut slices = frames.iter().flat_map(|f| {
+        std::iter::once(Some(&f.head[..]))
+            .chain(f.pieces.iter().map(|&p| Some(p)))
+            .chain(std::iter::once(None))
+    });
+    let mut crc = 0;
+    // A window's slices; a `None` at `k` is the trailer held in `tails[k]`.
+    let mut window: [Option<&[u8]>; GATHER] = [None; GATHER];
+    let mut tails = [[0u8; FRAME_TRAILER]; GATHER];
+    loop {
+        let mut len = 0;
+        while len < GATHER {
+            match slices.next() {
+                // An empty slice adds nothing, and a window of them alone
+                // would read as a writer that took nothing.
+                Some(Some([])) => continue,
+                Some(Some(bytes)) => {
+                    crc = crc::update(crc, bytes);
+                    window[len] = Some(bytes);
+                }
+                Some(None) => {
+                    tails[len] = crc.to_le_bytes();
+                    window[len] = None;
+                    crc = 0;
+                }
+                None => break,
+            }
+            len += 1;
+        }
+        if len == 0 {
+            return Ok(());
+        }
+        let mut iov = [IoSlice::new(&[]); GATHER];
+        for (k, slot) in iov[..len].iter_mut().enumerate() {
+            *slot = IoSlice::new(window[k].unwrap_or(&tails[k]));
+        }
+        let mut iov = &mut iov[..len];
+        while !iov.is_empty() {
+            match w.write_vectored(iov) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    *written += n;
+                    IoSlice::advance_slices(&mut iov, n);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
@@ -217,10 +324,10 @@ pub(crate) fn read_frame_into(
     payload: &mut Vec<u8>,
 ) -> Result<Envelope, NetError> {
     payload.clear();
-    let mut patience = Patience::default();
     let mut header = [0u8; FRAME_HEADER];
+    let mut patience = Patience::default();
     fill(r, &mut header, 0, &mut patience)?;
-    read_body(r, &header, &mut patience, payload)
+    read_body(r, &mut Head::checked(header, patience)?, payload)
 }
 
 /// Like [`read_frame`], but for a server polling `stop` on a short read
@@ -248,6 +355,64 @@ pub(crate) fn read_frame_idle_into(
     payload: &mut Vec<u8>,
 ) -> Result<Option<Envelope>, NetError> {
     payload.clear();
+    match read_head_idle(r, stop)? {
+        Some(mut head) => read_body(r, &mut head, payload).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// A frame whose header has arrived and checked out, and whose body has
+/// not been read: what a reader knows before it picks where the body
+/// goes.
+pub(crate) struct Head<'a> {
+    bytes: [u8; FRAME_HEADER],
+    len: usize,
+    pub(crate) patience: Patience<'a>,
+}
+
+impl<'a> Head<'a> {
+    /// Validate a header's magic, version and length field.
+    fn checked(bytes: [u8; FRAME_HEADER], patience: Patience<'a>) -> Result<Head<'a>, NetError> {
+        let len = checked_payload_len(&bytes)?;
+        Ok(Head {
+            bytes,
+            len,
+            patience,
+        })
+    }
+
+    /// The frame's kind byte.
+    pub(crate) fn kind(&self) -> u8 {
+        self.bytes[5]
+    }
+
+    /// The payload length the header claims (checked against
+    /// [`MAX_PAYLOAD`], otherwise unverified until the CRC).
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The checksum of the header: where a reader's running CRC starts.
+    pub(crate) fn crc(&self) -> u32 {
+        crc::crc32(&self.bytes)
+    }
+
+    /// Everything but the payload, once the frame has been read whole.
+    pub(crate) fn envelope(&self) -> Envelope {
+        Envelope {
+            kind: self.kind(),
+            corr: u64::from_le_bytes(self.bytes[6..14].try_into().expect("8 bytes")),
+            wire_len: FRAME_HEADER + self.len + FRAME_TRAILER,
+        }
+    }
+}
+
+/// Wait for the next frame's header as [`read_frame_idle`] does: `None`
+/// when `stop` is set while no frame has started.
+pub(crate) fn read_head_idle<'a>(
+    r: &mut impl Read,
+    stop: &'a AtomicBool,
+) -> Result<Option<Head<'a>>, NetError> {
     let mut header = [0u8; FRAME_HEADER];
     let got = loop {
         if stop.load(Ordering::Acquire) {
@@ -265,7 +430,7 @@ pub(crate) fn read_frame_idle_into(
         stalled_since: None,
     };
     fill(r, &mut header, got, &mut patience)?;
-    read_body(r, &header, &mut patience, payload).map(Some)
+    Head::checked(header, patience).map(Some)
 }
 
 /// What a read timeout means once a frame has started arriving. A
@@ -275,7 +440,7 @@ pub(crate) fn read_frame_idle_into(
 /// [`MID_FRAME_STALL`]. The clock is read only after a timeout, so the
 /// common path never touches it.
 #[derive(Default)]
-struct Patience<'a> {
+pub(crate) struct Patience<'a> {
     /// `None`: the caller's socket timeout is final.
     stop: Option<&'a AtomicBool>,
     stalled_since: Option<Instant>,
@@ -293,6 +458,22 @@ impl Patience<'_> {
                 .elapsed()
                 < MID_FRAME_STALL
     }
+
+    /// Sort out one read's outcome: the bytes it delivered (and the stall
+    /// clock restarted), `Ok(0)` for an interruption or a timeout worth
+    /// waiting out, or the error that ends the frame — end of stream
+    /// included.
+    pub(crate) fn read(&mut self, read: io::Result<usize>) -> Result<usize, NetError> {
+        match read {
+            Ok(0) => Err(NetError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(n) => {
+                self.stalled_since = None;
+                Ok(n)
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted || self.waits_out(&e) => Ok(0),
+            Err(e) => Err(NetError::Io(e)),
+        }
+    }
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -300,49 +481,36 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Read until `buf[got..]` is full.
-fn fill(
+pub(crate) fn fill(
     r: &mut impl Read,
     buf: &mut [u8],
     mut got: usize,
     patience: &mut Patience,
 ) -> Result<(), NetError> {
     while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(NetError::Io(ErrorKind::UnexpectedEof.into())),
-            Ok(n) => {
-                got += n;
-                patience.stalled_since = None;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted || patience.waits_out(&e) => {}
-            Err(e) => return Err(NetError::Io(e)),
-        }
+        got += patience.read(r.read(&mut buf[got..]))?;
     }
     Ok(())
 }
 
-/// Read the payload and CRC that follow `header` into `body` (empty on
-/// entry), verify, and leave exactly the payload there. A failure leaves
-/// `body` empty: no half-read or unverified bytes survive it.
-fn read_body(
+/// Read the rest of `head`'s payload and its CRC into `body`, which holds
+/// whatever of the payload was read already, verify, and leave exactly
+/// the payload there. A failure leaves `body` empty: no half-read or
+/// unverified bytes survive it.
+pub(crate) fn read_body(
     r: &mut impl Read,
-    header: &[u8; FRAME_HEADER],
-    patience: &mut Patience,
+    head: &mut Head,
     body: &mut Vec<u8>,
 ) -> Result<Envelope, NetError> {
-    let read = fill_body(r, header, patience, body);
+    let read = fill_body(r, head, body);
     if read.is_err() {
         body.clear();
     }
     read
 }
 
-fn fill_body(
-    r: &mut impl Read,
-    header: &[u8; FRAME_HEADER],
-    patience: &mut Patience,
-    body: &mut Vec<u8>,
-) -> Result<Envelope, NetError> {
-    let len = checked_payload_len(header)?;
+fn fill_body(r: &mut impl Read, head: &mut Head, body: &mut Vec<u8>) -> Result<Envelope, NetError> {
+    let len = head.len;
     let need = len + FRAME_TRAILER;
     while body.len() < need {
         if body.len() == body.capacity() {
@@ -356,30 +524,102 @@ fn fill_body(
         let room = (body.capacity() - before).min(need - before);
         let read = r.by_ref().take(room as u64).read_to_end(body);
         if body.len() > before {
-            patience.stalled_since = None;
+            head.patience.stalled_since = None;
         }
         match read {
             Ok(0) => return Err(NetError::Io(ErrorKind::UnexpectedEof.into())),
             Ok(_) => {}
-            Err(e) if patience.waits_out(&e) => {}
+            Err(e) if head.patience.waits_out(&e) => {}
             Err(e) => return Err(NetError::Io(e)),
         }
     }
-    let crc = crc::update(crc::crc32(header), &body[..len]);
+    let crc = crc::update(head.crc(), &body[..len]);
     if crc.to_le_bytes() != body[len..] {
         return Err(NetError::BadCrc);
     }
     body.truncate(len);
-    Ok(Envelope {
-        kind: header[5],
-        corr: u64::from_le_bytes(header[6..14].try_into().expect("8 bytes")),
-        wire_len: FRAME_HEADER + need,
-    })
+    Ok(head.envelope())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Takes at most `step` bytes per call, is interrupted every third
+    /// call, and breaks for good once `limit` bytes have been taken.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            if self.out.len() >= self.limit {
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            let room = self.step.min(self.limit - self.out.len());
+            let bytes: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let n = room.min(bytes.len());
+            self.out.extend_from_slice(&bytes[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn gathered_frames_are_the_encoded_frames_whatever_the_writer_takes() {
+        // A burst whose slices cross several windows and frame boundaries:
+        // an empty payload, 300 slices of odd sizes (some empty), one slice.
+        let bytes: Vec<u8> = (0..=255).cycle().take(9000).collect();
+        let many: Vec<&[u8]> = (0..300).map(|i| &bytes[i * 29..i * 29 + i % 31]).collect();
+        let frames = [(1, Vec::new()), (2, many), (3, vec![&bytes[..]])];
+        let outgoing: Vec<Outgoing<'_>> = frames
+            .iter()
+            .map(|(corr, pieces)| Outgoing::new(*corr as u8 + 1, *corr, pieces.clone()))
+            .collect();
+        let expected: Vec<u8> = outgoing
+            .iter()
+            .flat_map(|f| Frame::new(f.head[5], f.corr, f.pieces.concat()).encode())
+            .collect();
+        let burst: Vec<&Outgoing<'_>> = outgoing.iter().collect();
+        for step in [1, 7, 4096, usize::MAX] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                step,
+                calls: 0,
+                limit: usize::MAX,
+            };
+            let mut written = 0;
+            write_gathered(&mut w, &burst, &mut written).unwrap();
+            assert_eq!(w.out, expected, "step {step}");
+            assert_eq!(written, expected.len());
+            let sizes: usize = outgoing.iter().map(Outgoing::wire_len).sum();
+            assert_eq!(sizes, expected.len());
+        }
+        // A writer that breaks part-way: what it took is counted.
+        let mut w = Trickle {
+            out: Vec::new(),
+            step: 100,
+            calls: 0,
+            limit: 5000,
+        };
+        let mut written = 0;
+        assert!(write_gathered(&mut w, &burst, &mut written).is_err());
+        assert_eq!((written, &w.out[..]), (5000, &expected[..5000]));
+    }
 
     #[test]
     fn encode_decode_round_trip() {

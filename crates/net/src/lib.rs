@@ -59,17 +59,18 @@ mod crc;
 mod error;
 mod fault;
 mod frame;
+mod image;
 mod proxy;
 mod rpc;
 mod server;
 
-pub use client::{Conn, Pool, RetryPolicy};
+pub use client::{Conn, Pool, RetryPolicy, RforkImage};
 pub use crc::crc32;
 pub use error::{NetError, Result};
 pub use fault::{FaultKind, FaultSchedule};
 pub use frame::{
-    read_frame, read_frame_idle, shed_oversized, write_frame, Frame, FRAME_HEADER, FRAME_MAGIC,
-    FRAME_TRAILER, FRAME_VERSION, MAX_PAYLOAD, READ_CHUNK,
+    read_frame, read_frame_idle, write_frame, Frame, FRAME_HEADER, FRAME_MAGIC, FRAME_TRAILER,
+    FRAME_VERSION, MAX_PAYLOAD, READ_CHUNK,
 };
 pub use proxy::{FaultProxy, OpLedger};
 pub use rpc::{kind, nack, Reply, Request};

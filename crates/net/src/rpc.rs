@@ -184,17 +184,10 @@ impl Request {
 
     /// Serialise as one complete wire frame under correlation id `corr`:
     /// header, payload and CRC written once, straight from the borrowed
-    /// request, into the buffer the socket will read.
+    /// request. A [`crate::Conn`] sends the same bytes gathered from the
+    /// request's payload.
     pub fn encode_frame(&self, corr: u64) -> Vec<u8> {
         encode_with(self.kind(), corr, self.payload_len(), |out| {
-            self.encode_into(out)
-        })
-    }
-
-    /// [`Request::encode_frame`] into `out`, a buffer the caller keeps:
-    /// cleared, then refilled.
-    pub fn encode_frame_into(&self, corr: u64, out: &mut Vec<u8>) {
-        encode_into(self.kind(), corr, self.payload_len(), out, |out| {
             self.encode_into(out)
         })
     }
@@ -472,25 +465,12 @@ fn put_commit_back(out: &mut Vec<u8>, base: u64, pages: &[(u64, Vec<u8>)]) {
     put_pages(out, pages);
 }
 
-/// One complete `Rfork` frame, into `out`, from an image the caller
-/// keeps — what [`crate::Conn::call_rfork`] sends.
-pub(crate) fn rfork_frame_into(corr: u64, image: &[u8], out: &mut Vec<u8>) {
-    encode_into(kind::RFORK, corr, image.len(), out, |out| {
-        out.extend_from_slice(image)
-    })
-}
-
-/// One complete `CommitBack` frame, into `out`, from pages the caller
-/// keeps — what [`crate::Conn::call_commit_back`] sends.
-pub(crate) fn commit_back_frame_into(
-    corr: u64,
-    base: u64,
-    pages: &[(u64, Vec<u8>)],
-    out: &mut Vec<u8>,
-) {
-    encode_into(kind::COMMIT_BACK, corr, 8 + pages_len(pages), out, |out| {
-        put_commit_back(out, base, pages)
-    })
+/// The payload of a `CommitBack` of `pages` into `base`, from pages the
+/// caller keeps — what [`crate::Conn::call_commit_back`] sends.
+pub(crate) fn commit_back_payload(base: u64, pages: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + pages_len(pages));
+    put_commit_back(&mut out, base, pages);
+    out
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! land exactly once no matter how many times the frame is delivered
 //! (the double-delivery test in `tests/loopback.rs` proves it).
 
-use crate::frame::{read_frame_idle_into, shed_oversized};
+use crate::frame::{read_head_idle, shed_oversized};
+use crate::image::read_request_body;
 use crate::rpc::{kind, nack, Reply, Request};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
@@ -26,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use worlds_exec::Executor;
 use worlds_obs::Registry;
-use worlds_pagestore::{restore, PageStore, WorldId};
+use worlds_pagestore::{restore, PageStore, PageStoreError, WorldId};
 
 /// Retransmits of operations older than this many *newer* operations no
 /// longer hit the ledger. Far beyond any client's retry horizon: a
@@ -193,23 +194,29 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     // One read buffer for the life of the connection: a request that
     // fits it costs one `read` system call.
     let mut stream = BufReader::new(stream);
-    // And one frame buffer: every request's payload is read into it, and
-    // every reply encoded into it once the request is answered, so a
-    // steady stream of images allocates none. It is given back when a
-    // frame has grown it past one read chunk.
+    // And one frame buffer: every request's payload but an image's is
+    // read into it, and every reply encoded into it once the request is
+    // answered. It is given back when a frame has grown it past one read
+    // chunk. An image is read into the page buffers that become the new
+    // world's frames (see the `image` module).
     let mut wire = Vec::new();
     loop {
-        let envelope = match read_frame_idle_into(&mut stream, &shared.stop, &mut wire) {
-            Ok(Some(envelope)) => envelope,
-            // Shutdown requested while idle.
-            Ok(None) => return,
-            // EOF, reset, desync, corruption: this stream is done. The
-            // client reconnects and retries; the ledger keeps the retry
-            // idempotent.
-            Err(_) => return,
+        // Shutdown requested while idle, or EOF, reset, desync,
+        // corruption: this stream is done. The client reconnects and
+        // retries; the ledger keeps the retry idempotent.
+        let Ok(Some(mut head)) = read_head_idle(&mut stream, &shared.stop) else {
+            return;
+        };
+        let Ok((envelope, image)) =
+            read_request_body(&mut stream, &mut head, &shared.store, &mut wire)
+        else {
+            return;
         };
         let corr = envelope.corr;
-        let reply = reply_for(&shared, envelope.kind, corr, &wire);
+        let reply = match image {
+            Some(image) => reply_for(&shared, corr, || restored(&shared, image.restore())),
+            None => reply_for(&shared, corr, || apply(&shared, envelope.kind, &wire)),
+        };
         reply.encode_frame_into(corr, &mut wire);
         if stream.get_mut().write_all(&wire).is_err() {
             return;
@@ -226,7 +233,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
 /// replays the recorded reply. Different corr-ids therefore apply
 /// concurrently — essential once session spawns (which block on fair
 /// scheduling) share the node with everything else.
-fn reply_for(shared: &Shared, kind_byte: u8, corr: u64, payload: &[u8]) -> Reply {
+fn reply_for(shared: &Shared, corr: u64, apply: impl FnOnce() -> Reply) -> Reply {
     {
         let mut ledger = shared.ledger.lock().expect("ledger lock");
         loop {
@@ -239,7 +246,7 @@ fn reply_for(shared: &Shared, kind_byte: u8, corr: u64, payload: &[u8]) -> Reply
             ledger = shared.ledger_cv.wait(ledger).expect("ledger lock");
         }
     }
-    let reply = apply(shared, kind_byte, payload);
+    let reply = apply();
     let mut ledger = shared.ledger.lock().expect("ledger lock");
     ledger.inflight.remove(&corr);
     ledger.put(corr, reply.clone());
@@ -247,11 +254,12 @@ fn reply_for(shared: &Shared, kind_byte: u8, corr: u64, payload: &[u8]) -> Reply
     reply
 }
 
-/// Answer one request. An `Rfork` restores straight from the borrowed
-/// payload: its image is never copied out of the connection's buffer.
+/// Answer one request read into the connection's frame buffer. An
+/// `Rfork` that arrives here is an image the reader would not stream; it
+/// restores from the borrowed payload, without copying it out first.
 fn apply(shared: &Shared, kind_byte: u8, payload: &[u8]) -> Reply {
     if kind_byte == kind::RFORK {
-        return restored(shared, payload);
+        return restored(shared, restore(&shared.store, payload));
     }
     let request = match Request::decode(kind_byte, payload) {
         Ok(r) => r,
@@ -264,7 +272,7 @@ fn apply(shared: &Shared, kind_byte: u8, payload: &[u8]) -> Reply {
     };
     match request {
         Request::Ping => Reply::Ack { world: 0 },
-        Request::Rfork { image } => restored(shared, &image),
+        Request::Rfork { image } => restored(shared, restore(&shared.store, &image)),
         Request::CommitBack { base, pages } => {
             match shared.store.commit_pages(WorldId::from_raw(base), &pages) {
                 Ok(()) => Reply::Ack { world: base },
@@ -325,9 +333,9 @@ fn apply(shared: &Shared, kind_byte: u8, payload: &[u8]) -> Reply {
     }
 }
 
-/// Restore `image` as a new world of this node's store.
-fn restored(shared: &Shared, image: &[u8]) -> Reply {
-    match restore(&shared.store, image) {
+/// The reply to an `Rfork`: the world its image restored, or why not.
+fn restored(shared: &Shared, world: Result<WorldId, PageStoreError>) -> Reply {
+    match world {
         Ok(world) => Reply::Ack { world: world.raw() },
         Err(e) => Reply::Nack {
             code: nack::BAD_IMAGE,

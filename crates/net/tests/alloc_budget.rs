@@ -1,38 +1,53 @@
 //! The copies stay gone: a counting global allocator watches 1 MiB
 //! `Rfork`s cross the loopback wire and a lying length field hit the
 //! reader. Measured by this test (release build), client and server in
-//! one process, before and after the copy-free framing rewrite and then
-//! the kept frame buffers:
+//! one process, before and after the copy-free framing rewrite, the kept
+//! frame buffers, and then the streamed image:
 //!
-//! | bytes allocated, ÷ image                                  | before | copy-free | kept buffers |
-//! |---|---|---|---|
-//! | first 1 MiB `Rfork` on a `Conn`, with the caller's image   | 8.04 × | 4.04 ×    | 4.05 ×       |
-//! | a later 1 MiB `Rfork` on the same `Conn`, image borrowed    |        | 3.02 ×    | 1.02 ×       |
-//! | reserved for a `MAX_PAYLOAD` claim that delivers 10 B      | 64 MiB | 4 MiB     | 4 MiB        |
+//! | bytes allocated, ÷ image                                  | before | copy-free | kept buffers | streamed |
+//! |---|---|---|---|---|
+//! | first 1 MiB `Rfork` on a `Conn`, with the caller's image   | 8.04 × | 4.04 ×    | 4.05 ×       | 3.05 ×   |
+//! | the same, the caller's image bytes borrowed                 |        |           |              | 2.02 ×   |
+//! | a later 1 MiB `Rfork` on the same `Conn`, image borrowed    |        | 3.02 ×    | 1.02 ×       | 1.03 ×   |
+//! | the same, the frames' buffers from the receiver's pool      |        |           |              | 0.03 ×   |
+//! | largest single allocation of a later 1 MiB `Rfork`          |        |           | 1 MiB        | 8 KiB    |
+//! | reserved for a `MAX_PAYLOAD` claim that delivers 10 B      | 64 MiB | 4 MiB     | 4 MiB        | 4 MiB    |
 //!
-//! The first rfork pays for the caller's image, one frame buffer per
-//! side and the receiving store's page frames. Both sides keep their
-//! frame buffers, so a later one pays for the page frames alone. A
-//! connection that carried a frame past one read chunk (4 MiB) gives its
-//! buffers back: about 1.1 MiB stays live after a 6 MiB rfork and its
-//! discard, the store's recycled page buffers and bookkeeping.
+//! The later rforks of the *streamed* column send the image as its
+//! description; every fourth of them also grows the receiving store's
+//! frame table by one 32 KiB chunk of 1024 slots.
+//!
+//! The first rfork pays for the caller's image, its encoded copy (an
+//! owned `Request`, encoded whole) and the receiving store's page frames.
+//! An image sent as its description ([`worlds_pagestore::ImageDesc`])
+//! goes out gathered from the sender's frames and is read into the
+//! frames the receiver restores it into, so neither side holds a
+//! whole-image buffer: a later rfork allocates the receiving store's page
+//! frames and small change, and nothing at all of its pages when the
+//! store's recycle pool holds buffers freed by an earlier discard. A
+//! connection that carried a frame past one read chunk (4 MiB) keeps no
+//! buffer of that size: about 1.1 MiB stays live after a 6 MiB rfork and
+//! its discard, the store's recycled page buffers and bookkeeping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use worlds_net::{read_frame, Conn, Frame, NetNode, Request, RetryPolicy, MAX_PAYLOAD, READ_CHUNK};
 use worlds_obs::Registry;
-use worlds_pagestore::{checkpoint, PageStore};
+use worlds_pagestore::{checkpoint, describe, PageStore, WorldId};
 
-/// Bytes ever requested, live bytes now, and the live high-water mark.
+/// Bytes ever requested, live bytes now, the live high-water mark, and
+/// the largest single block asked for since the last reset.
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 fn grew(bytes: usize) {
     TOTAL.fetch_add(bytes, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -77,6 +92,7 @@ static TURN: Mutex<()> = Mutex::new(());
 fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let live = LIVE.load(Ordering::Relaxed);
     PEAK.store(live, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
     let total = TOTAL.load(Ordering::Relaxed);
     let out = f();
     (
@@ -89,7 +105,7 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 const PAGE: usize = 4096;
 
 #[test]
-fn a_1mib_rfork_allocates_at_most_five_images_and_a_ping_under_1kib() {
+fn a_first_1mib_rfork_allocates_the_callers_copies_and_frames_and_a_ping_under_1kib() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
     let mut conn = Conn::new(1, node.addr(), RetryPolicy::default(), Registry::disabled());
@@ -103,7 +119,9 @@ fn a_1mib_rfork_allocates_at_most_five_images_and_a_ping_under_1kib() {
         conn.call_ack(&Request::Ping).unwrap();
     }
 
-    for borrowed in [false, true] {
+    // An owned request is encoded whole (one copy); borrowed bytes go out
+    // where they lie. Either way the receiver allocates its frames.
+    for (borrowed, most) in [(false, 3.1), (true, 2.1)] {
         let image = checkpoint(&local, world).unwrap();
         let len = image.len();
         assert!(len > 1 << 20);
@@ -117,7 +135,7 @@ fn a_1mib_rfork_allocates_at_most_five_images_and_a_ping_under_1kib() {
         replica.unwrap();
         let images = (len + total) as f64 / len as f64;
         eprintln!("rfork (borrowed: {borrowed}): {images:.2} x the image allocated");
-        assert!(images <= 5.0, "{images:.2} x the image allocated");
+        assert!(images <= most, "{images:.2} x the image allocated");
     }
 
     let (reply, total, _) = measure(|| conn.call(&Request::Ping));
@@ -183,25 +201,57 @@ fn image_of(store: &PageStore, pages: u64) -> Vec<u8> {
     checkpoint(store, world).unwrap()
 }
 
+/// No single allocation this large happens during a steady-state 1 MiB
+/// rfork, on either side: nothing image-sized, nor a sizeable piece of
+/// one.
+const LARGE: usize = 64 << 10;
+
 #[test]
-fn later_1mib_rforks_on_one_conn_allocate_only_the_stores_frames() {
+fn a_streamed_1mib_rfork_allocates_only_the_stores_frames_and_no_large_block() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
     let mut conn = Conn::new(1, node.addr(), RetryPolicy::default(), Registry::disabled());
-    let image = image_of(&PageStore::new(PAGE), 256);
-    let len = image.len();
-    // The first rfork grows both sides' frame buffers to fit the image.
-    conn.call_rfork(&image).unwrap();
-    for n in 2..=6 {
-        let (replica, total, _) = measure(|| conn.call_rfork(&image));
-        replica.unwrap();
-        // The receiving store's 256 new page frames are one image's worth;
-        // everything else is small change.
-        let images = total as f64 / len as f64;
-        eprintln!("rfork {n}: {images:.3} x the image allocated");
+    let local = PageStore::new(PAGE);
+    let world = local.create_world();
+    for vpn in 0..256 {
+        local
+            .write(world, vpn, 0, &[vpn as u8 ^ 0x5A; PAGE])
+            .unwrap();
+    }
+    // Connect and settle both sides with a first rfork.
+    let mut replica = conn.call_rfork(&describe(&local, world).unwrap()).unwrap();
+    for pooled in [false, true] {
+        let mut round = 0.0;
+        for n in 2..=5 {
+            if pooled {
+                // The replica's frames go to the store's recycle pool.
+                conn.call_ack(&Request::Discard { world: replica }).unwrap();
+            }
+            let image = describe(&local, world).unwrap();
+            let (shipped, total, _) = measure(|| conn.call_rfork(&image));
+            let largest = LARGEST.load(Ordering::Relaxed);
+            replica = shipped.unwrap();
+            let images = total as f64 / image.byte_len() as f64;
+            round += images / 4.0;
+            eprintln!(
+                "rfork {n} (pooled frames: {pooled}): {images:.3} x the image allocated, \
+                 largest block {largest} B"
+            );
+            assert!(largest < LARGE, "rfork {n}: a {largest} B allocation");
+            let there = WorldId::from_raw(replica);
+            assert_eq!(
+                node.store().read_vec(there, 255, 0, 1).unwrap(),
+                [255 ^ 0x5A]
+            );
+        }
+        // The receiving store's 256 new page frames are one image's worth,
+        // less the record headers; everything else is small change (the
+        // frame table grows a 1024-slot chunk every fourth rfork). Taken
+        // from the pool, the frames cost nothing.
+        let most = if pooled { 0.05 } else { 1.05 };
         assert!(
-            images <= 1.1,
-            "rfork {n}: {images:.3} x the image allocated"
+            round <= most,
+            "pooled frames: {pooled}: {round:.3} x the image allocated per rfork"
         );
     }
     node.shutdown();

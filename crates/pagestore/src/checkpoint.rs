@@ -11,7 +11,7 @@
 //! `CostModel::rfork_lan` preset encodes.
 //!
 //! There is one image format (little-endian), written by one encoder and
-//! read by one walk in [`restore`]:
+//! read by one record walk:
 //!
 //! ```text
 //! magic "MWCK" | version u32 | page_size u64 | record_count u64 | base_world u64
@@ -22,35 +22,50 @@
 //! a *ref* to bytes the receiver's content index held. It is retired and
 //! never reused: on the delta rfork path a ref could not hit (see
 //! EXPERIMENTS.md, *Deltas without a probe*), so every page travels inline
-//! and [`restore`] rejects an image holding any other kind.
+//! and a restore rejects an image holding any other kind.
 //!
-//! [`restore`] builds a **new world**: a COW fork of `base_world` (which
+//! An image is never built to be sent. The sender holds an [`ImageDesc`]:
+//! the header, and per page its 9-byte record header and a snapshot of the
+//! frame holding its bytes, all taken under one shard read lock. Nothing
+//! is copied: [`ImageDesc::pieces`] hands out header, record headers and
+//! page bytes in wire order, so a transport gathers them from the origin's
+//! frames straight into a socket, and [`ImageDesc::to_vec`], the one
+//! encoder, appends the same pieces to a `Vec`. The descriptions differ
+//! only in which pages they hold:
+//!
+//! * [`describe`] — a **full** image: every mapped page against base 0.
+//! * [`describe_delta`] — only the pages whose bytes differ from a stated
+//!   base world. Repeated rfork of sibling worlds then ships KBs instead
+//!   of the full image. A world against itself is the bare header.
+//!
+//! [`checkpoint`], [`checkpoint_delta`] and [`checkpoint_content`] (the
+//! pages a [`delta_manifest`] names) are those images as bytes.
+//!
+//! A restore builds a **new world**: a COW fork of `base_world` (which
 //! must already live in the target store — for `rfork` that is the replica
 //! an earlier image restored), or a fresh empty world when `base_world` is
-//! 0 (world ids start at 1), with every record applied on top. The public
-//! encoders differ only in which pages they write:
+//! 0 (world ids start at 1), with every record installed on top. There is
+//! one install routine, and it installs each record's page *buffer* as the
+//! new frame, by move: no copy and no zero fill. The three ways in differ
+//! only in where those buffers come from:
 //!
-//! * [`checkpoint`] — a **full** image: every mapped page against base 0.
-//! * [`checkpoint_delta`] — only the pages whose bytes differ from a
-//!   stated base world. Repeated rfork of sibling worlds then ships KBs
-//!   instead of the full image.
-//! * [`checkpoint_content`] — the pages a [`delta_manifest`] names, the
-//!   same image [`checkpoint_delta`] writes for that manifest.
-//!
-//! [`checkpoint_into`] and [`checkpoint_delta_into`] write the same images
-//! into a buffer the caller keeps, so a sender that ships image after
-//! image (a cluster's rforks) allocates no image-sized memory once its
-//! buffer has grown to the largest one.
+//! * [`restore`] copies each record of a byte image into a pooled buffer;
+//! * [`ImageDesc::copy_into`] copies each described page the same way, so
+//!   two stores never share a frame;
+//! * a [`ReceivedImage`] already holds them: a transport read each record
+//!   off the wire straight into the buffer that becomes its frame.
 //!
 //! Images are ephemeral wire payloads between nodes of one build; nothing
 //! stores one, so there is no older version to stay readable.
 
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::content::page_hash;
 use crate::cursor::Cursor;
 use crate::error::{PageStoreError, Result};
-use crate::page::Vpn;
+use crate::page::{PageData, Vpn};
 use crate::store::{PageStore, WorldId};
 
 const MAGIC: &[u8] = b"MWCK";
@@ -58,92 +73,175 @@ const MAGIC: &[u8] = b"MWCK";
 /// no build writes any more).
 const VERSION: u32 = 3;
 /// Header bytes: magic + version + page_size + record_count + base_world.
-const HEADER: usize = 32;
+pub const IMAGE_HEADER: usize = 32;
+/// Record header bytes: vpn + kind.
+const RECORD_HEADER: usize = 9;
 /// The one record kind: a full inline page. (Kind 1, a content-hash ref,
 /// is retired.)
 const REC_INLINE: u8 = 0;
 
+/// A restore's error: every malformed image reads as one of these.
+fn image_err(msg: String) -> PageStoreError {
+    PageStoreError::NoSuchFile(format!("checkpoint: {msg}"))
+}
+
 /// Hand `each` every page of `world` whose **bytes** differ from `base`,
 /// ascending, with the `world`-side bytes. The candidate set is the COW
-/// map diff (pages written since the fork), narrowed by content
-/// comparison, so a write that restored the original bytes is skipped.
+/// map diff (pages written since the fork), narrowed by comparing the two
+/// worlds' page snapshots, so a write that restored the original bytes is
+/// skipped.
 fn dirty_pages(
     store: &PageStore,
     world: WorldId,
     base: WorldId,
     mut each: impl FnMut(Vpn, &[u8]),
 ) -> Result<()> {
-    let page_size = store.page_size();
-    let mut wbuf = vec![0u8; page_size];
-    let mut bbuf = vec![0u8; page_size];
-    for vpn in store.diff_worlds(world, base)? {
-        store.read(world, vpn, 0, &mut wbuf)?;
-        store.read(base, vpn, 0, &mut bbuf)?;
-        if wbuf != bbuf {
-            each(vpn, &wbuf);
+    let vpns = store.diff_worlds(world, base)?;
+    let ours = store.snapshots(world, &vpns)?;
+    let theirs = store.snapshots(base, &vpns)?;
+    for ((&vpn, ours), theirs) in vpns.iter().zip(&ours).zip(&theirs) {
+        // A page a world does not map reads as zeroes.
+        match (ours.as_deref(), theirs.as_deref()) {
+            (Some(a), Some(b)) if a.bytes() == b.bytes() => {}
+            (Some(page), None) | (None, Some(page)) if page.is_zero() => {}
+            (None, None) => {}
+            (Some(ours), _) => each(vpn, ours.bytes()),
+            (None, Some(_)) => each(vpn, &vec![0; store.page_size()]),
         }
     }
     Ok(())
 }
 
-/// The one image writer: clear `out`, then write the header and one
-/// inline record per vpn of `vpns` into it, each page appended straight
-/// from `world`'s frame with no zero-fill first. The buffer is grown to
-/// the exact image size at most once, so a caller that keeps it across
-/// images allocates nothing for images that fit. Serialisation is real
-/// work (not simulated), so the announced duration is measured wall time.
-fn write_image_into(
+/// An image described rather than written: its header, and per page the
+/// record header and a snapshot of the page (see the module docs). The
+/// snapshots keep the described bytes fixed while the description lives:
+/// a write to one of those frames copies it first.
+#[derive(Debug, Clone)]
+pub struct ImageDesc {
+    header: [u8; IMAGE_HEADER],
+    page_size: usize,
+    records: Vec<([u8; RECORD_HEADER], Arc<PageData>)>,
+}
+
+impl ImageDesc {
+    /// Describe `pages` of `world` against `base_on_target`. Describing
+    /// is the checkpoint's real work (not simulated), so the announced
+    /// duration is measured wall time since `started`.
+    fn new(
+        store: &PageStore,
+        world: WorldId,
+        base_on_target: u64,
+        pages: impl ExactSizeIterator<Item = (Vpn, Arc<PageData>)>,
+        started: Instant,
+    ) -> ImageDesc {
+        let page_size = store.page_size();
+        let mut header = [0u8; IMAGE_HEADER];
+        header[..4].copy_from_slice(MAGIC);
+        header[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        header[8..16].copy_from_slice(&(page_size as u64).to_le_bytes());
+        header[16..24].copy_from_slice(&(pages.len() as u64).to_le_bytes());
+        header[24..].copy_from_slice(&base_on_target.to_le_bytes());
+        let records = pages
+            .map(|(vpn, page)| {
+                let mut head = [REC_INLINE; RECORD_HEADER];
+                head[..8].copy_from_slice(&vpn.to_le_bytes());
+                (head, page)
+            })
+            .collect();
+        let image = ImageDesc {
+            header,
+            page_size,
+            records,
+        };
+        store.obs().emit(|| {
+            let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
+            worlds_obs::Event::new(
+                worlds_obs::EventKind::Checkpoint {
+                    pages: image.pages() as u64,
+                    bytes: image.byte_len() as u64,
+                    duration_ns: started.elapsed().as_nanos() as u64,
+                },
+                world.raw(),
+                parent,
+                0,
+            )
+        });
+        image
+    }
+
+    /// Bytes of the image this describes.
+    pub fn byte_len(&self) -> usize {
+        IMAGE_HEADER + self.records.len() * (RECORD_HEADER + self.page_size)
+    }
+
+    /// Pages (records) it holds.
+    pub fn pages(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The image's bytes as the slices they lie in, in order: the header,
+    /// then each record's header and page.
+    pub fn pieces(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        std::iter::once(&self.header[..]).chain(
+            self.records
+                .iter()
+                .flat_map(|(head, page)| [&head[..], page.bytes()]),
+        )
+    }
+
+    /// The image's bytes: the one encoder, sized exactly at the start.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.byte_len());
+        for piece in self.pieces() {
+            out.extend_from_slice(piece);
+        }
+        out
+    }
+
+    /// Restore the described image into `store` (see [`restore`]), each
+    /// page copied into a pooled buffer of `store`: what a receiver that
+    /// shares no memory with the sender gets from the bytes.
+    pub fn copy_into(&self, store: &PageStore) -> Result<WorldId> {
+        let (_, base) =
+            parse_header(&mut Cursor::new(&self.header), store.page_size()).map_err(image_err)?;
+        let pages = self
+            .records
+            .iter()
+            .map(|(head, page)| (record_vpn(head), store.page_from(page.bytes())));
+        install(store, base, pages)
+    }
+}
+
+/// Describe `vpns` of `world`, snapshotted under one shard read lock; a
+/// vpn `world` does not map reads as zeroes.
+fn describe_vpns(
     store: &PageStore,
     world: WorldId,
     base_on_target: u64,
     vpns: &[Vpn],
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let started = Instant::now();
-    let page_size = store.page_size();
-    out.clear();
-    out.reserve_exact(HEADER + vpns.len() * (9 + page_size));
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(page_size as u64).to_le_bytes());
-    out.extend_from_slice(&(vpns.len() as u64).to_le_bytes());
-    out.extend_from_slice(&base_on_target.to_le_bytes());
-    for &vpn in vpns {
-        out.extend_from_slice(&vpn.to_le_bytes());
-        out.push(REC_INLINE);
-        store.read_append(world, vpn, 0, page_size, out)?;
-    }
-    store.obs().emit(|| {
-        let parent = store.parent_of(world).ok().flatten().map(WorldId::raw);
-        worlds_obs::Event::new(
-            worlds_obs::EventKind::Checkpoint {
-                pages: vpns.len() as u64,
-                bytes: out.len() as u64,
-                duration_ns: started.elapsed().as_nanos() as u64,
-            },
-            world.raw(),
-            parent,
-            0,
-        )
+    started: Instant,
+) -> Result<ImageDesc> {
+    let snapshots = store.snapshots(world, vpns)?;
+    let mut zero = None;
+    let pages = vpns.iter().zip(snapshots).map(|(&vpn, page)| {
+        let page = page.unwrap_or_else(|| {
+            zero.get_or_insert_with(|| Arc::new(PageData::zeroed(store.page_size())))
+                .clone()
+        });
+        (vpn, page)
     });
-    Ok(())
+    Ok(ImageDesc::new(store, world, base_on_target, pages, started))
 }
 
-/// Serialise every mapped page of `world` into a full image (base 0:
-/// the receiver starts from an empty world).
-pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    checkpoint_into(store, world, &mut out)?;
-    Ok(out)
+/// Describe every mapped page of `world` as a full image (base 0: the
+/// receiver starts from an empty world).
+pub fn describe(store: &PageStore, world: WorldId) -> Result<ImageDesc> {
+    let started = Instant::now();
+    let pages = store.mapped_snapshots(world)?;
+    Ok(ImageDesc::new(store, world, 0, pages.into_iter(), started))
 }
 
-/// [`checkpoint`] into a buffer the caller keeps: `out` is cleared and
-/// refilled, and only grows when the image outgrows it.
-pub fn checkpoint_into(store: &PageStore, world: WorldId, out: &mut Vec<u8>) -> Result<()> {
-    write_image_into(store, world, 0, &store.mapped_vpns(world)?, out)
-}
-
-/// Serialise only the pages of `world` whose **bytes** differ from
+/// Describe only the pages of `world` whose **bytes** differ from
 /// `base`. `base_on_target` is the world id the image's receiver should
 /// fork as the base — for a same-store round trip that is `base.raw()`;
 /// for `rfork` it is the id of the replica a previous image restored on
@@ -151,32 +249,35 @@ pub fn checkpoint_into(store: &PageStore, world: WorldId, out: &mut Vec<u8>) -> 
 /// unambiguous either way).
 ///
 /// Only dirty pages ship: a write that restored the original bytes
-/// ships nothing.
+/// ships nothing. With `base == world` no page differs, and the image is
+/// the bare header: a fork of `base_on_target` as it stands.
+pub fn describe_delta(
+    store: &PageStore,
+    world: WorldId,
+    base: WorldId,
+    base_on_target: u64,
+) -> Result<ImageDesc> {
+    let started = Instant::now();
+    let mut vpns = Vec::new();
+    dirty_pages(store, world, base, |vpn, _| vpns.push(vpn))?;
+    describe_vpns(store, world, base_on_target, &vpns, started)
+}
+
+/// Serialise every mapped page of `world` into a full image: [`describe`]
+/// as bytes.
+pub fn checkpoint(store: &PageStore, world: WorldId) -> Result<Vec<u8>> {
+    Ok(describe(store, world)?.to_vec())
+}
+
+/// Serialise only the pages of `world` whose bytes differ from `base`:
+/// [`describe_delta`] as bytes.
 pub fn checkpoint_delta(
     store: &PageStore,
     world: WorldId,
     base: WorldId,
     base_on_target: u64,
 ) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    checkpoint_delta_into(store, world, base, base_on_target, &mut out)?;
-    Ok(out)
-}
-
-/// [`checkpoint_delta`] into a buffer the caller keeps, as
-/// [`checkpoint_into`] does for a full image. With `base == world` no
-/// page differs, and the image is the bare header: a fork of
-/// `base_on_target` as it stands.
-pub fn checkpoint_delta_into(
-    store: &PageStore,
-    world: WorldId,
-    base: WorldId,
-    base_on_target: u64,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let mut vpns = Vec::new();
-    dirty_pages(store, world, base, |vpn, _| vpns.push(vpn))?;
-    write_image_into(store, world, base_on_target, &vpns, out)
+    Ok(describe_delta(store, world, base, base_on_target)?.to_vec())
 }
 
 /// Every page of `world` whose bytes differ from `base`, paired with the
@@ -215,23 +316,13 @@ pub fn checkpoint_content(
         "ref records are retired: every page ships inline"
     );
     let vpns: Vec<Vpn> = manifest.iter().map(|&(vpn, _)| vpn).collect();
-    let mut out = Vec::new();
-    write_image_into(store, world, base_on_target, &vpns, &mut out)?;
-    Ok(out)
+    Ok(describe_vpns(store, world, base_on_target, &vpns, Instant::now())?.to_vec())
 }
 
-/// What an image says, before any of it touches a store.
-struct Parsed<'a> {
-    base: u64,
-    pages: Vec<(Vpn, &'a [u8])>,
-}
-
-/// The one record walk. Every field is the sender's claim and is read
-/// through the bounds-checked [`Cursor`]; `count` only bounds the loop, so
-/// no arithmetic on it can wrap and a count the bytes do not back runs
-/// into the end of the buffer.
-fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, String> {
-    let mut cur = Cursor::new(image);
+/// Read an image header: returns `(record_count, base_world)`. Every
+/// field is the sender's claim; `count` is only ever a loop bound or
+/// checked arithmetic.
+fn parse_header(cur: &mut Cursor<'_>, page_size: usize) -> std::result::Result<(u64, u64), String> {
     if cur.take(4).ok() != Some(MAGIC) {
         return Err("bad magic".into());
     }
@@ -241,50 +332,188 @@ fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, Stri
     if cur.u64()? != page_size as u64 {
         return Err("page size mismatch".into());
     }
-    let count = cur.u64()?;
-    let mut parsed = Parsed {
-        base: cur.u64()?,
-        pages: Vec::new(),
-    };
-    for _ in 0..count {
-        let vpn = cur.u64()?;
-        match cur.u8()? {
-            REC_INLINE => parsed.pages.push((vpn, cur.take(page_size)?)),
-            kind => return Err(format!("unknown record kind {kind}")),
-        }
-    }
-    cur.finish()?;
-    Ok(parsed)
+    Ok((cur.u64()?, cur.u64()?))
 }
 
-/// Restore a checkpoint image into a **new world** of `store`. The target
-/// store must have the same page size as the image, and a non-zero base
-/// world must be alive in `store`: the new world is a COW fork of it (an
-/// empty world for base 0) with the records applied. No world exists
-/// until the whole image has parsed — an image holding a record kind
-/// other than 0 is rejected before the base is forked — and a store error
-/// after that drops the half-built world, so nothing leaks.
-pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
-    let err = |msg: String| PageStoreError::NoSuchFile(format!("checkpoint: {msg}"));
-    let Parsed { base, pages } = parse(image, store.page_size()).map_err(err)?;
+/// Read a record header: its vpn, if its kind is the inline page.
+fn parse_record(cur: &mut Cursor<'_>) -> std::result::Result<Vpn, String> {
+    let vpn = cur.u64()?;
+    match cur.u8()? {
+        REC_INLINE => Ok(vpn),
+        kind => Err(format!("unknown record kind {kind}")),
+    }
+}
+
+/// The vpn of a record header this crate wrote.
+fn record_vpn(head: &[u8; RECORD_HEADER]) -> Vpn {
+    Vpn::from_le_bytes(head[..8].try_into().expect("8 bytes"))
+}
+
+/// What an image says, before any of it touches a store.
+struct Parsed<'a> {
+    base: u64,
+    pages: Vec<(Vpn, &'a [u8])>,
+}
+
+/// The one record walk over a byte image. Every field is read through
+/// the bounds-checked [`Cursor`]; `count` only bounds the loop, so no
+/// arithmetic on it can wrap and a count the bytes do not back runs into
+/// the end of the buffer.
+fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, String> {
+    let mut cur = Cursor::new(image);
+    let (count, base) = parse_header(&mut cur, page_size)?;
+    let mut pages = Vec::new();
+    for _ in 0..count {
+        let vpn = parse_record(&mut cur)?;
+        pages.push((vpn, cur.take(page_size)?));
+    }
+    cur.finish()?;
+    Ok(Parsed { base, pages })
+}
+
+/// The one install routine: a new world — a fork of `base`, or a fresh
+/// world for base 0 — with each `(vpn, page)` installed as a full-page
+/// write whose buffer becomes the frame (see `PageStore::write_owned`).
+/// A missing base fails before any world exists; a store error after
+/// that drops the half-built world, so nothing leaks.
+fn install(
+    store: &PageStore,
+    base: u64,
+    pages: impl IntoIterator<Item = (Vpn, PageData)>,
+) -> Result<WorldId> {
     let world = if base == 0 {
         store.create_world()
     } else {
         store
             .fork_world(WorldId(base))
-            .map_err(|_| err(format!("delta base world {base} not in target store")))?
+            .map_err(|_| image_err(format!("delta base world {base} not in target store")))?
     };
-    let apply = || -> Result<()> {
-        for (vpn, page) in pages {
-            store.write(world, vpn, 0, page)?;
-        }
-        Ok(())
-    };
-    match apply() {
-        Ok(()) => Ok(world),
-        Err(e) => {
+    for (vpn, page) in pages {
+        if let Err(e) = store.write_owned(world, vpn, page) {
             let _ = store.drop_world(world);
-            Err(e)
+            return Err(e);
+        }
+    }
+    Ok(world)
+}
+
+/// Restore a checkpoint image into a **new world** of `store`. The target
+/// store must have the same page size as the image, and a non-zero base
+/// world must be alive in `store`: the new world is a COW fork of it (an
+/// empty world for base 0) with the records installed. No world exists
+/// until the whole image has parsed — an image holding a record kind
+/// other than 0 is rejected before the base is forked — and a store error
+/// after that drops the half-built world, so nothing leaks.
+pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
+    let Parsed { base, pages } = parse(image, store.page_size()).map_err(image_err)?;
+    let pages = pages
+        .into_iter()
+        .map(|(vpn, bytes)| (vpn, store.page_from(bytes)));
+    install(store, base, pages)
+}
+
+/// An image being read off a wire into page buffers of the store that
+/// will restore it: the header, then fixed-size records — each record
+/// header into a small array, each page into the buffer that becomes its
+/// frame. Buffers are taken from the store's recycle pool as the reader
+/// asks for them ([`ReceivedImage::reserve`]), and any the image still
+/// holds when it is dropped — a truncated read, a bad checksum, a
+/// rejected record — go back to it.
+#[derive(Debug)]
+pub struct ReceivedImage {
+    store: PageStore,
+    count: usize,
+    base: u64,
+    heads: Vec<[u8; RECORD_HEADER]>,
+    pages: Vec<PageData>,
+}
+
+impl ReceivedImage {
+    /// Start reading the image whose first [`IMAGE_HEADER`] bytes are
+    /// `header`, in a payload of `len` bytes, into `store` — if those
+    /// bytes name this build's format and `store`'s page size, and a
+    /// record count whose records exactly fill the payload. Otherwise
+    /// `None`: read such a payload as bytes, and [`restore`] refuses it
+    /// with the error every receiver gives it.
+    pub fn begin(store: &PageStore, header: &[u8; IMAGE_HEADER], len: usize) -> Option<Self> {
+        let (count, base) = parse_header(&mut Cursor::new(header), store.page_size()).ok()?;
+        let record = RECORD_HEADER + store.page_size();
+        let count = usize::try_from(count).ok()?;
+        let fills = count.checked_mul(record)?.checked_add(IMAGE_HEADER)? == len;
+        fills.then(|| ReceivedImage {
+            store: store.clone(),
+            count,
+            base,
+            heads: Vec::new(),
+            pages: Vec::new(),
+        })
+    }
+
+    /// Bytes per record: its header and one page.
+    pub fn record_len(&self) -> usize {
+        RECORD_HEADER + self.store.page_size()
+    }
+
+    /// Records the image holds.
+    pub fn records(&self) -> usize {
+        self.count
+    }
+
+    /// Records that have buffers to be read into.
+    pub fn reserved(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Give records `..upto` (capped at the count) buffers to be read
+    /// into, taking page buffers from the store's recycle pool first.
+    pub fn reserve(&mut self, upto: usize) {
+        let upto = upto.min(self.count);
+        if upto > self.pages.len() {
+            self.heads.resize(upto, [0; RECORD_HEADER]);
+            self.store
+                .page_buffers(upto - self.pages.len(), &mut self.pages);
+        }
+    }
+
+    /// The reserved records of `range`, each as its two buffers — record
+    /// header, then page — for a reader to fill in order.
+    pub fn records_mut(&mut self, range: Range<usize>) -> impl Iterator<Item = [&mut [u8]; 2]> {
+        self.heads[range.clone()]
+            .iter_mut()
+            .zip(&mut self.pages[range])
+            .map(|(head, page)| [&mut head[..], page.bytes_mut()])
+    }
+
+    /// The reserved records of `range`, as [`ReceivedImage::records_mut`]
+    /// hands them out.
+    pub fn records_ref(&self, range: Range<usize>) -> impl Iterator<Item = [&[u8]; 2]> {
+        self.heads[range.clone()]
+            .iter()
+            .zip(&self.pages[range])
+            .map(|(head, page)| [&head[..], page.bytes()])
+    }
+
+    /// Restore the image into a **new world** of its store, as [`restore`]
+    /// would restore the same bytes: every record header is checked
+    /// before the base is forked, and the page buffers become the new
+    /// world's frames. Every record must have been read.
+    pub fn restore(mut self) -> Result<WorldId> {
+        assert_eq!(self.pages.len(), self.count, "restore of a part-read image");
+        let vpns = self
+            .heads
+            .iter()
+            .map(|head| parse_record(&mut Cursor::new(head)))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .map_err(image_err)?;
+        let pages = std::mem::take(&mut self.pages);
+        install(&self.store, self.base, vpns.into_iter().zip(pages))
+    }
+}
+
+impl Drop for ReceivedImage {
+    fn drop(&mut self) {
+        if !self.pages.is_empty() {
+            self.store.recycle_pages(std::mem::take(&mut self.pages));
         }
     }
 }
@@ -541,34 +770,134 @@ mod tests {
         assert_eq!(there.world_count(), before, "no worlds leaked");
     }
 
-    #[test]
-    fn images_written_into_a_kept_buffer_match_fresh_ones() {
-        let store = PageStore::new(64);
-        let base = store.create_world();
-        for vpn in 0..10 {
-            store.write(base, vpn, 0, &[vpn as u8 + 1; 64]).unwrap();
+    /// Read `image` the way a wire receiver does: header, then each
+    /// record straight into its buffers.
+    fn receive(store: &PageStore, image: &[u8]) -> Option<ReceivedImage> {
+        let header = image.get(..IMAGE_HEADER)?.try_into().unwrap();
+        let mut received = ReceivedImage::begin(store, header, image.len())?;
+        let n = received.records();
+        received.reserve(n);
+        let mut rest = &image[IMAGE_HEADER..];
+        for buf in received.records_mut(0..n).flatten() {
+            let (now, later) = rest.split_at(buf.len());
+            buf.copy_from_slice(now);
+            rest = later;
         }
-        let child = store.fork_world(base).unwrap();
-        store.write(child, 4, 0, b"edit").unwrap();
+        Some(received)
+    }
 
-        let mut kept = Vec::new();
-        checkpoint_into(&store, base, &mut kept).unwrap();
-        assert_eq!(kept, checkpoint(&store, base).unwrap());
-        let grown = kept.capacity();
-        // A shorter image after a longer one: exactly its own bytes, in
-        // the same allocation.
-        checkpoint_delta_into(&store, child, base, base.raw(), &mut kept).unwrap();
-        let fresh = checkpoint_delta(&store, child, base, base.raw()).unwrap();
-        assert_eq!(kept, fresh);
-        assert_eq!(kept.capacity(), grown, "the kept buffer did not regrow");
-        let r = restore(&store, &kept).unwrap();
-        assert_eq!(store.read_vec(r, 4, 0, 4).unwrap(), b"edit");
-        // And the header-only image a sibling fork ships: a delta of a
-        // world against itself.
-        checkpoint_delta_into(&store, child, child, base.raw(), &mut kept).unwrap();
-        assert_eq!(kept.len(), HEADER);
-        let twin = restore(&store, &kept).unwrap();
-        assert_eq!(store.read_vec(twin, 4, 0, 1).unwrap(), vec![5]);
+    #[test]
+    fn a_description_is_the_image_and_every_way_in_restores_it_alike() {
+        let here = PageStore::new(64);
+        let base = here.create_world();
+        for vpn in 0..10 {
+            here.write(base, vpn, 0, &[vpn as u8 + 1; 64]).unwrap();
+        }
+        let child = here.fork_world(base).unwrap();
+        here.write(child, 4, 0, b"edit").unwrap();
+
+        let full = describe(&here, base).unwrap();
+        let bytes = full.to_vec();
+        assert_eq!(bytes, checkpoint(&here, base).unwrap());
+        assert_eq!(full.byte_len(), bytes.len());
+        assert_eq!(full.pieces().map(<[u8]>::len).sum::<usize>(), bytes.len());
+        assert_eq!(full.pages(), 10);
+        let delta = describe_delta(&here, child, base, base.raw()).unwrap();
+        assert_eq!(
+            delta.to_vec(),
+            checkpoint_delta(&here, child, base, base.raw()).unwrap()
+        );
+        assert_eq!(delta.pages(), 1);
+        // The header-only image a sibling fork ships: a world against itself.
+        assert_eq!(
+            describe_delta(&here, child, child, 7).unwrap().byte_len(),
+            IMAGE_HEADER
+        );
+
+        // Bytes, a copied description and a received image build the same
+        // world in another store, and that store's frames are its own.
+        let there = PageStore::new(64);
+        let worlds = [
+            restore(&there, &bytes).unwrap(),
+            full.copy_into(&there).unwrap(),
+            receive(&there, &bytes).unwrap().restore().unwrap(),
+        ];
+        for world in worlds {
+            for vpn in 0..10 {
+                assert_eq!(
+                    there.read_vec(world, vpn, 0, 64).unwrap(),
+                    here.read_vec(base, vpn, 0, 64).unwrap()
+                );
+            }
+        }
+        assert_eq!(there.live_frames(), 30, "no frame is shared across stores");
+        there.verify_refcounts().unwrap();
+        // Every record of a restore counts as the write it is.
+        assert_eq!(there.stats().writes, 30);
+        assert_eq!(there.stats().zero_fills, 30);
+    }
+
+    #[test]
+    fn a_received_image_installs_its_buffers_and_returns_unused_ones() {
+        let here = PageStore::new(64);
+        let w = here.create_world();
+        for vpn in 0..4 {
+            here.write(w, vpn, 0, &[vpn as u8 + 9; 64]).unwrap();
+        }
+        let image = checkpoint(&here, w).unwrap();
+        let there = PageStore::new(64);
+        // Four freed frames leave four buffers in the pool.
+        let scratch = restore(&there, &image).unwrap();
+        there.drop_world(scratch).unwrap();
+        let recycled = there.stats().frames_recycled;
+
+        // A record kind other than 0 is refused with `restore`'s error,
+        // and the image's buffers go back to the pool: the next image
+        // takes the same four.
+        let mut bad = image.clone();
+        bad[IMAGE_HEADER + 2 * (RECORD_HEADER + 64) + 8] = 1;
+        let received = receive(&there, &bad).unwrap();
+        let err = received.restore().unwrap_err();
+        assert_eq!(err, restore(&there, &bad).unwrap_err());
+        assert_eq!(
+            there.world_count(),
+            0,
+            "no world before every record checks"
+        );
+        let world = receive(&there, &image).unwrap().restore().unwrap();
+        assert_eq!(there.stats().frames_recycled - recycled, 8);
+        assert_eq!(there.read_vec(world, 3, 0, 64).unwrap(), vec![12; 64]);
+        // An image read only in part hands its buffers back too.
+        let mut part = ReceivedImage::begin(
+            &there,
+            image[..IMAGE_HEADER].try_into().unwrap(),
+            image.len(),
+        )
+        .unwrap();
+        part.reserve(2);
+        assert_eq!(part.reserved(), 2);
+        drop(part);
+        there.verify_refcounts().unwrap();
+        assert_eq!(there.live_frames(), 4);
+    }
+
+    #[test]
+    fn only_images_of_exact_inline_records_are_received_into_buffers() {
+        let here = PageStore::new(64);
+        let w = here.create_world();
+        here.write(w, 0, 0, &[1]).unwrap();
+        let image = checkpoint(&here, w).unwrap();
+        let header: &[u8; IMAGE_HEADER] = image[..IMAGE_HEADER].try_into().unwrap();
+        let there = PageStore::new(64);
+        assert!(ReceivedImage::begin(&there, header, image.len()).is_some());
+        assert!(ReceivedImage::begin(&there, header, image.len() + 1).is_none());
+        assert!(ReceivedImage::begin(&there, header, image.len() - 1).is_none());
+        assert!(ReceivedImage::begin(&PageStore::new(128), header, image.len()).is_none());
+        let mut lying = *header;
+        lying[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(ReceivedImage::begin(&there, &lying, image.len()).is_none());
+        lying[..4].copy_from_slice(b"MWCX");
+        assert!(ReceivedImage::begin(&there, &lying, image.len()).is_none());
     }
 
     #[test]

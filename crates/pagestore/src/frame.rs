@@ -428,12 +428,27 @@ impl FrameTable {
         self.lock_recycler().pool.pop()
     }
 
+    /// Move up to `n` buffers from the recycle pool onto `out`, under one
+    /// lock acquisition. Returns how many it moved.
+    pub(crate) fn take_pooled_many(&self, n: usize, out: &mut Vec<PageData>) -> usize {
+        let mut rec = self.lock_recycler();
+        let keep = rec.pool.len().saturating_sub(n);
+        let taken = rec.pool.len() - keep;
+        out.extend(rec.pool.drain(keep..));
+        taken
+    }
+
     /// Return a built-but-unused page buffer to the recycle pool.
     pub(crate) fn recycle(&self, page: PageData) {
+        self.recycle_many(std::iter::once(page));
+    }
+
+    /// Return built-but-unused page buffers to the recycle pool, under
+    /// one lock acquisition; past [`POOL_MAX`] the allocator takes them.
+    pub(crate) fn recycle_many(&self, pages: impl IntoIterator<Item = PageData>) {
         let mut rec = self.lock_recycler();
-        if rec.pool.len() < POOL_MAX {
-            rec.pool.push(page);
-        }
+        let room = POOL_MAX.saturating_sub(rec.pool.len());
+        rec.pool.extend(pages.into_iter().take(room));
     }
 
     /// Buffers currently waiting in the recycle pool.

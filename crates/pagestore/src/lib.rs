@@ -63,8 +63,8 @@ mod stats;
 mod store;
 
 pub use checkpoint::{
-    checkpoint, checkpoint_content, checkpoint_delta, checkpoint_delta_into, checkpoint_into,
-    delta_manifest, restore,
+    checkpoint, checkpoint_content, checkpoint_delta, delta_manifest, describe, describe_delta,
+    restore, ImageDesc, ReceivedImage, IMAGE_HEADER,
 };
 pub use content::page_hash;
 pub use cursor::Cursor;

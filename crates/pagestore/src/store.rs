@@ -513,28 +513,13 @@ impl PageStore {
     /// Convenience: read into a freshly allocated `Vec`. The buffer is
     /// filled in a single pass (no zero-then-overwrite).
     pub fn read_vec(&self, world: WorldId, vpn: Vpn, offset: usize, len: usize) -> Result<Vec<u8>> {
-        let mut v = Vec::with_capacity(len);
-        self.read_append(world, vpn, offset, len, &mut v)?;
-        Ok(v)
-    }
-
-    /// Append `len` bytes at `offset` within page `vpn` of `world` to
-    /// `out`, in a single pass (no zero-then-overwrite).
-    pub(crate) fn read_append(
-        &self,
-        world: WorldId,
-        vpn: Vpn,
-        offset: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
         self.check_bounds(offset, len)?;
-        match self.page_snapshot(world, vpn)? {
-            Some(arc) => out.extend_from_slice(&arc.bytes()[offset..offset + len]),
-            None => out.resize(out.len() + len, 0),
-        }
+        let v = match self.page_snapshot(world, vpn)? {
+            Some(arc) => arc.bytes()[offset..offset + len].to_vec(),
+            None => vec![0; len],
+        };
         self.stats.reads.incr();
-        Ok(())
+        Ok(v)
     }
 
     /// Snapshot the page mapped at `vpn`, if any, under the shard read lock.
@@ -545,6 +530,48 @@ impl PageStore {
             .get(&world.0)
             .ok_or(PageStoreError::NoSuchWorld(world.0))?;
         Ok(w.map.get(vpn).map(|f| self.frames.data_arc(f)))
+    }
+
+    /// Snapshot the page each of `vpns` maps in `world` (`None` where it
+    /// maps none), all under one shard read lock. Each snapshot counts as
+    /// the read it stands in for. While a caller holds a snapshot, an
+    /// in-place write to that frame copies it first, so the snapshot's
+    /// bytes never change under it.
+    pub(crate) fn snapshots(
+        &self,
+        world: WorldId,
+        vpns: &[Vpn],
+    ) -> Result<Vec<Option<Arc<PageData>>>> {
+        let shard = self.shard(world.0).read();
+        let w = shard
+            .worlds
+            .get(&world.0)
+            .ok_or(PageStoreError::NoSuchWorld(world.0))?;
+        let pages = vpns
+            .iter()
+            .map(|&vpn| w.map.get(vpn).map(|f| self.frames.data_arc(f)))
+            .collect();
+        drop(shard);
+        self.stats.reads.add(vpns.len() as u64);
+        Ok(pages)
+    }
+
+    /// Every page `world` maps, ascending by vpn, snapshotted under one
+    /// shard read lock as [`PageStore::snapshots`] does.
+    pub(crate) fn mapped_snapshots(&self, world: WorldId) -> Result<Vec<(Vpn, Arc<PageData>)>> {
+        let shard = self.shard(world.0).read();
+        let w = shard
+            .worlds
+            .get(&world.0)
+            .ok_or(PageStoreError::NoSuchWorld(world.0))?;
+        let pages: Vec<_> = w
+            .map
+            .iter()
+            .map(|(vpn, f)| (vpn, self.frames.data_arc(f)))
+            .collect();
+        drop(shard);
+        self.stats.reads.add(pages.len() as u64);
+        Ok(pages)
     }
 
     /// Write `data` at `offset` within page `vpn` of `world`, taking a COW
@@ -565,16 +592,98 @@ impl PageStore {
             match self.write_in_place(w, vpn, offset, data, seal) {
                 Some(done) => done,
                 None => {
-                    let base = w.map.get(vpn).map(|frame| self.frames.data_arc(frame));
-                    let cow = base.is_some();
-                    let (page, hash) = self.stage(base, offset, data, seal);
-                    self.commit_page(w, vpn, cow, page, hash)
+                    let mapped = w.map.get(vpn);
+                    let page = if data.len() == self.page_size {
+                        // Every byte is overwritten: the shared page's
+                        // bytes would only be copied to be copied over.
+                        self.page_from(data)
+                    } else {
+                        self.stage(
+                            mapped.map(|frame| self.frames.data_arc(frame)),
+                            offset,
+                            data,
+                        )
+                    };
+                    let hash = self
+                        .dedupe_enabled()
+                        .then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
+                    self.commit_page(w, vpn, mapped.is_some(), page, hash)
                 }
             }
         };
         self.stats.writes.incr();
         self.note_write(world, vpn, committed);
         Ok(())
+    }
+
+    /// Write a whole page whose buffer the caller hands over: the commit
+    /// a full-page [`PageStore::write`] of `page.bytes()` makes, except
+    /// that where that would install a copy, this installs `page` itself.
+    /// Counters, events and dedupe sealing are the write's. A page that is
+    /// private to `world` is written in place and `page` goes back to the
+    /// recycle pool.
+    pub(crate) fn write_owned(&self, world: WorldId, vpn: Vpn, page: PageData) -> Result<()> {
+        debug_assert_eq!(page.len(), self.page_size, "an owned page is a whole page");
+        let seal = self.dedupe_enabled().then(|| page_hash(page.bytes()));
+        let committed = {
+            let mut shard = self.shard(world.0).write();
+            let Some(w) = shard.worlds.get_mut(&world.0) else {
+                self.frames.recycle(page);
+                return Err(PageStoreError::NoSuchWorld(world.0));
+            };
+            match self.write_in_place(w, vpn, 0, page.bytes(), seal) {
+                Some(done) => {
+                    self.frames.recycle(page);
+                    done
+                }
+                None => {
+                    let cow = w.map.get(vpn).is_some();
+                    self.commit_page(w, vpn, cow, page, seal)
+                }
+            }
+        };
+        self.stats.writes.incr();
+        self.note_write(world, vpn, committed);
+        Ok(())
+    }
+
+    /// A page buffer holding a copy of `bytes` (a whole page): a pooled
+    /// buffer overwritten in place when one is at hand, else a fresh one
+    /// filled in one pass. Neither is zero-filled first.
+    pub(crate) fn page_from(&self, bytes: &[u8]) -> PageData {
+        debug_assert_eq!(bytes.len(), self.page_size);
+        match self.take_pooled() {
+            Some(mut page) => {
+                page.bytes_mut().copy_from_slice(bytes);
+                page
+            }
+            None => PageData::copy_of(bytes),
+        }
+    }
+
+    /// A buffer from the recycle pool, counted as a recycled frame.
+    fn take_pooled(&self) -> Option<PageData> {
+        let page = self.frames.take_pooled();
+        if page.is_some() {
+            self.stats.frames_recycled.incr();
+        }
+        page
+    }
+
+    /// Append `n` page buffers to `out`: as many from the recycle pool as
+    /// it holds, under one lock acquisition (each counted as a recycled
+    /// frame), the rest freshly allocated. Their bytes are whatever they
+    /// held; the caller overwrites every one.
+    pub(crate) fn page_buffers(&self, n: usize, out: &mut Vec<PageData>) {
+        let pooled = self.frames.take_pooled_many(n, out);
+        self.stats.frames_recycled.add(pooled as u64);
+        out.extend((pooled..n).map(|_| PageData::zeroed(self.page_size)));
+    }
+
+    /// Return page buffers no frame took to the recycle pool, under one
+    /// lock acquisition.
+    pub(crate) fn recycle_pages(&self, pages: Vec<PageData>) {
+        self.frames.recycle_many(pages);
     }
 
     /// Let go of one handle on `leaf`. The releaser that held the last one
@@ -642,24 +751,13 @@ impl PageStore {
         Some(Committed::InPlace { invalidated })
     }
 
-    /// Build the page a copying write will install: `base`'s bytes (zeroes
-    /// for a fresh page) with `data` laid over them, in a pooled buffer
-    /// when one is at hand — plus its content hash when dedupe is on. The
-    /// `base` snapshot is let go here, before the install, so a sharer's
-    /// next in-place write is not forced into a spurious copy by our hold
-    /// on it.
-    fn stage(
-        &self,
-        base: Option<Arc<PageData>>,
-        offset: usize,
-        data: &[u8],
-        seal: Option<u64>,
-    ) -> (PageData, Option<u64>) {
-        let buffer = self.frames.take_pooled();
-        if buffer.is_some() {
-            self.stats.frames_recycled.incr();
-        }
-        let mut page = match (buffer, base.as_deref()) {
+    /// Build the page a copying write of part of a page will install:
+    /// `base`'s bytes (zeroes for a fresh page) with `data` laid over
+    /// them, in a pooled buffer when one is at hand. The `base` snapshot
+    /// is let go here, before the install, so a sharer's next in-place
+    /// write is not forced into a spurious copy by our hold on it.
+    fn stage(&self, base: Option<Arc<PageData>>, offset: usize, data: &[u8]) -> PageData {
+        let mut page = match (self.take_pooled(), base.as_deref()) {
             (Some(mut page), Some(base)) => {
                 page.bytes_mut().copy_from_slice(base.bytes());
                 page
@@ -672,10 +770,7 @@ impl PageStore {
             (None, None) => PageData::zeroed(self.page_size),
         };
         page.bytes_mut()[offset..offset + data.len()].copy_from_slice(data);
-        let hash = self
-            .dedupe_enabled()
-            .then(|| seal.unwrap_or_else(|| page_hash(page.bytes())));
-        (page, hash)
+        page
     }
 
     /// Install a built page at `vpn` under `w`'s shard write lock: the
@@ -1277,6 +1372,64 @@ mod tests {
         assert_eq!(s.read_vec(parent, 4, 0, 1).unwrap(), vec![1]);
         assert_eq!(s.read_vec(child, 4, 0, 1).unwrap(), vec![2]);
         assert_eq!(s.live_frames(), 11);
+    }
+
+    #[test]
+    fn a_full_page_write_into_a_shared_page_copies_only_the_callers_bytes() {
+        let s = store();
+        let parent = s.create_world();
+        s.write(parent, 4, 0, &[1; 64]).unwrap();
+        s.write(parent, 5, 0, &[3; 64]).unwrap();
+        let child = s.fork_world(parent).unwrap();
+        // Recycle one buffer so the copy lands in a pooled page that held
+        // other bytes: nothing of them, or of the base, may show through.
+        let scratch = s.create_world();
+        s.write(scratch, 0, 0, &[0xEE; 64]).unwrap();
+        s.drop_world(scratch).unwrap();
+        let before = s.stats();
+        let page: Vec<u8> = (0..64).collect();
+        s.write(child, 4, 0, &page).unwrap();
+        s.write(child, 9, 0, &page).unwrap();
+        let d = s.stats().delta_since(&before);
+        // Counted as the copy and the fill it replaces.
+        assert_eq!((d.cow_faults, d.bytes_copied, d.zero_fills), (1, 64, 1));
+        assert_eq!(d.frames_recycled, 1);
+        assert_eq!(s.read_vec(child, 4, 0, 64).unwrap(), page);
+        assert_eq!(s.read_vec(child, 9, 0, 64).unwrap(), page);
+        assert_eq!(s.read_vec(parent, 4, 0, 64).unwrap(), vec![1; 64]);
+        assert_eq!(s.read_vec(parent, 9, 0, 64).unwrap(), vec![0; 64]);
+        assert_eq!(s.read_vec(child, 5, 0, 64).unwrap(), vec![3; 64]);
+        s.verify_refcounts().unwrap();
+    }
+
+    #[test]
+    fn an_owned_page_becomes_the_frame_and_counts_as_the_write() {
+        let s = store();
+        s.set_dedupe(true);
+        let parent = s.create_world();
+        s.write(parent, 0, 0, &[7; 64]).unwrap();
+        let child = s.fork_world(parent).unwrap();
+        let before = s.stats();
+        s.write_owned(child, 0, PageData::copy_of(&[8; 64]))
+            .unwrap();
+        s.write_owned(child, 1, PageData::copy_of(&[7; 64]))
+            .unwrap();
+        // A private page is written in place; its buffer goes to the pool.
+        s.write_owned(child, 0, PageData::copy_of(&[9; 64]))
+            .unwrap();
+        let d = s.stats().delta_since(&before);
+        assert_eq!((d.writes, d.cow_faults, d.zero_fills), (3, 1, 0));
+        // Page 1's bytes equal the parent's sealed page 0: shared.
+        assert_eq!(d.dedupe_hits, 1);
+        assert_eq!(s.frames.pooled_pages(), 2);
+        assert_eq!(s.read_vec(child, 0, 0, 64).unwrap(), vec![9; 64]);
+        assert_eq!(s.read_vec(child, 1, 0, 64).unwrap(), vec![7; 64]);
+        assert_eq!(s.read_vec(parent, 0, 0, 64).unwrap(), vec![7; 64]);
+        assert!(s
+            .write_owned(WorldId(999), 0, PageData::zeroed(64))
+            .is_err());
+        assert_eq!(s.frames.pooled_pages(), 3, "a refused buffer is pooled too");
+        s.verify_refcounts().unwrap();
     }
 
     #[test]

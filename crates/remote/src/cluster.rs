@@ -1,10 +1,8 @@
 //! Nodes and remote forking.
 
-use worlds_net::{shed_oversized, FaultSchedule};
+use worlds_net::FaultSchedule;
 use worlds_obs::{Event as ObsEvent, EventKind, Registry, VirtualTime};
-use worlds_pagestore::{
-    checkpoint_delta_into, checkpoint_into, PageStore, PageStoreError, WorldId,
-};
+use worlds_pagestore::{describe, describe_delta, ImageDesc, PageStore, PageStoreError, WorldId};
 
 use crate::net::NetModel;
 use crate::transport::{DeltaBase, DeltaCache, InProcess, Tcp, Transport};
@@ -70,11 +68,6 @@ pub struct Cluster {
     /// pinned base instead of full images.
     delta_rfork: bool,
     delta_cache: DeltaCache,
-    /// The one buffer every shipped image is written into — full, delta
-    /// and sibling header alike — kept for the cluster's life (unless an
-    /// image grows it past [`worlds_net::READ_CHUNK`]), so a steady
-    /// stream of rforks allocates no image-sized memory here.
-    image: Vec<u8>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -169,7 +162,6 @@ impl Cluster {
             transport,
             delta_rfork: false,
             delta_cache: DeltaCache::default(),
-            image: Vec::new(),
         }
     }
 
@@ -370,8 +362,8 @@ impl Cluster {
         let shipped = if self.delta_rfork {
             self.ship_delta(src, dst, &mut total)?
         } else {
-            checkpoint_into(&self.nodes[src.node.0].store, src.world, &mut self.image)?;
-            self.ship(src, dst, &mut total)?
+            let image = describe(&self.nodes[src.node.0].store, src.world)?;
+            self.ship(src, dst, &image, &mut total)?
         };
         Ok((self.forked(src, dst, shipped), total))
     }
@@ -393,20 +385,16 @@ impl Cluster {
     ) -> Result<Vec<Forked>, PageStoreError> {
         let dst = first.node;
         // `src` against itself differs nowhere: the bare header.
-        checkpoint_delta_into(
+        let image = describe_delta(
             &self.nodes[src.node.0].store,
             src.world,
             src.world,
             first.world.raw(),
-            &mut self.image,
         )?;
-        let len = self.image.len();
         let costs: Vec<VirtualTime> = (0..count)
-            .map(|_| self.transfer(src.world.raw(), src.node, dst, len))
+            .map(|_| self.transfer(src.world.raw(), src.node, dst, image.byte_len()))
             .collect();
-        let shipped = self
-            .transport
-            .ship_image(dst.0, &vec![&self.image[..]; count]);
+        let shipped = self.transport.ship_image(dst.0, &vec![&image; count]);
         Ok(shipped
             .into_iter()
             .zip(costs)
@@ -434,23 +422,21 @@ impl Cluster {
         }
     }
 
-    /// Move the image in the cluster's buffer from `src`'s node to `dst`:
-    /// charge the transfer to `total`, then restore it there. Returns the
-    /// restored world's raw id.
+    /// Move `image` of `src` from `src`'s node to `dst`: charge the
+    /// transfer of its bytes to `total`, then restore it there. Returns
+    /// the restored world's raw id.
     fn ship(
         &mut self,
         src: RemoteWorld,
         dst: NodeId,
+        image: &ImageDesc,
         total: &mut VirtualTime,
     ) -> Result<u64, worlds_pagestore::PageStoreError> {
-        *total += self.transfer(src.world.raw(), src.node, dst, self.image.len());
-        let shipped = self
-            .transport
-            .ship_image(dst.0, &[&self.image])
+        *total += self.transfer(src.world.raw(), src.node, dst, image.byte_len());
+        self.transport
+            .ship_image(dst.0, &[image])
             .pop()
-            .expect("one outcome per image");
-        shed_oversized(&mut self.image);
-        shipped
+            .expect("one outcome per image")
     }
 
     /// The delta shipment of `src → dst`, one straight line: pinned base
@@ -470,28 +456,21 @@ impl Cluster {
                 // image pins a base replica there and a snapshot here.
                 // Neither is ever handed out, so future rforks can
                 // diff against them no matter what the block commits.
-                checkpoint_into(&store, src.world, &mut self.image)?;
-                let bytes = self.image.len() as u64;
-                let replica = self.ship(src, dst, total)?;
+                let image = describe(&store, src.world)?;
+                let replica = self.ship(src, dst, &image, total)?;
                 let base = DeltaBase {
                     src_node: src.node.0,
                     snapshot: store.fork_world(src.world)?,
                     replica,
-                    bytes,
+                    bytes: image.byte_len() as u64,
                 };
                 let evicted = self.delta_cache.insert(dst.0, src.world, base);
                 self.release_evicted(evicted);
                 base
             }
         };
-        checkpoint_delta_into(
-            &store,
-            src.world,
-            base.snapshot,
-            base.replica,
-            &mut self.image,
-        )?;
-        self.ship(src, dst, total)
+        let image = describe_delta(&store, src.world, base.snapshot, base.replica)?;
+        self.ship(src, dst, &image, total)
     }
 
     /// Ship only the pages of `child` that differ from `base` back to the
@@ -947,8 +926,9 @@ mod tests {
     }
 
     #[test]
-    fn full_delta_and_header_images_share_one_buffer_and_restore_exactly() {
-        let mut c = Cluster::tcp(2, 4096, NetModel::ideal(), Registry::disabled()).unwrap();
+    fn full_delta_and_header_images_stream_and_restore_exactly() {
+        let (obs, ring) = Registry::with_ring(1 << 12);
+        let mut c = Cluster::tcp(2, 4096, NetModel::ideal(), obs).unwrap();
         c.set_delta_rfork(true);
         let origin = c.create_world(NodeId(0));
         let page = |vpn: u64, salt: u8| -> Vec<u8> {
@@ -964,28 +944,38 @@ mod tests {
                 assert_eq!(c.read(a, vpn, 4096).unwrap(), c.read(b, vpn, 4096).unwrap());
             }
         };
+        let shipped = |ring: &worlds_obs::RingSink| -> Vec<u64> {
+            ring.events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::RpcSend { bytes, .. } => Some(bytes),
+                    _ => None,
+                })
+                .collect()
+        };
         // A full image pins the base, then a header-only delta forks it.
         let (first, _) = c.rfork(origin, NodeId(1)).unwrap();
         same_pages(&c, first, origin);
-        let grown = c.image.capacity();
-        assert!(grown > 64 * 4096, "the buffer held the full image");
+        assert_eq!(shipped(&ring), [32 + 64 * (9 + 4096), 32]);
 
-        // A delta of three pages, written over the full image's bytes.
+        // A delta of three pages.
         for vpn in [3, 17, 40] {
             c.write(origin, vpn, &page(vpn, 0xFF)).unwrap();
         }
         let (delta, _) = c.rfork(origin, NodeId(1)).unwrap();
         same_pages(&c, delta, origin);
-        assert_eq!(c.image.len(), 32 + 3 * (9 + 4096), "a delta of three pages");
         // Header-only siblings of the delta's replica.
         let siblings = c.fork_siblings(origin, delta, 2).unwrap();
-        assert_eq!(c.image.len(), 32, "a header-only image");
         for sibling in siblings {
             same_pages(&c, sibling.unwrap().0, origin);
         }
-        assert_eq!(c.image.capacity(), grown, "one buffer, never regrown");
-        // The first replica kept the bytes it was shipped.
+        assert_eq!(shipped(&ring)[2..], [32 + 3 * (9 + 4096), 32, 32]);
+        // The first replica kept the bytes it was shipped, and the origin
+        // wrote into its own frames, not the ones the wire read.
         assert_eq!(c.read(first, 3, 4096).unwrap(), page(3, 0));
+        for node in [NodeId(0), NodeId(1)] {
+            c.node(node).store().verify_refcounts().unwrap();
+        }
     }
 
     #[test]

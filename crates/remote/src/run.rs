@@ -286,6 +286,7 @@ mod tests {
     use crate::transport::{InProcess, Transport};
     use worlds_net::FaultSchedule;
     use worlds_obs::Registry;
+    use worlds_pagestore::ImageDesc;
 
     fn setup(nodes: usize, pages: u64) -> (Cluster, RemoteWorld) {
         let mut c = Cluster::new(nodes, 4096, NetModel::lan_1989());
@@ -496,7 +497,11 @@ mod tests {
     }
 
     impl Transport for Failing {
-        fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+        fn ship_image(
+            &mut self,
+            dst: usize,
+            images: &[&ImageDesc],
+        ) -> Vec<Result<u64, PageStoreError>> {
             images
                 .iter()
                 .map(|image| {
@@ -605,8 +610,15 @@ mod tests {
     }
 
     impl Transport for Counting {
-        fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
-            self.note(Call::Images(dst, images.iter().map(|i| i.len()).collect()));
+        fn ship_image(
+            &mut self,
+            dst: usize,
+            images: &[&ImageDesc],
+        ) -> Vec<Result<u64, PageStoreError>> {
+            self.note(Call::Images(
+                dst,
+                images.iter().map(|i| i.byte_len()).collect(),
+            ));
             self.inner.ship_image(dst, images)
         }
         fn ship_pages(

@@ -12,12 +12,19 @@
 //! and a batch is one call: on [`Tcp`] it is one pipelined burst, so it
 //! waits one round trip.
 //!
+//! An image reaches a transport as a description
+//! ([`worlds_pagestore::ImageDesc`]): snapshots of the origin's page
+//! frames, never an encoded copy.
+//!
 //! * [`InProcess`] applies them directly — today's simulation semantics,
-//!   zero real I/O, exactly the behaviour every existing test encodes.
+//!   zero real I/O, exactly the behaviour every existing test encodes. It
+//!   copies each described page into the destination store's own frame.
 //! * [`Tcp`] runs one `worlds-net` [`NetNode`] per node and pushes every
 //!   image and page over real loopback sockets, through real framing,
 //!   deadlines and retries — and, when a fault schedule is armed, through
-//!   a real [`FaultProxy`] per node that drops and mangles frames.
+//!   a real [`FaultProxy`] per node that drops and mangles frames. An
+//!   image streams from the origin's frames into the socket, and from the
+//!   socket into the frames of the world it restores.
 //!
 //! Both transports are driven by the same [`FaultSchedule`] consulted at
 //! the same logical op numbering, so "fault op 3" means *virtual cost
@@ -31,16 +38,18 @@ use worlds_net::{
     Conn, FaultProxy, FaultSchedule, NetError, NetNode, OpLedger, Pool, Request, RetryPolicy,
 };
 use worlds_obs::{env, Registry};
-use worlds_pagestore::{restore, PageStore, PageStoreError, WorldId};
+use worlds_pagestore::{ImageDesc, PageStore, PageStoreError, WorldId};
 
 /// The byte-moving half of a cluster. Node indexes are positions in the
 /// cluster's node list; world ids are raw (cluster stores share one id
 /// allocator, so they are unambiguous).
 pub trait Transport {
-    /// Restore each checkpoint image into node `dst`'s store, in order;
-    /// slot `i` is the world restored from `images[i]`, or why it was
-    /// not. A failed image does not stop the ones after it.
-    fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>>;
+    /// Restore each described checkpoint image into node `dst`'s store,
+    /// in order; slot `i` is the world restored from `images[i]`, or why
+    /// it was not. A failed image does not stop the ones after it. The
+    /// pages land in `dst`'s own frames: nodes never share memory.
+    fn ship_image(&mut self, dst: usize, images: &[&ImageDesc])
+        -> Vec<Result<u64, PageStoreError>>;
 
     /// Commit dirty pages into world `base` in node `dst`'s store, all
     /// or nothing ([`PageStore::commit_pages`]).
@@ -87,10 +96,14 @@ impl InProcess {
 }
 
 impl Transport for InProcess {
-    fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+    fn ship_image(
+        &mut self,
+        dst: usize,
+        images: &[&ImageDesc],
+    ) -> Vec<Result<u64, PageStoreError>> {
         images
             .iter()
-            .map(|image| restore(&self.stores[dst], image).map(WorldId::raw))
+            .map(|image| image.copy_into(&self.stores[dst]).map(WorldId::raw))
             .collect()
     }
 
@@ -215,7 +228,11 @@ fn burst(
 }
 
 impl Transport for Tcp {
-    fn ship_image(&mut self, dst: usize, images: &[&[u8]]) -> Vec<Result<u64, PageStoreError>> {
+    fn ship_image(
+        &mut self,
+        dst: usize,
+        images: &[&ImageDesc],
+    ) -> Vec<Result<u64, PageStoreError>> {
         burst(dst, self.accounted(dst), images.len(), |conn| {
             conn.call_rforks(images)
         })

@@ -18,7 +18,7 @@
 
 use crate::frame::{read_head_idle, shed_oversized};
 use crate::image::read_request_body;
-use crate::rpc::{kind, nack, Reply, Request};
+use crate::rpc::{nack, Reply, Request};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -255,12 +255,10 @@ fn reply_for(shared: &Shared, corr: u64, apply: impl FnOnce() -> Reply) -> Reply
 }
 
 /// Answer one request read into the connection's frame buffer. An
-/// `Rfork` that arrives here is an image the reader would not stream; it
-/// restores from the borrowed payload, without copying it out first.
+/// `Rfork` that arrives here is an image the reader would not stream:
+/// its header fails the check every receiver makes, so `restore` refuses
+/// it with the same error.
 fn apply(shared: &Shared, kind_byte: u8, payload: &[u8]) -> Reply {
-    if kind_byte == kind::RFORK {
-        return restored(shared, restore(&shared.store, payload));
-    }
     let request = match Request::decode(kind_byte, payload) {
         Ok(r) => r,
         Err(e) => {

@@ -11,7 +11,7 @@
 //! `CostModel::rfork_lan` preset encodes.
 //!
 //! There is one image format (little-endian), written by one encoder and
-//! read by one record walk:
+//! read by one receiver:
 //!
 //! ```text
 //! magic "MWCK" | version u32 | page_size u64 | record_count u64 | base_world u64
@@ -44,16 +44,15 @@
 //! A restore builds a **new world**: a COW fork of `base_world` (which
 //! must already live in the target store — for `rfork` that is the replica
 //! an earlier image restored), or a fresh empty world when `base_world` is
-//! 0 (world ids start at 1), with every record installed on top. There is
-//! one install routine, and it installs each record's page *buffer* as the
-//! new frame, by move: no copy and no zero fill. The three ways in differ
-//! only in where those buffers come from:
-//!
-//! * [`restore`] copies each record of a byte image into a pooled buffer;
-//! * [`ImageDesc::copy_into`] copies each described page the same way, so
-//!   two stores never share a frame;
-//! * a [`ReceivedImage`] already holds them: a transport read each record
-//!   off the wire straight into the buffer that becomes its frame.
+//! 0 (world ids start at 1), with every record installed on top. One
+//! receiver, [`ReceivedImage`], restores every image: one header check,
+//! one record check, one batch of page buffers from the recycle pool, and
+//! one install that makes each buffer a frame, by move. A transport feeds
+//! it from a socket, each record read straight into its buffers; [`restore`]
+//! feeds it from a slice and [`ImageDesc::copy_into`] from a description,
+//! each page copied into its buffer, so two stores never share a frame.
+//! Every receiver refuses a malformed image with the same error, before it
+//! takes a buffer or forks the base.
 //!
 //! Images are ephemeral wire payloads between nodes of one build; nothing
 //! stores one, so there is no older version to stay readable.
@@ -198,17 +197,12 @@ impl ImageDesc {
         out
     }
 
-    /// Restore the described image into `store` (see [`restore`]), each
-    /// page copied into a pooled buffer of `store`: what a receiver that
-    /// shares no memory with the sender gets from the bytes.
+    /// Restore the described image into `store` as [`restore`] restores
+    /// its bytes, each page copied into a buffer of `store`'s one batch:
+    /// what a receiver that shares no memory with the sender gets.
     pub fn copy_into(&self, store: &PageStore) -> Result<WorldId> {
-        let (_, base) =
-            parse_header(&mut Cursor::new(&self.header), store.page_size()).map_err(image_err)?;
-        let pages = self
-            .records
-            .iter()
-            .map(|(head, page)| (record_vpn(head), store.page_from(page.bytes())));
-        install(store, base, pages)
+        let records = self.records.iter().map(|(h, p)| (&h[..], p.bytes()));
+        receive(store, &self.header, self.byte_len(), records)
     }
 }
 
@@ -319,111 +313,62 @@ pub fn checkpoint_content(
     Ok(describe_vpns(store, world, base_on_target, &vpns, Instant::now())?.to_vec())
 }
 
-/// Read an image header: returns `(record_count, base_world)`. Every
-/// field is the sender's claim; `count` is only ever a loop bound or
-/// checked arithmetic.
-fn parse_header(cur: &mut Cursor<'_>, page_size: usize) -> std::result::Result<(u64, u64), String> {
-    if cur.take(4).ok() != Some(MAGIC) {
-        return Err("bad magic".into());
-    }
-    if cur.u32()? != VERSION {
-        return Err("unsupported version".into());
-    }
-    if cur.u64()? != page_size as u64 {
-        return Err("page size mismatch".into());
-    }
-    Ok((cur.u64()?, cur.u64()?))
-}
-
-/// Read a record header: its vpn, if its kind is the inline page.
-fn parse_record(cur: &mut Cursor<'_>) -> std::result::Result<Vpn, String> {
-    let vpn = cur.u64()?;
-    match cur.u8()? {
-        REC_INLINE => Ok(vpn),
+/// The one record check: a record header's vpn, if its kind is the
+/// inline page.
+fn parse_record(head: &[u8; RECORD_HEADER]) -> std::result::Result<Vpn, String> {
+    match head[8] {
+        REC_INLINE => Ok(Vpn::from_le_bytes(head[..8].try_into().expect("8 bytes"))),
         kind => Err(format!("unknown record kind {kind}")),
     }
 }
 
-/// The vpn of a record header this crate wrote.
-fn record_vpn(head: &[u8; RECORD_HEADER]) -> Vpn {
-    Vpn::from_le_bytes(head[..8].try_into().expect("8 bytes"))
+/// Receive an image of `len` bytes held in memory as a wire reader
+/// receives one: the same header and record checks, then one batch of
+/// page buffers, each page copied into its own. `records` are the image's
+/// `(record header, page)` pairs in order; a short header ends them.
+fn receive<'a, R>(store: &PageStore, header: &[u8], len: usize, records: R) -> Result<WorldId>
+where
+    R: Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
+{
+    let mut image = ReceivedImage::open(store, header, len).map_err(image_err)?;
+    image.heads = records
+        .clone()
+        .map_while(|(head, _)| head.try_into().ok())
+        .take(image.count)
+        .collect();
+    image.install(records.map(|(_, page)| page))
 }
 
-/// What an image says, before any of it touches a store.
-struct Parsed<'a> {
-    base: u64,
-    pages: Vec<(Vpn, &'a [u8])>,
-}
-
-/// The one record walk over a byte image. Every field is read through
-/// the bounds-checked [`Cursor`]; `count` only bounds the loop, so no
-/// arithmetic on it can wrap and a count the bytes do not back runs into
-/// the end of the buffer.
-fn parse(image: &[u8], page_size: usize) -> std::result::Result<Parsed<'_>, String> {
-    let mut cur = Cursor::new(image);
-    let (count, base) = parse_header(&mut cur, page_size)?;
-    let mut pages = Vec::new();
-    for _ in 0..count {
-        let vpn = parse_record(&mut cur)?;
-        pages.push((vpn, cur.take(page_size)?));
-    }
-    cur.finish()?;
-    Ok(Parsed { base, pages })
-}
-
-/// The one install routine: a new world — a fork of `base`, or a fresh
-/// world for base 0 — with each `(vpn, page)` installed as a full-page
-/// write whose buffer becomes the frame (see `PageStore::write_owned`).
-/// A missing base fails before any world exists; a store error after
-/// that drops the half-built world, so nothing leaks.
-fn install(
-    store: &PageStore,
-    base: u64,
-    pages: impl IntoIterator<Item = (Vpn, PageData)>,
-) -> Result<WorldId> {
-    let world = if base == 0 {
-        store.create_world()
-    } else {
-        store
-            .fork_world(WorldId(base))
-            .map_err(|_| image_err(format!("delta base world {base} not in target store")))?
-    };
-    for (vpn, page) in pages {
-        if let Err(e) = store.write_owned(world, vpn, page) {
-            let _ = store.drop_world(world);
-            return Err(e);
-        }
-    }
-    Ok(world)
-}
-
-/// Restore a checkpoint image into a **new world** of `store`. The target
-/// store must have the same page size as the image, and a non-zero base
-/// world must be alive in `store`: the new world is a COW fork of it (an
-/// empty world for base 0) with the records installed. No world exists
-/// until the whole image has parsed — an image holding a record kind
-/// other than 0 is rejected before the base is forked — and a store error
-/// after that drops the half-built world, so nothing leaks.
+/// Restore a checkpoint image into a **new world** of `store`: a COW fork
+/// of its base world, which must be alive in `store` (an empty world for
+/// base 0), with the records installed. The store must have the image's
+/// page size. The bytes are received as [`ReceivedImage`] receives them
+/// off a wire, so a malformed image gets the same error, before a buffer
+/// is taken or the base is forked; a store error after that drops the
+/// half-built world, so nothing leaks.
 pub fn restore(store: &PageStore, image: &[u8]) -> Result<WorldId> {
-    let Parsed { base, pages } = parse(image, store.page_size()).map_err(image_err)?;
-    let pages = pages
-        .into_iter()
-        .map(|(vpn, bytes)| (vpn, store.page_from(bytes)));
-    install(store, base, pages)
+    let records = image
+        .get(IMAGE_HEADER..)
+        .unwrap_or_default()
+        .chunks(RECORD_HEADER + store.page_size())
+        .map(|rec| rec.split_at(rec.len().min(RECORD_HEADER)));
+    receive(store, image, image.len(), records)
 }
 
-/// An image being read off a wire into page buffers of the store that
-/// will restore it: the header, then fixed-size records — each record
-/// header into a small array, each page into the buffer that becomes its
-/// frame. Buffers are taken from the store's recycle pool as the reader
-/// asks for them ([`ReceivedImage::reserve`]), and any the image still
-/// holds when it is dropped — a truncated read, a bad checksum, a
+/// An image being received into page buffers of the store that will
+/// restore it: each record header into a small array, each page into the
+/// buffer that becomes its frame — off a wire by a transport, or copied
+/// from memory by [`restore`] and [`ImageDesc::copy_into`]. Buffers come
+/// from the store's recycle pool ([`ReceivedImage::reserve`]), and any the
+/// image still holds when dropped — a truncated read, a bad checksum, a
 /// rejected record — go back to it.
 #[derive(Debug)]
 pub struct ReceivedImage {
     store: PageStore,
     count: usize,
     base: u64,
+    /// Payload bytes, header included.
+    len: usize,
     heads: Vec<[u8; RECORD_HEADER]>,
     pages: Vec<PageData>,
 }
@@ -436,17 +381,39 @@ impl ReceivedImage {
     /// `None`: read such a payload as bytes, and [`restore`] refuses it
     /// with the error every receiver gives it.
     pub fn begin(store: &PageStore, header: &[u8; IMAGE_HEADER], len: usize) -> Option<Self> {
-        let (count, base) = parse_header(&mut Cursor::new(header), store.page_size()).ok()?;
-        let record = RECORD_HEADER + store.page_size();
-        let count = usize::try_from(count).ok()?;
-        let fills = count.checked_mul(record)?.checked_add(IMAGE_HEADER)? == len;
-        fills.then(|| ReceivedImage {
+        Self::open(store, header, len).ok().filter(Self::fills)
+    }
+
+    /// The one header check, on the bytes an image of `len` bytes starts
+    /// with (fewer than [`IMAGE_HEADER`] read as truncated).
+    fn open(store: &PageStore, header: &[u8], len: usize) -> std::result::Result<Self, String> {
+        let mut cur = Cursor::new(header);
+        if cur.take(4).ok() != Some(MAGIC) {
+            return Err("bad magic".into());
+        }
+        if cur.u32()? != VERSION {
+            return Err("unsupported version".into());
+        }
+        if cur.u64()? != store.page_size() as u64 {
+            return Err("page size mismatch".into());
+        }
+        let (count, base) = (cur.u64()?, cur.u64()?);
+        Ok(ReceivedImage {
             store: store.clone(),
-            count,
+            count: usize::try_from(count).unwrap_or(usize::MAX),
             base,
+            len,
             heads: Vec::new(),
             pages: Vec::new(),
         })
+    }
+
+    /// Whether the claimed records fill the image exactly; no claim wraps.
+    fn fills(&self) -> bool {
+        self.count
+            .checked_mul(self.record_len())
+            .and_then(|bytes| bytes.checked_add(IMAGE_HEADER))
+            == Some(self.len)
     }
 
     /// Bytes per record: its header and one page.
@@ -497,16 +464,55 @@ impl ReceivedImage {
     /// would restore the same bytes: every record header is checked
     /// before the base is forked, and the page buffers become the new
     /// world's frames. Every record must have been read.
-    pub fn restore(mut self) -> Result<WorldId> {
+    pub fn restore(self) -> Result<WorldId> {
         assert_eq!(self.pages.len(), self.count, "restore of a part-read image");
-        let vpns = self
-            .heads
-            .iter()
-            .map(|head| parse_record(&mut Cursor::new(head)))
-            .collect::<std::result::Result<Vec<_>, _>>()
-            .map_err(image_err)?;
-        let pages = std::mem::take(&mut self.pages);
-        install(&self.store, self.base, vpns.into_iter().zip(pages))
+        self.install(std::iter::empty())
+    }
+
+    /// The one install: the record headers in order, then whether the
+    /// records fill the image, are checked before the base is forked or a
+    /// buffer taken. Each buffer becomes its page's frame by move
+    /// (`PageStore::write_owned`); a store error drops the half-built
+    /// world. `copies` are the pages of records no reader has read into a
+    /// buffer: the pool's buffers for them come in one batch, the rest are
+    /// made from the bytes in one pass (no zero fill), and each page is
+    /// copied just before its install, while its bytes are in cache.
+    fn install<'a>(mut self, mut copies: impl Iterator<Item = &'a [u8]>) -> Result<WorldId> {
+        let vpns: std::result::Result<Vec<_>, _> = self.heads.iter().map(parse_record).collect();
+        let vpns = vpns.map_err(image_err)?;
+        if !self.fills() {
+            let msg = format!("{} records do not fill {} bytes", self.count, self.len);
+            return Err(image_err(msg));
+        }
+        let world = match self.base {
+            0 => self.store.create_world(),
+            base => self
+                .store
+                .fork_world(WorldId(base))
+                .map_err(|_| image_err(format!("delta base world {base} not in target store")))?,
+        };
+        let mut buffers = std::mem::take(&mut self.pages);
+        let unread = self.count - buffers.len();
+        if unread > 0 {
+            self.store.pooled_buffers(unread, &mut buffers);
+        }
+        let mut buffers = buffers.into_iter();
+        for vpn in vpns {
+            let page = match (buffers.next(), copies.next()) {
+                (Some(page), None) => page,
+                (Some(mut page), Some(bytes)) => {
+                    page.bytes_mut().copy_from_slice(bytes);
+                    page
+                }
+                (None, Some(bytes)) => PageData::copy_of(bytes),
+                (None, None) => unreachable!("a record without a page"),
+            };
+            if let Err(e) = self.store.write_owned(world, vpn, page) {
+                let _ = self.store.drop_world(world);
+                return Err(e);
+            }
+        }
+        Ok(world)
     }
 }
 
@@ -898,6 +904,39 @@ mod tests {
         assert!(ReceivedImage::begin(&there, &lying, image.len()).is_none());
         lying[..4].copy_from_slice(b"MWCX");
         assert!(ReceivedImage::begin(&there, &lying, image.len()).is_none());
+    }
+
+    #[test]
+    fn an_image_in_memory_takes_its_buffers_in_one_batch() {
+        let here = PageStore::new(64);
+        let w = here.create_world();
+        for vpn in 0..64 {
+            here.write(w, vpn, 0, &[vpn as u8; 64]).unwrap();
+        }
+        let desc = describe(&here, w).unwrap();
+        let bytes = desc.to_vec();
+        let into_a_pool_of_40 = |way: &dyn Fn(&PageStore) -> Result<WorldId>| {
+            let there = PageStore::new(64);
+            let scratch = there.create_world();
+            for vpn in 0..40 {
+                there.write(scratch, vpn, 0, &[1]).unwrap();
+            }
+            there.drop_world(scratch).unwrap();
+            let before = there.stats();
+            let world = way(&there).unwrap();
+            assert_eq!(there.read_vec(world, 63, 0, 64).unwrap(), vec![63; 64]);
+            there.verify_refcounts().unwrap();
+            there.stats().delta_since(&before)
+        };
+        for (way, d) in [
+            ("restore", into_a_pool_of_40(&|s| restore(s, &bytes))),
+            ("copy_into", into_a_pool_of_40(&|s| desc.copy_into(s))),
+        ] {
+            // One acquisition takes all 64 buffers; each of the 64 new
+            // frames takes one more for its slot (`FrameTable::alloc`).
+            assert_eq!(d.recycler_locks, 1 + 64, "{way}");
+            assert_eq!(d.frames_recycled, 40, "{way}: every pooled buffer");
+        }
     }
 
     #[test]

@@ -670,14 +670,21 @@ impl PageStore {
         page
     }
 
-    /// Append `n` page buffers to `out`: as many from the recycle pool as
-    /// it holds, under one lock acquisition (each counted as a recycled
-    /// frame), the rest freshly allocated. Their bytes are whatever they
-    /// held; the caller overwrites every one.
+    /// Append `n` page buffers to `out`: the [`PageStore::pooled_buffers`]
+    /// the pool holds, the rest freshly allocated. The caller overwrites
+    /// every one.
     pub(crate) fn page_buffers(&self, n: usize, out: &mut Vec<PageData>) {
+        let pooled = self.pooled_buffers(n, out);
+        out.extend((pooled..n).map(|_| PageData::zeroed(self.page_size)));
+    }
+
+    /// Move up to `n` buffers from the recycle pool onto `out`, under one
+    /// lock acquisition, each counted as a recycled frame; returns how
+    /// many. Their bytes are whatever they held.
+    pub(crate) fn pooled_buffers(&self, n: usize, out: &mut Vec<PageData>) -> usize {
         let pooled = self.frames.take_pooled_many(n, out);
         self.stats.frames_recycled.add(pooled as u64);
-        out.extend((pooled..n).map(|_| PageData::zeroed(self.page_size)));
+        pooled
     }
 
     /// Return page buffers no frame took to the recycle pool, under one
